@@ -7,7 +7,10 @@
 //
 // Usage:
 //
-//	clcc [-stage=ir|transformed|meta|sched] file.cl
+//	clcc [-stage=ir|transformed|meta|warp] file.cl
+//	                          # warp: the transformed kernels' bytecode
+//	                          # as the daemon compiles it, each
+//	                          # instruction with its warp dispatch mode
 //	clcc -demo                # use the paper's Fig. 8 example kernel
 //	clcc -profile file.cl     # run each kernel on synthesized arguments
 //	                          # and dump its VM execution profile
@@ -44,7 +47,7 @@ kernel void mop(global const float* ina, global const float* inb, global float* 
 `
 
 func main() {
-	stage := flag.String("stage", "all", "what to print: ir, transformed, meta, or all")
+	stage := flag.String("stage", "all", "what to print: ir, transformed, meta, all (those three), or warp (transformed bytecode with warp dispatch modes)")
 	demo := flag.Bool("demo", false, "compile the paper's Fig. 8 example instead of a file")
 	profile := flag.Bool("profile", false, "execute each kernel on synthesized arguments (64x64 NDRange) and dump its VM execution profile")
 	emitTiersFlag := flag.Bool("emit-tiers", false, "run the tiered pipeline on synthesized arguments and print per-kernel tier decisions: chosen superinstructions with profile weights and the hot block order")
@@ -95,6 +98,12 @@ func main() {
 				info.Regs, info.LocalBytes, info.OrigLocalBytes, len(info.Hoisted))
 		}
 	}
+	if *stage == "warp" {
+		if err := dumpWarp(res.Module); err != nil {
+			fmt.Fprintln(os.Stderr, "warp:", err)
+			os.Exit(1)
+		}
+	}
 	if *profile {
 		fmt.Println("\n==== VM execution profiles (synthesized arguments, 64x64 NDRange) ====")
 		if err := profileKernels(mod); err != nil {
@@ -106,6 +115,24 @@ func main() {
 		fmt.Println("\n==== tier decisions (tier-0 compile -> synthesized profile -> tier-1 recompile) ====")
 		emitTiers(mod)
 	}
+}
+
+// dumpWarp compiles the transformed module the way the daemon's JIT
+// does (O1 over a clone, then bytecode with warp tables) and lists every
+// scheduling kernel's bytecode with its dispatch modes. A "spill" in
+// the listing is a point where the warp leaves vector dispatch.
+func dumpWarp(trans *ir.Module) error {
+	opt := ir.CloneModule(trans)
+	if err := passes.RunO1(opt); err != nil {
+		return err
+	}
+	prog := interp.CompileModuleOpts(opt, interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth})
+	for _, f := range opt.Kernels() {
+		if err := prog.DumpWarp(os.Stdout, f.Name); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // profileKernels executes every kernel in the module once on the

@@ -261,8 +261,8 @@ func (rt *Runtime) SetTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, s
 	rt.Ctx.SetTracer(tr)
 	rt.Ctx.SetMetrics(reg)
 	// Warp execution stats flow from the VM through the machine pools
-	// into per-kernel metrics: occupancy (percent of warp lanes filled)
-	// and divergence fallbacks onto the scalar path.
+	// into per-kernel metrics: occupancy (percent of warp lanes filled),
+	// masked divergences and fallbacks onto the scalar path.
 	var sink interp.WarpStatsSink
 	if reg != nil {
 		sink = warpTelemetry{reg}
@@ -337,8 +337,11 @@ func (rt *Runtime) wireTierTelemetry() {
 }
 
 // warpTelemetry adapts interp warp-launch stats onto the telemetry
-// registry: a warp_occupancy histogram (percent, one observation per
-// launch) and a divergence_fallbacks_total counter, labeled by kernel.
+// registry, labeled by kernel: a warp_occupancy histogram (percent, one
+// observation per launch), masked_divergences_total (lane-mask splits
+// at divergent branches — the warp stayed in vector dispatch) and
+// divergence_fallbacks_total (spills onto the scalar per-item path,
+// which only a call, a trap or a barrier in a divergent region cause).
 type warpTelemetry struct{ reg *telemetry.Registry }
 
 func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
@@ -346,6 +349,7 @@ func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
 		pct := 100 * st.Lanes / (st.Warps * int64(st.Width))
 		w.reg.Histogram("warp_occupancy", telemetry.L("kernel", st.Kernel)).Observe(pct)
 	}
+	w.reg.Counter("masked_divergences_total", telemetry.L("kernel", st.Kernel)).Add(st.Diverges)
 	w.reg.Counter("divergence_fallbacks_total", telemetry.L("kernel", st.Kernel)).Add(st.Spills)
 }
 
@@ -362,10 +366,16 @@ func (rt *Runtime) SetProfiler(p *interp.Profiler) {
 	}
 }
 
-// Shutdown stops the daemon after draining pending requests.
+// Shutdown stops the daemon after draining pending requests, and the
+// VM worker goroutines of every platform it launched on: what a
+// runtime started is gone when Shutdown returns.
 func (rt *Runtime) Shutdown() {
 	close(rt.quit)
 	rt.wg.Wait()
+	rt.Plat.Machines().Close()
+	for _, plat := range rt.plats {
+		plat.Machines().Close() // idempotent: plats[0] is rt.Plat
+	}
 }
 
 // Stats returns a snapshot of runtime counters.

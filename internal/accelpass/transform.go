@@ -21,9 +21,7 @@ package accelpass
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/clc"
 	"repro/internal/ir"
 	"repro/internal/passes"
 	"repro/internal/rtlib"
@@ -121,29 +119,18 @@ func Transform(m *ir.Module) (*Result, error) {
 		info.LocalBytes = origLocal + rtlib.SDWords*8
 	}
 
-	// Step 5: generate and link the scheduling kernels.
+	// Step 5: generate the scheduling kernels.
 	for _, info := range infos {
-		cf := m.Lookup(info.ComputeName)
-		src := schedulingKernelSource(info, cf)
-		wm, err := clc.Compile(src, info.Name+"__sched")
-		if err != nil {
-			return nil, fmt.Errorf("accelpass: generated scheduling kernel for %s does not compile: %w\nsource:\n%s", info.Name, err, src)
-		}
-		if err := ir.Link(m, wm); err != nil {
-			return nil, fmt.Errorf("accelpass: linking scheduling kernel for %s: %w", info.Name, err)
-		}
+		buildSchedulingKernel(m, info, m.Lookup(info.ComputeName))
 	}
 
-	// Step 6: link the runtime library.
-	rtm, err := rtlib.Module()
-	if err != nil {
-		return nil, err
-	}
-	if err := ir.Link(m, rtm); err != nil {
+	// Step 6: link the runtime library (the functions this module uses).
+	if err := rtlib.Link(m); err != nil {
 		return nil, fmt.Errorf("accelpass: linking runtime library: %w", err)
 	}
 
-	// Cleanup passes, then record size metrics.
+	// Cleanup passes (the manager verifies the module after each, so
+	// what leaves here is verified), then record size metrics.
 	pm := passes.NewManager(passes.ConstFold{}, passes.DCE{})
 	if err := pm.Run(m); err != nil {
 		return nil, fmt.Errorf("accelpass: %w", err)
@@ -153,9 +140,6 @@ func Transform(m *ir.Module) (*Result, error) {
 		info.InstrCount = passes.InstrCount(cf)
 		info.Chunk = passes.AdaptiveChunk(info.InstrCount)
 		info.Regs = passes.ModuleRegisterEstimate(m, info.ComputeName)
-	}
-	if err := ir.Verify(m); err != nil {
-		return nil, fmt.Errorf("accelpass: transformed module is invalid: %w", err)
 	}
 	return res, nil
 }
@@ -302,98 +286,99 @@ func replaceUsesInFunc(f *ir.Function, old, new ir.Value) {
 	}
 }
 
-// typeCLC renders an IR type as CLC source for the generated scheduling
-// kernel.
-func typeCLC(t *ir.Type) string {
-	switch t.Kind {
-	case ir.Void:
-		return "void"
-	case ir.Bool, ir.I32:
-		return "int"
-	case ir.I64:
-		return "long"
-	case ir.F32:
-		return "float"
-	case ir.F64:
-		return "double"
-	case ir.Pointer:
-		prefix := ""
-		switch t.Space {
-		case ir.Global:
-			prefix = "global "
-		case ir.Local:
-			prefix = "local "
-		case ir.Constant:
-			prefix = "constant "
-		}
-		return prefix + typeCLC(t.Elem) + "*"
-	}
-	panic(fmt.Sprintf("accelpass: cannot render type %s in CLC", t))
-}
-
-// schedulingKernelSource generates the dyn_sched wrapper (Fig. 8b) for a
-// computation function. The wrapper keeps the original kernel's name so
-// the interposition layer can launch it transparently; its signature is
-// the original parameter list plus the RT descriptor pointer appended by
-// the kernel scheduler.
+// buildSchedulingKernel adds the dyn_sched wrapper (Fig. 8b) of a
+// computation function to m. The wrapper keeps the original kernel's
+// name so the interposition layer can launch it transparently; its
+// signature is the original parameter list plus the RT descriptor
+// pointer appended by the kernel scheduler. In CLC it would read:
+//
+//	kernel void K(<original params>, global long* __rt)
+//	{
+//	    local long __sd[SDWords];
+//	    local T __h0[N0]; ...                  // the hoisted arrays
+//	    int __master = rt_is_master_workitem();
+//	    if (__master) rt_env_init(__rt, __sd);
+//	    for (;;) {
+//	        if (__master) rt_sched_wgroup(__rt, __sd);
+//	        barrier(3);
+//	        if (__sd[0] == 1) break;
+//	        for (long __ind = __sd[1]; __ind < __sd[2]; __ind = __ind + 1)
+//	            K__compute(<original params>, __rt, __sd, __ind, __h0, ...);
+//	        barrier(3);
+//	    }
+//	}
 //
 // Compared to the paper's figure, an extra barrier closes each iteration
 // so the master's next dequeue cannot overwrite the SD block while slower
-// work-items are still reading the current chunk bounds.
-func schedulingKernelSource(info *KernelInfo, compute *ir.Function) string {
+// work-items are still reading the current chunk bounds, and the master
+// test is evaluated once, ahead of the loop, instead of per dequeue. The
+// IR is built directly, not compiled from that text — the JIT runs this
+// for every program of every tenant — and in memory form (the loop
+// variable is an alloca), so every engine can run it unoptimized.
+func buildSchedulingKernel(m *ir.Module, info *KernelInfo, compute *ir.Function) {
 	// The compute signature is: originals..., __rt, __sd, __hdlr,
 	// hoists...
 	nOrig := len(compute.Params) - 3 - len(info.Hoisted)
-	var sb strings.Builder
-
-	// Prototypes.
-	sb.WriteString("extern void ")
-	sb.WriteString(info.ComputeName)
-	sb.WriteString("(")
-	for i, p := range compute.Params {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "%s %s", typeCLC(p.Ty), p.Nam)
+	params := make([]*ir.Param, 0, nOrig+1)
+	for i, p := range compute.Params[:nOrig] {
+		params = append(params, &ir.Param{Nam: p.Nam, Ty: p.Ty, Idx: i})
 	}
-	sb.WriteString(");\n")
-	sb.WriteString("extern void rt_env_init(global long* rt, local long* sd);\n")
-	sb.WriteString("extern void rt_sched_wgroup(global long* rt, local long* sd);\n")
-	sb.WriteString("extern int rt_is_master_workitem();\n\n")
+	rt := &ir.Param{Nam: "__rt", Ty: rtPtrT, Idx: nOrig}
+	k := m.NewFunction(info.Name, ir.VoidT, append(params, rt)...)
+	k.Kernel = true
 
-	// Scheduling kernel.
-	fmt.Fprintf(&sb, "kernel void %s(", info.Name)
-	for i := 0; i < nOrig; i++ {
-		p := compute.Params[i]
-		fmt.Fprintf(&sb, "%s %s, ", typeCLC(p.Ty), p.Nam)
-	}
-	sb.WriteString("global long* __rt)\n{\n")
-	fmt.Fprintf(&sb, "    local long __sd[%d];\n", rtlib.SDWords)
+	b := ir.NewBuilder(k)
+	sd := b.Alloca(ir.I64T, rtlib.SDWords, ir.Local)
+	hoists := make([]ir.Value, len(info.Hoisted))
 	for i, h := range info.Hoisted {
-		fmt.Fprintf(&sb, "    local %s __h%d[%d];\n", typeCLC(h.Elem), i, h.Count)
+		hoists[i] = b.Alloca(h.Elem, h.Count, ir.Local)
 	}
-	sb.WriteString(`    if (rt_is_master_workitem())
-        rt_env_init(__rt, __sd);
-    for (;;) {
-        if (rt_is_master_workitem())
-            rt_sched_wgroup(__rt, __sd);
-        barrier(3);
-        if (__sd[0] == 1)
-            break;
-        long __ind;
-        for (__ind = __sd[1]; __ind < __sd[2]; __ind = __ind + 1)
-`)
-	sb.WriteString("            ")
-	sb.WriteString(info.ComputeName)
-	sb.WriteString("(")
-	for i := 0; i < nOrig; i++ {
-		fmt.Fprintf(&sb, "%s, ", compute.Params[i].Nam)
+	ind := b.Alloca(ir.I64T, 1, ir.Private)
+	sdWord := func(i int64) ir.Value { return b.Load(b.GEP(sd, ir.CI(i))) }
+
+	master := b.Cmp(ir.INE, b.Call("rt_is_master_workitem", ir.I32T), ir.CI(0))
+	initBlk, loop := b.NewBlock("sched.init"), b.NewBlock("sched.loop")
+	b.CondBr(master, initBlk, loop)
+
+	b.SetInsert(initBlk)
+	b.Call("rt_env_init", ir.VoidT, rt, sd)
+	b.Br(loop)
+
+	dequeue, sync := b.NewBlock("sched.dequeue"), b.NewBlock("sched.sync")
+	b.SetInsert(loop)
+	b.CondBr(master, dequeue, sync)
+
+	b.SetInsert(dequeue)
+	b.Call("rt_sched_wgroup", ir.VoidT, rt, sd)
+	b.Br(sync)
+
+	done, chunk := b.NewBlock("sched.done"), b.NewBlock("sched.chunk")
+	b.SetInsert(sync)
+	b.Barrier(ir.FenceLocal | ir.FenceGlobal)
+	b.CondBr(b.Cmp(ir.IEQ, sdWord(rtlib.SDStatus), ir.CI64(rtlib.StatusTerminate)), done, chunk)
+
+	b.SetInsert(done)
+	b.Ret(nil)
+
+	cond, body, end := b.NewBlock("sched.cond"), b.NewBlock("sched.body"), b.NewBlock("sched.end")
+	b.SetInsert(chunk)
+	b.Store(sdWord(rtlib.SDBase), ind)
+	b.Br(cond)
+
+	b.SetInsert(cond)
+	b.CondBr(b.Cmp(ir.ILT, b.Load(ind), sdWord(rtlib.SDEnd)), body, end)
+
+	b.SetInsert(body)
+	args := make([]ir.Value, 0, len(compute.Params))
+	for _, p := range params {
+		args = append(args, p)
 	}
-	sb.WriteString("__rt, __sd, __ind")
-	for i := range info.Hoisted {
-		fmt.Fprintf(&sb, ", __h%d", i)
-	}
-	sb.WriteString(");\n")
-	sb.WriteString("        barrier(3);\n    }\n}\n")
-	return sb.String()
+	args = append(args, rt, sd, b.Load(ind))
+	b.Call(compute.Name, ir.VoidT, append(args, hoists...)...)
+	b.Store(b.Bin(ir.Add, b.Load(ind), ir.CI64(1)), ind)
+	b.Br(cond)
+
+	b.SetInsert(end)
+	b.Barrier(ir.FenceLocal | ir.FenceGlobal)
+	b.Br(loop)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/clc"
 	"repro/internal/ir"
+	"repro/internal/passes"
 	"repro/internal/rtlib"
 )
 
@@ -166,7 +167,7 @@ func TestTransformRejectsKernelFreeModule(t *testing.T) {
 	}
 }
 
-func TestSchedulingKernelSourceMentionsHoists(t *testing.T) {
+func TestSchedulingKernelHoists(t *testing.T) {
 	m, err := clc.Compile(`
 kernel void k(global float* out)
 {
@@ -201,22 +202,70 @@ kernel void k(global float* out)
 	if len(cf.Params) != 1+3+2 {
 		t.Errorf("compute has %d params, want 6", len(cf.Params))
 	}
+	// The wrapper declares them (after its SD block) and passes them in.
+	var locals []*ir.Instr
+	for _, in := range res.Module.Lookup("k").Entry().Instrs {
+		if in.Op == ir.OpAlloca && in.AllocaSpace == ir.Local {
+			locals = append(locals, in)
+		}
+	}
+	if len(locals) != 3 || locals[1].AllocaCount != 32 || locals[2].AllocaCount != 8 {
+		t.Errorf("wrapper declares %d local arrays, want the SD block, t1[32] and t2[8]", len(locals))
+	}
 }
 
-func TestTypeCLCRendering(t *testing.T) {
-	cases := map[string]*ir.Type{
-		"int":           ir.I32T,
-		"long":          ir.I64T,
-		"float":         ir.F32T,
-		"double":        ir.F64T,
-		"global float*": ir.PointerTo(ir.F32T, ir.Global),
-		"local long*":   ir.PointerTo(ir.I64T, ir.Local),
-		"constant int*": ir.PointerTo(ir.I32T, ir.Constant),
-		"int*":          ir.PointerTo(ir.I32T, ir.Private),
-	}
-	for want, ty := range cases {
-		if got := typeCLC(ty); got != want {
-			t.Errorf("typeCLC(%s) = %q, want %q", ty, got, want)
+// TestKernelInfoPrecedesInlining: the size metrics the scheduler plans
+// with are those of the computation function as Transform leaves it —
+// the O1 pipeline later folds that function and the runtime library
+// into the scheduling kernel, but on a clone and after the fact, so no
+// KernelInfo field (hence no plan) moves with the inliner. A kernel
+// that uses two builtins links six of the library's eleven functions.
+func TestKernelInfoPrecedesInlining(t *testing.T) {
+	res := transform(t, `
+int scale(int v, int by) { return v * by + (int)get_local_id(0); }
+kernel void k(global int* out, global const int* in, int n)
+{
+    int i = (int)get_global_id(0);
+    int acc = 0;
+    int j;
+    for (j = 0; j < 4; ++j) acc += scale(in[(i + j) % n], j);
+    if (i < n) out[i] = acc;
+}
+`)
+	info := *res.Kernels["k"]
+	linked := 0
+	for _, f := range res.Module.Funcs {
+		if strings.HasPrefix(f.Name, "rt_") && !f.IsDecl() {
+			linked++
 		}
+	}
+	// rt_global_id → rt_group_id, rt_local_id, and the wrapper's three.
+	if linked != 6 {
+		t.Errorf("linked %d library functions, want the 6 this module uses", linked)
+	}
+
+	opt := ir.CloneModule(res.Module)
+	if err := passes.RunO1(opt); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range opt.Funcs {
+		if !f.IsDecl() && f.Name != "k" {
+			t.Errorf("%s survived O1: the scheduling kernel should be the only function left", f.Name)
+		}
+	}
+	cf := res.Module.Lookup(info.ComputeName)
+	if cf == nil {
+		t.Fatal("O1 on a clone removed the computation function from the transformed module")
+	}
+	if got := *res.Kernels["k"]; got.InstrCount != info.InstrCount || got.Chunk != info.Chunk ||
+		got.Regs != info.Regs || got.LocalBytes != info.LocalBytes {
+		t.Errorf("KernelInfo changed under O1: %+v, was %+v", got, info)
+	}
+	if n := passes.InstrCount(cf); info.InstrCount != n || info.Chunk != passes.AdaptiveChunk(n) {
+		t.Errorf("InstrCount/Chunk = %d/%d, the computation function has %d instructions (chunk %d)",
+			info.InstrCount, info.Chunk, n, passes.AdaptiveChunk(n))
+	}
+	if r := passes.ModuleRegisterEstimate(res.Module, info.ComputeName); info.Regs != r {
+		t.Errorf("Regs = %d, the computation function's call graph estimates %d", info.Regs, r)
 	}
 }

@@ -195,12 +195,15 @@ type compiledFn struct {
 	// otherwise). wmode holds one dispatch-mode byte per instruction;
 	// uniform marks the registers whose value is warp-invariant (their
 	// home is the warp's shared file in vector mode); uniformRegs lists
-	// them for the spill/re-form copies; reformPC marks the resume pcs
-	// (instruction after a barrier in a control-uniform block) where a
-	// spilled warp may re-enter vector dispatch.
+	// them for the spill/re-form copies; reconv maps the pc of every
+	// wmDiverge branch to the pc where its sides meet again (noReconv:
+	// never); reformPC marks the resume pcs (instruction after a barrier
+	// in a control-uniform block) where a spilled warp may re-enter
+	// vector dispatch.
 	wmode       []uint8
 	uniform     []bool
 	uniformRegs []int32
+	reconv      map[int32]int32
 	reformPC    map[int32]bool
 }
 
@@ -233,7 +236,8 @@ type CompileOpts struct {
 	// of a group run in fixed-width batches with one fetch/decode per
 	// instruction per warp, driven by a per-kernel uniformity analysis
 	// (passes.AnalyzeUniformity). 0 disables warp execution entirely
-	// (the zero value keeps plain per-item dispatch).
+	// (the zero value keeps plain per-item dispatch); widths above
+	// MaxWarpWidth are clamped to it.
 	WarpWidth int
 	// Profile, when non-nil, turns the compile profile-guided (tier 1+):
 	// measured block frequencies select which blocks get superinstruction
@@ -257,6 +261,10 @@ var Tier0CompileOpts = CompileOpts{Disable: []string{"fuse"}}
 // DefaultWarpWidth is the warp width DefaultCompileOpts enables:
 // 64 lanes, the warp/wavefront size of the simulated AMD hardware.
 const DefaultWarpWidth = 64
+
+// MaxWarpWidth is the widest warp the engine forms: a warp's active
+// lanes are one uint64 mask.
+const MaxWarpWidth = 64
 
 // DefaultCompileOpts is what CompileModule (and therefore SharedProgram
 // and every host-layer cache) compiles with: the full O1 pipeline plus
@@ -362,7 +370,7 @@ func CompileModuleOpts(mod *ir.Module, opts CompileOpts) *Prog {
 		p.tier = 1
 	}
 	if opts.WarpWidth > 0 {
-		p.warpWidth = opts.WarpWidth
+		p.warpWidth = min(opts.WarpWidth, MaxWarpWidth)
 	}
 	fuse := !opts.disabled("fuse")
 	// Two phases so calls can reference functions defined later.
@@ -373,16 +381,7 @@ func CompileModuleOpts(mod *ir.Module, opts CompileOpts) *Prog {
 	}
 	for _, f := range src.Funcs {
 		if !f.IsDecl() {
-			p.compileFn(p.fns[f.Name], fuse, opts.Profile, opts.WarpWidth)
-		}
-	}
-	if p.warpWidth > 0 {
-		// The warp stream drives only kernel top frames (calls spill to
-		// the scalar path), so only kernels get dispatch-mode tables.
-		for _, f := range src.Funcs {
-			if f.Kernel && !f.IsDecl() {
-				p.fns[f.Name].buildWarpTables()
-			}
+			p.compileFn(p.fns[f.Name], fuse, opts.Profile)
 		}
 	}
 	return p
@@ -544,12 +543,15 @@ type fnCompiler struct {
 	stubs   []edgeStub
 	uses    map[ir.Value]int // operand occurrence count, for fusion legality
 
+	// uni is the uniformity analysis of a kernel compiled for warp
+	// execution (nil otherwise), computed once and shared by the branch
+	// fusion gate, jump threading and the dispatch-mode tables.
+	uni *passes.Uniformity
+
 	// Profile-guided compile state (nil/zero without a ProfileGuide):
-	// guide supplies measured block weights, uni gates branch fusions on
-	// warp compiles, curHot/curWeight describe the block being emitted,
-	// and dec accumulates the decisions record.
+	// guide supplies measured block weights, curHot/curWeight describe
+	// the block being emitted, and dec accumulates the decisions record.
 	guide     *ProfileGuide
-	uni       *passes.Uniformity
 	curHot    bool
 	curWeight int64
 	curBlock  string
@@ -558,7 +560,7 @@ type fnCompiler struct {
 	needScratch bool // some edge's parallel copy had a cycle
 }
 
-func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide, warpWidth int) {
+func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide) {
 	fn := cf.fn
 	c := &fnCompiler{
 		prog:      p,
@@ -570,16 +572,14 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide, warpWid
 		blockPC:   make(map[*ir.Block]int32),
 		uses:      make(map[ir.Value]int),
 	}
+	if p.warpWidth > 0 && fn.Kernel {
+		// The warp stream drives only kernel top frames, so only kernels
+		// are analyzed and get dispatch-mode tables.
+		c.uni = passes.AnalyzeUniformity(fn)
+	}
 	blocks := fn.Blocks
 	if guide != nil {
 		blocks = layoutBlocks(fn, guide)
-		if warpWidth > 0 && fn.Kernel {
-			// Warp compile of a kernel: the uniformity analysis gates
-			// which branch fusions are worth the effort (a fused jump on
-			// divergent operands would spill the warp off vector
-			// dispatch at every loop test).
-			c.uni = passes.AnalyzeUniformity(fn)
-		}
 		c.dec = &TierDecision{Fn: fn.Name}
 		for _, b := range blocks {
 			c.dec.BlockOrder = append(c.dec.BlockOrder, b.Name)
@@ -642,7 +642,11 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide, warpWid
 			c.code[fx.at].c = pc
 		}
 	}
-	c.threadJumps()
+	var keep map[int32]bool
+	if c.uni != nil {
+		keep = reconvergencePCs(c.uni, blocks, c.blockPC)
+	}
+	c.threadJumps(keep)
 	cf.code = c.code
 	cf.nparams = len(fn.Params)
 	cf.constBase = c.nb.NumValues()
@@ -666,6 +670,9 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide, warpWid
 	cf.regPool.New = func() any {
 		s := make([]Value, n)
 		return &s
+	}
+	if c.uni != nil {
+		cf.buildWarpTables(c.uni, c.nb, blocks, c.blockPC)
 	}
 }
 
@@ -830,8 +837,8 @@ func (c *fnCompiler) tryFuse(instrs []*ir.Instr, i int) int {
 				}
 				// In a warp kernel the fused jump replaces what would be
 				// a once-dispatched uniform back edge; fuse only when it
-				// stays uniform, else the superinstruction would drag the
-				// whole branch onto the spill path.
+				// stays uniform, else the superinstruction would make the
+				// bin's register write part of a per-lane divergent branch.
 				if c.uni != nil && !(c.uni.ValueUniform(in) && c.uni.ValueUniform(other)) {
 					c.recordSuper("bin+cmp+jump", true)
 				} else if ops, ok := c.regs([]ir.Value{in.Args[0], in.Args[1], other}); ok {
@@ -1278,14 +1285,16 @@ const scratchMark = int32(-2)
 // equivalent to jumping there first (none of these fall through, and
 // the registers they read are the same either way), and it removes one
 // dispatch per loop iteration: the back-edge jump of every counted loop
-// lands directly on the loop test's fused opCmpJump.
-func (c *fnCompiler) threadJumps() {
+// lands directly on the loop test's fused opCmpJump. Pcs in keep are
+// never bypassed: the warp engine must see lanes arrive there
+// (reconvergencePCs).
+func (c *fnCompiler) threadJumps(keep map[int32]bool) {
 	// Resolve jump→jump chains first, bounded to stay clear of
 	// jump-to-self (an intentionally empty infinite loop).
 	chase := func(pc int64) int64 {
 		for hops := 0; hops < 8; hops++ {
 			t := c.code[pc]
-			if t.op != opJump || t.imm == pc {
+			if t.op != opJump || t.imm == pc || keep[int32(pc)] {
 				break
 			}
 			pc = t.imm
@@ -1310,7 +1319,7 @@ func (c *fnCompiler) threadJumps() {
 	}
 	for i := range c.code {
 		in := &c.code[i]
-		if in.op != opJump {
+		if in.op != opJump || keep[int32(in.imm)] {
 			continue
 		}
 		switch t := c.code[in.imm]; t.op {

@@ -115,12 +115,14 @@ type launchCtx struct {
 	profPhase int64
 
 	// Warp execution stats (VM engine with WarpWidth > 0): warps formed,
-	// lanes across them (occupancy numerator), divergence spills to the
-	// scalar path, and barrier re-formations.
-	warps       atomic.Int64
-	warpLanes   atomic.Int64
-	warpSpills  atomic.Int64
-	warpReforms atomic.Int64
+	// lanes across them (occupancy numerator), lane-mask splits at
+	// divergent branches, spills to the scalar path, and barrier
+	// re-formations.
+	warps        atomic.Int64
+	warpLanes    atomic.Int64
+	warpDiverges atomic.Int64
+	warpSpills   atomic.Int64
+	warpReforms  atomic.Int64
 
 	steps    atomic.Int64
 	maxSteps int64

@@ -123,11 +123,13 @@ type KernelProfile struct {
 
 	// Warp execution stats, aggregated per retired launch (every launch,
 	// not only sampled groups): warps formed, lanes across them,
-	// divergence spills and barrier re-formations.
-	warps       atomic.Int64
-	warpLanes   atomic.Int64
-	warpSpills  atomic.Int64
-	warpReforms atomic.Int64
+	// lane-mask splits, spills to the scalar path and barrier
+	// re-formations.
+	warps        atomic.Int64
+	warpLanes    atomic.Int64
+	warpDiverges atomic.Int64
+	warpSpills   atomic.Int64
+	warpReforms  atomic.Int64
 
 	mu            sync.Mutex
 	groupsSampled int64
@@ -243,19 +245,20 @@ type BlockCount struct {
 
 // KernelProfileSnapshot is the exported view of one kernel's profile.
 type KernelProfileSnapshot struct {
-	Kernel      string
-	SampleEvery int64
-	Groups      int64         // work-groups executed (sampled or not)
-	Sampled     int64         // work-groups that ran the counting loop
-	Instrs      int64         // instructions in sampled groups
-	Barriers    int64         // barrier suspensions in sampled groups
-	Faults      int64         // faulting groups (counted unsampled)
-	Warps       int64         // warps formed (all groups, warp mode only)
-	WarpLanes   int64         // lanes across formed warps (occupancy numerator)
-	WarpSpills  int64         // divergence fallbacks onto the scalar path
-	WarpReforms int64         // barrier re-formations back into vector dispatch
-	Opcodes     []OpcodeCount // nonzero counts, descending
-	Blocks      []BlockCount  // nonzero entry counts, descending
+	Kernel       string
+	SampleEvery  int64
+	Groups       int64         // work-groups executed (sampled or not)
+	Sampled      int64         // work-groups that ran the counting loop
+	Instrs       int64         // instructions in sampled groups
+	Barriers     int64         // barrier suspensions in sampled groups
+	Faults       int64         // faulting groups (counted unsampled)
+	Warps        int64         // warps formed (all groups, warp mode only)
+	WarpLanes    int64         // lanes across formed warps (occupancy numerator)
+	WarpDiverges int64         // lane-mask splits at divergent branches (stayed in vector dispatch)
+	WarpSpills   int64         // fallbacks onto the scalar path (call, trap, divergent barrier)
+	WarpReforms  int64         // barrier re-formations back into vector dispatch
+	Opcodes      []OpcodeCount // nonzero counts, descending
+	Blocks       []BlockCount  // nonzero entry counts, descending
 }
 
 // ResetKernel discards one kernel's accumulated profile, including its
@@ -309,14 +312,15 @@ func (p *Profiler) Snapshot() []KernelProfileSnapshot {
 	out := make([]KernelProfileSnapshot, 0, len(kps))
 	for _, kp := range kps {
 		s := KernelProfileSnapshot{
-			Kernel:      kp.name,
-			SampleEvery: p.every,
-			Groups:      kp.groupsSeen.Load(),
-			Faults:      kp.faults.Load(),
-			Warps:       kp.warps.Load(),
-			WarpLanes:   kp.warpLanes.Load(),
-			WarpSpills:  kp.warpSpills.Load(),
-			WarpReforms: kp.warpReforms.Load(),
+			Kernel:       kp.name,
+			SampleEvery:  p.every,
+			Groups:       kp.groupsSeen.Load(),
+			Faults:       kp.faults.Load(),
+			Warps:        kp.warps.Load(),
+			WarpLanes:    kp.warpLanes.Load(),
+			WarpDiverges: kp.warpDiverges.Load(),
+			WarpSpills:   kp.warpSpills.Load(),
+			WarpReforms:  kp.warpReforms.Load(),
 		}
 		kp.mu.Lock()
 		s.Sampled = kp.groupsSampled
@@ -361,8 +365,8 @@ func (p *Profiler) Dump(w io.Writer) {
 		fmt.Fprintf(w, "kernel %s: groups %d (sampled %d, 1 in %d), instrs %d, barriers %d, faults %d\n",
 			s.Kernel, s.Groups, s.Sampled, s.SampleEvery, s.Instrs, s.Barriers, s.Faults)
 		if s.Warps > 0 {
-			fmt.Fprintf(w, "  warps: %d (avg %.1f lanes), divergence fallbacks %d, re-forms %d\n",
-				s.Warps, float64(s.WarpLanes)/float64(s.Warps), s.WarpSpills, s.WarpReforms)
+			fmt.Fprintf(w, "  warps: %d (avg %.1f lanes), masked divergences %d, divergence fallbacks %d, re-forms %d\n",
+				s.Warps, float64(s.WarpLanes)/float64(s.Warps), s.WarpDiverges, s.WarpSpills, s.WarpReforms)
 		}
 		if len(s.Opcodes) > 0 {
 			fmt.Fprintf(w, "  opcodes:\n")

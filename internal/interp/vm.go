@@ -20,9 +20,10 @@ import (
 //   - work-groups are independent by construction and run in parallel on
 //     a bounded worker pool, cutting goroutine count per launch from
 //     Global work-items to O(NumCPU);
-//   - per-frame register files, per-group local regions and per-item
-//     private allocas come from pools and bump arenas, so repeated
-//     sliced launches on pooled machines stop allocating per slice.
+//   - kernel-frame register files are windows of one slab per group,
+//     callee frames, per-group local regions and per-item private
+//     allocas come from pools and bump arenas, so repeated sliced
+//     launches on pooled machines stop allocating per slice.
 //
 // Semantics are shared with the reference tree-walker (exec.go) through
 // the common binOp/cmpOp/castOp/evalMath/load/store helpers; the Parboil
@@ -37,8 +38,9 @@ const (
 )
 
 // vmFrame is one suspended or active function activation. regp is the
-// pooled register-file pointer; it returns to the pool verbatim when
-// the frame pops.
+// register-file pointer: of a callee frame, the pooled file, which
+// returns to the pool verbatim when the frame pops; of the kernel frame
+// (index 0), the work-item's window of the group's slab.
 type vmFrame struct {
 	cf   *compiledFn
 	regp *[]Value
@@ -51,8 +53,10 @@ type vmFrame struct {
 // with the stack intact.
 type wiState struct {
 	frames []vmFrame
+	kregs  []Value // kernel-frame register file (frames[0].regp points here)
 	lid    [3]int64
 	status wiStatus
+	lane   uint8 // bit of this work-item in its warp's lane masks
 	steps  int64 // batched instruction count not yet flushed to the launch budget
 }
 
@@ -88,15 +92,46 @@ func (a *arena) alloc(size int64, space ir.AddrSpace) *Region {
 }
 
 // groupRunner is one worker's reusable scratch: work-item states, the
+// slab their kernel-frame register files are cut from, the warps, the
 // per-group local-region table and the alloca arena. Runners are pooled
 // across launches and machines.
 type groupRunner struct {
 	items  []wiState
+	slab   []Value
+	dirty  int // slab prefix written since the last scrub
+	warps  []warp
 	locals []*Region
 	ar     arena
 }
 
 var runnerPool = sync.Pool{New: func() any { return new(groupRunner) }}
+
+// kernelRegs cuts one register file per work-item out of the runner's
+// slab. The files are not cleared between the groups of a launch: every
+// register is written before it is read (SSA dominance; constants and
+// arguments are filled in by whoever runs the item), and whatever a
+// group leaves behind belongs to the same launch.
+func (gr *groupRunner) kernelRegs(size, nregs int) {
+	need := size * nregs
+	if cap(gr.slab) < need {
+		gr.slab = make([]Value, need)
+		gr.dirty = 0
+	}
+	gr.dirty = max(gr.dirty, need)
+	slab := gr.slab[:need]
+	for i := range gr.items {
+		gr.items[i].kregs = slab[i*nregs : (i+1)*nregs : (i+1)*nregs]
+	}
+}
+
+// scrub returns the runner to the pool with nothing of the finished
+// launch in it: a pooled runner serves any tenant next, and stale
+// register values would also pin the regions they point to.
+func (gr *groupRunner) scrub() {
+	clear(gr.slab[:gr.dirty])
+	gr.dirty = 0
+	runnerPool.Put(gr)
+}
 
 // vmGroup is the execution context of one work-group.
 type vmGroup struct {
@@ -153,7 +188,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 	}
 	if workers <= 1 {
 		gr := runnerPool.Get().(*groupRunner)
-		defer runnerPool.Put(gr)
+		defer gr.scrub()
 		for i := int64(0); i < total; i++ {
 			if err := l.runGroupVM(gr, delinearize(i, l.ng)); err != nil {
 				return err
@@ -172,7 +207,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 	)
 	claim := func() {
 		gr := runnerPool.Get().(*groupRunner)
-		defer runnerPool.Put(gr)
+		defer gr.scrub()
 		for !abort.Load() {
 			i := next.Add(1) - 1
 			if i >= total {
@@ -371,6 +406,7 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
 		argPatch = append(argPatch, Value{K: ir.Pointer, P: Ptr{R: r}})
 	}
 
+	gr.kernelRegs(size, l.kcf.nregs)
 	i := 0
 	for lz := int64(0); lz < nd.Local[2]; lz++ {
 		for ly := int64(0); ly < nd.Local[1]; ly++ {
@@ -380,18 +416,17 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
 				wi.lid = [3]int64{lx, ly, lz}
 				wi.status = wiRunning
 				wi.steps = 0
-				regp := l.kcf.getRegs()
-				copy(*regp, l.args)
-				for pi, la := range l.locals {
-					(*regp)[la.idx] = argPatch[pi]
-				}
-				wi.frames = append(wi.frames[:0], vmFrame{cf: l.kcf, regp: regp, pc: 0, dst: -1})
+				wi.frames = append(wi.frames[:0], vmFrame{cf: l.kcf, regp: &wi.kregs, pc: 0, dst: -1})
 			}
 		}
 	}
 
 	if ww := l.prog.warpWidth; ww > 1 && size > 1 && len(l.kcf.wmode) > 0 {
 		return l.runGroupWarp(gr, g, size, ww, argPatch)
+	}
+
+	for i := range gr.items {
+		l.fillKernelRegs(gr.items[i].kregs, argPatch)
 	}
 
 	live := size
@@ -429,13 +464,27 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
 	return nil
 }
 
-// release returns the frames of every unfinished work-item after a fault
-// so pooled register files are not pinned by the abandoned group.
+// fillKernelRegs prepares a kernel-frame register file for scalar
+// execution: arguments (host-declared local arguments patched to this
+// group's regions) at the front, the constant tail at the back.
+func (l *launchCtx) fillKernelRegs(regs []Value, argPatch []Value) {
+	copy(regs, l.args)
+	for pi, la := range l.locals {
+		regs[la.idx] = argPatch[pi]
+	}
+	copy(regs[l.kcf.constBase:], l.kcf.consts)
+}
+
+// release returns the callee frames of every unfinished work-item after
+// a fault so pooled register files are not pinned by the abandoned
+// group (kernel frames live in the runner's slab).
 func (g *vmGroup) release(gr *groupRunner) {
 	for i := range gr.items {
 		wi := &gr.items[i]
 		for f := range wi.frames {
-			wi.frames[f].cf.putRegs(wi.frames[f].regp)
+			if f > 0 {
+				wi.frames[f].cf.putRegs(wi.frames[f].regp)
+			}
 			wi.frames[f] = vmFrame{}
 		}
 		wi.frames = wi.frames[:0]
@@ -667,6 +716,14 @@ func (g *vmGroup) exec(wi *wiState) {
 				pc = in.c
 			}
 		case opRet:
+			if top == 0 {
+				// The kernel frame's registers are the group slab's.
+				wi.frames[0] = vmFrame{}
+				wi.frames = wi.frames[:0]
+				wi.status = wiDone
+				wi.steps = steps
+				return
+			}
 			var rv Value
 			if in.a >= 0 {
 				rv = regs[in.a]
@@ -676,11 +733,6 @@ func (g *vmGroup) exec(wi *wiState) {
 			wi.frames[top] = vmFrame{}
 			wi.frames = wi.frames[:top]
 			top--
-			if top < 0 {
-				wi.status = wiDone
-				wi.steps = steps
-				return
-			}
 			fr := &wi.frames[top]
 			cf, code, regs, pc = fr.cf, fr.cf.code, *fr.regp, fr.pc
 			if dst >= 0 {

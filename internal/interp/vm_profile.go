@@ -233,6 +233,14 @@ func (g *vmGroup) execProf(wi *wiState) {
 				gp.enterBlock(cf, pc)
 			}
 		case opRet:
+			if top == 0 {
+				// The kernel frame's registers are the group slab's.
+				wi.frames[0] = vmFrame{}
+				wi.frames = wi.frames[:0]
+				wi.status = wiDone
+				wi.steps = steps
+				return
+			}
 			var rv Value
 			if in.a >= 0 {
 				rv = regs[in.a]
@@ -242,11 +250,6 @@ func (g *vmGroup) execProf(wi *wiState) {
 			wi.frames[top] = vmFrame{}
 			wi.frames = wi.frames[:top]
 			top--
-			if top < 0 {
-				wi.status = wiDone
-				wi.steps = steps
-				return
-			}
 			fr := &wi.frames[top]
 			cf, code, regs, pc = fr.cf, fr.cf.code, *fr.regp, fr.pc
 			if dst >= 0 {

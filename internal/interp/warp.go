@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ir"
 )
@@ -12,31 +13,45 @@ import (
 // (warp_compile.go): warp-invariant registers live in a single shared
 // file per warp and their instructions execute once per warp (wmOnce);
 // divergent registers live in each lane's own file and their
-// instructions loop over the live lanes (wmLane). At a branch on a
-// divergent condition, a call, or a trap, the warp SPILLS: the shared
-// registers are broadcast into every lane file and the lanes continue
-// on the unmodified per-item scalar path (vm.go), re-forming the warp
-// at the next barrier when every surviving lane arrives at the same
-// resume pc with a single frame.
+// instructions loop over the active lanes (wmLane).
+//
+// A branch on a divergent condition (wmDiverge) splits the warp's
+// active-lane mask instead of leaving vector dispatch: one side runs
+// first, the other waits on a reconvergence stack, and both resume
+// together at the branch block's immediate postdominator. A
+// master-only region runs with one lane, `if (i < n)` with the lanes
+// that pass; lanes that leave a loop early wait, lanes that return
+// early retire, and the rest carry on. Only what the stream cannot
+// express SPILLS (wmSpill: a call, a barrier inside a divergent region,
+// a trap): the shared registers are broadcast into every lane file and
+// the lanes continue on the unmodified per-item scalar path (vm.go),
+// re-forming the warp at the next barrier when every surviving lane
+// arrives at the same resume pc with a single frame.
 //
 // Equivalence with the cooperative scalar engine relies on the same
 // contract the scalar engine itself shares with the fully concurrent
 // tree-walker: between barriers, work-items of a group do not race on
 // memory (racing kernels are undefined on any engine and on real
 // hardware). Under that contract, lockstep vector interleaving and
-// run-to-barrier scalar interleaving produce byte-identical memory.
+// run-to-barrier scalar interleaving produce byte-identical memory,
+// and a load through a warp-invariant address yields a warp-invariant
+// value — which is what lets the scheduling wrapper's reads of its SD
+// and RT words, its chunk loop and its terminate test run once per
+// warp.
 
 // WarpLaunchStats summarizes the warp execution of one VM launch.
-// Occupancy is Lanes / (Warps * Width); Spills counts divergence
-// fallbacks onto the scalar per-item path, Reforms the barrier
-// re-formations back into vector dispatch.
+// Occupancy is Lanes / (Warps * Width); Diverges counts lane-mask
+// splits at divergent branches (the warp stayed in vector dispatch),
+// Spills the fallbacks onto the scalar per-item path, Reforms the
+// barrier re-formations back into vector dispatch.
 type WarpLaunchStats struct {
-	Kernel  string
-	Width   int
-	Warps   int64
-	Lanes   int64
-	Spills  int64
-	Reforms int64
+	Kernel   string
+	Width    int
+	Warps    int64
+	Lanes    int64
+	Diverges int64
+	Spills   int64
+	Reforms  int64
 }
 
 // WarpStatsSink receives per-launch warp statistics (Machine.WarpStats);
@@ -53,16 +68,18 @@ func (l *launchCtx) flushWarpStats() {
 		return
 	}
 	st := WarpLaunchStats{
-		Kernel:  l.fn.Name,
-		Width:   l.prog.warpWidth,
-		Warps:   w,
-		Lanes:   l.warpLanes.Load(),
-		Spills:  l.warpSpills.Load(),
-		Reforms: l.warpReforms.Load(),
+		Kernel:   l.fn.Name,
+		Width:    l.prog.warpWidth,
+		Warps:    w,
+		Lanes:    l.warpLanes.Load(),
+		Diverges: l.warpDiverges.Load(),
+		Spills:   l.warpSpills.Load(),
+		Reforms:  l.warpReforms.Load(),
 	}
 	if l.kp != nil {
 		l.kp.warps.Add(st.Warps)
 		l.kp.warpLanes.Add(st.Lanes)
+		l.kp.warpDiverges.Add(st.Diverges)
 		l.kp.warpSpills.Add(st.Spills)
 		l.kp.warpReforms.Add(st.Reforms)
 	}
@@ -71,61 +88,135 @@ func (l *launchCtx) flushWarpStats() {
 	}
 }
 
-// warp is one lane batch of a work-group. items holds the surviving
-// (non-retired) lanes in local-id order; uregp is the shared file the
-// uniform registers live in while the warp executes in vector mode.
+// pendingLanes is one entry of a warp's reconvergence stack: lanes that
+// resume at pc once everything above them has reached rpc (or retired).
+// A branch that splits the active lanes pushes the lanes of before the
+// split, parked at the reconvergence pc, and above them the side that
+// runs second.
+type pendingLanes struct {
+	pc, rpc int32
+	mask    uint64
+}
+
+// warp is one lane batch of a work-group. lanes holds its work-items in
+// local-id order, bit i of every mask being lanes[i]; live are those
+// that have not returned. In vector mode the lanes of mask execute at
+// pc until they reach rpc, with active listing them for the dispatch
+// loop and stack holding the lanes that wait; uregp is the shared file
+// the uniform registers live in.
 type warp struct {
-	items  []*wiState
-	width  int
+	lanes  []*wiState
+	live   uint64
 	uregp  *[]Value
-	pc     int32
 	steps  int64
 	vector bool
+
+	pc, rpc int32
+	mask    uint64
+	active  []*wiState
+	stack   []pendingLanes
+}
+
+// run makes the lanes of mask the active ones, at pc until rpc.
+func (w *warp) run(pc, rpc int32, mask uint64) {
+	w.pc, w.rpc, w.mask = pc, rpc, mask
+	w.active = w.active[:0]
+	for m := mask; m != 0; m &= m - 1 {
+		w.active = append(w.active, w.lanes[bits.TrailingZeros64(m)])
+	}
+}
+
+// split divides the active lanes at a divergent branch whose sides meet
+// again at rpc: taken continue at tpc, the rest at fpc. A side that is
+// already at rpc just waits there.
+func (w *warp) split(rpc, tpc int32, taken uint64, fpc int32) {
+	rest := w.mask &^ taken
+	if rpc == noReconv {
+		// The sides return separately; whatever the enclosing branch
+		// reconverges at (if anything) still applies to both.
+		rpc = w.rpc
+	}
+	if rpc != w.rpc {
+		w.stack = append(w.stack, pendingLanes{pc: rpc, rpc: w.rpc, mask: w.mask})
+	}
+	switch {
+	case tpc == rpc:
+		w.run(fpc, rpc, rest)
+	case fpc == rpc:
+		w.run(tpc, rpc, taken)
+	default:
+		w.stack = append(w.stack, pendingLanes{pc: fpc, rpc: rpc, mask: rest})
+		w.run(tpc, rpc, taken)
+	}
+}
+
+// resumePending activates the topmost waiting lanes that are still
+// live, reporting false when none wait.
+func (w *warp) resumePending() bool {
+	for n := len(w.stack); n > 0; n = len(w.stack) {
+		e := w.stack[n-1]
+		w.stack = w.stack[:n-1]
+		if m := e.mask & w.live; m != 0 {
+			w.run(e.pc, e.rpc, m)
+			return true
+		}
+	}
+	return false
 }
 
 // runGroupWarp is the warp-mode replacement for runGroupVM's round
 // loop: the group's items are partitioned into warps, and each round
-// every warp advances to its next barrier — in vector dispatch while
-// control flow is uniform, on the scalar per-item path after a
-// divergence spill.
+// every warp advances to its next barrier — in vector dispatch, or on
+// the scalar per-item path after a spill.
 func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, argPatch []Value) error {
 	kcf := l.kcf
-	warps := make([]*warp, 0, (size+width-1)/width)
-	for base := 0; base < size; base += width {
-		n := size - base
-		if n > width {
-			n = width
+	nw := (size + width - 1) / width
+	if cap(gr.warps) < nw {
+		gr.warps = make([]warp, nw)
+	}
+	warps := gr.warps[:nw]
+	for i := range warps {
+		w := &warps[i]
+		base := i * width
+		n := min(width, size-base)
+		w.lanes = w.lanes[:0]
+		for j := 0; j < n; j++ {
+			wi := &gr.items[base+j]
+			wi.lane = uint8(j)
+			w.lanes = append(w.lanes, wi)
 		}
-		w := &warp{width: width, uregp: kcf.getRegs(), pc: 0, vector: true}
+		w.live = ^uint64(0) >> (64 - n)
+		w.uregp = kcf.getRegs()
 		uregs := *w.uregp
 		copy(uregs, l.args)
 		for pi, la := range l.locals {
 			uregs[la.idx] = argPatch[pi]
 		}
-		for i := base; i < base+n; i++ {
-			w.items = append(w.items, &gr.items[i])
-		}
-		warps = append(warps, w)
+		w.steps, w.vector, w.stack = 0, true, w.stack[:0]
+		w.run(0, noReconv, w.live)
 		l.warps.Add(1)
 		l.warpLanes.Add(int64(n))
 	}
 	defer func() {
-		for _, w := range warps {
-			kcf.putRegs(w.uregp)
+		for i := range warps {
+			kcf.putRegs(warps[i].uregp)
+			warps[i].uregp = nil
 		}
 	}()
 	if gp := g.prof; gp != nil && gp.perBlock {
-		for _, w := range warps {
-			gp.enterBlockN(kcf, 0, int64(len(w.items)))
+		for i := range warps {
+			gp.enterBlockN(kcf, 0, int64(len(warps[i].lanes)))
 		}
 	}
 
 	live := size
 	for live > 0 {
-		for _, w := range warps {
-			if len(w.items) == 0 {
+		for i := range warps {
+			w := &warps[i]
+			if w.live == 0 {
 				continue
 			}
+			before := bits.OnesCount64(w.live)
 			if !w.vector && g.tryReform(w) {
 				l.warpReforms.Add(1)
 			}
@@ -133,33 +224,22 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 				if err := g.warpResume(w); err != nil {
 					return l.groupFault(gr, g, err)
 				}
-				if w.vector {
-					// The warp stayed uniform: it either arrived at a
-					// barrier or retired wholesale.
-					if w.items[0].status == wiDone {
-						live -= len(w.items)
-						w.items = w.items[:0]
+			}
+			if !w.vector {
+				// Spilled (just now, and the lanes still owe this round
+				// their run to the next barrier, or in an earlier round).
+				for m := w.live; m != 0; m &= m - 1 {
+					wi := w.lanes[bits.TrailingZeros64(m)]
+					if err := g.resume(wi); err != nil {
+						g.faultWI = wi
+						return l.groupFault(gr, g, err)
 					}
-					continue
+					if wi.status == wiDone {
+						w.live &^= 1 << wi.lane
+					}
 				}
-				l.warpSpills.Add(1)
-				// Spilled mid-round: the lanes still owe this round
-				// their run to the next barrier — fall through.
 			}
-			idx := 0
-			for idx < len(w.items) {
-				wi := w.items[idx]
-				if err := g.resume(wi); err != nil {
-					g.faultWI = wi
-					return l.groupFault(gr, g, err)
-				}
-				if wi.status == wiDone {
-					w.items = append(w.items[:idx], w.items[idx+1:]...)
-					live--
-					continue
-				}
-				idx++
-			}
+			live -= before - bits.OnesCount64(w.live)
 		}
 	}
 	if g.prof != nil {
@@ -192,16 +272,17 @@ func (l *launchCtx) groupFault(gr *groupRunner, g *vmGroup, err error) error {
 	return fmt.Errorf("interp: work-item global id (%d,%d,%d): %w", gid[0], gid[1], gid[2], err)
 }
 
-// tryReform re-enters vector dispatch after a divergence spill: legal
-// when every surviving lane is suspended at the same barrier-resume pc
-// with a single frame. The shared file is re-gathered from lane 0 —
-// for any uniform register whose value can still be read, SSA
+// tryReform re-enters vector dispatch after a spill: legal when every
+// surviving lane is suspended at the same barrier-resume pc with a
+// single frame. The shared file is re-gathered from the first surviving
+// lane — for any uniform register whose value can still be read, SSA
 // dominance guarantees every surviving lane executed its defining
 // instruction with warp-invariant operands, so all lane copies agree.
 func (g *vmGroup) tryReform(w *warp) bool {
 	cf := g.l.kcf
 	pc := int32(-1)
-	for _, wi := range w.items {
+	for m := w.live; m != 0; m &= m - 1 {
+		wi := w.lanes[bits.TrailingZeros64(m)]
 		if wi.status != wiBarrier || len(wi.frames) != 1 {
 			return false
 		}
@@ -216,18 +297,18 @@ func (g *vmGroup) tryReform(w *warp) bool {
 		return false
 	}
 	uregs := *w.uregp
-	l0 := *w.items[0].frames[0].regp
+	l0 := w.lanes[bits.TrailingZeros64(w.live)].kregs
 	for _, r := range cf.uniformRegs {
 		uregs[r] = l0[r]
 	}
-	w.pc = pc
 	w.vector = true
+	w.run(pc, noReconv, w.live)
 	return true
 }
 
 // warpResume runs a warp's vector dispatch until its next suspension
-// point (barrier, wholesale return, or divergence spill), converting
-// traps into errors. The faulting lane is left in g.faultWI.
+// point (barrier, wholesale return, or spill), converting traps into
+// errors. The faulting lane is left in g.faultWI.
 func (g *vmGroup) warpResume(w *warp) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -242,26 +323,65 @@ func (g *vmGroup) warpResume(w *warp) (err error) {
 	return nil
 }
 
-// warpSpill broadcasts the shared registers into every lane file and
-// rewinds the lanes to re-execute pc on the scalar path.
+// warpSpill hands every live lane to the scalar path: the active lanes
+// re-execute pc, a waiting lane resumes where the topmost stack entry
+// holding it would have resumed it, and each lane file receives the
+// shared registers and the constant tail it did not need until now.
 func (g *vmGroup) warpSpill(w *warp, pc int32) {
 	cf := g.l.kcf
 	uregs := *w.uregp
-	for _, wi := range w.items {
-		lr := *wi.frames[0].regp
-		for _, r := range cf.uniformRegs {
-			lr[r] = uregs[r]
-		}
+	placed := w.mask
+	for _, wi := range w.active {
 		wi.frames[0].pc = pc
+	}
+	for i := len(w.stack) - 1; i >= 0; i-- {
+		e := w.stack[i]
+		for m := e.mask & w.live &^ placed; m != 0; m &= m - 1 {
+			w.lanes[bits.TrailingZeros64(m)].frames[0].pc = e.pc
+		}
+		placed |= e.mask
+	}
+	for m := w.live; m != 0; m &= m - 1 {
+		wi := w.lanes[bits.TrailingZeros64(m)]
+		for _, r := range cf.uniformRegs {
+			wi.kregs[r] = uregs[r]
+		}
+		copy(wi.kregs[cf.constBase:], cf.consts)
 		wi.status = wiRunning
 	}
+	w.stack = w.stack[:0]
 	w.vector = false
+	g.l.warpSpills.Add(1)
+}
+
+// suspend leaves the dispatch loop: the step batch goes to the launch
+// budget unless the warp keeps it for its next resume.
+func (l *launchCtx) suspend(w *warp, steps, diverges int64, keep bool) {
+	w.steps = 0
+	if keep {
+		w.steps = steps
+	} else if steps > 0 {
+		l.addSteps(steps)
+	}
+	if diverges > 0 {
+		l.warpDiverges.Add(diverges)
+	}
+}
+
+// lv resolves a wmLane operand register to its home: the warp's shared
+// file for uniform registers, the lane file for divergent ones.
+func lv(uniform []bool, lr, uregs []Value, r int32) *Value {
+	if uniform[r] {
+		return &uregs[r]
+	}
+	return &lr[r]
 }
 
 // warpExec is the vector dispatch loop: one fetch/decode per
-// instruction per warp. Instruction cost is charged per lane (n steps
-// per dispatch), so the launch instruction budget is engine-invariant;
-// the same holds for the sampled execution profile counts.
+// instruction per warp. Instruction cost is charged per active lane (n
+// steps per dispatch), so the launch instruction budget is
+// engine-invariant; the same holds for the sampled execution profile
+// counts.
 func (g *vmGroup) warpExec(w *warp) {
 	l := g.l
 	m := l.m
@@ -270,35 +390,40 @@ func (g *vmGroup) warpExec(w *warp) {
 	wmode := cf.wmode
 	uniform := cf.uniform
 	uregs := *w.uregp
-	lanes := w.items
+	lanes := w.active
 	n := int64(len(lanes))
-	l0regs := *lanes[0].frames[0].regp
-	pc := w.pc
+	pc, rpc := w.pc, w.rpc
 	steps := w.steps
 	gp := g.prof
+	var diverges int64
 	g.faultWI = lanes[0]
 
 	// uget resolves a wmOnce operand: uniform registers live in the
 	// shared file; the only divergent-homed operand a once-instruction
-	// can read is the phi-cycle scratch, whose lane-0 copy is
-	// warp-invariant exactly when the analysis proved the result
-	// uniform.
+	// can read is the phi-cycle scratch, whose copy in the first active
+	// lane is warp-invariant exactly when the analysis proved the
+	// result uniform.
 	uget := func(r int32) *Value {
 		if uniform[r] {
 			return &uregs[r]
 		}
-		return &l0regs[r]
+		return &lanes[0].kregs[r]
 	}
-
 	for {
+		if pc == rpc {
+			// The active lanes are where the branch that split them off
+			// reconverges: they wait in the entry that holds the lanes
+			// of before the split, below whatever else is still to run.
+			if !w.resumePending() {
+				panic(trap{"warp: reconvergence stack underflow"})
+			}
+			lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
+			continue
+		}
 		in := &code[pc]
 		mode := wmode[pc]
 		if mode == wmSpill {
-			w.pc = pc
-			w.steps = 0
-			if steps > 0 {
-				l.addSteps(steps)
-			}
+			l.suspend(w, steps, diverges, false)
 			g.warpSpill(w, pc)
 			return
 		}
@@ -325,6 +450,20 @@ func (g *vmGroup) warpExec(w *warp) {
 					g.locals[in.a] = r
 				}
 				uregs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+			case opLoad:
+				uregs[in.dst] = m.load(kindTypes[in.kind], uget(in.a).P)
+			case opLoadIdx:
+				base := uget(in.a).P
+				if base.IsNull() {
+					panic(trap{"gep on null pointer"})
+				}
+				uregs[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + uget(in.b).I*in.imm})
+			case opLoadOff:
+				base := uget(in.a).P
+				if base.IsNull() {
+					panic(trap{"gep on null pointer"})
+				}
+				uregs[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
 			case opStore:
 				m.store(kindTypes[in.kind], *uget(in.a), uget(in.b).P)
 			case opBinStore:
@@ -462,7 +601,7 @@ func (g *vmGroup) warpExec(w *warp) {
 		case wmLane:
 			for _, wi := range lanes {
 				g.faultWI = wi
-				lr := *wi.frames[0].regp
+				lr := wi.kregs
 				switch in.op {
 				case opAlloca:
 					r := g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
@@ -475,94 +614,94 @@ func (g *vmGroup) warpExec(w *warp) {
 					}
 					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
 				case opLoad:
-					lr[in.dst] = m.load(kindTypes[in.kind], g.lv(lr, uregs, in.a).P)
+					lr[in.dst] = m.load(kindTypes[in.kind], lv(uniform, lr, uregs, in.a).P)
 				case opStore:
-					m.store(kindTypes[in.kind], *g.lv(lr, uregs, in.a), g.lv(lr, uregs, in.b).P)
+					m.store(kindTypes[in.kind], *lv(uniform, lr, uregs, in.a), lv(uniform, lr, uregs, in.b).P)
 				case opGEP:
-					base := g.lv(lr, uregs, in.a).P
+					base := lv(uniform, lr, uregs, in.a).P
 					if base.IsNull() {
 						panic(trap{"gep on null pointer"})
 					}
-					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + g.lv(lr, uregs, in.b).I*in.imm}}
+					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + lv(uniform, lr, uregs, in.b).I*in.imm}}
 				case opGEPConst:
-					base := g.lv(lr, uregs, in.a).P
+					base := lv(uniform, lr, uregs, in.a).P
 					if base.IsNull() {
 						panic(trap{"gep on null pointer"})
 					}
 					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
 				case opBin:
-					lr[in.dst] = fastBin(ir.BinKind(in.sub), in.kind, g.lv(lr, uregs, in.a), g.lv(lr, uregs, in.b))
+					lr[in.dst] = fastBin(ir.BinKind(in.sub), in.kind, lv(uniform, lr, uregs, in.a), lv(uniform, lr, uregs, in.b))
 				case opBinBin:
-					t := i32Bin(ir.BinKind(in.sub), g.lv(lr, uregs, in.a).I, g.lv(lr, uregs, in.b).I)
+					t := i32Bin(ir.BinKind(in.sub), lv(uniform, lr, uregs, in.a).I, lv(uniform, lr, uregs, in.b).I)
 					var r int64
 					if in.imm&bbSwapped != 0 {
-						r = i32Bin(ir.BinKind(in.imm&0xff), g.lv(lr, uregs, in.c).I, t)
+						r = i32Bin(ir.BinKind(in.imm&0xff), lv(uniform, lr, uregs, in.c).I, t)
 					} else {
-						r = i32Bin(ir.BinKind(in.imm&0xff), t, g.lv(lr, uregs, in.c).I)
+						r = i32Bin(ir.BinKind(in.imm&0xff), t, lv(uniform, lr, uregs, in.c).I)
 					}
 					lr[in.dst] = Value{K: ir.I32, I: r}
 				case opCmp:
-					lr[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), g.lv(lr, uregs, in.a), g.lv(lr, uregs, in.b)))
+					lr[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), lv(uniform, lr, uregs, in.a), lv(uniform, lr, uregs, in.b)))
 				case opMove:
-					lr[in.dst] = *g.lv(lr, uregs, in.a)
+					lr[in.dst] = *lv(uniform, lr, uregs, in.a)
 				case opAddI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(g.lv(lr, uregs, in.a).I + g.lv(lr, uregs, in.b).I))}
+					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I + lv(uniform, lr, uregs, in.b).I))}
 				case opSubI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(g.lv(lr, uregs, in.a).I - g.lv(lr, uregs, in.b).I))}
+					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I - lv(uniform, lr, uregs, in.b).I))}
 				case opMulI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(g.lv(lr, uregs, in.a).I * g.lv(lr, uregs, in.b).I))}
+					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I * lv(uniform, lr, uregs, in.b).I))}
 				case opAndI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(g.lv(lr, uregs, in.a).I & g.lv(lr, uregs, in.b).I))}
+					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I & lv(uniform, lr, uregs, in.b).I))}
 				case opOrI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(g.lv(lr, uregs, in.a).I | g.lv(lr, uregs, in.b).I))}
+					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I | lv(uniform, lr, uregs, in.b).I))}
 				case opXorI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(g.lv(lr, uregs, in.a).I ^ g.lv(lr, uregs, in.b).I))}
+					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I ^ lv(uniform, lr, uregs, in.b).I))}
 				case opAddI64:
-					lr[in.dst] = Value{K: ir.I64, I: g.lv(lr, uregs, in.a).I + g.lv(lr, uregs, in.b).I}
+					lr[in.dst] = Value{K: ir.I64, I: lv(uniform, lr, uregs, in.a).I + lv(uniform, lr, uregs, in.b).I}
 				case opAddF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(g.lv(lr, uregs, in.a).F + g.lv(lr, uregs, in.b).F))}
+					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F + lv(uniform, lr, uregs, in.b).F))}
 				case opSubF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(g.lv(lr, uregs, in.a).F - g.lv(lr, uregs, in.b).F))}
+					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F - lv(uniform, lr, uregs, in.b).F))}
 				case opMulF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(g.lv(lr, uregs, in.a).F * g.lv(lr, uregs, in.b).F))}
+					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F * lv(uniform, lr, uregs, in.b).F))}
 				case opDivF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(g.lv(lr, uregs, in.a).F / g.lv(lr, uregs, in.b).F))}
+					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F / lv(uniform, lr, uregs, in.b).F))}
 				case opBinStore:
-					m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], *g.lv(lr, uregs, in.a), *g.lv(lr, uregs, in.b)), g.lv(lr, uregs, in.c).P)
+					m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], *lv(uniform, lr, uregs, in.a), *lv(uniform, lr, uregs, in.b)), lv(uniform, lr, uregs, in.c).P)
 				case opLoadBinStore:
 					t := kindTypes[in.kind]
-					v := m.load(t, g.lv(lr, uregs, in.a).P)
-					x := *g.lv(lr, uregs, in.b)
+					v := m.load(t, lv(uniform, lr, uregs, in.a).P)
+					x := *lv(uniform, lr, uregs, in.b)
 					if in.sub&lbsSwapped != 0 {
 						v, x = x, v
 					}
-					m.store(t, binOp(ir.BinKind(in.sub&^lbsSwapped), t, v, x), g.lv(lr, uregs, in.c).P)
+					m.store(t, binOp(ir.BinKind(in.sub&^lbsSwapped), t, v, x), lv(uniform, lr, uregs, in.c).P)
 				case opLoadIdx:
-					base := g.lv(lr, uregs, in.a).P
+					base := lv(uniform, lr, uregs, in.a).P
 					if base.IsNull() {
 						panic(trap{"gep on null pointer"})
 					}
-					lr[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + g.lv(lr, uregs, in.b).I*in.imm})
+					lr[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + lv(uniform, lr, uregs, in.b).I*in.imm})
 				case opLoadOff:
-					base := g.lv(lr, uregs, in.a).P
+					base := lv(uniform, lr, uregs, in.a).P
 					if base.IsNull() {
 						panic(trap{"gep on null pointer"})
 					}
 					lr[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
 				case opCast:
-					lr[in.dst] = castOp(ir.CastKind(in.sub), kindTypes[in.kind], *g.lv(lr, uregs, in.a))
+					lr[in.dst] = castOp(ir.CastKind(in.sub), kindTypes[in.kind], *lv(uniform, lr, uregs, in.a))
 				case opSelect:
-					if g.lv(lr, uregs, in.a).Bool() {
-						lr[in.dst] = *g.lv(lr, uregs, in.b)
+					if lv(uniform, lr, uregs, in.a).Bool() {
+						lr[in.dst] = *lv(uniform, lr, uregs, in.b)
 					} else {
-						lr[in.dst] = *g.lv(lr, uregs, in.c)
+						lr[in.dst] = *lv(uniform, lr, uregs, in.c)
 					}
 				case opAtomic:
-					lr[in.dst] = m.atomicRMW(ir.AtomicKind(in.sub), kindTypes[in.kind], g.lv(lr, uregs, in.a).P, *g.lv(lr, uregs, in.b))
+					lr[in.dst] = m.atomicRMW(ir.AtomicKind(in.sub), kindTypes[in.kind], lv(uniform, lr, uregs, in.a).P, *lv(uniform, lr, uregs, in.b))
 				case opWI:
 					dim := in.imm
 					if in.a >= 0 {
-						dim = g.lv(lr, uregs, in.a).I
+						dim = lv(uniform, lr, uregs, in.a).I
 						if dim < 0 || dim > 2 {
 							dim = 0
 						}
@@ -588,10 +727,10 @@ func (g *vmGroup) warpExec(w *warp) {
 					}
 					lr[in.dst] = v
 				case opMath:
-					x := g.lv(lr, uregs, in.a).F
+					x := lv(uniform, lr, uregs, in.a).F
 					var y float64
 					if in.b >= 0 {
-						y = g.lv(lr, uregs, in.b).F
+						y = lv(uniform, lr, uregs, in.b).F
 					}
 					lr[in.dst] = evalMath(in.sub, in.kind, x, y)
 				default:
@@ -599,7 +738,72 @@ func (g *vmGroup) warpExec(w *warp) {
 				}
 			}
 
+		case wmDiverge:
+			// Every active lane evaluates the branch; taken collects the
+			// lanes whose condition holds.
+			var taken uint64
+			var tpc, fpc int32
+			switch in.op {
+			case opCondJump:
+				tpc, fpc = in.b, in.c
+				for _, wi := range lanes {
+					if lv(uniform, wi.kregs, uregs, in.a).Bool() {
+						taken |= 1 << wi.lane
+					}
+				}
+			case opCmpJump:
+				tpc, fpc = in.c, int32(in.imm)
+				for _, wi := range lanes {
+					if fastCmp(ir.CmpPred(in.sub), lv(uniform, wi.kregs, uregs, in.a), lv(uniform, wi.kregs, uregs, in.b)) {
+						taken |= 1 << wi.lane
+					}
+				}
+			case opBinCmpJump:
+				tpc, fpc = in.c, int32(in.imm)
+				for _, wi := range lanes {
+					lr := wi.kregs
+					v := i32Bin(ir.BinKind(in.sub), lv(uniform, lr, uregs, in.a).I, lv(uniform, lr, uregs, in.b).I)
+					*lv(uniform, lr, uregs, in.dst) = Value{K: ir.I32, I: v}
+					x, y := v, lv(uniform, lr, uregs, in.args[1]).I
+					if in.args[0]&bcjSwapped != 0 {
+						x, y = y, x
+					}
+					if i32Cmp(ir.CmpPred(in.args[0]&0xffff), x, y) {
+						taken |= 1 << wi.lane
+					}
+				}
+			default:
+				panic(trap{"warp: diverge-mode dispatch of unexpected opcode"})
+			}
+			if gp != nil && gp.perBlock {
+				nt := int64(bits.OnesCount64(taken))
+				if nt > 0 {
+					gp.enterBlockN(cf, tpc, nt)
+				}
+				if nt < n {
+					gp.enterBlockN(cf, fpc, n-nt)
+				}
+			}
+			switch {
+			case taken == w.mask || tpc == fpc:
+				pc = tpc
+			case taken == 0:
+				pc = fpc
+			default:
+				diverges++
+				w.split(cf.reconv[pc-1], tpc, taken, fpc)
+				lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
+			}
+
 		case wmBarrier:
+			if w.mask != w.live {
+				// Cannot happen while the analysis holds (a barrier in a
+				// control-uniform block is reached by every live lane),
+				// but a lane subset must never park the warp.
+				l.suspend(w, steps, diverges, false)
+				g.warpSpill(w, pc-1)
+				return
+			}
 			if gp != nil {
 				gp.barriers += n
 			}
@@ -608,30 +812,21 @@ func (g *vmGroup) warpExec(w *warp) {
 				wi.status = wiBarrier
 			}
 			w.pc = pc
-			w.steps = steps
+			l.suspend(w, steps, diverges, true)
 			return
 
 		case wmRet:
 			for _, wi := range lanes {
-				cf.putRegs(wi.frames[0].regp)
 				wi.frames[0] = vmFrame{}
 				wi.frames = wi.frames[:0]
 				wi.status = wiDone
 			}
-			w.steps = 0
-			if steps > 0 {
-				l.addSteps(steps)
+			w.live &^= w.mask
+			if !w.resumePending() {
+				l.suspend(w, steps, diverges, false)
+				return
 			}
-			return
+			lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
 		}
 	}
-}
-
-// lv resolves a wmLane operand register to its home: the warp's shared
-// file for uniform registers, the lane file for divergent ones.
-func (g *vmGroup) lv(lr, uregs []Value, r int32) *Value {
-	if g.l.kcf.uniform[r] {
-		return &uregs[r]
-	}
-	return &lr[r]
 }

@@ -8,41 +8,81 @@ import (
 )
 
 // Warp dispatch modes: one byte per bytecode instruction of a kernel,
-// telling the warp execution loop (warp.go) how to run it while the
-// warp's control flow is still uniform.
+// telling the warp execution loop (warp.go) how to run it in vector
+// dispatch.
 const (
 	// wmSpill leaves vector mode: the warp's live lanes materialize
-	// scalar work-item state at this pc and re-execute the instruction
-	// on the per-item path (divergent branches, calls, traps).
+	// scalar work-item state and continue on the per-item path. Only
+	// what the warp stream cannot express spills: a call (the stream
+	// drives kernel top frames only; the inliner leaves calls only to
+	// recursive or oversized helpers), a barrier inside a divergent
+	// region (a lane subset cannot park the warp), and a trap (the
+	// scalar path attributes it to the exact work-item).
 	wmSpill uint8 = iota
 	// wmOnce executes the instruction once per warp: its destination
 	// (if any) is a uniform register homed in the warp's shared file,
 	// and uniform operands read from there (the rare divergent-homed
-	// operand — the phi-cycle scratch — reads lane 0, whose value is
-	// warp-invariant whenever the analysis proved the result uniform).
+	// operand — the phi-cycle scratch — reads the first active lane,
+	// whose value is warp-invariant whenever the analysis proved the
+	// result uniform).
 	wmOnce
-	// wmLane executes the instruction once per live lane, reading
+	// wmLane executes the instruction once per active lane, reading
 	// uniform operands from the shared file and divergent ones from
 	// the lane's own register file.
 	wmLane
+	// wmDiverge is a branch on a divergent condition: each active lane
+	// evaluates it, and when the lanes disagree the warp's lane mask
+	// splits — one side runs first, the other waits on the
+	// reconvergence stack, and both meet again at the branch block's
+	// immediate postdominator (compiledFn.reconv).
+	wmDiverge
 	// wmBarrier suspends the whole warp at a work-group barrier —
 	// arrival is counted once per warp, not once per lane.
 	wmBarrier
-	// wmRet retires every live lane of the warp (kernel top-frame
-	// return; calls never run in vector mode, so there is no caller).
+	// wmRet retires the active lanes (kernel top-frame return; calls
+	// never run in vector mode, so there is no caller).
 	wmRet
 )
 
+// noReconv is the reconvergence pc of a divergent branch whose sides
+// never meet again (each runs to its own return).
+const noReconv = int32(-1)
+
+// warpModeNames names the dispatch modes for clcc -stage warp.
+var warpModeNames = [...]string{
+	wmSpill: "spill", wmOnce: "once", wmLane: "lane",
+	wmDiverge: "diverge", wmBarrier: "barrier", wmRet: "ret",
+}
+
+// reconvergencePCs returns, for a kernel about to be finished by
+// threadJumps, the pcs jump threading must leave alone: the first pc of
+// every block where a divergent branch reconverges (lanes arriving by a
+// threaded copy of its leading instruction would never be seen
+// arriving) and of every block that ends in a divergent branch (a copy
+// of the branch in a predecessor would sit in a block with a different
+// postdominator).
+func reconvergencePCs(u *passes.Uniformity, blocks []*ir.Block, blockPC map[*ir.Block]int32) map[int32]bool {
+	keep := make(map[int32]bool)
+	for _, b := range blocks {
+		if !u.DivergentBranch(b) {
+			continue
+		}
+		keep[blockPC[b]] = true
+		if r := u.Reconverge(b); r != nil {
+			keep[blockPC[r]] = true
+		}
+	}
+	return keep
+}
+
 // buildWarpTables derives the warp execution tables of a compiled
 // kernel from the uniformity analysis: the per-register uniformity
-// (register homes), the per-instruction dispatch mode, and the barrier
-// resume pcs where a spilled warp may re-form. Register numbering is
-// repeatable (ir.NumberFunction is deterministic), so the analysis maps
-// onto the already-lowered code.
-func (cf *compiledFn) buildWarpTables() {
+// (register homes), the per-instruction dispatch mode, the
+// reconvergence pc of every divergent branch, and the barrier resume
+// pcs where a spilled warp may re-form. blocks is the emission order
+// (profile-guided layout permutes it), parallel to cf.blockStarts.
+func (cf *compiledFn) buildWarpTables(u *passes.Uniformity, nb *ir.Numbering, blocks []*ir.Block, blockPC map[*ir.Block]int32) {
 	fn := cf.fn
-	u := passes.AnalyzeUniformity(fn)
-	nb := ir.NumberFunction(fn)
 
 	uniform := make([]bool, cf.nregs)
 	for _, p := range fn.Params {
@@ -65,26 +105,41 @@ func (cf *compiledFn) buildWarpTables() {
 	// A phi-cycle scratch slot (past the constant tail) stays divergent:
 	// it shuttles both uniform and divergent edge copies.
 
-	// Per-block control-uniformity, aligned with blockStarts. The edge
-	// stub region holds only moves and jumps for edges out of branches;
-	// divergent branches spill before reaching their stubs, so the
-	// region counts as uniform.
+	// Per-block control-uniformity and branch reconvergence, aligned
+	// with blockStarts. The edge-stub region after the last block holds
+	// only moves and jumps; its instructions take their mode from their
+	// registers, so the region counts as uniform.
 	blkU := make([]bool, len(cf.blockStarts))
-	for i, b := range fn.Blocks {
-		if i < len(blkU) {
-			blkU[i] = u.BlockUniform(b)
-		}
+	for i, b := range blocks {
+		blkU[i] = u.BlockUniform(b)
 	}
-	if len(blkU) > len(fn.Blocks) {
-		blkU[len(fn.Blocks)] = true
+	if len(blkU) > len(blocks) {
+		blkU[len(blocks)] = true
+	}
+	blockAt := func(pc int32) int {
+		return sort.Search(len(cf.blockStarts), func(i int) bool { return cf.blockStarts[i] > pc }) - 1
 	}
 	pcUniform := func(pc int32) bool {
-		i := sort.Search(len(cf.blockStarts), func(i int) bool { return cf.blockStarts[i] > pc }) - 1
+		i := blockAt(pc)
 		return i >= 0 && blkU[i]
 	}
 
 	wmode := make([]uint8, len(cf.code))
+	reconv := make(map[int32]int32)
 	ru := func(r int32) bool { return r >= 0 && uniform[r] }
+	// diverge marks the branch at pc divergent and records where its
+	// sides meet. Divergent branches are never threaded into other
+	// blocks (reconvergencePCs), so the branch sits in its own block.
+	diverge := func(pc int) uint8 {
+		r := noReconv
+		if i := blockAt(int32(pc)); i >= 0 && i < len(blocks) {
+			if rb := u.Reconverge(blocks[i]); rb != nil {
+				r = blockPC[rb]
+			}
+		}
+		reconv[int32(pc)] = r
+		return wmDiverge
+	}
 	for pc := range cf.code {
 		in := &cf.code[pc]
 		var m uint8
@@ -103,21 +158,19 @@ func (cf *compiledFn) buildWarpTables() {
 		case opCondJump:
 			m = wmOnce
 			if !ru(in.a) {
-				m = wmSpill
+				m = diverge(pc)
 			}
 		case opCmpJump:
 			m = wmOnce
 			if !ru(in.a) || !ru(in.b) {
-				m = wmSpill
+				m = diverge(pc)
 			}
 		case opBinCmpJump:
-			// The fused bin writes a register too, so the destination
-			// must be uniform along with every compare operand. tryFuse
-			// only emits this when the uniformity analysis agrees, but
-			// the table stays defensive.
+			// tryFuse only emits this when the uniformity analysis
+			// agrees; the divergent form is executed all the same.
 			m = wmOnce
 			if !ru(in.a) || !ru(in.b) || !ru(in.args[1]) || !ru(in.dst) {
-				m = wmSpill
+				m = diverge(pc)
 			}
 		case opStore:
 			// A store of a uniform value through a uniform pointer in a
@@ -164,5 +217,6 @@ func (cf *compiledFn) buildWarpTables() {
 	cf.wmode = wmode
 	cf.uniform = uniform
 	cf.uniformRegs = uregs
+	cf.reconv = reconv
 	cf.reformPC = reform
 }

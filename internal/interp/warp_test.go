@@ -81,26 +81,10 @@ kernel void k(global int* out, global const int* in, int n)
 	}
 }
 
-// TestWarpStatsReform drives a kernel whose control flow is uniform,
-// then divergent (spill), then uniform again after a barrier (re-form),
-// and checks the warp statistics end to end: warps formed with full
-// occupancy, at least one divergence fallback, at least one barrier
-// re-formation — through both the profiler snapshot and a custom
-// Machine.WarpStats sink.
-func TestWarpStatsReform(t *testing.T) {
-	const src = `
-kernel void k(global int* out, global const int* in, int n)
-{
-    int lid = (int)get_local_id(0);
-    int acc = 0;
-    int i;
-    for (i = 0; i < 16; ++i) acc += i & 7;
-    if (lid > 5) acc += in[lid];
-    barrier(1);
-    for (i = 0; i < 16; ++i) acc += i & 3;
-    out[lid] = acc;
-}
-`
+// warpStats launches kernel "k" of src over two 64-item groups under
+// an exact profiler and a stats sink, and returns both views.
+func warpStats(t *testing.T, src string) (KernelProfileSnapshot, WarpLaunchStats, *Profiler) {
+	t.Helper()
 	mod, err := clc.Compile(src, "k")
 	if err != nil {
 		t.Fatal(err)
@@ -122,40 +106,134 @@ kernel void k(global int* out, global const int* in, int n)
 	if err := m.Launch("k", args, ND1(n, 64)); err != nil {
 		t.Fatal(err)
 	}
-
 	snaps := m.Profiler.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("got %d kernel snapshots, want 1", len(snaps))
 	}
-	s := snaps[0]
+	if len(sunk) != 1 {
+		t.Fatalf("sink observed %d launches, want 1", len(sunk))
+	}
+	return snaps[0], sunk[0], m.Profiler
+}
+
+// TestWarpStatsReform checks the warp statistics end to end, through
+// both the profiler snapshot and a custom Machine.WarpStats sink, on
+// the two ways a warp meets divergence. A branch on the local id splits
+// the lane mask and reconverges: the warp never leaves vector dispatch
+// (no spill, nothing to re-form). A call the inliner must leave alone
+// (a recursive helper) spills every warp onto the scalar path, and the
+// barrier after it re-forms them.
+func TestWarpStatsReform(t *testing.T) {
+	s, st, prof := warpStats(t, `
+kernel void k(global int* out, global const int* in, int n)
+{
+    int lid = (int)get_local_id(0);
+    int acc = 0;
+    int i;
+    for (i = 0; i < 16; ++i) acc += i & 7;
+    if (lid > 5) acc += in[lid];
+    barrier(1);
+    for (i = 0; i < 16; ++i) acc += i & 3;
+    out[lid] = acc;
+}
+`)
 	if s.Warps != 2 {
 		t.Errorf("Warps = %d, want 2 (two 64-item groups, one warp each)", s.Warps)
 	}
 	if s.WarpLanes != 128 {
 		t.Errorf("WarpLanes = %d, want 128 (full occupancy)", s.WarpLanes)
 	}
-	if s.WarpSpills < 2 {
-		t.Errorf("WarpSpills = %d, want >= 2 (the local-id branch spills every warp)", s.WarpSpills)
+	if s.WarpDiverges != 2 {
+		t.Errorf("WarpDiverges = %d, want 2 (the local-id branch splits every warp once)", s.WarpDiverges)
 	}
-	if s.WarpReforms < 2 {
-		t.Errorf("WarpReforms = %d, want >= 2 (every warp re-forms at the barrier)", s.WarpReforms)
+	if s.WarpSpills != 0 || s.WarpReforms != 0 {
+		t.Errorf("WarpSpills/WarpReforms = %d/%d, want 0/0 (a local-id branch is masked, not spilled)", s.WarpSpills, s.WarpReforms)
 	}
-
-	if len(sunk) != 1 {
-		t.Fatalf("sink observed %d launches, want 1", len(sunk))
-	}
-	st := sunk[0]
 	if st.Kernel != "k" || st.Width != DefaultWarpWidth {
 		t.Errorf("sink stats = %+v, want kernel k at width %d", st, DefaultWarpWidth)
 	}
-	if st.Warps != s.Warps || st.Spills != s.WarpSpills || st.Reforms != s.WarpReforms {
+	if st.Warps != s.Warps || st.Diverges != s.WarpDiverges || st.Spills != s.WarpSpills || st.Reforms != s.WarpReforms {
 		t.Errorf("sink stats %+v disagree with profiler snapshot %+v", st, s)
 	}
-
 	var buf bytes.Buffer
-	m.Profiler.Dump(&buf)
-	if !strings.Contains(buf.String(), "warps: 2") || !strings.Contains(buf.String(), "divergence fallbacks") {
+	prof.Dump(&buf)
+	if !strings.Contains(buf.String(), "warps: 2") || !strings.Contains(buf.String(), "masked divergences 2") ||
+		!strings.Contains(buf.String(), "divergence fallbacks 0") {
 		t.Errorf("Dump lacks warp stats:\n%s", buf.String())
+	}
+
+	s, st, _ = warpStats(t, `
+int tri(int x) { if (x <= 0) return 0; return x + tri(x - 1); }
+kernel void k(global int* out, global const int* in, int n)
+{
+    int lid = (int)get_local_id(0);
+    int acc = tri(lid & 3);
+    barrier(1);
+    int i;
+    for (i = 0; i < 16; ++i) acc += i & 3;
+    out[lid] = acc;
+}
+`)
+	if s.WarpSpills != 2 {
+		t.Errorf("WarpSpills = %d, want 2 (the recursive call spills every warp)", s.WarpSpills)
+	}
+	if s.WarpReforms != 2 {
+		t.Errorf("WarpReforms = %d, want 2 (every warp re-forms at the barrier)", s.WarpReforms)
+	}
+	if st.Spills != s.WarpSpills || st.Reforms != s.WarpReforms {
+		t.Errorf("sink stats %+v disagree with profiler snapshot %+v", st, s)
+	}
+}
+
+// TestWarpTablesFollowLayout: a profile-guided recompile emits blocks
+// hottest-first, so the per-block tables behind the dispatch modes must
+// follow the emitted order, not the function's. Here the never-taken
+// arm of a local-id branch moves from second place to last, and the
+// barrier's block takes its place: read against the function's order
+// the barrier would sit in a divergent block and spill every warp.
+func TestWarpTablesFollowLayout(t *testing.T) {
+	const src = `
+kernel void k(global int* out, global const int* in, int n)
+{
+    int lid = (int)get_local_id(0);
+    int acc = 1;
+    if (lid < 0) { acc = in[0] * 3; acc ^= lid; }
+    barrier(1);
+    int i;
+    for (i = 0; i < 32; ++i) acc += (i + lid) & 3;
+    out[get_global_id(0)] = acc;
+}
+`
+	mod, err := clc.Compile(src, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := func(p *Prog, prof *Profiler) []byte {
+		m := NewMachine(mod)
+		m.UseProgram(p)
+		m.Profiler = prof
+		in := m.NewRegion(128*4, ir.Global)
+		out := m.NewRegion(128*4, ir.Global)
+		args := []Value{{K: ir.Pointer, P: Ptr{R: out}}, {K: ir.Pointer, P: Ptr{R: in}}, IntV(128)}
+		if err := m.Launch("k", args, ND1(128, 64)); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes
+	}
+	prof0 := NewProfiler(ProfileOptions{PerBlock: true, SampleEvery: 1})
+	want := launch(CompileModuleOpts(mod, Tier0CompileOpts), prof0)
+
+	p1 := CompileModuleOpts(mod, CompileOpts{Opt: true, WarpWidth: DefaultWarpWidth, Profile: GuideFromSnapshots(prof0.Snapshot())})
+	order := p1.Decisions()[0].BlockOrder
+	if !strings.HasPrefix(order[len(order)-1], "if.then") {
+		t.Fatalf("fixture lost its shape: the cold arm is not emitted last: %v", order)
+	}
+	prof1 := NewProfiler(ProfileOptions{SampleEvery: 1})
+	if got := launch(p1, prof1); !bytes.Equal(got, want) {
+		t.Errorf("tier-1 warp output differs from tier 0")
+	}
+	if s := prof1.Snapshot()[0]; s.Warps != 2 || s.WarpSpills != 0 {
+		t.Errorf("Warps/WarpSpills = %d/%d, want 2/0 (the barrier sits in a control-uniform block)", s.Warps, s.WarpSpills)
 	}
 }
 

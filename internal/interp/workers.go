@@ -21,6 +21,7 @@ import (
 // execution instead of queueing or deadlocking.
 type WorkerPool struct {
 	tasks chan func()
+	wg    sync.WaitGroup // the workers
 
 	mu     sync.Mutex
 	closed bool
@@ -33,6 +34,7 @@ func NewWorkerPool(n int) *WorkerPool {
 		n = runtime.GOMAXPROCS(0)
 	}
 	p := &WorkerPool{tasks: make(chan func())}
+	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go p.worker()
 	}
@@ -40,6 +42,7 @@ func NewWorkerPool(n int) *WorkerPool {
 }
 
 func (p *WorkerPool) worker() {
+	defer p.wg.Done()
 	for f := range p.tasks {
 		f()
 	}
@@ -61,15 +64,17 @@ func (p *WorkerPool) TrySubmit(f func()) bool {
 	}
 }
 
-// Close stops the workers once their current tasks finish. Subsequent
-// TrySubmit calls report false.
+// Close stops the workers and returns once they have exited, each after
+// the task it was running. Subsequent TrySubmit calls report false, so
+// launches still in flight finish on their own goroutines.
 func (p *WorkerPool) Close() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if !p.closed {
 		p.closed = true
 		close(p.tasks)
 	}
+	p.mu.Unlock()
+	p.wg.Wait()
 }
 
 // defaultWorkers is the shared pool for machines not owned by a

@@ -1,5 +1,7 @@
 package ir
 
+import "fmt"
+
 // CloneModule returns a deep copy of the module: functions, blocks and
 // instructions are all fresh objects, so the copy can be transformed or
 // linked without affecting the original.
@@ -20,18 +22,29 @@ func CloneFunction(f *Function) *Function {
 		Builtin: f.Builtin,
 		nblk:    f.nblk,
 	}
-	paramMap := make(map[*Param]*Param, len(f.Params))
+	params := make(map[*Param]Value, len(f.Params))
 	for _, p := range f.Params {
 		np := &Param{Nam: p.Nam, Ty: p.Ty, Idx: p.Idx}
-		paramMap[p] = np
+		params[p] = np
 		nf.Params = append(nf.Params, np)
 	}
+	nf.Blocks = cloneBody(f, nf, params, func(b *Block) string { return b.Name })
+	return nf
+}
+
+// cloneBody copies the blocks of f into fresh blocks owned by into
+// (without adding them to into.Blocks): instructions are new objects,
+// operands that are parameters of f are replaced through params,
+// operands and branch targets inside f follow the copies, and anything
+// else (constants) is shared.
+func cloneBody(f, into *Function, params map[*Param]Value, name func(*Block) string) []*Block {
 	blockMap := make(map[*Block]*Block, len(f.Blocks))
-	instrMap := make(map[*Instr]*Instr)
-	for _, b := range f.Blocks {
-		nb := &Block{Name: b.Name, Fn: nf}
+	instrMap := make(map[*Instr]*Instr, f.NumInstrs())
+	out := make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		nb := &Block{Name: name(b), Fn: into, Instrs: make([]*Instr, 0, len(b.Instrs))}
 		blockMap[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+		out[i] = nb
 	}
 	// First pass: clone instructions without operands resolved.
 	for _, b := range f.Blocks {
@@ -55,12 +68,10 @@ func CloneFunction(f *Function) *Function {
 			if ni, ok := instrMap[x]; ok {
 				return ni
 			}
-			return x
 		case *Param:
-			if np, ok := paramMap[x]; ok {
+			if np, ok := params[x]; ok {
 				return np
 			}
-			return x
 		}
 		return v
 	}
@@ -87,5 +98,91 @@ func CloneFunction(f *Function) *Function {
 			}
 		}
 	}
-	return nf
+	return out
+}
+
+// InlineCall replaces the OpCall at b.Instrs[idx] with a copy of the
+// callee's body. The block is split at the call: b keeps what came
+// before and branches into the copied entry block, every return of the
+// copy branches to a continuation block holding what came after, and
+// the call's result becomes the returned value (a phi in the
+// continuation when the callee returns from several places). The copy
+// and the continuation follow b in the function's block order.
+//
+// The callee must be a definition with at least one return whose
+// signature matches the call (ir.Verify checks that), and must not be
+// the caller itself. The call instruction is gone from the function
+// afterwards but may still be named as an operand: result is the value
+// to put in its place (nil for a void callee), left to the caller so
+// that a sweep of many calls rewrites operands once.
+func InlineCall(b *Block, idx int, callee *Function) (result Value) {
+	f := b.Fn
+	call := b.Instrs[idx]
+	n := f.nblk
+	f.nblk++
+
+	cont := &Block{Name: fmt.Sprintf("inl%d.cont", n), Fn: f}
+	for _, in := range b.Instrs[idx+1:] {
+		cont.Append(in)
+	}
+	b.Instrs = b.Instrs[:idx]
+	for _, s := range cont.Succs() {
+		for _, phi := range s.Phis() {
+			for i, ib := range phi.Incoming {
+				if ib == b {
+					phi.Incoming[i] = cont
+				}
+			}
+		}
+	}
+
+	params := make(map[*Param]Value, len(callee.Params))
+	for i, p := range callee.Params {
+		params[p] = call.Args[i]
+	}
+	body := cloneBody(callee, f, params, func(cb *Block) string {
+		return fmt.Sprintf("inl%d.%s", n, cb.Name)
+	})
+	b.Append(&Instr{Op: OpBr, Ty: VoidT, Then: body[0]})
+
+	// Returns become branches to the continuation.
+	var rets []*Instr
+	for _, nb := range body {
+		if t := nb.Terminator(); t != nil && t.Op == OpRet {
+			rets = append(rets, t)
+		}
+	}
+	if call.HasResult() {
+		if len(rets) == 1 {
+			result = rets[0].Args[0]
+		} else {
+			phi := &Instr{Op: OpPhi, Ty: call.Ty}
+			for _, r := range rets {
+				phi.AddIncoming(r.Args[0], r.blk)
+			}
+			cont.Append(phi)
+			copy(cont.Instrs[1:], cont.Instrs[:len(cont.Instrs)-1])
+			cont.Instrs[0] = phi
+			result = phi
+		}
+	}
+	for _, r := range rets {
+		r.Op, r.Args, r.Then = OpBr, nil, cont
+	}
+
+	// Splice the copy and the continuation in after b.
+	at := 0
+	for i, fb := range f.Blocks {
+		if fb == b {
+			at = i + 1
+			break
+		}
+	}
+	blocks := make([]*Block, 0, len(f.Blocks)+len(body)+1)
+	blocks = append(blocks, f.Blocks[:at]...)
+	blocks = append(blocks, body...)
+	blocks = append(blocks, cont)
+	f.Blocks = append(blocks, f.Blocks[at:]...)
+
+	return result
 }

@@ -51,8 +51,7 @@ type MachinePool struct {
 	tier     *interp.TierController
 	nextMach int
 
-	workersOnce sync.Once
-	workers     *interp.WorkerPool
+	workers *interp.WorkerPool // started on first use, stopped by Close
 }
 
 // maxPooledMachines bounds the idle machines retained per module; bursts
@@ -76,8 +75,28 @@ func NewMachinePool() *MachinePool {
 // pool's machines borrow parallel group runners from, instead of
 // spawning up to GOMAXPROCS goroutines per launch.
 func (p *MachinePool) Workers() *interp.WorkerPool {
-	p.workersOnce.Do(func() { p.workers = interp.NewWorkerPool(0) })
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.workers == nil {
+		p.workers = interp.NewWorkerPool(0)
+	}
 	return p.workers
+}
+
+// Close stops the pool's worker goroutines and returns once they have
+// exited. Launches still running on the pool's machines finish on their
+// own goroutines, and a later launch starts a fresh worker set, so
+// closing is about not leaving goroutines behind, not about making the
+// pool unusable. The runtime that launched on a platform closes its
+// pool at shutdown.
+func (p *MachinePool) Close() {
+	p.mu.Lock()
+	w := p.workers
+	p.workers = nil
+	p.mu.Unlock()
+	if w != nil {
+		w.Close()
+	}
 }
 
 // SetProfiler installs (or, with nil, removes) a VM execution profiler
@@ -144,6 +163,7 @@ func (p *MachinePool) Acquire(mod *ir.Module) *interp.Machine {
 		} else {
 			p.free[mod] = ms[:n-1]
 		}
+		m.Workers = w
 		p.seedLocked(m)
 		return m
 	}

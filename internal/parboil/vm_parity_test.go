@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/accelpass"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/opencl"
+	"repro/internal/passes"
 	"repro/internal/rtlib"
 )
 
@@ -27,7 +29,7 @@ var vmParityO1 = interp.CompileOpts{Opt: true}
 // verification launch on (1) the tree-walking reference interpreter,
 // (2) the bytecode VM without any optimization, (3) the scalar VM
 // behind the full O1 pipeline plus fusion, and (4) the warp-batched
-// engine (DefaultCompileOpts, 64-lane warps with divergence spill),
+// engine (DefaultCompileOpts, 64-lane warps with lane masking),
 // with identical inputs — and every argument buffer must match byte
 // for byte across all four.
 func TestVMParityNative(t *testing.T) {
@@ -191,4 +193,47 @@ func clKernelFromSpec(mod *ir.Module, name string, spec LaunchSpec) (*opencl.Ker
 		}
 	}
 	return cl, bufs, nil
+}
+
+// TestTransformedKernelsStayVector: compiled the way the daemon's JIT
+// compiles them (transform, O1 over a clone, bytecode with warp tables),
+// none of the 25 scheduling kernels contains an instruction at which a
+// warp leaves vector dispatch — the wrapper, the computation function
+// and the rt_* library are one function, and no Parboil kernel has a
+// recursive helper or a barrier under a divergent branch. The listing
+// checked is the one `clcc -stage warp` prints.
+func TestTransformedKernelsStayVector(t *testing.T) {
+	for _, k := range Kernels() {
+		orig, err := clc.Compile(k.Source, k.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := accelpass.Transform(ir.CloneModule(orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := ir.CloneModule(res.Module)
+		if err := passes.RunO1(opt); err != nil {
+			t.Fatal(err)
+		}
+		prog := interp.CompileModuleOpts(opt, interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth})
+		var listing bytes.Buffer
+		if err := prog.DumpWarp(&listing, k.Name); err != nil {
+			t.Fatalf("%s: %v", k.FullName(), err)
+		}
+		diverges := false
+		for _, line := range strings.Split(listing.String(), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 2 {
+				continue
+			}
+			if f[1] == "spill" {
+				t.Errorf("%s leaves vector dispatch at: %s", k.FullName(), line)
+			}
+			diverges = diverges || strings.HasPrefix(f[1], "diverge→")
+		}
+		if !diverges {
+			t.Errorf("%s: no masked branch in the listing — the master-only dequeue should be one:\n%s", k.FullName(), listing.String())
+		}
+	}
 }

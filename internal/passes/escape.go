@@ -37,7 +37,7 @@ func AnalyzeAllocas(f *ir.Function) map[*ir.Instr]*AllocaUse {
 		for _, in := range b.Instrs {
 			for i, a := range in.Args {
 				al, ok := a.(*ir.Instr)
-				if !ok {
+				if !ok || al.Op != ir.OpAlloca {
 					continue
 				}
 				u, tracked := uses[al]

@@ -70,7 +70,7 @@ func promoteFunc(f *ir.Function) {
 		return
 	}
 
-	live := liveInBlocks(f, vars, varOf, d)
+	live := liveInBlocks(vars, varOf, d)
 
 	// Phi placement: iterated dominance frontier of the definition
 	// blocks, pruned to blocks where the variable is live on entry.
@@ -89,7 +89,7 @@ func promoteFunc(f *ir.Function) {
 			x := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, y := range d.front[x] {
-				if hasPhi[y] || !live[vi][y] {
+				if hasPhi[y] || !live[vi][d.num[y]] {
 					continue
 				}
 				hasPhi[y] = true
@@ -150,50 +150,57 @@ func prependInstr(b *ir.Block, in *ir.Instr) {
 // the variable is live on entry: a load is reachable without an
 // intervening definition (store or the alloca itself). Block-granular
 // backward dataflow, the standard pruning that keeps phis out of blocks
-// where the value is dead.
-func liveInBlocks(f *ir.Function, vars []*AllocaUse, varOf map[*ir.Instr]int, d *domInfo) []map[*ir.Block]bool {
-	nv := len(vars)
-	upExposed := make([]map[*ir.Block]bool, nv)
-	defIn := make([]map[*ir.Block]bool, nv)
-	liveIn := make([]map[*ir.Block]bool, nv)
-	for i := range vars {
-		upExposed[i] = make(map[*ir.Block]bool)
-		defIn[i] = make(map[*ir.Block]bool)
-		liveIn[i] = make(map[*ir.Block]bool)
+// where the value is dead. The result is indexed [variable][d.num of
+// the block].
+func liveInBlocks(vars []*AllocaUse, varOf map[*ir.Instr]int, d *domInfo) [][]bool {
+	nv, nb := len(vars), len(d.rpo)
+	flat := make([]bool, 3*nv*nb)
+	rows := func() [][]bool {
+		r := make([][]bool, nv)
+		for i := range r {
+			r[i], flat = flat[:nb:nb], flat[nb:]
+		}
+		return r
 	}
-	for _, b := range f.Blocks {
+	upExposed, defIn, liveIn := rows(), rows(), rows()
+	for bi, b := range d.rpo {
 		for _, in := range b.Instrs {
 			switch {
 			case in.Op == ir.OpAlloca:
 				if vi, ok := varOf[in]; ok {
-					defIn[vi][b] = true
+					defIn[vi][bi] = true
 				}
 			case in.Op == ir.OpLoad:
-				if al, ok := in.Args[0].(*ir.Instr); ok {
-					if vi, ok := varOf[al]; ok && !defIn[vi][b] {
-						upExposed[vi][b] = true
+				if al, ok := in.Args[0].(*ir.Instr); ok && al.Op == ir.OpAlloca {
+					if vi, ok := varOf[al]; ok && !defIn[vi][bi] {
+						upExposed[vi][bi] = true
 					}
 				}
 			case in.Op == ir.OpStore:
-				if al, ok := in.Args[1].(*ir.Instr); ok {
+				if al, ok := in.Args[1].(*ir.Instr); ok && al.Op == ir.OpAlloca {
 					if vi, ok := varOf[al]; ok {
-						defIn[vi][b] = true
+						defIn[vi][bi] = true
 					}
 				}
 			}
 		}
 	}
+	succs := make([][]int, nb)
+	for bi, b := range d.rpo {
+		for _, s := range b.Succs() {
+			succs[bi] = append(succs[bi], d.num[s])
+		}
+	}
 	for changed := true; changed; {
 		changed = false
-		for i := len(d.rpo) - 1; i >= 0; i-- {
-			b := d.rpo[i]
+		for bi := nb - 1; bi >= 0; bi-- {
 			for vi := 0; vi < nv; vi++ {
-				if liveIn[vi][b] {
+				if liveIn[vi][bi] {
 					continue
 				}
-				in := upExposed[vi][b]
-				if !in && !defIn[vi][b] {
-					for _, s := range b.Succs() {
+				in := upExposed[vi][bi]
+				if !in && !defIn[vi][bi] {
+					for _, s := range succs[bi] {
 						if liveIn[vi][s] {
 							in = true
 							break
@@ -201,7 +208,7 @@ func liveInBlocks(f *ir.Function, vars []*AllocaUse, varOf map[*ir.Instr]int, d 
 					}
 				}
 				if in {
-					liveIn[vi][b] = true
+					liveIn[vi][bi] = true
 					changed = true
 				}
 			}

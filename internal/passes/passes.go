@@ -29,8 +29,12 @@ func NewManager(ps ...Pass) *Manager {
 }
 
 // O1 returns the optimization pipeline the bytecode VM compiles behind:
-// mem2reg (allocas to SSA values with phis), constant folding, dead
-// code elimination, and straight-line block merging, in that order.
+// mem2reg (allocas to SSA values with phis), inlining (callees into
+// callers, uncalled helpers dropped), constant folding, dead code
+// elimination, and constant-branch folding plus straight-line block
+// merging, in that order. Inlining sits after mem2reg so promotion only
+// ever sees small functions, and before the clean-ups so they run once,
+// over the merged kernels, with the arguments of each call site visible.
 // Passes named in disable are skipped — the per-pass knob the parity
 // suite and the accelsim -dump-ir tool use to isolate one pass.
 func O1(disable ...string) *Manager {
@@ -38,7 +42,7 @@ func O1(disable ...string) *Manager {
 	for _, n := range disable {
 		skip[n] = true
 	}
-	all := []Pass{Mem2Reg{}, ConstFold{}, DCE{}, SimplifyCFG{}}
+	all := []Pass{Mem2Reg{}, Inline{}, ConstFold{}, DCE{}, SimplifyCFG{}}
 	var ps []Pass
 	for _, p := range all {
 		if !skip[p.Name()] {

@@ -1,6 +1,10 @@
 package passes
 
-import "repro/internal/ir"
+import (
+	"math/bits"
+
+	"repro/internal/ir"
+)
 
 // RegisterEstimate computes an approximation of the per-work-item register
 // pressure of a function: the maximum number of simultaneously live SSA
@@ -14,70 +18,58 @@ func RegisterEstimate(f *ir.Function) int {
 	if f.IsDecl() {
 		return 0
 	}
-	// use/def per block.
-	type bbinfo struct {
-		use, def map[ir.Value]bool
-		in, out  map[ir.Value]bool
-	}
-	info := make(map[*ir.Block]*bbinfo, len(f.Blocks))
-	interesting := func(v ir.Value) bool {
+	// Values are numbered densely (parameters, then instruction
+	// results) and every set is a bitset over that numbering.
+	nb := ir.NumberFunction(f)
+	words := (nb.NumValues() + 63) / 64
+	index := func(v ir.Value) (int32, bool) {
 		switch v.(type) {
 		case *ir.Instr, *ir.Param:
-			return true
+			return nb.IndexOf(v)
 		}
-		return false
+		return 0, false
 	}
+	type bbinfo struct {
+		use, def, in, out []uint64
+		succs             []*ir.Block
+	}
+	sets := make([]uint64, 4*words*len(f.Blocks))
+	take := func() []uint64 {
+		s := sets[:words:words]
+		sets = sets[words:]
+		return s
+	}
+	info := make(map[*ir.Block]*bbinfo, len(f.Blocks))
 	for _, b := range f.Blocks {
-		bi := &bbinfo{use: map[ir.Value]bool{}, def: map[ir.Value]bool{}, in: map[ir.Value]bool{}, out: map[ir.Value]bool{}}
+		bi := &bbinfo{use: take(), def: take(), in: take(), out: take(), succs: b.Succs()}
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if interesting(a) && !bi.def[a] {
-					bi.use[a] = true
+				if i, ok := index(a); ok && bi.def[i/64]&(1<<(i%64)) == 0 {
+					bi.use[i/64] |= 1 << (i % 64)
 				}
 			}
 			if in.HasResult() {
-				bi.def[in] = true
+				if i, ok := nb.IndexOf(in); ok {
+					bi.def[i/64] |= 1 << (i % 64)
+				}
 			}
 		}
 		info[b] = bi
 	}
-	succs := func(b *ir.Block) []*ir.Block {
-		t := b.Terminator()
-		if t == nil {
-			return nil
-		}
-		var s []*ir.Block
-		if t.Then != nil {
-			s = append(s, t.Then)
-		}
-		if t.Else != nil && t.Else != t.Then {
-			s = append(s, t.Else)
-		}
-		return s
-	}
-	// Iterate to fixed point.
+	// Iterate to fixed point: out = union of successors' in;
+	// in = use ∪ (out − def).
 	for changed := true; changed; {
 		changed = false
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			bi := info[b]
-			for _, s := range succs(b) {
-				for v := range info[s].in {
-					if !bi.out[v] {
-						bi.out[v] = true
-						changed = true
-					}
+			bi := info[f.Blocks[i]]
+			for _, s := range bi.succs {
+				for w, sw := range info[s].in {
+					bi.out[w] |= sw
 				}
 			}
-			for v := range bi.out {
-				if !bi.def[v] && !bi.in[v] {
-					bi.in[v] = true
-					changed = true
-				}
-			}
-			for v := range bi.use {
-				if !bi.in[v] {
-					bi.in[v] = true
+			for w := range bi.in {
+				if nw := bi.in[w] | bi.use[w] | bi.out[w]&^bi.def[w]; nw != bi.in[w] {
+					bi.in[w] = nw
 					changed = true
 				}
 			}
@@ -85,27 +77,29 @@ func RegisterEstimate(f *ir.Function) int {
 	}
 	// Walk each block backwards tracking the live set size.
 	maxLive := 0
+	live := make([]uint64, words)
 	for _, b := range f.Blocks {
-		live := make(map[ir.Value]bool)
-		for v := range info[b].out {
-			live[v] = true
+		n := 0
+		for w, ow := range info[b].out {
+			live[w] = ow
+			n += bits.OnesCount64(ow)
 		}
-		if len(live) > maxLive {
-			maxLive = len(live)
-		}
+		maxLive = max(maxLive, n)
 		for i := len(b.Instrs) - 1; i >= 0; i-- {
 			in := b.Instrs[i]
 			if in.HasResult() {
-				delete(live, in)
-			}
-			for _, a := range in.Args {
-				if interesting(a) {
-					live[a] = true
+				if r, ok := nb.IndexOf(in); ok && live[r/64]&(1<<(r%64)) != 0 {
+					live[r/64] &^= 1 << (r % 64)
+					n--
 				}
 			}
-			if len(live) > maxLive {
-				maxLive = len(live)
+			for _, a := range in.Args {
+				if r, ok := index(a); ok && live[r/64]&(1<<(r%64)) == 0 {
+					live[r/64] |= 1 << (r % 64)
+					n++
+				}
 			}
+			maxLive = max(maxLive, n)
 		}
 	}
 	// Hardware baseline per thread: program counter / thread IDs /

@@ -7,17 +7,21 @@ import "repro/internal/ir"
 // work-group ("uniform") or may differ per item ("divergent"). The
 // bytecode compiler (internal/interp) uses the verdicts to build the
 // warp execution stream: uniform instructions execute once per warp on
-// a shared register file, divergent ones loop over the live lanes, and
-// branches on divergent conditions force the warp back onto the scalar
-// per-item path.
+// a shared register file, divergent ones loop over the active lanes,
+// and a branch on a divergent condition splits the warp's lane mask
+// until the branch block's immediate postdominator, where the lanes
+// reconverge.
 //
 // A value is divergent if it (transitively) depends on a per-item
-// source: get_local_id / get_global_id, any memory load, an atomic
-// result (each lane observes a different old value), a private alloca
-// (a distinct region per lane), or a call into IR code (not analyzed
-// across calls — the VM spills at calls anyway). Kernel arguments,
+// source: get_local_id / get_global_id, an atomic result (each lane
+// observes a different old value), a private alloca (a distinct region
+// per lane), or a call into IR code (not analyzed across calls — the
+// VM leaves vector dispatch at calls anyway). Kernel arguments,
 // constants and group-level builtins (get_group_id, get_local_size,
-// get_num_groups, ...) are uniform.
+// get_num_groups, ...) are uniform. A load is uniform iff its address
+// is: between two barriers the work-items of a group do not race on
+// memory (the contract interp/warp.go states and every engine relies
+// on), so all of them read the same bytes through the same address.
 //
 // A block is control-uniform when all work-items of a warp enter it
 // together: it is not control-dependent on any branch with a divergent
@@ -25,7 +29,8 @@ import "repro/internal/ir"
 // block reachable from a divergent branch's successors without passing
 // the branch block's immediate postdominator is marked divergent (if
 // the branch block has no postdominator — it cannot reach function
-// exit — everything reachable from its successors is marked).
+// exit, or its paths return separately — everything reachable from its
+// successors is marked).
 //
 // A phi is uniform only if all incoming values are uniform AND its
 // block and all predecessors are control-uniform: if lanes may arrive
@@ -34,8 +39,9 @@ import "repro/internal/ir"
 
 // Uniformity holds the per-function analysis result.
 type Uniformity struct {
-	vals map[ir.Value]bool // defined values: true = uniform
-	blks map[*ir.Block]bool
+	vals  map[ir.Value]bool // defined values: true = uniform
+	blks  map[*ir.Block]bool
+	ipdom map[*ir.Block]*ir.Block
 }
 
 // ValueUniform reports whether v is uniform across the work-items of a
@@ -52,11 +58,23 @@ func (u *Uniformity) ValueUniform(v ir.Value) bool {
 // together (b is not control-dependent on a divergent branch).
 func (u *Uniformity) BlockUniform(b *ir.Block) bool { return u.blks[b] }
 
+// DivergentBranch reports whether b ends in a conditional branch whose
+// condition may differ between the work-items of a warp.
+func (u *Uniformity) DivergentBranch(b *ir.Block) bool {
+	t := b.Terminator()
+	return t != nil && t.Op == ir.OpCondBr && !u.ValueUniform(t.Args[0])
+}
+
+// Reconverge returns the block where work-items that took different
+// sides of b's branch meet again: b's immediate postdominator. Nil
+// means they never do — each side runs to its own return.
+func (u *Uniformity) Reconverge(b *ir.Block) *ir.Block { return u.ipdom[b] }
+
 // divergentSeed reports whether the instruction is a divergence source
 // regardless of its operands.
 func divergentSeed(in *ir.Instr, mod *ir.Module) bool {
 	switch in.Op {
-	case ir.OpLoad, ir.OpAtomic:
+	case ir.OpAtomic:
 		return true
 	case ir.OpAlloca:
 		// A private alloca is a distinct region per work-item; local
@@ -88,14 +106,11 @@ func AnalyzeUniformity(f *ir.Function) *Uniformity {
 		return u
 	}
 	ipdom := computePostDom(f)
+	u.ipdom = ipdom
 	for _, b := range f.Blocks {
 		u.blks[b] = true
 	}
-	preds := make(map[*ir.Block][]*ir.Block)
 	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
 		for _, in := range b.Instrs {
 			if in.HasResult() {
 				u.vals[in] = true
@@ -146,8 +161,7 @@ func AnalyzeUniformity(f *ir.Function) *Uniformity {
 			// makes everything up to its postdominator divergent. A
 			// branch inside an already-divergent block still
 			// propagates — nested divergence widens the region.
-			t := b.Terminator()
-			if t != nil && t.Op == ir.OpCondBr && !u.ValueUniform(t.Args[0]) {
+			if u.DivergentBranch(b) {
 				stop := ipdom[b] // nil: cannot reach exit, mark all reachable
 				seen := map[*ir.Block]bool{}
 				var mark func(x *ir.Block)

@@ -94,8 +94,9 @@ kernel void ddia(global int* out)
 }
 
 // TestUniformityLoop: a loop with an argument-bounded trip count is
-// fully control-uniform and its induction phi is uniform; a value
-// loaded from memory inside the loop is divergent.
+// fully control-uniform and its induction phi is uniform; a load is
+// uniform iff its address is — in[i] (uniform index) and everything
+// accumulated from it stay uniform, in[get_local_id(0)] does not.
 func TestUniformityLoop(t *testing.T) {
 	f, u := analyzeKernel(t, `
 kernel void loop(global int* out, global const int* in, int n)
@@ -103,7 +104,7 @@ kernel void loop(global int* out, global const int* in, int n)
     int acc = 0;
     int i;
     for (i = 0; i < n; ++i) acc += in[i];
-    out[get_global_id(0)] = acc;
+    out[get_global_id(0)] = acc + in[get_local_id(0)];
 }
 `, "loop")
 	for _, b := range f.Blocks {
@@ -111,29 +112,70 @@ kernel void loop(global int* out, global const int* in, int n)
 			t.Errorf("block %s divergent, want uniform (trip count is a kernel arg):\n%s", b.Name, f)
 		}
 	}
-	var sawInduction, sawLoad bool
+	phis, uniformLoads, divergentLoads := 0, 0, 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpPhi:
-				// Both loop-carried phis: i is uniform; acc accumulates
-				// loaded values, hence divergent.
-				if len(b.Phis()) > 0 && u.ValueUniform(in) {
-					sawInduction = true
+				// Both loop-carried phis: i counts, acc sums values read
+				// through a uniform address.
+				phis++
+				if !u.ValueUniform(in) {
+					t.Errorf("loop-carried phi divergent, want uniform:\n%s", f)
 				}
 			case ir.OpLoad:
-				sawLoad = true
+				if u.ValueUniform(in) != u.ValueUniform(in.Args[0]) {
+					t.Errorf("load uniform=%v through an address uniform=%v, want them equal",
+						u.ValueUniform(in), u.ValueUniform(in.Args[0]))
+				}
 				if u.ValueUniform(in) {
-					t.Errorf("loaded value uniform, want divergent (loads are divergence seeds)")
+					uniformLoads++
+				} else {
+					divergentLoads++
 				}
 			}
 		}
 	}
-	if !sawInduction {
-		t.Errorf("no uniform loop-carried phi found, want the induction variable:\n%s", f)
+	if phis != 2 || uniformLoads != 1 || divergentLoads != 1 {
+		t.Fatalf("fixture has %d phis, %d uniform and %d divergent loads, want 2, 1 and 1:\n%s",
+			phis, uniformLoads, divergentLoads, f)
 	}
-	if !sawLoad {
-		t.Fatalf("fixture lost its load:\n%s", f)
+}
+
+// TestUniformityReconverge: a divergent branch reports where its sides
+// meet again — the join of a diamond, nothing for sides that return
+// separately — and a uniform branch is not a divergent one.
+func TestUniformityReconverge(t *testing.T) {
+	f, u := analyzeKernel(t, `
+kernel void rc(global int* out, int c)
+{
+    int x = 0;
+    if (c > 0) x = 3;
+    if ((int)get_local_id(0) > 3) x += 1; else x += 2;
+    out[get_global_id(0)] = x;
+    if ((int)get_local_id(0) == 1) return;
+    out[get_global_id(0)] = x + 1;
+}
+`, "rc")
+	var diamond, early *ir.Block
+	for _, b := range f.Blocks {
+		if !u.DivergentBranch(b) {
+			continue
+		}
+		if r := u.Reconverge(b); r != nil {
+			diamond = b
+			if !u.BlockUniform(r) || len(r.Phis()) == 0 {
+				t.Errorf("diamond reconverges at %s, want the control-uniform join with its phi:\n%s", r.Name, f)
+			}
+		} else {
+			early = b
+		}
+	}
+	if diamond == nil || early == nil {
+		t.Fatalf("want one divergent branch with a join and one whose sides return separately:\n%s", f)
+	}
+	if u.DivergentBranch(f.Entry()) {
+		t.Errorf("branch on a kernel argument reported divergent:\n%s", f)
 	}
 }
 

@@ -80,7 +80,10 @@ void rt_sched_wgroup(global long* rt, local long* sd)
 
 int rt_is_master_workitem()
 {
-    return get_local_id(0) == 0 && get_local_id(1) == 0 && get_local_id(2) == 0;
+    /* One compare, no short-circuit branches: the scheduling kernel
+       evaluates this once and every work-item of a warp must reach the
+       same next instruction. */
+    return (get_local_id(0) | get_local_id(1) | get_local_id(2)) == 0;
 }
 
 long rt_group_id(global long* rt, local long* sd, long hdlr, int d)
@@ -147,20 +150,69 @@ var (
 	cerr   error
 )
 
-// Module returns a fresh deep copy of the compiled runtime library
-// module, safe to link into (and be mutated alongside) a kernel module.
-// Compilation happens once and is cached.
-func Module() (*ir.Module, error) {
+// compiled returns the shared compiled library; callers must not
+// mutate it.
+func compiled() (*ir.Module, error) {
 	once.Do(func() {
 		cached, cerr = clc.Compile(Source, "rtlib")
 		if cerr != nil {
 			cerr = fmt.Errorf("rtlib: %w", cerr)
 		}
 	})
-	if cerr != nil {
-		return nil, cerr
+	return cached, cerr
+}
+
+// Module returns a fresh deep copy of the compiled runtime library
+// module, safe to link into (and be mutated alongside) a kernel module.
+// Compilation happens once and is cached.
+func Module() (*ir.Module, error) {
+	lib, err := compiled()
+	if err != nil {
+		return nil, err
 	}
-	return ir.CloneModule(cached), nil
+	return ir.CloneModule(lib), nil
+}
+
+// Link statically links the library into m: a private copy of every
+// library function m calls without defining it, and of whatever those
+// call in turn. A kernel that only asks for its global id gets five of
+// the eleven functions, and the JIT stages after this one (clean-up,
+// verification, O1, bytecode lowering) never see the rest.
+func Link(m *ir.Module) error {
+	lib, err := compiled()
+	if err != nil {
+		return err
+	}
+	need := make(map[string]bool)
+	var scan func(f *ir.Function)
+	scan = func(f *ir.Function) {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op != ir.OpCall || need[in.Callee] {
+					continue
+				}
+				lf := lib.Lookup(in.Callee)
+				if lf == nil {
+					continue
+				}
+				if mf := m.Lookup(in.Callee); mf != nil && !mf.IsDecl() {
+					continue
+				}
+				need[in.Callee] = true
+				scan(lf)
+			}
+		}
+	}
+	for _, f := range m.Funcs {
+		scan(f)
+	}
+	part := ir.NewModule(lib.Name)
+	for _, lf := range lib.Funcs {
+		if need[lf.Name] {
+			part.Add(ir.CloneFunction(lf))
+		}
+	}
+	return ir.Link(m, part)
 }
 
 // BuildRT fills a host-side image of the RT descriptor for a kernel

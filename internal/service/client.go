@@ -88,6 +88,12 @@ func Dial(path, tenant, token string) (*Client, error) {
 		nc.Close()
 		return nil, w.Code.Err(w.Msg)
 	}
+	return newClient(nc, tenant), nil
+}
+
+// newClient wraps a connection whose handshake is done and starts its
+// reply reader; Close (or the connection dying) stops it.
+func newClient(nc net.Conn, tenant string) *Client {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		nc:     nc,
@@ -100,7 +106,7 @@ func Dial(path, tenant, token string) (*Client, error) {
 		bufs:   make(map[*RemoteBuffer]struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Close tears the connection down: pending calls and events fail with
@@ -174,10 +180,7 @@ func (c *Client) readLoop() {
 			}
 			c.mu.Lock()
 			pe := c.events[f.Req]
-			if pe != nil {
-				delete(c.events, f.Req)
-				delete(c.evIDs, pe.ev)
-			}
+			delete(c.events, f.Req)
 			c.mu.Unlock()
 			if pe == nil {
 				continue
@@ -190,6 +193,13 @@ func (c *Client) readLoop() {
 				}
 				pe.ev.Complete()
 			}
+			// Forget the mirror's daemon id only once it is terminal: a
+			// concurrent waitIDs must find the event either known (the
+			// daemon keeps the id and orders against it) or terminal
+			// (nothing left to order), never neither.
+			c.mu.Lock()
+			delete(c.evIDs, pe.ev)
+			c.mu.Unlock()
 			continue
 		}
 		c.mu.Lock()
