@@ -32,7 +32,7 @@ func BenchmarkFaultDispatch(b *testing.B) {
 }
 
 func benchFaultDispatch(b *testing.B, armed bool) {
-	rt := accelos.NewBoundedClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 2)
+	rt := accelos.NewClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 2)
 	defer rt.Shutdown()
 	if armed {
 		inj := fault.NewInjector(1).

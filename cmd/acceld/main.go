@@ -1,5 +1,5 @@
-// Command acceld is the out-of-process accelOS daemon: one runtime —
-// single-device or a cluster pool — served behind a unix socket
+// Command acceld is the out-of-process accelOS daemon: one runtime over
+// a pool of one or more devices, served behind a unix socket
 // speaking the internal/wire protocol. Client processes attach with
 // service.Dial and get the full ProxyCL surface; buffer bytes are
 // shared through mmap'd segments, so only control frames cross the
@@ -33,7 +33,7 @@ import (
 func main() {
 	socket := flag.String("socket", "/tmp/acceld.sock", "unix socket path to serve on")
 	devices := flag.Int("devices", 1, "device pool size (alternating the two paper platforms)")
-	policy := flag.String("policy", "least-loaded", "placement policy for multi-device pools")
+	policy := flag.String("policy", "least-loaded", "placement policy of the device pool")
 	maxResident := flag.Int("max-resident", 0, "bounded admission: max resident executions per device (0 = unbounded)")
 	maxInflight := flag.Int("max-inflight", 0, "per-connection in-flight enqueue window (0 = default 1024)")
 	rate := flag.Float64("rate", 0, "per-tenant enqueue rate limit in requests/sec (0 = unlimited)")
@@ -96,23 +96,17 @@ func main() {
 	}
 }
 
-// buildRuntime assembles the hosted runtime: a single platform, or a
-// pool cycling the two paper machines under a placement policy, with
+// buildRuntime assembles the hosted runtime: a pool of devices (at least
+// one) cycling the two paper machines under a placement policy, with
 // optional bounded admission.
 func buildRuntime(devices int, policy string, maxResident int) (*accelos.Runtime, error) {
-	if devices <= 1 {
-		return accelos.NewRuntime(opencl.GetPlatforms()[0]), nil
-	}
-	var plats []*opencl.Platform
-	for i := 0; i < devices; i++ {
-		plats = append(plats, opencl.GetPlatforms()[i%2])
-	}
 	pol, err := cluster.PolicyByName(policy)
 	if err != nil {
 		return nil, err
 	}
-	if maxResident > 0 {
-		return accelos.NewBoundedClusterRuntime(plats, pol, maxResident), nil
+	var plats []*opencl.Platform
+	for i := 0; i < max(devices, 1); i++ {
+		plats = append(plats, opencl.GetPlatforms()[i%2])
 	}
-	return accelos.NewClusterRuntime(plats, pol), nil
+	return accelos.NewClusterRuntime(plats, pol, maxResident), nil
 }

@@ -81,7 +81,7 @@ const src = `kernel void scale(global int* data, int n) {
 
 func live() {
 	fmt.Println("\n=== live pooled runtime: 4 apps over 2 platforms ===")
-	rt := accelos.NewClusterRuntime(opencl.GetPlatforms(), cluster.RoundRobin())
+	rt := accelos.NewClusterRuntime(opencl.GetPlatforms(), cluster.RoundRobin(), 0)
 	defer rt.Shutdown()
 
 	const n = 1 << 12

@@ -118,8 +118,9 @@ func main() {
 	score := metrics.NewLiveScorecard()
 	rt.SetTelemetry(nil, reg, score)
 
+	dev := rt.Pool().Devices()[0]
 	fmt.Printf("starting %d tenants on %s (device memory %d MB)\n\n",
-		tenants, rt.Plat.Dev.Name, rt.Plat.Dev.GlobalMemMB)
+		tenants, dev.Name, dev.GlobalMemMB)
 
 	report := make(chan string, tenants)
 	var wg sync.WaitGroup

@@ -173,6 +173,79 @@ func TestLiveDynamicResharing(t *testing.T) {
 	}
 }
 
+// busySrc is a long-running kernel with no local memory: launched with
+// 128-wide groups its share of the K20m is bound by threads alone, so a
+// plan's PhysWGs·128 reads directly as a fraction of the device.
+const busySrc = `
+kernel void busy(global int* out, int n)
+{
+    int i = (int)get_global_id(0);
+    int acc = 0;
+    int t;
+    for (t = 0; t < 300; ++t) acc += (i + t) & 7;
+    if (i < n) out[i] = out[i] + 1 + (acc & 0);
+}
+`
+
+// TestTenantFairnessOnOneDevice: shares are divided between tenants,
+// then among a tenant's kernels, on the plain one-device runtime too.
+// Tenant "many" keeps three kernels resident beside tenant "one"'s
+// single kernel; the lone kernel is planned about half of the device's
+// threads — per-kernel equal sharing would hand it a quarter.
+func TestTenantFairnessOnOneDevice(t *testing.T) {
+	rt := NewRuntime(opencl.GetPlatforms()[0])
+	defer rt.Shutdown()
+	rt.SetSliceRounds(1)
+	dev := rt.Pool().Devices()[0]
+
+	const n = 256 * 128
+	nd := opencl.NDRange{Dims: 1, Global: [3]int64{n, 1, 1}, Local: [3]int64{128, 1, 1}}
+	many := rt.Connect("many")
+	defer many.Close()
+	one := rt.Connect("one")
+	defer one.Close()
+
+	var evs []*opencl.Event
+	for _, app := range []*App{many, many, many, one} {
+		k, buf := setupIntKernel(t, app, busySrc, "busy", n)
+		defer buf.Release()
+		ev, err := app.EnqueueKernelAsync(k, nd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	}
+	for _, ev := range evs {
+		if err := ev.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One re-plan logs one sample per launched resident, back to back:
+	// four distinct executions in a row is a plan over all four.
+	hist := rt.PlanHistory()
+	for i := 0; i+4 <= len(hist); i++ {
+		threads := map[string]int64{}
+		execs := map[int]bool{}
+		for _, s := range hist[i : i+4] {
+			execs[s.ExecID] = true
+			threads[s.App] += s.PhysWGs * dev.RoundWarp(128)
+		}
+		if len(execs) < 4 {
+			continue
+		}
+		total := float64(dev.TotalThreads())
+		if f := float64(threads["one"]) / total; f < 0.4 || f > 0.6 {
+			t.Errorf("tenant one's kernel planned %.2f of the device's threads beside three kernels of tenant many, want about 0.5", f)
+		}
+		if f := float64(threads["many"]) / total; f < 0.4 || f > 0.6 {
+			t.Errorf("tenant many's three kernels planned %.2f of the device's threads together, want about 0.5", f)
+		}
+		return
+	}
+	t.Fatalf("the four kernels were never resident together; plans: %+v", hist)
+}
+
 // fillSrc writes a deterministic value to a caller-chosen window of a
 // buffer, so two apps can target disjoint halves of one allocation.
 const fillSrc = `
@@ -259,7 +332,7 @@ func TestSharedBufferConcurrentLaunches(t *testing.T) {
 // path: with maxResident 1, the second app's execution waits in the run
 // queue and is launched by the completion event that frees the slot.
 func TestBoundedClusterAdmission(t *testing.T) {
-	rt := NewBoundedClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 1)
+	rt := NewClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 1)
 	defer rt.Shutdown()
 	rt.SetSliceRounds(1)
 

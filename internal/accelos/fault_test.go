@@ -74,7 +74,7 @@ func TestDeviceFailureRelaunchByteIdentical(t *testing.T) {
 	if len(plats) < 2 {
 		t.Skip("needs two device models")
 	}
-	rt := NewBoundedClusterRuntime(plats, cluster.LeastLoaded(), 2)
+	rt := NewClusterRuntime(plats, cluster.LeastLoaded(), 2)
 	defer rt.Shutdown()
 	reg := telemetry.NewRegistry()
 	rt.SetTelemetry(nil, reg, nil)
@@ -118,45 +118,103 @@ func TestDeviceFailureRelaunchByteIdentical(t *testing.T) {
 	t.Fatal("no attempt caught the kernel in flight")
 }
 
-// TestNoHealthyDeviceParksUntilHeal fails the only device before the
-// submit: the execution must park (typed EvParked path, counted), wait,
-// and complete byte-identically once the device heals.
+// TestNoHealthyDeviceParksUntilHeal takes the only device away — before
+// the submit, or under a launch already running — on the plain
+// one-device runtime and on a bounded pool of one: the execution must
+// park (typed EvParked path, counted), wait, and complete
+// byte-identically once the device heals; a launch caught mid-flight
+// resumes at its consumed prefix (churn adds to its output, so a slice
+// run twice or lost would show). The mid-launch window is raced, so
+// that case retries until the failure landed in flight.
 func TestNoHealthyDeviceParksUntilHeal(t *testing.T) {
-	rt := NewBoundedClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 2)
-	defer rt.Shutdown()
-	reg := telemetry.NewRegistry()
-	rt.SetTelemetry(nil, reg, nil)
-
-	app := rt.Connect("parked")
-	defer app.Close()
-	const n = 64 * 32
-	k, buf := setupIntKernel(t, app, churnSrc, "churn", n)
-	defer buf.Release()
-
-	rt.Pool().FailDevice(0)
-	done := make(chan error, 1)
-	go func() { done <- app.EnqueueKernel(k, churnND(n)) }()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.Pool().Parked() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("submit never parked")
-		}
-		time.Sleep(time.Millisecond)
+	plain := func() *Runtime { return NewRuntime(opencl.GetPlatforms()[0]) }
+	bounded := func() *Runtime {
+		return NewClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 2)
 	}
-	select {
-	case err := <-done:
-		t.Fatalf("kernel finished with every device failed: %v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
+	for _, tc := range []struct {
+		name      string
+		mk        func() *Runtime
+		midLaunch bool
+	}{
+		{"bounded/before-submit", bounded, false},
+		{"plain/before-submit", plain, false},
+		{"plain/mid-launch", plain, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := tc.mk()
+			defer rt.Shutdown()
+			reg := telemetry.NewRegistry()
+			rt.SetTelemetry(nil, reg, nil)
+			rt.SetSliceRounds(1) // fine slices: wide failure window, fast cancel
 
-	rt.Pool().HealDevice(0)
-	if err := <-done; err != nil {
-		t.Fatalf("parked kernel failed after heal: %v", err)
-	}
-	verifyChurn(t, buf, n)
-	if got := reg.Counter("launches_parked_total", telemetry.L("tenant", "parked")).Value(); got < 1 {
-		t.Errorf("launches_parked_total = %d, want >= 1", got)
+			app := rt.Connect("parked")
+			defer app.Close()
+			n := int64(64 * 32)
+			if tc.midLaunch {
+				n = 512 * 32
+			}
+			k, buf := setupIntKernel(t, app, churnSrc, "churn", n)
+			defer buf.Release()
+
+			for attempt := 0; attempt < 5; attempt++ {
+				if !tc.midLaunch {
+					rt.Pool().FailDevice(0)
+				}
+				done := make(chan error, 1)
+				go func() { done <- app.EnqueueKernel(k, churnND(n)) }()
+				if tc.midLaunch {
+					residentDevice(t, rt)
+					rt.Pool().FailDevice(0)
+				}
+
+				// Wait for the park — or, when raced, for the kernel to
+				// drain before the failure landed.
+				finished := false
+				for deadline := time.Now().Add(5 * time.Second); rt.Pool().Parked() == 0 && !finished; {
+					select {
+					case err := <-done:
+						if err != nil || !tc.midLaunch {
+							t.Fatalf("kernel finished with every device failed: %v", err)
+						}
+						finished = true
+					default:
+						if time.Now().After(deadline) {
+							t.Fatal("submit never parked")
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+				if finished {
+					rt.Pool().HealDevice(0)
+					if err := buf.Write(0, make([]byte, n*4)); err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("attempt %d: kernel completed before the device failure, retrying", attempt)
+					continue
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("kernel finished with every device failed: %v", err)
+				case <-time.After(50 * time.Millisecond):
+				}
+
+				rt.Pool().HealDevice(0)
+				if err := <-done; err != nil {
+					t.Fatalf("parked kernel failed after heal: %v", err)
+				}
+				verifyChurn(t, buf, n)
+				if got := reg.Counter("launches_parked_total", telemetry.L("tenant", "parked")).Value(); got < 1 {
+					t.Errorf("launches_parked_total = %d, want >= 1", got)
+				}
+				relaunched := reg.Counter("relaunches_total",
+					telemetry.L("kernel", "churn"), telemetry.L("reason", "device-failed")).Value()
+				if tc.midLaunch && relaunched < 1 {
+					t.Errorf("relaunches_total = %d, want >= 1 for a launch evicted in flight", relaunched)
+				}
+				return
+			}
+			t.Fatal("no attempt caught the kernel in flight")
+		})
 	}
 }
 
@@ -168,7 +226,7 @@ func TestRelaunchBudgetExhaustedDeviceLost(t *testing.T) {
 	if len(plats) < 2 {
 		t.Skip("needs two device models")
 	}
-	rt := NewBoundedClusterRuntime(plats, cluster.LeastLoaded(), 2)
+	rt := NewClusterRuntime(plats, cluster.LeastLoaded(), 2)
 	defer rt.Shutdown()
 	rt.SetSliceRounds(1)
 	rt.SetFaultPolicy(FaultPolicy{MaxRelaunches: -1})

@@ -166,29 +166,27 @@ func (rec *launchRec) stopWatchdog() {
 }
 
 // onEviction reacts to a device failure throwing an execution out of
-// the pool. A still-pending (queued or never-launched) execution simply
-// re-enters placement; an in-flight one is cancelled at its next slice
-// boundary with errDeviceEvicted, and its drive goroutine performs the
-// relaunch with the consumed prefix preserved.
+// the pool. One without a handle (queued, or never launched) simply
+// re-enters placement — the membership event of the new placement
+// claims it, exactly like a first admission; an in-flight one is
+// cancelled at its next slice boundary with errDeviceEvicted, and its
+// drive goroutine performs the relaunch with the consumed prefix
+// preserved. Pool events arrive in mutation order, so the admission
+// that gave the execution its handle has always been handled first.
 func (rt *Runtime) onEviction(ev cluster.PoolEvent) {
 	rt.launchMu.Lock()
-	if rec := rt.pending[ev.Exec]; rec != nil {
-		// Queued orphan: it stays parked in pending — the membership
-		// event of the new placement claims it, exactly like admit.
-		rt.launchMu.Unlock()
-		rt.submitToPool(rec)
-		return
-	}
+	rec := rt.execs[ev.Exec]
 	var h *opencl.LaunchHandle
-	for _, r := range rt.launches {
-		if r.ce == ev.Exec {
-			h = r.h
-			break
-		}
+	if rec != nil {
+		h = rec.h
 	}
 	rt.launchMu.Unlock()
-	if h != nil {
+	switch {
+	case rec == nil: // already settled
+	case h != nil:
 		h.Cancel(fmt.Errorf("%w (device %d)", errDeviceEvicted, ev.Dev))
+	default:
+		rt.submitToPool(rec)
 	}
 }
 
@@ -207,8 +205,6 @@ func (rt *Runtime) tryRelaunch(rec *launchRec, h *opencl.LaunchHandle) bool {
 	rt.launchMu.Lock()
 	rec.resumeAt = consumed
 	rec.h = nil
-	delete(rt.launches, rec.id)
-	rt.pending[rec.ce] = rec
 	rt.launchMu.Unlock()
 	rt.reg.Counter("relaunches_total",
 		telemetry.L("kernel", rec.kern), telemetry.L("reason", "device-failed")).Inc()

@@ -27,14 +27,12 @@ import (
 // Scheduler and the memory manager, sitting between ProxyCL applications
 // and the standard OpenCL system interface.
 type Runtime struct {
-	Plat  *opencl.Platform
-	Ctx   *opencl.Context
-	Queue *opencl.CommandQueue
+	Ctx *opencl.Context
 
-	// plats and pool are set when the runtime is constructed over a
-	// device pool (NewClusterRuntime): kernel executions are then placed
-	// per-device by the cluster policy and shares are planned against
-	// the chosen device's resident set only.
+	// plats are the platforms behind the device pool, index-aligned with
+	// its members: kernel executions are placed per device by the pool's
+	// policy and shares are planned against the chosen device's resident
+	// set only. A single device is a pool of one.
 	plats []*opencl.Platform
 	pool  *cluster.Pool
 
@@ -45,25 +43,22 @@ type Runtime struct {
 	quit  chan struct{}
 	wg    sync.WaitGroup
 
-	mu      sync.Mutex
-	nextApp int
+	mu          sync.Mutex
+	nextApp     int
+	sliceRounds int64
 
-	activeMu sync.Mutex
-	active   map[int]*sim.KernelExec // in-flight kernel executions, for share planning
-	nextExec int
-
-	// launchMu guards the sliced-execution bookkeeping: in-flight launch
-	// handles, requests parked until pool admission, and the plan log.
+	// launchMu guards the launch registry — every execution from
+	// interception to its terminal event, keyed by its pool request —
+	// the handle and resume point on each record, and the plan ring.
 	launchMu sync.Mutex
-	launches map[int]*launchRec
-	pending  map[*sim.ClusterExec]*launchRec
-	planLog  []PlanSample
+	execs    map[*sim.ClusterExec]*launchRec
+	nextExec int
+	planLog  []PlanSample // ring of the last planLogSize samples
+	planNext int          // ring slot the next sample overwrites
 
 	// replanMu serializes plan computation + push so a stale plan can
 	// never overwrite a newer one on the launch handles.
 	replanMu sync.Mutex
-
-	sliceRounds int64
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -88,17 +83,21 @@ type Runtime struct {
 	quarKills map[string]int
 }
 
+// planLogSize bounds PlanHistory: a daemon re-plans on every arrival and
+// completion, so an unbounded log would grow for as long as it serves.
+const planLogSize = 1024
+
 // launchRec tracks one kernel execution from interception to
-// completion: deferred while its wait list is incomplete, parked while
-// awaiting pool admission, then bound to a LaunchHandle and driven slice
-// by slice. Its event is the application's handle to the execution.
+// completion: deferred while its wait list is incomplete, parked (h nil)
+// while awaiting pool admission or between relaunches, then bound to a
+// LaunchHandle and driven slice by slice. Its event is the application's
+// handle to the execution.
 type launchRec struct {
 	id      int
 	app     string
 	kern    string
-	exec    *sim.KernelExec
-	ce      *sim.ClusterExec // cluster path only
-	devIdx  int
+	ce      *sim.ClusterExec // the pool request; its registry key
+	devIdx  int              // pool member it runs on; -1 until first admitted
 	mod     *ir.Module
 	cl      *opencl.Kernel
 	nd      opencl.NDRange
@@ -146,19 +145,18 @@ type Stats struct {
 	// completion re-runs the §3 algorithm over the resident set).
 	Replans int
 	// QueuedAdmissions counts executions that waited in a device run
-	// queue before the completion event that admitted them (bounded
-	// cluster runtimes only).
+	// queue before the completion event that admitted them (runtimes
+	// with a residency bound only).
 	QueuedAdmissions int
 	// WaitDeferred counts kernel executions that arrived with an
 	// incomplete wait list: the scheduler saw them as its pending window
 	// before their dependencies released them.
 	WaitDeferred int
 	// Rejected counts executions refused at admission because the target
-	// device's run queue was at its bound (cluster runtimes with
-	// SetMaxQueued only); their events fail with ErrAdmissionRejected.
+	// device's run queue was at its bound (Pool().SetMaxQueued); their
+	// events fail with ErrAdmissionRejected.
 	Rejected int
-	// DeviceLaunches counts launches per pool member (cluster runtimes
-	// only; nil for single-device runtimes).
+	// DeviceLaunches counts launches per pool member.
 	DeviceLaunches []int
 }
 
@@ -181,18 +179,41 @@ type Request struct {
 	reply chan error
 }
 
-// NewRuntime starts the accelOS daemon on a platform.
+// NewRuntime starts the accelOS daemon on one platform: a pool of one,
+// unbounded, so every request is resident the moment it is admitted.
 func NewRuntime(plat *opencl.Platform) *Runtime {
-	rt := &Runtime{
-		Plat:     plat,
-		Ctx:      plat.CreateContext(),
-		reqCh:    make(chan *Request, 64),
-		quit:     make(chan struct{}),
-		active:   make(map[int]*sim.KernelExec),
-		launches: make(map[int]*launchRec),
-		pending:  make(map[*sim.ClusterExec]*launchRec),
+	return NewClusterRuntime([]*opencl.Platform{plat}, nil, 0)
+}
+
+// NewClusterRuntime starts the accelOS daemon over a pool of platforms.
+// Kernel execution requests are placed on a pool member by the cluster
+// placement policy (nil means least-loaded); the §3 share plan then
+// divides only that device among its resident kernels, with each
+// application acting as one tenant. Each pool member runs at most
+// maxResident kernels concurrently (0 = unbounded): excess submissions
+// wait in the device's run queue, and the completion event that frees a
+// slot admits and launches them — the pool's membership events drive
+// the whole live scheduling loop. Memory management and JIT compilation
+// stay on the primary platform (plats[0]); this in-process reproduction
+// shares one functional store, as buffers are plain host memory.
+func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident int) *Runtime {
+	if len(plats) == 0 {
+		panic("accelos: runtime needs at least one platform")
 	}
-	rt.Queue = rt.Ctx.CreateCommandQueue()
+	devs := make([]*device.Platform, len(plats))
+	for i, p := range plats {
+		devs[i] = p.Dev
+	}
+	rt := &Runtime{
+		Ctx:   plats[0].CreateContext(),
+		plats: plats,
+		pool:  cluster.NewPool(devs, pol, maxResident),
+		reqCh: make(chan *Request, 64),
+		quit:  make(chan struct{}),
+		execs: make(map[*sim.ClusterExec]*launchRec),
+	}
+	rt.pool.SetObserver(rt.onPoolEvent)
+	rt.stats.DeviceLaunches = make([]int, len(plats))
 	rt.mem = NewMemoryManager(rt.Ctx.GlobalMemBytes())
 	rt.mon = &Monitor{
 		OnJIT:      rt.jitProgram,
@@ -204,40 +225,8 @@ func NewRuntime(plat *opencl.Platform) *Runtime {
 	return rt
 }
 
-// NewClusterRuntime starts the accelOS daemon over a pool of platforms.
-// Kernel execution requests are placed on a pool member by the cluster
-// placement policy (nil means least-loaded); the §3 share plan then
-// divides only that device among its resident kernels, with each
-// application acting as one tenant. Memory management and JIT
-// compilation stay on the primary platform (plats[0]); this in-process
-// reproduction shares one functional store, as buffers are plain host
-// memory.
-func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy) *Runtime {
-	return NewBoundedClusterRuntime(plats, pol, 0)
-}
-
-// NewBoundedClusterRuntime is NewClusterRuntime with an admission bound:
-// each pool member runs at most maxResident kernels concurrently (0 =
-// unbounded). Excess submissions wait in the device's run queue; the
-// completion event that frees a slot admits and launches them — the
-// pool's membership events drive the whole live scheduling loop.
-func NewBoundedClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident int) *Runtime {
-	if len(plats) == 0 {
-		panic("accelos: cluster runtime needs at least one platform")
-	}
-	rt := NewRuntime(plats[0])
-	devs := make([]*device.Platform, len(plats))
-	for i, p := range plats {
-		devs[i] = p.Dev
-	}
-	rt.plats = plats
-	rt.pool = cluster.NewPool(devs, pol, maxResident)
-	rt.pool.SetObserver(rt.onPoolEvent)
-	rt.stats.DeviceLaunches = make([]int, len(plats))
-	return rt
-}
-
-// Pool exposes the device pool of a cluster runtime (nil otherwise).
+// Pool exposes the runtime's device pool: residency and queue bounds,
+// device fail/heal, load snapshots.
 func (rt *Runtime) Pool() *cluster.Pool { return rt.pool }
 
 // ErrAdmissionRejected fails a kernel execution's event when the
@@ -267,11 +256,8 @@ func (rt *Runtime) SetTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, s
 	if reg != nil {
 		sink = warpTelemetry{reg}
 	}
-	rt.Plat.Machines().SetWarpStats(sink)
 	for _, plat := range rt.plats {
-		if plat != rt.Plat {
-			plat.Machines().SetWarpStats(sink)
-		}
+		plat.Machines().SetWarpStats(sink)
 	}
 	// Shared-program-cache hits and misses, labeled with the cached
 	// program's tier, make tier promotions and cold compiles observable.
@@ -305,11 +291,8 @@ func (c cacheTelemetry) ProgramCacheMiss(tier int) {
 func (rt *Runtime) EnableTiering(opts interp.TierOptions) *interp.TierController {
 	tc := interp.NewTierController(opts)
 	rt.tier = tc
-	rt.Plat.Machines().SetTierController(tc)
 	for _, plat := range rt.plats {
-		if plat != rt.Plat {
-			plat.Machines().SetTierController(tc)
-		}
+		plat.Machines().SetTierController(tc)
 	}
 	rt.wireTierTelemetry()
 	return tc
@@ -358,11 +341,8 @@ func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
 // per-block profiles then accumulate for each kernel the interpreter
 // runs; see interp.NewProfiler for the sampling knobs.
 func (rt *Runtime) SetProfiler(p *interp.Profiler) {
-	rt.Plat.Machines().SetProfiler(p)
 	for _, plat := range rt.plats {
-		if plat != rt.Plat {
-			plat.Machines().SetProfiler(p)
-		}
+		plat.Machines().SetProfiler(p)
 	}
 }
 
@@ -372,9 +352,8 @@ func (rt *Runtime) SetProfiler(p *interp.Profiler) {
 func (rt *Runtime) Shutdown() {
 	close(rt.quit)
 	rt.wg.Wait()
-	rt.Plat.Machines().Close()
 	for _, plat := range rt.plats {
-		plat.Machines().Close() // idempotent: plats[0] is rt.Plat
+		plat.Machines().Close() // idempotent: a pool may name one platform twice
 	}
 }
 
@@ -383,9 +362,7 @@ func (rt *Runtime) Stats() Stats {
 	rt.statsMu.Lock()
 	defer rt.statsMu.Unlock()
 	s := rt.stats
-	if rt.stats.DeviceLaunches != nil {
-		s.DeviceLaunches = append([]int(nil), rt.stats.DeviceLaunches...)
-	}
+	s.DeviceLaunches = append([]int(nil), rt.stats.DeviceLaunches...)
 	return s
 }
 
@@ -522,30 +499,20 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 		ev.Fail(err)
 		return err
 	}
-	// Describe this execution for the resource-sharing algorithm.
-	exec := &sim.KernelExec{
-		WGSize:             nd.WGSize(),
-		NumWGs:             nd.TotalGroups(),
-		LocalBytes:         info.OrigLocalBytes,
-		RegsPerThread:      int64(info.Regs),
-		Chunk:              int64(info.Chunk),
-		TransRegsPerThread: int64(info.Regs) + 1,
-		TransLocalBytes:    info.LocalBytes,
-	}
-
-	rt.activeMu.Lock()
-	id := rt.nextExec
-	rt.nextExec++
-	exec.ID = id
-	rt.active[id] = exec
-	rt.activeMu.Unlock()
-	rt.mon.KernelQueued()
-
+	// Describe this execution for the resource-sharing algorithm, and
+	// register it: the scheduler sees it from here to its terminal event.
 	rec := &launchRec{
-		id:      id,
-		app:     req.App.Name,
-		kern:    k.name,
-		exec:    exec,
+		app:  req.App.Name,
+		kern: k.name,
+		ce: &sim.ClusterExec{Tenant: req.App.Name, K: &sim.KernelExec{
+			WGSize:             nd.WGSize(),
+			NumWGs:             nd.TotalGroups(),
+			LocalBytes:         info.OrigLocalBytes,
+			RegsPerThread:      int64(info.Regs),
+			Chunk:              int64(info.Chunk),
+			TransRegsPerThread: int64(info.Regs) + 1,
+			TransLocalBytes:    info.LocalBytes,
+		}},
 		devIdx:  -1,
 		mod:     k.prog.trans,
 		cl:      cl,
@@ -555,6 +522,13 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 		ev:      ev,
 		root:    rt.tracer.NewID(),
 	}
+	rt.launchMu.Lock()
+	rec.id = rt.nextExec
+	rt.nextExec++
+	rec.ce.K.ID = rec.id
+	rt.execs[rec.ce] = rec
+	rt.launchMu.Unlock()
+	rt.mon.KernelQueued()
 
 	deferred := false
 	for _, w := range req.Waits {
@@ -573,59 +547,54 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 	// execution and propagates the cause to its event.
 	opencl.WhenAll(req.Waits, func(depErr error) {
 		if depErr != nil {
-			rt.abandon(rec, fmt.Errorf("accelos: kernel %q: wait-list dependency failed: %w", rec.kern, depErr), "wait-failed")
+			rt.settle(rec, fmt.Errorf("accelos: kernel %q: wait-list dependency failed: %w", rec.kern, depErr), "wait-failed")
 			return
 		}
-		rt.admit(rec)
+		// The wait list just drained: the command leaves the pending
+		// window for the scheduler proper (profiling's queued→submitted
+		// boundary).
+		rec.ev.MarkSubmitted()
+		rt.submitToPool(rec)
 	})
 	return nil
 }
 
-// abandon retires an execution that will not run (again) — failed wait
-// list, refused admission, or a relaunch the pool rejected — and fails
-// its event with the cause; status labels the kernel in the metrics
-// registry. rec.started distinguishes the never-launched case from a
-// relaunch cut short, so the monitor's running count stays balanced.
-func (rt *Runtime) abandon(rec *launchRec, err error, status string) {
-	rt.activeMu.Lock()
-	delete(rt.active, rec.id)
-	rt.activeMu.Unlock()
+// settle retires an execution — completed, failed, or one that will not
+// run (again): failed wait list, refused admission, a relaunch the pool
+// rejected — from the registry, releases its device slot, re-plans the
+// device's survivors, and only then reports the outcome on its event:
+// a peer's regrown share is pushed before the application that made
+// room hears back. The re-plan is called here, not from the pool's
+// EvCompleted event, because another goroutine may be the one draining
+// pool events. status labels the kernel in the metrics registry;
+// rec.started keeps the monitor's pending and running counts apart.
+func (rt *Runtime) settle(rec *launchRec, err error, status string) {
+	rt.launchMu.Lock()
+	delete(rt.execs, rec.ce)
+	rt.launchMu.Unlock()
 	rt.mon.KernelRetired(rec.started)
 	rec.stopWatchdog()
-	rec.ev.Fail(err)
+	if rec.devIdx >= 0 {
+		// A no-op for an execution its device's failure already evicted.
+		rt.pool.Complete(rec.devIdx, rec.ce)
+		rt.replan(rec.devIdx)
+	}
+	if err != nil {
+		rec.ev.Fail(err)
+	} else {
+		rec.ev.Complete()
+	}
 	rt.recordKernel(rec, status)
 }
 
-// admit hands a wait-released execution to a device: on a cluster
-// runtime through the placement policy and pool admission control, on a
-// single device straight to the sliced launch path.
-func (rt *Runtime) admit(rec *launchRec) {
-	// The wait list just drained: the command leaves the pending window
-	// for the scheduler proper (profiling's queued→submitted boundary).
-	rec.ev.MarkSubmitted()
-	if rt.pool != nil {
-		// Cluster path: the placement policy routes the request to a
-		// pool member. The record is parked BEFORE Submit so that every
-		// admission — immediate, promoted from the run queue by a
-		// completion, or migrated by a rebalance — reaches the launch
-		// path the same way: as a pool membership event handled by
-		// onPoolEvent. Parking first closes the window where a
-		// concurrent completion could admit the request before the
-		// scheduler has registered it.
-		rec.ce = &sim.ClusterExec{K: rec.exec, Tenant: rec.app}
-		rt.launchMu.Lock()
-		rt.pending[rec.ce] = rec
-		rt.launchMu.Unlock()
-		rt.submitToPool(rec)
-		return
-	}
-	rt.startLaunch(rec)
-}
-
-// submitToPool hands a parked record to pool placement. Used for the
-// first admission, for queued orphans of a failed device, and for
-// relaunches; in every case the record is already in pending, so the
-// resulting membership event finds it.
+// submitToPool hands a registered, handle-less record to pool placement:
+// the first admission, a queued orphan of a failed device, or a
+// relaunch. The record is in the registry BEFORE Submit, so every
+// admission — immediate, promoted from the run queue by a completion,
+// migrated by a rebalance, re-admitted by a heal — reaches the launch
+// path the same way, as a pool membership event handled by onPoolEvent,
+// and a concurrent completion cannot admit a request the scheduler has
+// not registered yet.
 func (rt *Runtime) submitToPool(rec *launchRec) {
 	switch _, kind := rt.pool.Submit(rec.ce); kind {
 	case cluster.EvQueued:
@@ -635,50 +604,45 @@ func (rt *Runtime) submitToPool(rec *launchRec) {
 		rt.reg.Counter("admission_queued_total", telemetry.L("tenant", rec.app)).Add(1)
 	case cluster.EvParked:
 		// No healthy device: the pool holds the request until a
-		// HealDevice re-admits it; the record stays in pending.
+		// HealDevice re-admits it.
 		rt.reg.Counter("launches_parked_total", telemetry.L("tenant", rec.app)).Add(1)
 	case cluster.EvRejected:
-		// The request never joined the pool: un-park it here (the
-		// synchronous return is the only signal; no membership event
-		// will claim it) and fail the application's event.
-		rt.launchMu.Lock()
-		delete(rt.pending, rec.ce)
-		rt.launchMu.Unlock()
+		// The request never joined the pool (the synchronous return is
+		// the only signal; no membership event will claim it): fail the
+		// application's event.
 		rt.statsMu.Lock()
 		rt.stats.Rejected++
 		rt.statsMu.Unlock()
 		rt.reg.Counter("admission_rejections_total", telemetry.L("tenant", rec.app)).Add(1)
-		rt.abandon(rec, fmt.Errorf("accelos: kernel %q: %w", rec.kern, ErrAdmissionRejected), "rejected")
+		rt.settle(rec, fmt.Errorf("accelos: kernel %q: %w", rec.kern, ErrAdmissionRejected), "rejected")
 	}
 }
 
-// onPoolEvent is the cluster runtime's scheduling loop: installed as the
-// pool observer, it turns membership events into launches and re-plans.
+// onPoolEvent is the runtime's scheduling loop: installed as the pool
+// observer, it turns membership events into launches.
 func (rt *Runtime) onPoolEvent(ev cluster.PoolEvent) {
 	switch ev.Kind {
 	case cluster.EvAdmitted, cluster.EvMigrated:
 		rt.launchMu.Lock()
-		rec := rt.pending[ev.Exec]
-		delete(rt.pending, ev.Exec)
+		rec := rt.execs[ev.Exec]
 		rt.launchMu.Unlock()
 		if rec != nil {
 			rec.devIdx = ev.Dev
 			rt.startLaunch(rec)
 		}
 	case cluster.EvCompleted:
-		// §5 dynamic adaptation on completion: regrow the survivors'
-		// shares, then let an idle device steal queued work from its
+		// settle already re-planned the survivors (§5 adaptation on
+		// completion); let an idle device steal queued work from its
 		// peers (the resulting EvMigrated events re-enter this loop).
 		// Unbounded pools never queue, so they skip the donor scan.
-		rt.replan(ev.Dev)
 		if rt.pool.Bounded() {
 			rt.pool.Rebalance()
 		}
 	case cluster.EvQueued:
 		// Nothing to do: the request waits for the admission event.
 	case cluster.EvRejected:
-		// Handled synchronously by admit on Submit's return value; the
-		// event exists for external pool observers.
+		// Handled synchronously by submitToPool on Submit's return value;
+		// the event exists for external pool observers.
 	case cluster.EvDeviceFailed:
 		rt.reg.Counter("device_failures_total", telemetry.L("dev", strconv.Itoa(ev.Dev))).Inc()
 	case cluster.EvEvicted:
@@ -696,21 +660,13 @@ func (rt *Runtime) onPoolEvent(ev cluster.PoolEvent) {
 func (rt *Runtime) startLaunch(rec *launchRec) {
 	// A buffer released while the execution waited on its dependencies
 	// or in a device run queue fails the execution before it binds.
-	if err := rec.releasedArg(); err != nil {
-		rt.retire(rec)
-		rec.ev.Fail(err)
-		rt.recordKernel(rec, "failed")
-		return
+	err := rec.releasedArg()
+	var h *opencl.LaunchHandle
+	if err == nil {
+		h, err = opencl.NewLaunchHandle(rt.plats[rec.devIdx], rec.mod, rec.cl, rec.nd, rec.rtWords, 1, rec.rtWords[rtlib.RTChunk])
 	}
-	plat := rt.Plat
-	if rt.pool != nil && rec.devIdx >= 0 {
-		plat = rt.plats[rec.devIdx]
-	}
-	h, err := opencl.NewLaunchHandle(plat, rec.mod, rec.cl, rec.nd, rec.rtWords, 1, rec.rtWords[rtlib.RTChunk])
 	if err != nil {
-		rt.retire(rec)
-		rec.ev.Fail(err)
-		rt.recordKernel(rec, "failed")
+		rt.settle(rec, err, "failed")
 		return
 	}
 	rt.mu.Lock()
@@ -718,15 +674,14 @@ func (rt *Runtime) startLaunch(rec *launchRec) {
 		h.SetSliceRounds(rt.sliceRounds)
 	}
 	rt.mu.Unlock()
-	// Register handle and record together under the launch lock: the
-	// eviction handler and the watchdog both resolve "the handle
-	// currently driving this execution" through it, and relaunches swap
-	// it. A relaunch also resumes the consumed prefix — the virtual
-	// groups completed before the old device failed stay completed.
+	// Publish the handle under the launch lock: the eviction handler,
+	// the re-planner and the watchdog all resolve "the handle currently
+	// driving this execution" through it, and relaunches swap it. A
+	// relaunch also resumes the consumed prefix — the virtual groups
+	// completed before the old device failed stay completed.
 	rt.launchMu.Lock()
 	rec.h = h
 	resumeAt := rec.resumeAt
-	rt.launches[rec.id] = rec
 	rt.launchMu.Unlock()
 	if resumeAt > 0 {
 		h.ResumeAt(resumeAt)
@@ -739,9 +694,7 @@ func (rt *Runtime) startLaunch(rec *launchRec) {
 
 	rt.statsMu.Lock()
 	rt.stats.KernelsLaunched++
-	if rec.devIdx >= 0 {
-		rt.stats.DeviceLaunches[rec.devIdx]++
-	}
+	rt.stats.DeviceLaunches[rec.devIdx]++
 	rt.statsMu.Unlock()
 
 	rec.ev.MarkRunning()
@@ -802,19 +755,15 @@ func (rt *Runtime) drive(rec *launchRec, h *opencl.LaunchHandle) {
 		}
 		rt.noteWatchdogKill(rec)
 	}
-	rec.stopWatchdog()
-	rt.retire(rec)
+	status := "ok"
 	if lerr != nil {
-		rec.ev.Fail(lerr)
-		rt.recordKernel(rec, "failed")
-	} else {
-		rec.ev.Complete()
-		rt.recordKernel(rec, "ok")
+		status = "failed"
 	}
+	rt.settle(rec, lerr, status)
 }
 
-// devLabel renders the execution's device index for metric labels
-// (single-device runtimes launch everything on device 0).
+// devLabel renders the execution's device index for metric labels (an
+// execution abandoned before any admission is counted under device 0).
 func (rec *launchRec) devLabel() string {
 	if rec.devIdx >= 0 {
 		return strconv.Itoa(rec.devIdx)
@@ -908,69 +857,45 @@ func (rec *launchRec) releasedArg() error {
 	return nil
 }
 
-// retire removes a finished (or failed) execution from every registry
-// and triggers the completion re-plan for its device's survivors.
-func (rt *Runtime) retire(rec *launchRec) {
-	rt.activeMu.Lock()
-	delete(rt.active, rec.id)
-	rt.activeMu.Unlock()
-	rt.mon.KernelRetired(rec.started)
-	rt.launchMu.Lock()
-	delete(rt.launches, rec.id)
-	rt.launchMu.Unlock()
-	if rt.pool != nil && rec.ce != nil {
-		// Complete emits EvCompleted; onPoolEvent re-plans from there.
-		rt.pool.Complete(rec.devIdx, rec.ce)
-		return
-	}
-	rt.replan(-1)
-}
-
-// replan re-runs the §3 resource-sharing algorithm over the current
-// resident set (one device of the pool, or the whole platform) and
-// pushes the result to every in-flight launch handle, which applies it
-// at its next slice boundary.
+// replan re-runs the §3 resource-sharing algorithm over one device's
+// resident set — each application one tenant, so a tenant's share does
+// not grow with the number of kernels it keeps resident — and pushes the
+// result to every in-flight launch handle, which applies it at its next
+// slice boundary.
 func (rt *Runtime) replan(devIdx int) {
 	rt.replanMu.Lock()
 	defer rt.replanMu.Unlock()
-	var launches []*sim.Launch
-	if rt.pool != nil && devIdx >= 0 {
-		resident := rt.pool.ResidentOn(devIdx)
-		kes := make([]*sim.KernelExec, len(resident))
-		tenants := make([]string, len(resident))
-		for i, r := range resident {
-			kes[i] = r.K
-			tenants[i] = r.Tenant
-		}
-		launches = PlanTenantShares(rt.plats[devIdx].Dev, kes, tenants, nil, false)
-	} else {
-		// Plan over launched executions only: rt.active also holds the
-		// pending window (wait-deferred kernels), and allocating device
-		// share to kernels that cannot run yet would shrink the running
-		// set's slices while that share sat idle.
-		rt.launchMu.Lock()
-		kes := make([]*sim.KernelExec, 0, len(rt.launches))
-		for _, r := range rt.launches {
-			kes = append(kes, r.exec)
-		}
-		rt.launchMu.Unlock()
-		launches = PlanShares(rt.Plat.Dev, kes, false)
-	}
-	if len(launches) == 0 {
+	resident := rt.pool.ResidentOn(devIdx)
+	if len(resident) == 0 {
 		return
 	}
+	kes := make([]*sim.KernelExec, len(resident))
+	tenants := make([]string, len(resident))
+	for i, r := range resident {
+		kes[i] = r.K
+		tenants[i] = r.Tenant
+	}
+	launches := PlanTenantShares(rt.plats[devIdx].Dev, kes, tenants, nil, false)
 	rt.mon.Reschedule()
 	rt.launchMu.Lock()
-	for _, l := range launches {
-		rec := rt.launches[l.K.ID]
+	for i, l := range launches {
+		// A resident request without a handle was admitted but has not
+		// reached startLaunch yet; its own arrival re-plan covers it.
+		rec := rt.execs[resident[i]]
 		if rec == nil || rec.h == nil {
 			continue
 		}
 		rec.h.UpdatePlan(l.PhysWGs, l.Chunk)
-		rt.planLog = append(rt.planLog, PlanSample{
+		sample := PlanSample{
 			App: rec.app, Kernel: rec.kern, ExecID: rec.id,
 			PhysWGs: l.PhysWGs, Chunk: l.Chunk,
-		})
+		}
+		if len(rt.planLog) < planLogSize {
+			rt.planLog = append(rt.planLog, sample)
+		} else {
+			rt.planLog[rt.planNext] = sample
+		}
+		rt.planNext = (rt.planNext + 1) % planLogSize
 	}
 	rt.launchMu.Unlock()
 	rt.statsMu.Lock()
@@ -982,12 +907,13 @@ func (rt *Runtime) replan(devIdx int) {
 	rt.reg.Counter("replans_total").Inc()
 }
 
-// PlanHistory returns every allocation the dynamic re-planner pushed to
-// an in-flight execution, in push order.
+// PlanHistory returns the most recent allocations (up to planLogSize)
+// the dynamic re-planner pushed to in-flight executions, in push order.
 func (rt *Runtime) PlanHistory() []PlanSample {
 	rt.launchMu.Lock()
 	defer rt.launchMu.Unlock()
-	return append([]PlanSample(nil), rt.planLog...)
+	// Until the ring wraps planNext == len(planLog): the first part is empty.
+	return append(append([]PlanSample(nil), rt.planLog[rt.planNext:]...), rt.planLog[:rt.planNext]...)
 }
 
 // SetSliceRounds tunes the slice granularity of subsequently scheduled
@@ -1014,9 +940,9 @@ func (rt *Runtime) passthrough(req *Request) error {
 // ActiveExecutions returns how many kernel executions are currently
 // in flight.
 func (rt *Runtime) ActiveExecutions() int {
-	rt.activeMu.Lock()
-	defer rt.activeMu.Unlock()
-	return len(rt.active)
+	rt.launchMu.Lock()
+	defer rt.launchMu.Unlock()
+	return len(rt.execs)
 }
 
 // InstrCountOf reports the JIT instruction count of a built kernel (used

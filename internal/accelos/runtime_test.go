@@ -86,8 +86,16 @@ func TestRuntimeEndToEnd(t *testing.T) {
 			t.Fatalf("c[%d] = %v, want %v", i, got, float32(4*i))
 		}
 	}
-	if got := rt.Stats().KernelsLaunched; got != 1 {
-		t.Errorf("KernelsLaunched = %d, want 1", got)
+	st := rt.Stats()
+	if st.KernelsLaunched != 1 {
+		t.Errorf("KernelsLaunched = %d, want 1", st.KernelsLaunched)
+	}
+	// One device is a pool of one: same counters, same pool surface.
+	if len(st.DeviceLaunches) != 1 || st.DeviceLaunches[0] != 1 {
+		t.Errorf("DeviceLaunches = %v, want [1]", st.DeviceLaunches)
+	}
+	if rt.Pool() == nil || len(rt.Pool().Devices()) != 1 {
+		t.Error("a one-device runtime should expose its pool of one")
 	}
 }
 
@@ -244,7 +252,7 @@ func TestMemoryManagerOversubscription(t *testing.T) {
 // round-robin policy must route launches across both platforms, and the
 // cluster scheduling path must preserve functional results.
 func TestClusterRuntimeSpreadsLaunches(t *testing.T) {
-	rt := NewClusterRuntime(opencl.GetPlatforms(), cluster.RoundRobin())
+	rt := NewClusterRuntime(opencl.GetPlatforms(), cluster.RoundRobin(), 0)
 	defer rt.Shutdown()
 
 	const apps, n, iters = 2, 512, 3

@@ -28,97 +28,8 @@ const inf = int64(1) << 62
 // operation); the optimized variant uses the adaptive chunk recorded in
 // each KernelExec.
 func PlanShares(dev *device.Platform, execs []*sim.KernelExec, naive bool) []*sim.Launch {
-	k := int64(len(execs))
-	if k == 0 {
-		// No requests: nothing to plan. Returning before any device
-		// access keeps PlanShares(nil, nil, naive) safe — callers probe
-		// an empty schedule without holding a device.
-		return nil
-	}
-	launches := make([]*sim.Launch, len(execs))
-	caps := make([]int64, len(execs))
-	fps := make([]device.Footprint, len(execs))
-
-	for i, ke := range execs {
-		fp := ke.TransFootprint()
-		fps[i] = fp
-		w := dev.RoundWarp(fp.Threads)
-
-		x := dev.TotalThreads() / (k * w)
-		y := inf
-		if fp.LocalBytes > 0 {
-			y = dev.TotalLocalMem() / (k * fp.LocalBytes)
-		}
-		z := inf
-		if fp.Regs > 0 {
-			z = dev.TotalRegs() / (k * fp.Regs)
-		}
-		n := min3(x, y, z)
-		if n < 1 {
-			n = 1
-		}
-		caps[i] = ke.NumWGs
-		if occ := dev.MaxConcurrentWGs(fp); occ < caps[i] {
-			caps[i] = occ
-		}
-		if caps[i] < 1 {
-			caps[i] = 1
-		}
-		if n > caps[i] {
-			n = caps[i]
-		}
-		chunk := ke.Chunk
-		if naive || chunk < 1 {
-			chunk = 1
-		}
-		// Keep several dequeues per worker so chunk-granularity tails
-		// stay small: a chunk near the per-worker share would serialize
-		// small grids.
-		if cap := ke.NumWGs / (n * 8); chunk > cap {
-			chunk = cap
-			if chunk < 1 {
-				chunk = 1
-			}
-		}
-		launches[i] = &sim.Launch{K: ke, PhysWGs: n, Chunk: chunk, FP: fp}
-	}
-
-	// Greedy growth until saturation.
-	fits := func() bool {
-		var th, lm, rg int64
-		for i, l := range launches {
-			th += l.PhysWGs * dev.RoundWarp(fps[i].Threads)
-			lm += l.PhysWGs * fps[i].LocalBytes
-			rg += l.PhysWGs * fps[i].Regs
-		}
-		return th <= dev.TotalThreads() && lm <= dev.TotalLocalMem() && rg <= dev.TotalRegs()
-	}
-	// Grow the kernel with the smallest thread share first, keeping the
-	// equal-share objective (min_i min_j |x_i·w_i − x_j·w_j|) while
-	// filling leftover capacity.
-	for {
-		best := -1
-		var bestThreads int64 = 1 << 62
-		for i, l := range launches {
-			if l.PhysWGs >= caps[i] {
-				continue
-			}
-			th := l.PhysWGs * dev.RoundWarp(fps[i].Threads)
-			if th < bestThreads {
-				best, bestThreads = i, th
-			}
-		}
-		if best < 0 {
-			break
-		}
-		launches[best].PhysWGs++
-		if !fits() {
-			launches[best].PhysWGs--
-			caps[best] = launches[best].PhysWGs // saturated: stop growing it
-			continue
-		}
-	}
-	return launches
+	k := float64(len(execs))
+	return planFractions(dev, execs, func(int) float64 { return 1 / k }, naive)
 }
 
 func min3(a, b, c int64) int64 {
@@ -148,9 +59,6 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 	if len(weights) != len(execs) {
 		panic("accelos: PlanWeighted needs one weight per kernel")
 	}
-	if len(execs) == 0 {
-		return nil // nil-device safe, like PlanShares
-	}
 	var sum float64
 	for _, w := range weights {
 		if w <= 0 {
@@ -158,41 +66,63 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		}
 		sum += w
 	}
+	return planFractions(dev, execs, func(i int) float64 { return weights[i] / sum }, naive)
+}
+
+// planFractions is the one body of the §3 algorithm: frac(i) is kernel
+// i's fraction of every device resource (1/K under equal sharing, where
+// "furthest below its share" is simply "smallest thread share").
+func planFractions(dev *device.Platform, execs []*sim.KernelExec, frac func(i int) float64, naive bool) []*sim.Launch {
+	if len(execs) == 0 {
+		// No requests: nothing to plan. Returning before any device
+		// access keeps PlanShares(nil, nil, naive) safe — callers probe
+		// an empty schedule without holding a device.
+		return nil
+	}
 	launches := make([]*sim.Launch, len(execs))
-	caps := make([]int64, len(execs))
-	fps := make([]device.Footprint, len(execs))
+	// Per kernel: the cap on its allocation, the threads one of its
+	// groups occupies, and its weighted thread share.
+	type bound struct {
+		cap, threads int64
+		want         float64
+	}
+	bounds := make([]bound, len(execs))
 	for i, ke := range execs {
 		fp := ke.TransFootprint()
-		fps[i] = fp
-		frac := weights[i] / sum
-		w := dev.RoundWarp(fp.Threads)
-		x := int64(frac * float64(dev.TotalThreads()) / float64(w))
+		f := frac(i)
+		b := &bounds[i]
+		b.threads = dev.RoundWarp(fp.Threads)
+		b.want = f * float64(dev.TotalThreads())
+		x := int64(b.want / float64(b.threads))
 		y := inf
 		if fp.LocalBytes > 0 {
-			y = int64(frac * float64(dev.TotalLocalMem()) / float64(fp.LocalBytes))
+			y = int64(f * float64(dev.TotalLocalMem()) / float64(fp.LocalBytes))
 		}
 		z := inf
 		if fp.Regs > 0 {
-			z = int64(frac * float64(dev.TotalRegs()) / float64(fp.Regs))
+			z = int64(f * float64(dev.TotalRegs()) / float64(fp.Regs))
 		}
 		n := min3(x, y, z)
 		if n < 1 {
 			n = 1
 		}
-		caps[i] = ke.NumWGs
-		if occ := dev.MaxConcurrentWGs(fp); occ < caps[i] {
-			caps[i] = occ
+		b.cap = ke.NumWGs
+		if occ := dev.MaxConcurrentWGs(fp); occ < b.cap {
+			b.cap = occ
 		}
-		if caps[i] < 1 {
-			caps[i] = 1
+		if b.cap < 1 {
+			b.cap = 1
 		}
-		if n > caps[i] {
-			n = caps[i]
+		if n > b.cap {
+			n = b.cap
 		}
 		chunk := ke.Chunk
 		if naive || chunk < 1 {
 			chunk = 1
 		}
+		// Keep several dequeues per worker so chunk-granularity tails
+		// stay small: a chunk near the per-worker share would serialize
+		// small grids.
 		if cap := ke.NumWGs / (n * 8); chunk > cap {
 			chunk = cap
 			if chunk < 1 {
@@ -201,27 +131,27 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		}
 		launches[i] = &sim.Launch{K: ke, PhysWGs: n, Chunk: chunk, FP: fp}
 	}
-	// Greedy growth, preferring the kernel furthest below its weighted
-	// thread share.
 	fits := func() bool {
 		var th, lm, rg int64
 		for i, l := range launches {
-			th += l.PhysWGs * dev.RoundWarp(fps[i].Threads)
-			lm += l.PhysWGs * fps[i].LocalBytes
-			rg += l.PhysWGs * fps[i].Regs
+			th += l.PhysWGs * bounds[i].threads
+			lm += l.PhysWGs * l.FP.LocalBytes
+			rg += l.PhysWGs * l.FP.Regs
 		}
 		return th <= dev.TotalThreads() && lm <= dev.TotalLocalMem() && rg <= dev.TotalRegs()
 	}
+	// Greedy growth until saturation, the kernel furthest below its
+	// thread share first: that keeps the share objective
+	// (min_i min_j |x_i·w_i − x_j·w_j| under equal sharing) while
+	// filling leftover capacity.
 	for {
 		best := -1
 		bestGap := 0.0
 		for i, l := range launches {
-			if l.PhysWGs >= caps[i] {
+			if l.PhysWGs >= bounds[i].cap {
 				continue
 			}
-			want := weights[i] / sum * float64(dev.TotalThreads())
-			got := float64(l.PhysWGs * dev.RoundWarp(fps[i].Threads))
-			gap := want - got
+			gap := bounds[i].want - float64(l.PhysWGs*bounds[i].threads)
 			if best < 0 || gap > bestGap {
 				best, bestGap = i, gap
 			}
@@ -232,7 +162,7 @@ func PlanWeighted(dev *device.Platform, execs []*sim.KernelExec, weights []float
 		launches[best].PhysWGs++
 		if !fits() {
 			launches[best].PhysWGs--
-			caps[best] = launches[best].PhysWGs
+			bounds[best].cap = launches[best].PhysWGs // saturated: stop growing it
 		}
 	}
 	return launches

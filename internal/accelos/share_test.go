@@ -1,10 +1,13 @@
 package accelos
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/device"
+	"repro/internal/parboil"
 	"repro/internal/sim"
 )
 
@@ -302,4 +305,63 @@ func TestPlanTenantSharesValidation(t *testing.T) {
 	}
 	mustPanic(func() { PlanTenantShares(dev, execs, []string{"a", "b"}, nil, false) })
 	mustPanic(func() { PlanTenantShares(dev, execs, []string{"a"}, map[string]float64{"a": -1}, false) })
+}
+
+// TestPlanSharesIsTheUnitWeightPlan pins the equivalence that lets
+// PlanShares, PlanWeighted and PlanTenantShares share one body: on a
+// seeded table of populations drawn from the 25 Parboil kernels (K up
+// to 8, both devices, naive and tuned, some with reshaped grids) equal
+// sharing, unit weights and one-kernel-per-tenant give the same plan,
+// and that plan still starts from the paper's integer seed
+// min(T/(K·w), L/(K·m), R/(K·r)) — the body computes it in floating
+// point, and the chunk is fixed from the seed before growth, so a
+// rounding slip below an exact quotient would show up here.
+func TestPlanSharesIsTheUnitWeightPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	kernels := parboil.Kernels()
+	devs := device.Platforms()
+	for trial := 0; trial < 4000; trial++ {
+		k := 1 + rng.Intn(8)
+		dev := devs[rng.Intn(len(devs))]
+		naive := rng.Intn(2) == 0
+		execs := make([]*sim.KernelExec, k)
+		unit := make([]float64, k)
+		tenants := make([]string, k)
+		for i := range execs {
+			execs[i] = kernels[rng.Intn(len(kernels))].Exec(i)
+			if rng.Intn(3) == 0 {
+				execs[i].NumWGs = 1 + rng.Int63n(5000)
+				execs[i].WGSize = int64(1+rng.Intn(32)) * 32
+				execs[i].TransLocalBytes = 32 + rng.Int63n(16384)
+			}
+			unit[i] = 1
+			tenants[i] = fmt.Sprint("tenant", i)
+		}
+		plain := PlanShares(dev, execs, naive)
+		weighted := PlanWeighted(dev, execs, unit, naive)
+		perTenant := PlanTenantShares(dev, execs, tenants, nil, naive)
+		for i, ke := range execs {
+			fp := ke.TransFootprint()
+			seed := min3(dev.TotalThreads()/(int64(k)*dev.RoundWarp(fp.Threads)),
+				dev.TotalLocalMem()/(int64(k)*fp.LocalBytes),
+				dev.TotalRegs()/(int64(k)*fp.Regs))
+			seed = max(1, min(seed, ke.NumWGs, dev.MaxConcurrentWGs(fp)))
+			chunk := ke.Chunk
+			if naive {
+				chunk = 1
+			}
+			chunk = max(1, min(chunk, ke.NumWGs/(seed*8)))
+			p := plain[i]
+			if p.PhysWGs < seed || p.Chunk != chunk {
+				t.Fatalf("trial %d (K=%d, %s) kernel %d: plan %d groups chunk %d, integer seed %d chunk %d",
+					trial, k, dev.Name, i, p.PhysWGs, p.Chunk, seed, chunk)
+			}
+			for name, other := range map[string]*sim.Launch{"PlanWeighted": weighted[i], "PlanTenantShares": perTenant[i]} {
+				if other.PhysWGs != p.PhysWGs || other.Chunk != p.Chunk {
+					t.Fatalf("trial %d (K=%d, %s) kernel %d: PlanShares %d/%d, %s %d/%d",
+						trial, k, dev.Name, i, p.PhysWGs, p.Chunk, name, other.PhysWGs, other.Chunk)
+				}
+			}
+		}
+	}
 }

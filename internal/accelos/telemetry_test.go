@@ -47,6 +47,15 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	app.Finish()
+	// The runtime records a kernel's telemetry after completing its event
+	// (the record reads the event's terminal stamps), so the reply can
+	// overtake it; the scorecard sample is the last thing written.
+	for deadline := time.Now().Add(5 * time.Second); len(score.Compute().Tenants) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("kernel telemetry never recorded")
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	spans := tr.Spans()
 	var root *telemetry.Span
@@ -147,7 +156,7 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 // ErrAdmissionRejected, the rejection is counted per tenant, and the
 // accepted executions still complete.
 func TestRuntimeAdmissionRejection(t *testing.T) {
-	rt := NewBoundedClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 1)
+	rt := NewClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 1)
 	defer rt.Shutdown()
 	rt.Pool().SetMaxQueued(1)
 	rt.SetSliceRounds(1)

@@ -273,6 +273,45 @@ func TestPoolAdmissionAndSteal(t *testing.T) {
 	}
 }
 
+// TestPoolChargesWorkOnce: the work a request adds to its device's load
+// is computed at Submit and remembered, so what Complete, Rebalance and
+// HealDevice move is exactly what was charged — even if the caller's
+// description of the request changed meanwhile — and a drained pool
+// reads zero pending work.
+func TestPoolChargesWorkOnce(t *testing.T) {
+	devs := []*device.Platform{device.NVIDIAK20m(), device.AMDR9295X2()}
+	p := cluster.NewPool(devs, cluster.RoundRobin(), 1)
+	a := &sim.ClusterExec{K: &sim.KernelExec{ID: 1, WGSize: 64, NumWGs: 40, BaseWGCost: 100, Imbalance: 0.5}, Tenant: "a"}
+	b := &sim.ClusterExec{K: &sim.KernelExec{ID: 2, WGSize: 64, NumWGs: 8}, Tenant: "b"}
+	c := &sim.ClusterExec{K: &sim.KernelExec{ID: 3, WGSize: 64, NumWGs: 16, Iters: 3}, Tenant: "c"}
+	da, _ := p.Submit(a)
+	db, _ := p.Submit(b)
+	if _, kind := p.Submit(c); kind != cluster.EvQueued || da != 0 || db != 1 {
+		t.Fatalf("setup: a on %d, b on %d, c %v; want 0, 1, queued", da, db, kind)
+	}
+	charged := p.Loads()
+	if want := a.K.TotalWork() + c.K.TotalWork()*3; charged[0].PendingWork != want {
+		t.Fatalf("device 0 charged %d, want %d", charged[0].PendingWork, want)
+	}
+	cWork := c.K.TotalWork() * 3
+	a.K.NumWGs, c.K.Iters = 4000, 1 // must not move the books
+	p.Complete(db, b)
+	if moved := p.Rebalance(); moved[c] != 1 {
+		t.Fatalf("c did not migrate to the drained device: %v", moved)
+	}
+	if l := p.Loads(); l[1].PendingWork != cWork || l[0].PendingWork != charged[0].PendingWork-cWork {
+		t.Errorf("after migrating c: pending %d and %d, want %d and %d",
+			l[0].PendingWork, l[1].PendingWork, charged[0].PendingWork-cWork, cWork)
+	}
+	p.Complete(da, a)
+	p.Complete(1, c)
+	for _, l := range p.Loads() {
+		if l.PendingWork != 0 {
+			t.Errorf("device %d: %d work pending in a drained pool", l.Index, l.PendingWork)
+		}
+	}
+}
+
 func TestPoolRebalanceFeedsIdleDevice(t *testing.T) {
 	devs := twoShapes()
 	// Sticky policy: everything on device 0.

@@ -28,8 +28,8 @@ type Pool struct {
 	// (and counted) instead of growing queues without bound.
 	maxQueued int
 
-	resident [][]*sim.ClusterExec
-	queued   [][]*sim.ClusterExec
+	resident [][]slot
+	queued   [][]slot
 	// work estimates pending cost units per device for load snapshots.
 	work []int64
 
@@ -37,7 +37,7 @@ type Pool struct {
 	// holds requests that arrived while no healthy device existed,
 	// re-admitted in order by the next HealDevice.
 	failed []bool
-	parked []*sim.ClusterExec
+	parked []slot
 
 	observer func(PoolEvent)
 	// evq and notifying serialize event delivery: every mutation appends
@@ -46,12 +46,21 @@ type Pool struct {
 	// changed. (Firing from each mutating goroutine after unlock — the
 	// previous scheme — let a racing FailDevice's eviction overtake the
 	// admission it evicted, double-placing the request downstream.)
-	evq       []PoolEvent
-	notifying bool
+	evq, spare []PoolEvent
+	notifying  bool
 
 	// inj, when set, is consulted after every placement: a DeviceFail
 	// fire kills the device the request just landed on (chaos harness).
 	inj *fault.Injector
+}
+
+// slot is one request in the pool with the work it was charged at
+// Submit: summing a kernel's virtual-group costs walks its whole grid,
+// so it is done once, outside the pool lock, and every later move
+// (completion, heal, migration) reuses the figure.
+type slot struct {
+	e    *sim.ClusterExec
+	work int64
 }
 
 // PoolEventKind classifies a pool membership change.
@@ -134,15 +143,22 @@ func (p *Pool) dispatch() {
 		return
 	}
 	p.notifying = true
+	// Deliver batch by batch, handing the drained batch back as the next
+	// one's buffer: a pool in steady state appends into the same two
+	// arrays instead of allocating per event, and what an observer emits
+	// while a batch is out queues behind it, in order.
 	for len(p.evq) > 0 {
-		ev := p.evq[0]
-		p.evq = p.evq[1:]
-		fn := p.observer
+		batch, fn := p.evq, p.observer
+		p.evq = p.spare[:0]
 		p.mu.Unlock()
-		if fn != nil {
-			fn(ev)
+		for i, ev := range batch {
+			if fn != nil {
+				fn(ev)
+			}
+			batch[i] = PoolEvent{} // drop the request reference
 		}
 		p.mu.Lock()
+		p.spare = batch
 	}
 	p.notifying = false
 	p.mu.Unlock()
@@ -157,8 +173,8 @@ func NewPool(devs []*device.Platform, pol Policy, maxResident int) *Pool {
 		devs:        devs,
 		pol:         pol,
 		maxResident: maxResident,
-		resident:    make([][]*sim.ClusterExec, len(devs)),
-		queued:      make([][]*sim.ClusterExec, len(devs)),
+		resident:    make([][]slot, len(devs)),
+		queued:      make([][]slot, len(devs)),
 		work:        make([]int64, len(devs)),
 		failed:      make([]bool, len(devs)),
 	}
@@ -231,10 +247,11 @@ func (p *Pool) healthyLoadsLocked() []sim.DeviceLoad {
 // device exists; devIdx is -1 and the request waits in the parked set
 // until HealDevice re-admits it).
 func (p *Pool) Submit(e *sim.ClusterExec) (devIdx int, kind PoolEventKind) {
+	s := slot{e: e, work: e.K.TotalWork() * e.K.NumIters()}
 	p.mu.Lock()
 	loads := p.healthyLoadsLocked()
 	if len(loads) == 0 {
-		p.parked = append(p.parked, e)
+		p.parked = append(p.parked, s)
 		p.emitLocked(PoolEvent{Kind: EvParked, Dev: -1, Exec: e})
 		p.mu.Unlock()
 		p.dispatch()
@@ -246,7 +263,7 @@ func (p *Pool) Submit(e *sim.ClusterExec) (devIdx int, kind PoolEventKind) {
 	}
 	di = loads[di].Index
 	if p.maxResident <= 0 || len(p.resident[di]) < p.maxResident {
-		p.resident[di] = append(p.resident[di], e)
+		p.resident[di] = append(p.resident[di], s)
 		kind = EvAdmitted
 	} else if p.maxQueued > 0 && len(p.queued[di]) >= p.maxQueued {
 		// Rejected requests contribute no work: load snapshots must not
@@ -256,10 +273,10 @@ func (p *Pool) Submit(e *sim.ClusterExec) (devIdx int, kind PoolEventKind) {
 		p.dispatch()
 		return di, EvRejected
 	} else {
-		p.queued[di] = append(p.queued[di], e)
+		p.queued[di] = append(p.queued[di], s)
 		kind = EvQueued
 	}
-	p.work[di] += e.K.TotalWork() * e.K.NumIters()
+	p.work[di] += s.work
 	p.emitLocked(PoolEvent{Kind: kind, Dev: di, Exec: e})
 	inj := p.inj
 	p.mu.Unlock()
@@ -286,15 +303,15 @@ func (p *Pool) FailDevice(devIdx int) int {
 		return 0
 	}
 	p.failed[devIdx] = true
-	orphans := make([]*sim.ClusterExec, 0, len(p.resident[devIdx])+len(p.queued[devIdx]))
-	orphans = append(orphans, p.resident[devIdx]...)
-	orphans = append(orphans, p.queued[devIdx]...)
+	// Appending into the resident list's array is safe: the list is
+	// dropped on the next line.
+	orphans := append(p.resident[devIdx], p.queued[devIdx]...)
 	p.resident[devIdx] = nil
 	p.queued[devIdx] = nil
 	p.work[devIdx] = 0
 	p.emitLocked(PoolEvent{Kind: EvDeviceFailed, Dev: devIdx})
-	for _, e := range orphans {
-		p.emitLocked(PoolEvent{Kind: EvEvicted, Dev: devIdx, Exec: e})
+	for _, s := range orphans {
+		p.emitLocked(PoolEvent{Kind: EvEvicted, Dev: devIdx, Exec: s.e})
 	}
 	p.mu.Unlock()
 	p.dispatch()
@@ -320,16 +337,16 @@ func (p *Pool) HealDevice(devIdx int) {
 	parked := p.parked
 	p.parked = nil
 	p.emitLocked(PoolEvent{Kind: EvDeviceHealed, Dev: devIdx})
-	for _, e := range parked {
+	for _, s := range parked {
 		kind := EvAdmitted
 		if p.maxResident > 0 && len(p.resident[devIdx]) >= p.maxResident {
 			kind = EvQueued
-			p.queued[devIdx] = append(p.queued[devIdx], e)
+			p.queued[devIdx] = append(p.queued[devIdx], s)
 		} else {
-			p.resident[devIdx] = append(p.resident[devIdx], e)
+			p.resident[devIdx] = append(p.resident[devIdx], s)
 		}
-		p.work[devIdx] += e.K.TotalWork() * e.K.NumIters()
-		p.emitLocked(PoolEvent{Kind: kind, Dev: devIdx, Exec: e})
+		p.work[devIdx] += s.work
+		p.emitLocked(PoolEvent{Kind: kind, Dev: devIdx, Exec: s.e})
 	}
 	p.mu.Unlock()
 	p.dispatch()
@@ -376,31 +393,28 @@ func (p *Pool) Complete(devIdx int, e *sim.ClusterExec) *sim.ClusterExec {
 		return nil
 	}
 	p.mu.Lock()
-	found := false
 	rs := p.resident[devIdx]
+	at := -1
 	for i, r := range rs {
-		if r == e {
-			p.resident[devIdx] = append(rs[:i], rs[i+1:]...)
-			found = true
+		if r.e == e {
+			at = i
 			break
 		}
 	}
-	if !found {
+	if at < 0 {
 		p.mu.Unlock()
 		return nil
 	}
-	if w := e.K.TotalWork() * e.K.NumIters(); p.work[devIdx] >= w {
-		p.work[devIdx] -= w
-	} else {
-		p.work[devIdx] = 0
-	}
+	p.work[devIdx] -= rs[at].work
+	p.resident[devIdx] = append(rs[:at], rs[at+1:]...)
 	p.emitLocked(PoolEvent{Kind: EvCompleted, Dev: devIdx, Exec: e})
 	var next *sim.ClusterExec
 	if len(p.queued[devIdx]) > 0 && (p.maxResident <= 0 || len(p.resident[devIdx]) < p.maxResident) {
-		next = p.queued[devIdx][0]
+		s := p.queued[devIdx][0]
 		p.queued[devIdx] = p.queued[devIdx][1:]
-		p.resident[devIdx] = append(p.resident[devIdx], next)
-		p.emitLocked(PoolEvent{Kind: EvAdmitted, Dev: devIdx, Exec: next})
+		p.resident[devIdx] = append(p.resident[devIdx], s)
+		p.emitLocked(PoolEvent{Kind: EvAdmitted, Dev: devIdx, Exec: s.e})
+		next = s.e
 	}
 	p.mu.Unlock()
 	p.dispatch()
@@ -413,7 +427,9 @@ func (p *Pool) ResidentOn(devIdx int) []*sim.ClusterExec {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]*sim.ClusterExec, len(p.resident[devIdx]))
-	copy(out, p.resident[devIdx])
+	for i, s := range p.resident[devIdx] {
+		out[i] = s.e
+	}
 	return out
 }
 
@@ -441,16 +457,13 @@ func (p *Pool) Rebalance() map[*sim.ClusterExec]int {
 		if donor < 0 {
 			continue
 		}
-		e := p.queued[donor][0]
+		s := p.queued[donor][0]
 		p.queued[donor] = p.queued[donor][1:]
-		w := e.K.TotalWork() * e.K.NumIters()
-		if p.work[donor] >= w {
-			p.work[donor] -= w
-		}
-		p.work[di] += w
-		p.resident[di] = append(p.resident[di], e)
-		moves[e] = di
-		p.emitLocked(PoolEvent{Kind: EvMigrated, Dev: di, Exec: e})
+		p.work[donor] -= s.work
+		p.work[di] += s.work
+		p.resident[di] = append(p.resident[di], s)
+		moves[s.e] = di
+		p.emitLocked(PoolEvent{Kind: EvMigrated, Dev: di, Exec: s.e})
 	}
 	p.mu.Unlock()
 	p.dispatch()

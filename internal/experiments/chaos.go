@@ -189,7 +189,7 @@ func RunChaosRuntime(seed int64, w io.Writer) (*ChaosReport, error) {
 		return nil, err
 	}
 
-	rt := accelos.NewBoundedClusterRuntime(opencl.GetPlatforms(), cluster.LeastLoaded(), 2)
+	rt := accelos.NewClusterRuntime(opencl.GetPlatforms(), cluster.LeastLoaded(), 2)
 	defer rt.Shutdown()
 	reg := telemetry.NewRegistry()
 	rt.SetTelemetry(nil, reg, nil)
@@ -540,7 +540,7 @@ const ChaosDaemonEnv = "ACCELSIM_CHAOS_DAEMON"
 // stdin closes, then printing the drained final state for the parent
 // to assert on. Never returns.
 func ServeChaosDaemon(sock string) {
-	rt := accelos.NewBoundedClusterRuntime(opencl.GetPlatforms(), cluster.LeastLoaded(), 2)
+	rt := accelos.NewClusterRuntime(opencl.GetPlatforms(), cluster.LeastLoaded(), 2)
 	srv := service.NewServer(rt, service.Options{})
 	if err := srv.Start(sock); err != nil {
 		fmt.Printf("ERR %v\n", err)

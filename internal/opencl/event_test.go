@@ -97,57 +97,81 @@ func TestUserEventGatesCommand(t *testing.T) {
 	}
 }
 
-// TestWaitListOrderingProperty enqueues a randomized chain of +1 kernels
-// on an out-of-order queue where ONLY wait-list edges order the
-// commands, many times. If any edge is violated, increments race and
-// the final count diverges.
+// dagSrc gives every node of a dependency DAG its own output slot: a
+// node writes one more than the largest value it observes in its
+// predecessors' slots (p < 0: no such predecessor). Nodes never touch a
+// slot they are not ordered against, so nothing here races.
+const dagSrc = `
+kernel void mark(global int* d, int self, int p0, int p1, int p2)
+{
+    int m = 0;
+    if (p0 >= 0) { int v = d[p0]; if (v > m) m = v; }
+    if (p1 >= 0) { int v = d[p1]; if (v > m) m = v; }
+    if (p2 >= 0) { int v = d[p2]; if (v > m) m = v; }
+    d[self] = m + 1;
+}
+`
+
+// TestWaitListOrderingProperty enqueues randomized layered DAGs on an
+// out-of-order queue where ONLY wait-list edges order the commands,
+// many times. Every command in layer i waits on a random non-empty
+// subset of layer i-1, so it must observe at least one predecessor's
+// finished value i and write i+1; a command released before a
+// predecessor it waits on reads that slot's initial 0 and writes less.
 func TestWaitListOrderingProperty(t *testing.T) {
-	ctx, k := buildKernel(t, incSrc, "inc")
+	ctx, k := buildKernel(t, dagSrc, "mark")
 	rng := rand.New(rand.NewSource(0xE7E47))
 	for round := 0; round < 20; round++ {
 		q := ctx.CreateOutOfOrderQueue()
-		b, err := ctx.CreateBuffer(4)
+		depth := 2 + rng.Intn(6)
+		width := 1 + rng.Intn(3)
+		b, err := ctx.CreateBuffer(int64(4 * depth * width))
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = k.SetArgBuffer(0, b)
-		_ = k.SetArgInt32(1, 1)
-		depth := 2 + rng.Intn(6)
-		width := 1 + rng.Intn(3)
-		// Layered DAG: every command in layer i waits on a random
-		// non-empty subset of layer i-1.
 		prev := []*Event{}
-		total := 0
 		for layer := 0; layer < depth; layer++ {
 			var cur []*Event
 			for w := 0; w < width; w++ {
 				var waits []*Event
-				for _, p := range prev {
+				preds := [3]int32{-1, -1, -1}
+				for pi, p := range prev {
 					if rng.Intn(2) == 0 {
 						waits = append(waits, p)
+						preds[pi] = int32((layer-1)*width + pi)
 					}
 				}
 				if len(prev) > 0 && len(waits) == 0 {
-					waits = append(waits, prev[rng.Intn(len(prev))])
+					pi := rng.Intn(len(prev))
+					waits = append(waits, prev[pi])
+					preds[pi] = int32((layer-1)*width + pi)
+				}
+				_ = k.SetArgInt32(1, int32(layer*width+w))
+				for a, p := range preds {
+					_ = k.SetArgInt32(2+a, p)
 				}
 				ev, err := q.EnqueueKernel(k, ND1(1, 1), waits...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				cur = append(cur, ev)
-				total++
 			}
 			prev = cur
 		}
 		if err := q.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]byte, 4)
+		out := make([]byte, 4*depth*width)
 		if err := q.EnqueueReadBuffer(b, 0, out); err != nil {
 			t.Fatal(err)
 		}
-		if got := int32(binary.LittleEndian.Uint32(out)); got != int32(total) {
-			t.Fatalf("round %d: count = %d, want %d (wait-list edges violated)", round, got, total)
+		for node := 0; node < depth*width; node++ {
+			want := int32(node/width + 1)
+			if got := int32(binary.LittleEndian.Uint32(out[node*4:])); got != want {
+				t.Fatalf("round %d: node %d (layer %d) wrote %d, want %d (wait-list edge violated)",
+					round, node, node/width, got, want)
+			}
 		}
 		b.Release()
 	}

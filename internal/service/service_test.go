@@ -882,7 +882,7 @@ func TestServiceRateLimit(t *testing.T) {
 // with errors.Is(err, accelos.ErrAdmissionRejected) — the typed code
 // surviving the process boundary.
 func TestServiceAdmissionRoundTrip(t *testing.T) {
-	rt := accelos.NewBoundedClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 1)
+	rt := accelos.NewClusterRuntime(opencl.GetPlatforms()[:1], cluster.LeastLoaded(), 1)
 	rt.Pool().SetMaxQueued(1)
 	rt.SetSliceRounds(1)
 	_, sock := startService(t, rt, Options{})

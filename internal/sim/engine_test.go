@@ -145,6 +145,11 @@ func TestVGCostEnvelope(t *testing.T) {
 func TestTotalWorkConserved(t *testing.T) {
 	f := func(id uint8, n16, chunk8 uint8) bool {
 		k := &KernelExec{ID: int(id), NumWGs: int64(n16%200) + 1, BaseWGCost: 5000, Imbalance: 0.4, Skew: 0.3}
+		if id%3 == 0 {
+			// Uniform cost, with and without a cost model: TotalWork's
+			// closed form must agree with the walk.
+			k.Imbalance, k.Skew, k.BaseWGCost = 0, 0, int64(id%2)*5000
+		}
 		chunk := int64(chunk8%8) + 1
 		var sum int64
 		for base := int64(0); base < k.NumWGs; base += chunk {

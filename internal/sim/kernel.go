@@ -125,6 +125,11 @@ func SelfSaturation(n, roof int64) float64 {
 
 // TotalWork returns the exact summed cost of all virtual groups.
 func (k *KernelExec) TotalWork() int64 {
+	if k.Imbalance == 0 && k.Skew == 0 {
+		// Every group costs the same (the live runtime's requests carry
+		// no cost model at all): no need to hash the whole grid.
+		return max(k.NumWGs, 0) * k.VGCost(0)
+	}
 	var sum int64
 	for vg := int64(0); vg < k.NumWGs; vg++ {
 		sum += k.VGCost(vg)
