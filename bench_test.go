@@ -282,7 +282,7 @@ kernel void spin(global int* out)
 		m := interp.NewMachine(mod)
 		m.Engine = interp.EngineVM
 		m.UseProgram(interp.CompileModuleOpts(mod, interp.DefaultCompileOpts))
-		m.Profiler = interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, PerBlock: true})
+		m.Profiler = interp.NewProfiler(interp.ProfileOptions{})
 		out := m.NewRegion(4, ir.Global)
 		args := []interp.Value{{K: ir.Pointer, P: interp.Ptr{R: out}}}
 		nd := interp.ND1(1, 1)
@@ -303,7 +303,7 @@ kernel void spin(global int* out)
 		m := interp.NewMachine(mod)
 		m.Engine = interp.EngineVM
 		m.UseProgram(interp.CompileModuleOpts(mod, interp.Tier0CompileOpts))
-		prof := interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+		prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 		m.Profiler = prof
 		out := m.NewRegion(4, ir.Global)
 		args := []interp.Value{{K: ir.Pointer, P: interp.Ptr{R: out}}}

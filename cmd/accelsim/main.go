@@ -307,7 +307,7 @@ func runLive(chains int, profile, tier bool) error {
 		// second one would starve it of the hotness signal.
 		prof = tc.Profiler()
 	} else if profile {
-		prof = interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+		prof = interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 		rt.SetProfiler(prof)
 	}
 	app := rt.Connect("live")
@@ -574,7 +574,7 @@ func runTraced(tenants, perTenant int, tracePath string, profile bool) error {
 	rt.SetTelemetry(tr, reg, score)
 	var prof *interp.Profiler
 	if profile {
-		prof = interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+		prof = interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 		rt.SetProfiler(prof)
 	}
 

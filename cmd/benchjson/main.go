@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output into a JSON
 // record. The CI benchmark smoke jobs pipe benchmark suites through it
-// to produce the repo's performance-trajectory snapshots
-// (BENCH_interp.json, BENCH_api.json); refresh them with:
+// to produce the BENCH_*.json records they upload as build artifacts
+// (none is committed); to write one locally:
 //
 //	go test -run xxx -bench 'InterpLaunch|SlicedLaunch|Dispatch' \
 //	    -benchtime 1x -benchmem . | go run ./cmd/benchjson -out BENCH_interp.json

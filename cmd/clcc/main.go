@@ -144,7 +144,7 @@ func dumpWarp(trans *ir.Module) error {
 // fatal: the profile still covers the instructions executed up to the
 // fault.
 func profileKernels(mod *ir.Module) error {
-	prof := interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+	prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 	for _, f := range mod.Kernels() {
 		m := interp.NewMachine(mod)
 		m.Profiler = prof
@@ -191,7 +191,7 @@ func emitTiers(mod *ir.Module) {
 	p0 := interp.CompileModuleOpts(mod, interp.Tier0CompileOpts)
 	tier0 := time.Since(t0)
 
-	prof := interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+	prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 	for _, f := range mod.Kernels() {
 		m := interp.NewMachine(mod)
 		m.Profiler = prof

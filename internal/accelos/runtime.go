@@ -339,7 +339,7 @@ func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
 // SetProfiler installs a VM execution profiler on every platform the
 // runtime launches kernels on (nil removes it). Sampled per-opcode and
 // per-block profiles then accumulate for each kernel the interpreter
-// runs; see interp.NewProfiler for the sampling knobs.
+// runs; see interp.ProfileOptions for the sampling period.
 func (rt *Runtime) SetProfiler(p *interp.Profiler) {
 	for _, plat := range rt.plats {
 		plat.Machines().SetProfiler(p)

@@ -27,7 +27,7 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	score := metrics.NewLiveScorecard()
 	rt.SetTelemetry(tr, reg, score)
-	prof := interp.NewProfiler(interp.ProfileOptions{PerOpcode: true, SampleEvery: 1})
+	prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 	rt.SetProfiler(prof)
 
 	app := rt.Connect("tenant-a")

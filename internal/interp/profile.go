@@ -8,13 +8,20 @@ import (
 	"sync/atomic"
 )
 
-// This file is the VM execution-profile collector: optional per-opcode
-// and per-block dynamic frequencies plus per-kernel instruction, barrier
-// and fault totals — the measurement layer tiered (profile-guided)
-// execution needs. Profiling is sampled at work-group granularity: a
-// profiled group runs a separate dispatch loop (vm_profile.go) with
-// counting hooks, every other group runs the unmodified hot loop, so the
-// overhead scales with 1/SampleEvery instead of with the counting cost.
+// This file is the VM execution-profile collector: per-opcode and
+// per-block dynamic frequencies plus per-kernel instruction, barrier and
+// fault totals — the measurement layer tiered (profile-guided) execution
+// needs. Nothing is counted per instruction. A sampled work-group counts
+// only where control LANDS — frame entry and the target of every jump —
+// in a table indexed by pc (the dispatch loops carry one `if gp != nil`
+// hook per control transfer; jump threading lands mid-block, hence per
+// pc, not per block). From a landing a work-item executes every
+// instruction up to and including the next jump, return or trap, so the
+// rest is derived: flush adds hits × run length to the instruction
+// total, Snapshot walks each run for opcode counts and bins landings into
+// blocks. Calls and barriers are walked through: the callee's entry is a
+// landing of its own and the resume continues the run. Sampling is at
+// work-group granularity, so the overhead scales with 1/SampleEvery.
 // Faults are counted on every group, sampled or not.
 
 // numOps sizes per-opcode count tables (opBinCmpJump is the last opcode).
@@ -64,18 +71,15 @@ var opNames = [numOps]string{
 }
 
 // defaultSampleEvery is the sampling period when ProfileOptions leaves
-// it zero: one work-group in 64 runs the counting loop, which keeps the
+// it zero: one work-group in 64 counts its landings, which keeps the
 // overhead on dispatch-bound benchmarks well under the 3% CI budget.
 const defaultSampleEvery = 64
 
 // ProfileOptions configures a Profiler.
 type ProfileOptions struct {
-	// PerOpcode collects dynamic opcode frequencies.
-	PerOpcode bool
-	// PerBlock collects basic-block entry counts per compiled function.
-	PerBlock bool
 	// SampleEvery profiles one work-group in N (0: defaultSampleEvery;
-	// 1: every group — exact counts, full counting overhead).
+	// 1: every group — exact counts, a landing hook at every control
+	// transfer of the launch).
 	SampleEvery int64
 }
 
@@ -84,7 +88,6 @@ type ProfileOptions struct {
 // seeds it across a platform's pooled machines). Only the bytecode VM
 // engine is profiled; the tree-walking reference engine ignores it.
 type Profiler struct {
-	opts  ProfileOptions
 	every int64
 
 	mu      sync.Mutex
@@ -97,7 +100,7 @@ func NewProfiler(opts ProfileOptions) *Profiler {
 	if every <= 0 {
 		every = defaultSampleEvery
 	}
-	return &Profiler{opts: opts, every: every, kernels: make(map[string]*KernelProfile)}
+	return &Profiler{every: every, kernels: make(map[string]*KernelProfile)}
 }
 
 // kernel returns (creating on first use) the per-kernel aggregate.
@@ -134,100 +137,65 @@ type KernelProfile struct {
 	mu            sync.Mutex
 	groupsSampled int64
 	instrs        int64
-	barriers      int64
-	opcodes       [numOps]int64
-	blocks        map[*compiledFn][]int64
+	lands         groupProfile
 }
 
-// groupProfile is the per-sampled-group scratch the profiled dispatch
-// loop counts into — plain non-atomic fields owned by one worker, merged
-// into the KernelProfile when the group retires.
-type groupProfile struct {
-	perOp    bool
-	perBlock bool
-	instrs   int64
-	barriers int64
-	opcodes  [numOps]int64
-	blocks   map[*compiledFn][]int64
-}
+// groupProfile is the per-sampled-group scratch the dispatch loops count
+// into: landings per pc of each function the group entered. Plain
+// non-atomic tables owned by one worker, merged into the KernelProfile
+// when the group retires; nil for an unsampled group.
+type groupProfile map[*compiledFn][]int64
 
-func (p *Profiler) newGroupProfile() *groupProfile {
-	gp := &groupProfile{perOp: p.opts.PerOpcode, perBlock: p.opts.PerBlock}
-	if gp.perBlock {
-		gp.blocks = make(map[*compiledFn][]int64, 4)
-	}
-	return gp
-}
-
-// enterBlock attributes a control transfer to the basic block containing
-// pc. Jump threading can land transfers mid-block, so the containing
-// block is found by binary search over the sorted block-start table; pcs
-// in the edge-stub region past the last block attribute to its
-// "(edge-copies)" pseudo-block.
-func (gp *groupProfile) enterBlock(cf *compiledFn, pc int32) {
-	starts := cf.blockStarts
-	if len(starts) == 0 {
-		return
-	}
-	i := sort.Search(len(starts), func(i int) bool { return starts[i] > pc }) - 1
-	if i < 0 {
-		return
-	}
-	hits := gp.blocks[cf]
+// land records n work-items arriving at pc of cf by a control transfer
+// (the warp engine lands every active lane at once).
+func (gp groupProfile) land(cf *compiledFn, pc int32, n int64) {
+	hits := gp[cf]
 	if hits == nil {
-		hits = make([]int64, len(starts))
-		gp.blocks[cf] = hits
+		hits = make([]int64, len(cf.code))
+		gp[cf] = hits
 	}
-	hits[i]++
+	hits[pc] += n
 }
 
-// enterBlockN is enterBlock weighted by the live-lane count: the warp
-// dispatch loop (warp.go) attributes one entry per lane so sampled
-// block counts stay engine-invariant.
-func (gp *groupProfile) enterBlockN(cf *compiledFn, pc int32, n int64) {
-	starts := cf.blockStarts
-	if len(starts) == 0 {
-		return
+// runEnd returns the pc of the instruction that ends the straight-line
+// run a landing at pc starts: the next jump, return or trap (whatever
+// follows it is reached by a landing of its own). Every block the
+// compiler emits ends in one or falls through into a block that does.
+func (cf *compiledFn) runEnd(pc int) int {
+	for {
+		switch cf.code[pc].op {
+		case opJump, opCondJump, opCmpJump, opBinCmpJump, opRet, opTrap:
+			return pc
+		}
+		pc++
 	}
-	i := sort.Search(len(starts), func(i int) bool { return starts[i] > pc }) - 1
-	if i < 0 {
-		return
-	}
-	hits := gp.blocks[cf]
-	if hits == nil {
-		hits = make([]int64, len(starts))
-		gp.blocks[cf] = hits
-	}
-	hits[i] += n
 }
 
-// flush merges one retired sampled group into the kernel aggregate.
-func (kp *KernelProfile) flush(gp *groupProfile) {
+// flush merges one retired sampled group into the kernel aggregate and
+// adds its instructions, hits × run length per landing, so
+// KernelInstrEstimate stays a field read. A faulting group's last run is
+// attributed to its end: an over-count of less than one run length.
+func (kp *KernelProfile) flush(gp groupProfile) {
 	kp.mu.Lock()
+	defer kp.mu.Unlock()
 	kp.groupsSampled++
-	kp.instrs += gp.instrs
-	kp.barriers += gp.barriers
-	if gp.perOp {
-		for i, n := range gp.opcodes {
-			kp.opcodes[i] += n
+	if kp.lands == nil {
+		kp.lands = make(groupProfile, len(gp))
+	}
+	for cf, hits := range gp {
+		dst := kp.lands[cf]
+		if dst == nil {
+			dst = make([]int64, len(hits))
+			kp.lands[cf] = dst
+		}
+		for pc, n := range hits {
+			if n == 0 {
+				continue
+			}
+			dst[pc] += n
+			kp.instrs += n * int64(cf.runEnd(pc)-pc+1)
 		}
 	}
-	if gp.perBlock {
-		if kp.blocks == nil {
-			kp.blocks = make(map[*compiledFn][]int64, len(gp.blocks))
-		}
-		for cf, hits := range gp.blocks {
-			dst := kp.blocks[cf]
-			if dst == nil {
-				dst = make([]int64, len(hits))
-				kp.blocks[cf] = dst
-			}
-			for i, n := range hits {
-				dst[i] += n
-			}
-		}
-	}
-	kp.mu.Unlock()
 }
 
 // OpcodeCount is one opcode's sampled dynamic frequency.
@@ -248,7 +216,7 @@ type KernelProfileSnapshot struct {
 	Kernel       string
 	SampleEvery  int64
 	Groups       int64         // work-groups executed (sampled or not)
-	Sampled      int64         // work-groups that ran the counting loop
+	Sampled      int64         // work-groups that counted their landings
 	Instrs       int64         // instructions in sampled groups
 	Barriers     int64         // barrier suspensions in sampled groups
 	Faults       int64         // faulting groups (counted unsampled)
@@ -265,7 +233,7 @@ type KernelProfileSnapshot struct {
 // launch ordinal (which seeds the sampling phase). The tier controller
 // calls it after a hot-swap so tier-1 decisions, if a further promotion
 // is ever added, would not be skewed by stale tier-0 counts — and so
-// stale *compiledFn block tables from the replaced program do not pin
+// stale *compiledFn landing tables from the replaced program do not pin
 // the old code alive.
 func (p *Profiler) ResetKernel(name string) {
 	if p == nil {
@@ -325,17 +293,33 @@ func (p *Profiler) Snapshot() []KernelProfileSnapshot {
 		kp.mu.Lock()
 		s.Sampled = kp.groupsSampled
 		s.Instrs = kp.instrs
-		s.Barriers = kp.barriers
-		for op, n := range kp.opcodes {
-			if n > 0 {
-				s.Opcodes = append(s.Opcodes, OpcodeCount{Name: opNames[op], Count: n})
+		var opcodes [numOps]int64
+		for cf, hits := range kp.lands {
+			blocks := make([]int64, len(cf.blockStarts))
+			for pc, n := range hits {
+				if n == 0 {
+					continue
+				}
+				for q, end := pc, cf.runEnd(pc); q <= end; q++ {
+					opcodes[cf.code[q].op] += n
+				}
+				// Jump threading lands mid-block, so the containing block
+				// is a binary search away; the edge-stub region past the
+				// last block bins into its "(edge-copies)" pseudo-block.
+				if b := sort.Search(len(blocks), func(i int) bool { return cf.blockStarts[i] > int32(pc) }) - 1; b >= 0 {
+					blocks[b] += n
+				}
 			}
-		}
-		for cf, hits := range kp.blocks {
-			for b, n := range hits {
+			for b, n := range blocks {
 				if n > 0 {
 					s.Blocks = append(s.Blocks, BlockCount{Fn: cf.fn.Name, Block: cf.blockNames[b], Hits: n})
 				}
+			}
+		}
+		s.Barriers = opcodes[opBarrier]
+		for op, n := range opcodes {
+			if n > 0 {
+				s.Opcodes = append(s.Opcodes, OpcodeCount{Name: opNames[op], Count: n})
 			}
 		}
 		kp.mu.Unlock()

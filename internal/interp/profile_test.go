@@ -49,13 +49,12 @@ func runProf(t *testing.T, prof *Profiler) []int32 {
 	return out.ReadInt32s(0, n)
 }
 
-// TestProfiledExecutionParity holds the profiled dispatch loop
-// byte-identical to the unprofiled one (SampleEvery=1 sends every group
-// through the counting twin) and checks the collected counts are
-// plausible and complete.
+// TestProfiledExecutionParity holds profiled execution byte-identical to
+// unprofiled (SampleEvery=1 makes every group record its landings) and
+// checks the derived counts are plausible and complete.
 func TestProfiledExecutionParity(t *testing.T) {
 	ref := runProf(t, nil)
-	prof := NewProfiler(ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+	prof := NewProfiler(ProfileOptions{SampleEvery: 1})
 	got := runProf(t, prof)
 	for i := range ref {
 		if got[i] != ref[i] {
@@ -113,9 +112,9 @@ func TestProfiledExecutionParity(t *testing.T) {
 	}
 }
 
-// TestProfilerSampling checks the 1-in-N group sampling: totals-only
-// profiling of a 64-group launch at SampleEvery=16 samples exactly 4
-// groups, and a single-group launch samples none.
+// TestProfilerSampling checks the 1-in-N group sampling: 64 groups at
+// SampleEvery=16 sample exactly 4, 8 groups sample none, and the launch
+// path's instruction estimate is the sampled total scaled by the period.
 func TestProfilerSampling(t *testing.T) {
 	prof := NewProfiler(ProfileOptions{SampleEvery: 16})
 	runProf(t, prof) // 8 groups: not enough for a sample yet
@@ -133,30 +132,46 @@ func TestProfilerSampling(t *testing.T) {
 	if s.Instrs == 0 {
 		t.Fatal("sampled groups counted no instructions")
 	}
-	if len(s.Opcodes) != 0 || len(s.Blocks) != 0 {
-		t.Fatal("totals-only options collected per-opcode/per-block data")
+	if est := prof.KernelInstrEstimate("prof"); est != s.Instrs*16 {
+		t.Fatalf("KernelInstrEstimate = %d, want Instrs %d x SampleEvery 16", est, s.Instrs)
 	}
 }
 
 // TestProfilerFaultCounting checks faults are recorded even for
-// unsampled groups.
+// unsampled groups, and that a sampled faulting group still flushes a
+// self-consistent profile.
 func TestProfilerFaultCounting(t *testing.T) {
 	const src = `
 kernel void oops(global int* out) { out[get_global_id(0)] = out[0] / (int)get_global_id(0); }
 `
-	m := compile(t, src)
-	prof := NewProfiler(ProfileOptions{SampleEvery: 1 << 20}) // never samples
-	m.Profiler = prof
-	out := m.NewRegion(64*4, ir.Global)
-	err := m.Launch("oops", []Value{{K: ir.Pointer, P: Ptr{R: out}}}, ND1(64, 64))
-	if err == nil {
-		t.Fatal("expected division-by-zero fault")
-	}
-	s := prof.Snapshot()[0]
-	if s.Faults != 1 {
-		t.Fatalf("faults = %d, want 1", s.Faults)
-	}
-	if s.Sampled != 0 {
-		t.Fatalf("sampled = %d, want 0", s.Sampled)
+	for _, tc := range []struct {
+		every   int64
+		sampled int64
+	}{
+		{1 << 20, 0}, // never samples
+		{1, 1},
+	} {
+		m := compile(t, src)
+		prof := NewProfiler(ProfileOptions{SampleEvery: tc.every})
+		m.Profiler = prof
+		out := m.NewRegion(64*4, ir.Global)
+		err := m.Launch("oops", []Value{{K: ir.Pointer, P: Ptr{R: out}}}, ND1(64, 64))
+		if err == nil {
+			t.Fatal("expected division-by-zero fault")
+		}
+		s := prof.Snapshot()[0]
+		if s.Faults != 1 {
+			t.Fatalf("SampleEvery %d: faults = %d, want 1", tc.every, s.Faults)
+		}
+		if s.Sampled != tc.sampled {
+			t.Fatalf("SampleEvery %d: sampled = %d, want %d", tc.every, s.Sampled, tc.sampled)
+		}
+		var opTotal int64
+		for _, oc := range s.Opcodes {
+			opTotal += oc.Count
+		}
+		if opTotal != s.Instrs || (s.Instrs > 0) != (tc.sampled > 0) {
+			t.Fatalf("SampleEvery %d: opcode counts sum to %d, instrs %d", tc.every, opTotal, s.Instrs)
+		}
 	}
 }

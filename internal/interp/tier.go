@@ -128,12 +128,8 @@ func NewTierController(opts TierOptions) *TierController {
 		opts.WarpWidth = 0
 	}
 	tc := &TierController{
-		opts: opts,
-		prof: NewProfiler(ProfileOptions{
-			PerOpcode:   true,
-			PerBlock:    true,
-			SampleEvery: opts.SampleEvery,
-		}),
+		opts:   opts,
+		prof:   NewProfiler(ProfileOptions{SampleEvery: opts.SampleEvery}),
 		states: make(map[*ir.Module]*tierState),
 		jobs:   make(chan *tierState, 64),
 	}
@@ -281,7 +277,7 @@ func (tc *TierController) promote(st *tierState) {
 	SwapProgram(p)
 	st.tier.Store(int32(p.Tier()))
 	// Drop the tier-0 counts: the ordinal-seeded sampling phase and the
-	// stale *compiledFn block tables of the replaced program must not
+	// stale *compiledFn landing tables of the replaced program must not
 	// skew (or pin) anything the new program's profiles feed.
 	for _, k := range st.kernels {
 		tc.prof.ResetKernel(k)

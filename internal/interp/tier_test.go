@@ -33,7 +33,7 @@ func profileTier0(t *testing.T, mod *ir.Module, kernel string) (*Profiler, []int
 	if p0.Tier() != 0 {
 		t.Fatalf("Tier0CompileOpts produced tier %d", p0.Tier())
 	}
-	prof := NewProfiler(ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+	prof := NewProfiler(ProfileOptions{SampleEvery: 1})
 	m := NewMachine(mod)
 	m.UseProgram(p0)
 	m.Profiler = prof
@@ -314,7 +314,7 @@ kernel void k(global int* out, int n)
 
 	// Profile a non-faulting run (n = -1: no lane divides by zero), then
 	// build the guided tier-1 program from it.
-	prof := NewProfiler(ProfileOptions{PerOpcode: true, PerBlock: true, SampleEvery: 1})
+	prof := NewProfiler(ProfileOptions{SampleEvery: 1})
 	if err := launch(p0, prof, -1); err != nil {
 		t.Fatal(err)
 	}

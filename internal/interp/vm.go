@@ -23,7 +23,11 @@ import (
 //   - kernel-frame register files are windows of one slab per group,
 //     callee frames, per-group local regions and per-item private
 //     allocas come from pools and bump arenas, so repeated sliced
-//     launches on pooled machines stop allocating per slice.
+//     launches on pooled machines stop allocating per slice;
+//   - there is one scalar dispatch loop (exec). Execution profiling does
+//     not duplicate it: a sampled group records where control lands
+//     (kernel and callee entry, every jump target) and profile.go
+//     derives instruction, opcode, barrier and block counts from that.
 //
 // Semantics are shared with the reference tree-walker (exec.go) through
 // the common binOp/cmpOp/castOp/evalMath/load/store helpers; the Parboil
@@ -141,11 +145,10 @@ type vmGroup struct {
 	ar     *arena
 
 	// prof is non-nil when this group was sampled for execution
-	// profiling: exec defers to the counting loop in vm_profile.go.
-	prof *groupProfile
+	// profiling: the dispatch loops record where control lands.
+	prof groupProfile
 
-	// faultWI is the work-item a warp-mode fault is attributed to
-	// (warp.go); the scalar round loop tracks its own current item.
+	// faultWI is the work-item a fault is attributed to (groupFault).
 	faultWI *wiState
 }
 
@@ -393,7 +396,9 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
 		// keep profiling the same group of the grid; short launches on a
 		// sparse profiler still pay nothing.
 		if n := l.kp.groupsSeen.Add(1); (n+l.profPhase)%p.every == 0 {
-			g.prof = p.newGroupProfile()
+			// Every work-item enters the kernel frame once.
+			g.prof = groupProfile{}
+			g.prof.land(l.kcf, 0, int64(size))
 		}
 	}
 
@@ -437,21 +442,8 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
 				continue
 			}
 			if err := g.resume(wi); err != nil {
-				gid := [3]int64{
-					group[0]*nd.Local[0] + wi.lid[0],
-					group[1]*nd.Local[1] + wi.lid[1],
-					group[2]*nd.Local[2] + wi.lid[2],
-				}
-				g.release(gr)
-				if l.kp != nil {
-					// Faults are counted on every group, sampled or not;
-					// a sampled group's partial counts still flush.
-					l.kp.faults.Add(1)
-					if g.prof != nil {
-						l.kp.flush(g.prof)
-					}
-				}
-				return fmt.Errorf("interp: work-item global id (%d,%d,%d): %w", gid[0], gid[1], gid[2], err)
+				g.faultWI = wi
+				return l.groupFault(gr, g, err)
 			}
 			if wi.status == wiDone {
 				live--
@@ -507,15 +499,13 @@ func (g *vmGroup) resume(wi *wiState) (err error) {
 	return nil
 }
 
-// exec is the dispatch loop. It caches the top frame in locals and only
-// touches the frame stack on call, return and barrier. Sampled groups
-// divert to the counting twin in vm_profile.go here — one branch per
-// resume, not per instruction, so the unprofiled hot loop is untouched.
+// exec is the scalar dispatch loop, the only one. It caches the top
+// frame in locals and only touches the frame stack on call, return and
+// barrier. A sampled group (gp != nil) records where control lands — the
+// target of every jump and the callee's entry — one nil check per control
+// transfer, nothing per instruction; profile.go derives the rest.
 func (g *vmGroup) exec(wi *wiState) {
-	if g.prof != nil {
-		g.execProf(wi)
-		return
-	}
+	gp := g.prof
 	l := g.l
 	m := l.m
 	top := len(wi.frames) - 1
@@ -598,6 +588,9 @@ func (g *vmGroup) exec(wi *wiState) {
 			} else {
 				pc = int32(in.imm)
 			}
+			if gp != nil {
+				gp.land(cf, pc, 1)
+			}
 		case opBinBin:
 			t := i32Bin(ir.BinKind(in.sub), regs[in.a].I, regs[in.b].I)
 			var r int64
@@ -620,6 +613,9 @@ func (g *vmGroup) exec(wi *wiState) {
 				pc = in.c
 			} else {
 				pc = int32(in.imm)
+			}
+			if gp != nil {
+				gp.land(cf, pc, 1)
 			}
 		case opBinStore:
 			m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], regs[in.a], regs[in.b]), regs[in.c].P)
@@ -672,6 +668,9 @@ func (g *vmGroup) exec(wi *wiState) {
 			wi.frames = append(wi.frames, vmFrame{cf: callee, regp: cregp, pc: 0, dst: in.dst})
 			top++
 			cf, code, regs, pc = callee, callee.code, cregs, 0
+			if gp != nil {
+				gp.land(cf, 0, 1)
+			}
 		case opWI:
 			dim := in.imm
 			if in.a >= 0 {
@@ -709,11 +708,17 @@ func (g *vmGroup) exec(wi *wiState) {
 			regs[in.dst] = evalMath(in.sub, in.kind, x, y)
 		case opJump:
 			pc = int32(in.imm)
+			if gp != nil {
+				gp.land(cf, pc, 1)
+			}
 		case opCondJump:
 			if regs[in.a].Bool() {
 				pc = in.b
 			} else {
 				pc = in.c
+			}
+			if gp != nil {
+				gp.land(cf, pc, 1)
 			}
 		case opRet:
 			if top == 0 {

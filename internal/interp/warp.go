@@ -203,12 +203,6 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 			warps[i].uregp = nil
 		}
 	}()
-	if gp := g.prof; gp != nil && gp.perBlock {
-		for i := range warps {
-			gp.enterBlockN(kcf, 0, int64(len(warps[i].lanes)))
-		}
-	}
-
 	live := size
 	for live > 0 {
 		for i := range warps {
@@ -380,8 +374,8 @@ func lv(uniform []bool, lr, uregs []Value, r int32) *Value {
 // warpExec is the vector dispatch loop: one fetch/decode per
 // instruction per warp. Instruction cost is charged per active lane (n
 // steps per dispatch), so the launch instruction budget is
-// engine-invariant; the same holds for the sampled execution profile
-// counts.
+// engine-invariant; so is the sampled execution profile, which lands
+// every active lane at each control transfer.
 func (g *vmGroup) warpExec(w *warp) {
 	l := g.l
 	m := l.m
@@ -432,12 +426,6 @@ func (g *vmGroup) warpExec(w *warp) {
 		if steps >= stepBatch {
 			l.addSteps(steps)
 			steps = 0
-		}
-		if gp != nil {
-			gp.instrs += n
-			if gp.perOp {
-				gp.opcodes[in.op] += n
-			}
 		}
 		switch mode {
 		case wmOnce:
@@ -549,8 +537,8 @@ func (g *vmGroup) warpExec(w *warp) {
 				uregs[in.dst] = evalMath(in.sub, in.kind, x, y)
 			case opJump:
 				pc = int32(in.imm)
-				if gp != nil && gp.perBlock {
-					gp.enterBlockN(cf, pc, n)
+				if gp != nil {
+					gp.land(cf, pc, n)
 				}
 			case opCondJump:
 				if uget(in.a).Bool() {
@@ -558,8 +546,8 @@ func (g *vmGroup) warpExec(w *warp) {
 				} else {
 					pc = in.c
 				}
-				if gp != nil && gp.perBlock {
-					gp.enterBlockN(cf, pc, n)
+				if gp != nil {
+					gp.land(cf, pc, n)
 				}
 			case opCmpJump:
 				if fastCmp(ir.CmpPred(in.sub), uget(in.a), uget(in.b)) {
@@ -567,8 +555,8 @@ func (g *vmGroup) warpExec(w *warp) {
 				} else {
 					pc = int32(in.imm)
 				}
-				if gp != nil && gp.perBlock {
-					gp.enterBlockN(cf, pc, n)
+				if gp != nil {
+					gp.land(cf, pc, n)
 				}
 			case opBinBin:
 				t := i32Bin(ir.BinKind(in.sub), uget(in.a).I, uget(in.b).I)
@@ -591,8 +579,8 @@ func (g *vmGroup) warpExec(w *warp) {
 				} else {
 					pc = int32(in.imm)
 				}
-				if gp != nil && gp.perBlock {
-					gp.enterBlockN(cf, pc, n)
+				if gp != nil {
+					gp.land(cf, pc, n)
 				}
 			default:
 				panic(trap{"warp: once-mode dispatch of unexpected opcode"})
@@ -775,14 +763,11 @@ func (g *vmGroup) warpExec(w *warp) {
 			default:
 				panic(trap{"warp: diverge-mode dispatch of unexpected opcode"})
 			}
-			if gp != nil && gp.perBlock {
+			if gp != nil {
+				// Both sides of a split land, each with its own lanes.
 				nt := int64(bits.OnesCount64(taken))
-				if nt > 0 {
-					gp.enterBlockN(cf, tpc, nt)
-				}
-				if nt < n {
-					gp.enterBlockN(cf, fpc, n-nt)
-				}
+				gp.land(cf, tpc, nt)
+				gp.land(cf, fpc, n-nt)
 			}
 			switch {
 			case taken == w.mask || tpc == fpc:
@@ -803,9 +788,6 @@ func (g *vmGroup) warpExec(w *warp) {
 				l.suspend(w, steps, diverges, false)
 				g.warpSpill(w, pc-1)
 				return
-			}
-			if gp != nil {
-				gp.barriers += n
 			}
 			for _, wi := range lanes {
 				wi.frames[0].pc = pc

@@ -220,7 +220,7 @@ kernel void k(global int* out, global const int* in, int n)
 		}
 		return out.Bytes
 	}
-	prof0 := NewProfiler(ProfileOptions{PerBlock: true, SampleEvery: 1})
+	prof0 := NewProfiler(ProfileOptions{SampleEvery: 1})
 	want := launch(CompileModuleOpts(mod, Tier0CompileOpts), prof0)
 
 	p1 := CompileModuleOpts(mod, CompileOpts{Opt: true, WarpWidth: DefaultWarpWidth, Profile: GuideFromSnapshots(prof0.Snapshot())})

@@ -63,6 +63,13 @@ func runSpec(mod *ir.Module, kernel string, spec LaunchSpec, info *accelpass.Ker
 func runSpecEngine(mod *ir.Module, kernel string, spec LaunchSpec, info *accelpass.KernelInfo, physGroups int64, eng interp.Engine) ([][]byte, error) {
 	mach := interp.NewMachine(mod)
 	mach.Engine = eng
+	return launchSpec(mach, kernel, spec, info, physGroups)
+}
+
+// launchSpec binds the spec's arguments on mach and runs the one launch:
+// natively, or (info non-nil) as the transformed kernel over physGroups
+// physical work-groups.
+func launchSpec(mach *interp.Machine, kernel string, spec LaunchSpec, info *accelpass.KernelInfo, physGroups int64) ([][]byte, error) {
 	args, bufs, err := bindSpecArgs(mach, spec)
 	if err != nil {
 		return nil, err
@@ -162,16 +169,7 @@ func (k *Kernel) RunNativeVM(opts interp.CompileOpts) ([][]byte, error) {
 	}
 	mach := interp.NewMachine(mod)
 	mach.UseProgram(interp.CompileModuleOpts(mod, opts))
-	spec := k.Setup()
-	args, bufs, err := bindSpecArgs(mach, spec)
-	if err != nil {
-		return nil, err
-	}
-	nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
-	if err := mach.Launch(k.Name, args, nd); err != nil {
-		return nil, err
-	}
-	return bufs, nil
+	return launchSpec(mach, k.Name, k.Setup(), nil, 0)
 }
 
 // PreparedLaunch is a reusable native verification launch: a machine
