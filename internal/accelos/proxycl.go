@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/accelpass"
-	"repro/internal/ir"
 	"repro/internal/opencl"
 )
 
@@ -186,27 +184,34 @@ func (a *App) Outstanding() int {
 }
 
 // Program is the application's handle to a built OpenCL program. The
-// runtime stores both the original and the JIT-transformed module; the
-// application never sees the difference.
+// runtime keeps both the original and the JIT-transformed module in the
+// program's build, which it shares with every other Program of the same
+// source, whichever application created it; the modules are immutable
+// and outlive the build's cache entry for as long as a Program points at
+// them. The application never sees the difference.
 type Program struct {
 	app    *App
 	Source string
 
-	orig  *ir.Module
-	trans *ir.Module
-	infos map[string]*accelpass.KernelInfo
+	*build
 }
 
 // CreateProgram intercepts clCreateProgramWithSource+clBuildProgram:
 // scenario (a) of the Application Monitor FSM — the JIT compiler
-// analyzes and transforms the kernel code.
+// analyzes and transforms the kernel code. The first creation of a
+// source compiles it here, on the caller's goroutine; creations of the
+// same source in the meantime wait for that compile, and later ones
+// find it in the runtime's build cache. The daemon is then told, and
+// installs the build on the handle. A source that does not build fails
+// with an error wrapping ErrBuildFailed.
 func (a *App) CreateProgram(src string) (*Program, error) {
 	if err := a.begin(); err != nil {
 		return nil, err
 	}
 	defer a.end()
 	p := &Program{app: a, Source: src}
-	err := a.rt.submit(&Request{Kind: ReqProgramCreate, App: a, Prog: p})
+	b := a.rt.buildProgram(a.Name, src)
+	err := a.rt.submit(&Request{Kind: ReqProgramCreate, App: a, Prog: p, build: b})
 	if err != nil {
 		return nil, err
 	}

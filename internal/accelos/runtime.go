@@ -1,8 +1,10 @@
 package accelos
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,6 +61,13 @@ type Runtime struct {
 	// replanMu serializes plan computation + push so a stale plan can
 	// never overwrite a newer one on the launch handles.
 	replanMu sync.Mutex
+
+	// buildMu guards the build cache: every source the runtime compiled,
+	// keyed by its hash, shared by every Program created from it.
+	// buildSlots is the counting semaphore a compile holds while it runs.
+	buildMu    sync.Mutex
+	builds     map[buildKey]*build
+	buildSlots chan struct{}
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -138,6 +147,8 @@ type PlanSample struct {
 
 // Stats counts runtime activity for observability and tests.
 type Stats struct {
+	// ProgramsJITed counts compiles performed: a program created from a
+	// source the build cache already holds is not one.
 	ProgramsJITed   int
 	KernelsLaunched int
 	Passthroughs    int
@@ -176,6 +187,9 @@ type Request struct {
 	Event *opencl.Event
 	Bufs  []*opencl.Buffer
 
+	// A program creation carries its finished build to the JIT state.
+	build *build
+
 	reply chan error
 }
 
@@ -211,6 +225,12 @@ func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident
 		reqCh: make(chan *Request, 64),
 		quit:  make(chan struct{}),
 		execs: make(map[*sim.ClusterExec]*launchRec),
+
+		builds: make(map[buildKey]*build),
+		// Half the processors at most compile: a tenant opening many
+		// connections with distinct sources cannot take the CPUs the VM
+		// workers run on.
+		buildSlots: make(chan struct{}, max(1, runtime.GOMAXPROCS(0)/2)),
 	}
 	rt.pool.SetObserver(rt.onPoolEvent)
 	rt.stats.DeviceLaunches = make([]int, len(plats))
@@ -412,50 +432,154 @@ func (rt *Runtime) submitAsync(req *Request) {
 	rt.reqCh <- req
 }
 
-// jitProgram is scenario (a) of the FSM: compile the source, clone,
-// transform, and keep both modules. The application keeps launching
-// kernels under their original names; the transformed module provides
-// them.
-func (rt *Runtime) jitProgram(req *Request) error {
-	p := req.Prog
-	orig, err := clc.Compile(p.Source, fmt.Sprintf("app%d_prog", req.App.ID))
-	if err != nil {
-		return fmt.Errorf("accelos: program build failed: %w", err)
+// ErrBuildFailed wraps every failure to turn a program's source into its
+// transformed module: a front-end diagnostic, a transformation the JIT
+// refused, or a compiler panic contained at the build boundary. One
+// tenant's malformed source fails that tenant's CreateProgram; it never
+// reaches the daemon other tenants share.
+var ErrBuildFailed = errors.New("accelos: program build failed")
+
+// maxBuilds bounds the build cache. A victim is arbitrary, like the
+// interpreter's program cache: an evicted source compiles again when it
+// is next created, and the Programs already built from it keep their
+// modules.
+const maxBuilds = 64
+
+type buildKey [sha256.Size]byte
+
+// build is one source compiled, transformed and lowered: what every
+// Program created from that source points at. The goroutine that
+// claimed the source writes the fields and then closes done; they are
+// immutable from there on.
+type build struct {
+	done chan struct{}
+	err  error
+
+	orig  *ir.Module
+	trans *ir.Module
+	infos map[string]*accelpass.KernelInfo
+}
+
+// buildProgram returns the finished build of src, compiling it on the
+// calling goroutine when the cache does not hold it. Tiering is fixed
+// before any application connects and a program carries no options, so
+// the source hash is the whole key. Concurrent creators of one source
+// wait for the first one's compile and share its outcome, error
+// included; a failed build leaves the cache before its waiters wake, so
+// the next creator compiles afresh.
+func (rt *Runtime) buildProgram(tenant, src string) *build {
+	key := buildKey(sha256.Sum256([]byte(src)))
+	rt.buildMu.Lock()
+	b := rt.builds[key]
+	if b == nil {
+		b = &build{done: make(chan struct{})}
+		if len(rt.builds) >= maxBuilds {
+			for k := range rt.builds {
+				delete(rt.builds, k)
+				break
+			}
+		}
+		rt.builds[key] = b
+		rt.buildMu.Unlock()
+		rt.reg.Counter("jit_cache_misses_total", telemetry.L("tenant", tenant)).Inc()
+		rt.runBuild(b, key, tenant, func() error {
+			// The module is named after its source, not after the
+			// application that happened to create it first.
+			return b.compile(src, fmt.Sprintf("prog_%x", key[:8]), rt.tier != nil)
+		})
+		return b
 	}
-	trans := ir.CloneModule(orig)
-	res, err := accelpass.Transform(trans)
-	if err != nil {
-		return fmt.Errorf("accelos: JIT transformation failed: %w", err)
+	rt.buildMu.Unlock()
+	rt.reg.Counter("jit_cache_hits_total", telemetry.L("tenant", tenant)).Inc()
+	<-b.done
+	return b
+}
+
+// runBuild runs b's compile under a compile slot and keeps the cache's
+// promises whatever the compiler does: an error or a panic both end as
+// b.err wrapping ErrBuildFailed, a failed build leaves the cache, the
+// slot is returned, and done is closed last, so no waiter is stranded
+// and none wakes to a half-recorded outcome.
+func (rt *Runtime) runBuild(b *build, key buildKey, tenant string, compile func() error) {
+	defer close(b.done)
+	defer func() {
+		if r := recover(); r != nil {
+			b.err = fmt.Errorf("%w: compiler panic: %v", ErrBuildFailed, r)
+			rt.reg.Counter("jit_panics_total", telemetry.L("tenant", tenant)).Inc()
+		}
+		if b.err != nil {
+			rt.buildMu.Lock()
+			if rt.builds[key] == b {
+				delete(rt.builds, key)
+			}
+			rt.buildMu.Unlock()
+		}
+	}()
+	rt.buildSlots <- struct{}{}
+	defer func() { <-rt.buildSlots }()
+
+	start := time.Now()
+	if b.err = compile(); b.err != nil {
+		return
 	}
-	p.orig = orig
-	p.trans = res.Module
-	p.infos = res.Kernels
+	rt.reg.Histogram("jit_compile_ns").Observe(int64(time.Since(start)))
+	rt.statsMu.Lock()
+	rt.stats.ProgramsJITed++
+	rt.statsMu.Unlock()
+}
+
+// compile is the JIT proper: compile the source, clone, transform, and
+// keep both modules; then lower the transformed one for the VM, unless
+// tiered execution defers that to the first launch.
+func (b *build) compile(src, name string, tiered bool) error {
+	orig, err := clc.Compile(src, name)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrBuildFailed, err)
+	}
+	res, err := accelpass.Transform(ir.CloneModule(orig))
+	if err != nil {
+		return fmt.Errorf("%w: JIT transformation: %w", ErrBuildFailed, err)
+	}
+	b.orig = orig
+	b.trans = res.Module
+	b.infos = res.Kernels
 	// Run the O1 optimization pipeline (mem2reg + constfold + dce +
 	// simplifycfg) over a clone of the transformed module and adopt it
 	// on success: the scheduling wrapper's dequeue loop and the
 	// computation function both shed their alloca traffic before any
 	// slice executes. The clone matters — the pipeline mutates
-	// pass-by-pass, so a mid-pipeline failure must not leave the app's
+	// pass-by-pass, so a mid-pipeline failure must not leave the
 	// module half-transformed; on error the intact memory-form module
 	// stays in service.
-	if rt.tier != nil {
+	if tiered {
 		// Tiered execution: defer all optimization. The first launch
 		// resolves a cheap tier-0 compile through the controller, and the
 		// O1+profile-guided recompile happens in the background once the
-		// kernel proves hot.
-	} else if opt := ir.CloneModule(p.trans); passes.RunO1(opt) == nil {
-		p.trans = opt
+		// kernel proves hot — once per source, for every tenant of it.
+	} else if opt := ir.CloneModule(b.trans); passes.RunO1(opt) == nil {
+		b.trans = opt
 		// Bytecode lowering would re-run the pipeline on a private
 		// clone; the module is already in optimized form, so skip it —
 		// but keep warp dispatch tables, which Opt does not imply.
-		interp.ShareProgram(interp.CompileModuleOpts(p.trans,
+		interp.ShareProgram(interp.CompileModuleOpts(b.trans,
 			interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth}))
 	} else {
-		interp.SharedProgram(p.trans)
+		interp.SharedProgram(b.trans)
 	}
-	rt.statsMu.Lock()
-	rt.stats.ProgramsJITed++
-	rt.statsMu.Unlock()
+	return nil
+}
+
+// jitProgram is scenario (a) of the FSM. The compile itself ran on the
+// creating application's goroutine (buildProgram); the JIT state only
+// reports its outcome and installs the build on the application's
+// program handle, so the scheduling goroutine never waits for a
+// compiler. The application keeps launching kernels under their
+// original names; the transformed module provides them.
+func (rt *Runtime) jitProgram(req *Request) error {
+	if req.build.err != nil {
+		return req.build.err
+	}
+	req.Prog.build = req.build
 	return nil
 }
 

@@ -28,6 +28,30 @@ kernel void spin(global int* out, int n)
 }
 `
 
+// runSpin launches spinSrc's kernel over n items on app, blocking, and
+// checks every output word.
+func runSpin(t *testing.T, app *App, k *KernelHandle, buf *BufferHandle, n int) {
+	t.Helper()
+	nd := opencl.NDRange{Dims: 1, Global: [3]int64{int64(n), 1, 1}, Local: [3]int64{32, 1, 1}}
+	want := int32(0) // sum of i&7 for i in [0, n)
+	for i := int32(0); i < int32(n); i++ {
+		want += i & 7
+	}
+	if err := app.EnqueueKernel(k, nd); err != nil {
+		t.Fatalf("%s: enqueue: %v", app.Name, err)
+	}
+	out := make([]byte, n*4)
+	if err := buf.Read(0, out); err != nil {
+		t.Fatalf("%s: read: %v", app.Name, err)
+	}
+	app.Finish()
+	for i := 0; i < n; i++ {
+		if got := int32(binary.LittleEndian.Uint32(out[i*4:])); got != want {
+			t.Fatalf("%s: out[%d] = %d, want %d", app.Name, i, got, want)
+		}
+	}
+}
+
 // TestRuntimeTieredTelemetry drives the full tiered lifecycle through
 // the runtime: EnableTiering makes the JIT defer optimization, the
 // first launch runs the tier-0 program, the background controller
@@ -49,30 +73,7 @@ func TestRuntimeTieredTelemetry(t *testing.T) {
 	const n = 64
 	k, buf := setupIntKernel(t, app, spinSrc, "spin", n)
 	defer buf.Release()
-	nd := opencl.NDRange{Dims: 1, Global: [3]int64{n, 1, 1}, Local: [3]int64{32, 1, 1}}
-
-	want := int32(0) // sum of i&7 for i in [0, n)
-	for i := int32(0); i < n; i++ {
-		want += i & 7
-	}
-	launch := func(tag string) {
-		t.Helper()
-		if err := app.EnqueueKernel(k, nd); err != nil {
-			t.Fatalf("%s: enqueue: %v", tag, err)
-		}
-		out := make([]byte, n*4)
-		if err := buf.Read(0, out); err != nil {
-			t.Fatalf("%s: read: %v", tag, err)
-		}
-		app.Finish()
-		for i := 0; i < n; i++ {
-			if got := int32(binary.LittleEndian.Uint32(out[i*4:])); got != want {
-				t.Fatalf("%s: out[%d] = %d, want %d", tag, i, got, want)
-			}
-		}
-	}
-
-	launch("tier-0 launch")
+	runSpin(t, app, k, buf, n)
 
 	// HotInstrs 1 makes the single launch hot; the background worker
 	// recompiles at tier 1 and hot-swaps.
@@ -84,7 +85,7 @@ func TestRuntimeTieredTelemetry(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	launch("tier-1 launch")
+	runSpin(t, app, k, buf, n)
 
 	var text bytes.Buffer
 	if err := reg.WriteText(&text); err != nil {

@@ -8,11 +8,18 @@ import (
 
 // Parser builds an AST from CLC source.
 type Parser struct {
-	lx   *Lexer
-	tok  Token
-	next Token
-	errs []error
+	lx    *Lexer
+	tok   Token
+	next  Token
+	errs  []error
+	depth int // statements and expressions open around the current token
 }
+
+// maxNesting bounds how deep statements and expressions nest. The parser
+// descends about a dozen frames per level, and Go ends the process —
+// unrecoverably — when a goroutine's stack passes its limit, so without
+// a bound a megabyte of "(" takes down whoever called Compile.
+const maxNesting = 1000
 
 // Parse parses a translation unit.
 func Parse(src string) (*File, error) {
@@ -34,6 +41,23 @@ func (p *Parser) errorf(pos Pos, format string, args ...interface{}) {
 		p.errs = append(p.errs, fmt.Errorf("clc: %s: %s", pos, fmt.Sprintf(format, args...)))
 	}
 }
+
+// nest opens one more nesting level, or reports the level that went too
+// deep and drops the rest of the input: only the first error is
+// returned, and nothing after this one is worth parsing.
+func (p *Parser) nest() bool {
+	if p.depth < maxNesting {
+		p.depth++
+		return true
+	}
+	p.errorf(p.tok.Pos, "nesting deeper than %d levels", maxNesting)
+	for p.tok.Kind != TokEOF {
+		p.advance()
+	}
+	return false
+}
+
+func (p *Parser) unnest() { p.depth-- }
 
 func (p *Parser) advance() Token {
 	t := p.tok
@@ -222,6 +246,10 @@ func (p *Parser) parseBlock() *BlockStmt {
 
 func (p *Parser) parseStmt() Stmt {
 	pos := p.tok.Pos
+	if !p.nest() {
+		return &EmptyStmt{stmtBase{pos}}
+	}
+	defer p.unnest()
 	switch {
 	case p.at("{"):
 		return p.parseBlock()
@@ -394,6 +422,10 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 
 func (p *Parser) parseUnary() Expr {
 	pos := p.tok.Pos
+	if !p.nest() {
+		return &IntLit{exprBase{P: pos}, 0}
+	}
+	defer p.unnest()
 	switch {
 	case p.at("-"), p.at("!"), p.at("~"), p.at("*"), p.at("&"), p.at("+"):
 		op := p.advance()

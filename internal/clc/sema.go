@@ -671,16 +671,18 @@ func (s *Sema) checkCall(c *Call) *CType {
 		return TypeInt
 	}
 	c.Builtin = bi
-	if len(c.Args) != bi.NArgs {
-		s.errorf(c.P, "builtin %q takes %d args, got %d", c.Name, bi.NArgs, len(c.Args))
-	}
 	var argTypes []*CType
 	for _, a := range c.Args {
 		argTypes = append(argTypes, s.checkExpr(a))
 	}
+	if len(c.Args) != bi.NArgs {
+		// The per-kind checks below index the arguments bi takes.
+		s.errorf(c.P, "builtin %q takes %d args, got %d", c.Name, bi.NArgs, len(c.Args))
+		return TypeInt
+	}
 	switch bi.Kind {
 	case BWorkItem:
-		if bi.NArgs == 1 && len(argTypes) == 1 && !argTypes[0].IsInt() {
+		if bi.NArgs == 1 && !argTypes[0].IsInt() {
 			s.errorf(c.P, "%s dimension must be an integer", c.Name)
 		}
 		if c.Name == "get_work_dim" {
@@ -690,9 +692,6 @@ func (s *Sema) checkCall(c *Call) *CType {
 	case BBarrier:
 		return TypeVoid
 	case BAtomic:
-		if len(argTypes) == 0 {
-			return TypeInt
-		}
 		pt := argTypes[0]
 		if pt.K != CPtr || !pt.Elem.IsInt() || pt.Elem.K == CBool {
 			s.errorf(c.P, "%s requires a pointer to int or long, got %s", c.Name, pt)
@@ -701,7 +700,7 @@ func (s *Sema) checkCall(c *Call) *CType {
 		if pt.Space != ir.Global && pt.Space != ir.Local {
 			s.errorf(c.P, "%s requires a global or local pointer", c.Name)
 		}
-		if !bi.Inc && len(argTypes) > 1 && !argTypes[1].IsInt() {
+		if !bi.Inc && !argTypes[1].IsInt() {
 			s.errorf(c.P, "%s operand must be an integer", c.Name)
 		}
 		return pt.Elem

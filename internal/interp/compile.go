@@ -430,18 +430,29 @@ func SetCacheMetrics(m CacheMetrics) {
 
 func SharedProgram(mod *ir.Module) *Prog {
 	progMu.Lock()
-	defer progMu.Unlock()
-	if p := progCache[mod]; p != nil {
-		if cacheMetrics != nil {
+	p, miss := progCache[mod], false
+	if p == nil {
+		// Compile with the lock released: every launch resolves its
+		// program through progMu, and a whole compile is too long to hold
+		// them all for. Racing misses of one module both compile; the
+		// first insert wins, and the loser reads as the hit it would have
+		// been had it waited.
+		progMu.Unlock()
+		fresh := CompileModule(mod)
+		progMu.Lock()
+		if p = progCache[mod]; p == nil {
+			p, miss = fresh, true
+			cacheProgramLocked(p)
+		}
+	}
+	if cacheMetrics != nil {
+		if miss {
+			cacheMetrics.ProgramCacheMiss(p.tier)
+		} else {
 			cacheMetrics.ProgramCacheHit(p.tier)
 		}
-		return p
 	}
-	p := CompileModule(mod)
-	cacheProgramLocked(p)
-	if cacheMetrics != nil {
-		cacheMetrics.ProgramCacheMiss(p.tier)
-	}
+	progMu.Unlock()
 	return p
 }
 

@@ -374,3 +374,39 @@ func TestProgramCacheMetrics(t *testing.T) {
 		t.Errorf("tier-1 hits %v, want map[1:1]", fm.hits)
 	}
 }
+
+// TestSharedProgramConcurrentMiss: racing first resolutions of one
+// module compile with the cache lock released, yet every caller gets
+// the one program the cache kept and the counters read one miss and a
+// hit for each of the others — what a compile under the lock reported.
+func TestSharedProgramConcurrentMiss(t *testing.T) {
+	mod, err := clc.Compile(tierLoopSrc, "cacherace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm := &fakeCacheMetrics{hits: make(map[int]int), misses: make(map[int]int)}
+	SetCacheMetrics(fm)
+	defer SetCacheMetrics(nil)
+
+	const callers = 8
+	progs := make([]*Prog, callers)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			progs[i] = SharedProgram(mod)
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d resolved %p, caller 0 resolved %p", i, p, progs[0])
+		}
+	}
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	if fm.misses[1] != 1 || fm.hits[1] != callers-1 {
+		t.Errorf("misses %v hits %v, want one tier-1 miss and %d tier-1 hits", fm.misses, fm.hits, callers-1)
+	}
+}

@@ -692,6 +692,41 @@ func TestServiceSlowClientEviction(t *testing.T) {
 	}
 }
 
+// TestServiceBuildFailedRoundTrip: a program that does not compile fails
+// its own CreateProgram with accelos.ErrBuildFailed, typed across the
+// process boundary and with the front end's position in the message;
+// the connection, and the daemon behind it, go on building valid ones.
+func TestServiceBuildFailedRoundTrip(t *testing.T) {
+	d := startDaemon(t)
+	c, err := Dial(d.sock, "malformed", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, src := range []string{
+		"kernel void broken(global int* out) { out[0] = ; }",
+		"kernel void open(global int* out) { out[0] = 1;",
+		"\x00\xff not a program",
+	} {
+		_, err := c.CreateProgram(src)
+		if !errors.Is(err, accelos.ErrBuildFailed) {
+			t.Errorf("CreateProgram(%q) = %v, want ErrBuildFailed", src, err)
+		}
+	}
+	if _, err := c.CreateProgram("kernel void broken(global int* out) { out[0] = ; }"); err == nil ||
+		!strings.Contains(err.Error(), "1:") {
+		t.Errorf("build failure lost the diagnostic's position: %v", err)
+	}
+	prog, err := c.CreateProgram(svcVaddSrc)
+	if err != nil {
+		t.Fatalf("valid program after failed builds: %v", err)
+	}
+	if _, err := prog.CreateKernel("vadd"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServiceBadHandshake exercises every admission refusal: wrong
 // token, unknown tenant, protocol version skew, and a first frame that
 // is not a hello at all. Each must be answered with a typed code that

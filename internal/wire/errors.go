@@ -39,6 +39,10 @@ const (
 	CodeNotFound      Code = 20 // unknown program/kernel/buffer/event id
 	CodeBadRequest    Code = 21 // structurally valid frame, invalid contents
 	CodeInternal      Code = 22
+
+	// Appended, never renumbered: an older peer reads a code it does not
+	// know as an untyped failure with the server's message.
+	CodeBuildFailed Code = 23 // accelos.ErrBuildFailed
 )
 
 // Service-layer sentinel errors; Code.Err wraps these so clients can
@@ -85,6 +89,8 @@ func (c Code) sentinel() error {
 		return ErrBadRequest
 	case CodeInternal:
 		return ErrInternal
+	case CodeBuildFailed:
+		return accelos.ErrBuildFailed
 	}
 	return nil
 }
@@ -120,6 +126,8 @@ func CodeOf(err error) Code {
 		return CodeKernelTimeout
 	case errors.Is(err, accelos.ErrKernelQuarantined):
 		return CodeQuarantined
+	case errors.Is(err, accelos.ErrBuildFailed):
+		return CodeBuildFailed
 	case errors.Is(err, ErrBadHandshake):
 		return CodeBadHandshake
 	case errors.Is(err, ErrUnknownTenant):

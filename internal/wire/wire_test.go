@@ -115,6 +115,7 @@ func TestCodeRoundTrip(t *testing.T) {
 		{fmt.Errorf("kernel arg 2: %w", opencl.ErrBufferReleased), CodeBufferReleased},
 		{accelos.ErrAppClosed, CodeAppClosed},
 		{opencl.ErrOutOfMemory, CodeOutOfMemory},
+		{fmt.Errorf("%w: 3:7: expected ';'", accelos.ErrBuildFailed), CodeBuildFailed},
 		{ErrBackpressure, CodeBackpressure},
 		{ErrRateLimited, CodeRateLimited},
 		{ErrUnknownTenant, CodeUnknownTenant},
@@ -149,6 +150,12 @@ func TestCodeRoundTrip(t *testing.T) {
 	}
 	if !errors.Is(CodeAppClosed.Err("closed"), accelos.ErrAppClosed) {
 		t.Error("ErrAppClosed does not round-trip")
+	}
+	if !errors.Is(CodeBuildFailed.Err("3:7: expected ';'"), accelos.ErrBuildFailed) {
+		t.Error("ErrBuildFailed does not round-trip")
+	}
+	if CodeBuildFailed != 23 {
+		t.Errorf("CodeBuildFailed = %d: codes are appended, never renumbered", CodeBuildFailed)
 	}
 	if CodeOf(nil) != CodeOK || CodeOK.Err("") != nil {
 		t.Error("CodeOK must map to nil and back")
