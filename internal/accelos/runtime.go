@@ -137,6 +137,9 @@ type launchRec struct {
 // PlanSample is one allocation pushed to an in-flight execution by the
 // dynamic re-planner — the observable trace of the §5 adaptation (tests
 // assert a surviving kernel's PhysWGs grows after a peer completes).
+// PhysWGs is the kernel's entitlement on the modelled platform; how many
+// of them a slice starts on the executing lanes is the launch handle's
+// decision (Stats.PhysGroupsStarted), not the plan's.
 type PlanSample struct {
 	App     string
 	Kernel  string
@@ -169,6 +172,12 @@ type Stats struct {
 	Rejected int
 	// DeviceLaunches counts launches per pool member.
 	DeviceLaunches []int
+	// PhysGroupsPlanned and PhysGroupsStarted sum, over every slice run,
+	// the physical work-groups the §3 plan entitled the kernel to on the
+	// modelled platform and the ones the launch handle started on the
+	// lanes that execute them (opencl.LaunchHandle.Step).
+	PhysGroupsPlanned int64
+	PhysGroupsStarted int64
 }
 
 // Request is one intercepted OpenCL call.
@@ -845,14 +854,20 @@ func (rt *Runtime) drive(rec *launchRec, h *opencl.LaunchHandle) {
 		if rec.timedOut.Load() {
 			h.Cancel(fmt.Errorf("accelos: kernel %q: %w", rec.kern, ErrKernelTimeout))
 		}
+		planned, _ := h.Plan()
 		start := time.Now()
 		done, serr := h.Step()
 		// Slice wall time approximates the kernel's isolated machine
 		// share: it accumulates into "alone" for the live scorecard.
 		d := time.Since(start)
 		rec.busy += d
+		started, _, _ := h.LastSlice()
+		rt.statsMu.Lock()
+		rt.stats.PhysGroupsPlanned += planned
+		rt.stats.PhysGroupsStarted += started
+		rt.statsMu.Unlock()
 		if traced {
-			rt.recordSlice(rec, h.MachineName(), slice, start, d)
+			rt.recordSlice(rec, h.MachineName(), slice, start, d, planned, started)
 		}
 		slice++
 		if done {
@@ -897,8 +912,9 @@ func (rec *launchRec) devLabel() string {
 
 // recordSlice emits one slice-execution span on the machine's trace
 // thread, parented to the kernel's root span, plus the slice-duration
-// histogram sample.
-func (rt *Runtime) recordSlice(rec *launchRec, mach string, slice int, start time.Time, d time.Duration) {
+// and started-groups histogram samples; a slice that started fewer
+// physical groups than its plan entitled it to counts as clamped.
+func (rt *Runtime) recordSlice(rec *launchRec, mach string, slice int, start time.Time, d time.Duration, planned, started int64) {
 	if mach == "" {
 		mach = "mach"
 	}
@@ -909,6 +925,10 @@ func (rt *Runtime) recordSlice(rec *launchRec, mach string, slice int, start tim
 		telemetry.Arg{Key: "dev", Val: rec.devLabel()})
 	rt.reg.Histogram("slice_ns",
 		telemetry.L("tenant", rec.app), telemetry.L("dev", rec.devLabel())).Observe(int64(d))
+	rt.reg.Histogram("launch_phys_groups", telemetry.L("tenant", rec.app)).Observe(started)
+	if started < planned {
+		rt.reg.Counter("launch_groups_clamped_total", telemetry.L("tenant", rec.app)).Inc()
+	}
 }
 
 // recordKernel emits the execution's lifecycle telemetry once its event
@@ -1041,9 +1061,9 @@ func (rt *Runtime) PlanHistory() []PlanSample {
 }
 
 // SetSliceRounds tunes the slice granularity of subsequently scheduled
-// kernels: how many dequeue rounds per physical work-group one slice
-// covers. Smaller values return control to the scheduler more often, so
-// re-plans land faster; 0 keeps opencl.DefaultSliceRounds.
+// kernels: how many dequeue rounds per planned physical work-group one
+// slice covers. Smaller values return control to the scheduler more
+// often, so re-plans land faster; 0 keeps opencl.DefaultSliceRounds.
 func (rt *Runtime) SetSliceRounds(n int64) {
 	rt.mu.Lock()
 	rt.sliceRounds = n

@@ -6,6 +6,7 @@ package accelos
 
 import (
 	"repro/internal/device"
+	"repro/internal/opencl"
 	"repro/internal/sim"
 )
 
@@ -123,7 +124,7 @@ func planFractions(dev *device.Platform, execs []*sim.KernelExec, frac func(i in
 		// Keep several dequeues per worker so chunk-granularity tails
 		// stay small: a chunk near the per-worker share would serialize
 		// small grids.
-		if cap := ke.NumWGs / (n * 8); chunk > cap {
+		if cap := ke.NumWGs / (n * opencl.DequeuesPerLane); chunk > cap {
 			chunk = cap
 			if chunk < 1 {
 				chunk = 1

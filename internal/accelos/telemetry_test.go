@@ -113,6 +113,7 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 		`dma_bytes_total{queue="tenant-a"}`,
 		`enqueue_latency_ns`,
 		`slice_ns`,
+		`launch_phys_groups`,
 		`replans_total`,
 		`warp_occupancy`,
 		`divergence_fallbacks_total`,
@@ -120,6 +121,21 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("metrics snapshot missing %q:\n%s", want, text.String())
 		}
+	}
+
+	// Plan vs started groups: the plan is the entitlement on the modelled
+	// platform, the handle starts what the executing lanes can hold, and
+	// a slice that started fewer counts as clamped.
+	st := rt.Stats()
+	if st.PhysGroupsStarted < 1 || st.PhysGroupsStarted > st.PhysGroupsPlanned ||
+		st.PhysGroupsStarted > int64(sliceSpans*interp.Lanes()) {
+		t.Errorf("physical groups started %d, planned %d, over %d slices on %d lanes",
+			st.PhysGroupsStarted, st.PhysGroupsPlanned, sliceSpans, interp.Lanes())
+	}
+	clamped := reg.Counter("launch_groups_clamped_total", telemetry.L("tenant", "tenant-a")).Value()
+	if (clamped > 0) != (st.PhysGroupsStarted < st.PhysGroupsPlanned) {
+		t.Errorf("launch_groups_clamped_total = %d with %d of %d planned groups started",
+			clamped, st.PhysGroupsStarted, st.PhysGroupsPlanned)
 	}
 
 	sc := score.Compute()

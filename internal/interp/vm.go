@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -185,7 +184,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		l.profPhase = (c * (total/2 + 1)) % p.every
 	}
 	defer l.flushWarpStats()
-	workers := int64(runtime.GOMAXPROCS(0))
+	workers := int64(Lanes())
 	if workers > total {
 		workers = total
 	}

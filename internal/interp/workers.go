@@ -27,11 +27,20 @@ type WorkerPool struct {
 	closed bool
 }
 
+// Lanes is how many work-groups a VM launch executes side by side: the
+// occupancy of the device that actually runs the bytecode, as opposed to
+// the modelled platform the §3 plan is computed against. launchVM sizes
+// its claim loops with it and an opencl.LaunchHandle clamps the physical
+// work-groups its slices start to it; both read it here so they cannot
+// drift. It takes the Go scheduler's lock, so callers on a latency path
+// read it where that lock is quiet (the handle does so at construction).
+func Lanes() int { return runtime.GOMAXPROCS(0) }
+
 // NewWorkerPool starts a pool of n persistent workers (n < 1 means
-// GOMAXPROCS).
+// Lanes).
 func NewWorkerPool(n int) *WorkerPool {
 	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
+		n = Lanes()
 	}
 	p := &WorkerPool{tasks: make(chan func())}
 	p.wg.Add(n)

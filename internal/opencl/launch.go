@@ -206,22 +206,40 @@ func (p *MachinePool) Idle() int {
 // LaunchTransformed convenience entry point).
 var fallbackPool = NewMachinePool()
 
-// DefaultSliceRounds is how many dequeue rounds each physical work-group
-// gets per slice: the slice budget is PhysWGs·Chunk·rounds virtual
-// groups. Small enough that the host regains control frequently (so a
-// re-plan lands quickly), large enough to amortize slice turnaround.
+// DefaultSliceRounds is how many dequeue rounds each planned physical
+// work-group is budgeted per slice: the slice covers PhysWGs·Chunk·rounds
+// virtual groups of the plan, however many physical groups Step starts
+// to consume them. Small enough that the host regains control frequently
+// (so a re-plan lands quickly), large enough to amortize slice
+// turnaround.
 const DefaultSliceRounds = 8
+
+// DequeuesPerLane is how many scheduling operations each physical
+// work-group should get for dequeue-granularity tails to stay small —
+// "several dequeues per worker". The §3 planner caps a kernel's chunk so
+// its grid yields that many per planned group, and Step treats a slice
+// with fewer than that per started group as too small to balance.
+const DequeuesPerLane = 8
 
 // LaunchHandle is one in-flight transformed kernel execution, run as a
 // sequence of virtual-group-range slices. Each slice rewrites the RT
 // descriptor's dequeue cursor and horizon (rtlib.RTNext/RTTotal) and the
-// chunk size, then executes the scheduling kernel with the currently
-// planned number of physical work-groups; between slices the host (the
-// accelOS Kernel Scheduler) may push a new plan with UpdatePlan — the
-// paper's §5 dynamic adaptation, live. Buffers are bound zero-copy: the
-// interpreter reads and writes opencl.Buffer.Bytes in place, so large
-// buffers cost nothing per launch and concurrent launches sharing a
-// buffer cannot lose each other's updates to whole-buffer copy-back.
+// chunk size, then executes the scheduling kernel; between slices the
+// host (the accelOS Kernel Scheduler) may push a new plan with
+// UpdatePlan — the paper's §5 dynamic adaptation, live.
+//
+// The plan is the kernel's entitlement: PhysWGs is its share of the
+// modelled platform and, with Chunk and the slice rounds, sizes the
+// slice. Step decides how much of that entitlement to start: the
+// bytecode runs on interp.Lanes() lanes (read once, at construction), a
+// physical group beyond that occupancy would start only once another had
+// drained the queue, so Step starts at most that many and never one that
+// would find the queue empty (see Step and LastSlice).
+//
+// Buffers are bound zero-copy: the interpreter reads and writes
+// opencl.Buffer.Bytes in place, so large buffers cost nothing per launch
+// and concurrent launches sharing a buffer cannot lose each other's
+// updates to whole-buffer copy-back.
 type LaunchHandle struct {
 	pool *MachinePool
 	mach *interp.Machine
@@ -233,8 +251,19 @@ type LaunchHandle struct {
 	nd       NDRange // virtual (original) geometry
 	rt       []byte  // RT descriptor image, bound as a machine region
 
+	// kchunk is the kernel's own §6.4 chunk (rtWords[RTChunk] at
+	// construction), as opposed to the planner's balance-capped one.
+	// lanes is interp.Lanes() as read at construction, on the goroutine
+	// that schedules the launch. Step does not read it itself: the read
+	// takes the Go scheduler's lock, and on the goroutine that was just
+	// started to drive the launch — while the spawning and the woken
+	// thread are both in the scheduler — that one acquisition cost a
+	// one-group kernel's whole chain 12 µs of 82.
+	kchunk int64
+	lanes  int64
+
 	mu       sync.Mutex
-	phys     int64
+	phys     int64 // planned (entitlement), see UpdatePlan
 	chunk    int64
 	rounds   int64
 	total    int64
@@ -242,6 +271,9 @@ type LaunchHandle struct {
 	done     bool
 	cancel   error // pending abort, applied at the next slice boundary
 	err      error
+
+	// What the most recent Step started (LastSlice).
+	lastPhys, lastChunk, lastBudget int64
 
 	// Tiered execution: mod and progVer let Step re-resolve the shared
 	// program at each slice boundary when a background promotion bumped
@@ -309,6 +341,8 @@ func NewLaunchHandle(plat *Platform, mod *ir.Module, k *Kernel, nd NDRange, rtWo
 		rt:       img,
 		rounds:   DefaultSliceRounds,
 		total:    rtWords[rtlib.RTTotal],
+		kchunk:   rtWords[rtlib.RTChunk],
+		lanes:    int64(interp.Lanes()),
 		mod:      mod,
 		progVer:  ver,
 		tier:     prog.Tier(),
@@ -384,6 +418,17 @@ func (h *LaunchHandle) Plan() (phys, chunk int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.phys, h.chunk
+}
+
+// LastSlice reports what the most recent Step actually ran: the physical
+// work-groups it started (at most the planned count and the handle's
+// lanes), the chunk they dequeued by, and the slice's budget in virtual
+// groups.
+// All zero before the first slice.
+func (h *LaunchHandle) LastSlice() (phys, chunk, budget int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.lastPhys, h.lastChunk, h.lastBudget
 }
 
 // Progress reports how many virtual groups have been executed out of the
@@ -471,7 +516,9 @@ func (h *LaunchHandle) ResumeAt(consumed int64) {
 
 // Step executes one slice: it advances the RT descriptor's dequeue
 // cursor to the consumed prefix, sets the slice horizon and chunk, and
-// runs the scheduling kernel with the planned physical work-groups. The
+// runs the scheduling kernel. The slice's budget comes from the plan;
+// the physical work-groups started are the planned ones clamped to the
+// lanes that execute them and to the dequeues the budget holds. The
 // kernel's work-groups atomically dequeue chunks until the horizon is
 // reached, then terminate, returning control to the host. Step reports
 // whether the execution is complete.
@@ -509,14 +556,20 @@ func (h *LaunchHandle) Step() (done bool, err error) {
 		budget = remaining
 	}
 	eff := consumed + budget
-	// Extra workers past the slice budget would dequeue nothing; do not
-	// spawn them.
-	if budget < phys {
-		phys = budget
+	// A group beyond the executing device's occupancy starts only after
+	// another drained the queue: it would pay the wrapper prologue and a
+	// failing dequeue for nothing.
+	phys = min(phys, h.lanes)
+	// Too few virtual groups for several dequeues per lane: balance is
+	// moot, so dequeue by the kernel's own §6.4 chunk rather than the
+	// planner's balance-capped one. A cheap kernel (large chunk) then
+	// runs in one group; an expensive one (chunk 1) still spreads.
+	if budget < phys*DequeuesPerLane {
+		chunk = max(1, min(h.kchunk, budget))
 	}
-	if phys < 1 {
-		phys = 1
-	}
+	// Never start a group that will find the queue empty.
+	phys = max(1, min(phys, (budget+chunk-1)/chunk))
+	h.lastPhys, h.lastChunk, h.lastBudget = phys, chunk, budget
 	h.mu.Unlock()
 
 	if inj := launchInjector.Load(); inj.Should(fault.SliceDelay) {

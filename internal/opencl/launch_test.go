@@ -2,11 +2,14 @@ package opencl
 
 import (
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/accelpass"
 	"repro/internal/clc"
+	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/rtlib"
 )
@@ -243,5 +246,102 @@ kernel void fill(global int* out, int base, int n)
 		if got := int32(binary.LittleEndian.Uint32(buf.Bytes[i*4:])); got != int32(i+7) {
 			t.Fatalf("out[%d] = %d, want %d", i, got, i+7)
 		}
+	}
+}
+
+// runMarkSliced drives the mark kernel over total virtual groups to
+// completion under the given plan, returning LastSlice of every slice.
+// It fails the test unless every virtual group ran exactly once and no
+// slice started a physical group beyond the lanes or the dequeues its
+// budget held.
+func runMarkSliced(t *testing.T, phys, chunk, kchunk, total, rounds int64) [][3]int64 {
+	t.Helper()
+	const local = 8
+	n := total * local
+	buf := &Buffer{Size: n * 4, Bytes: make([]byte, n*4)}
+	k, trans := buildTransformed(t, buf, n)
+	nd := NDRange{Dims: 1, Global: [3]int64{n, 1, 1}, Local: [3]int64{local, 1, 1}}
+	h, err := NewLaunchHandle(nil, trans, k, nd, rtlib.BuildRT(1, nd.NumGroups(), nd.Local, int(kchunk)), phys, chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetSliceRounds(rounds)
+	lanes := int64(interp.Lanes())
+	var slices [][3]int64
+	for done := false; !done; {
+		if done, err = h.Step(); err != nil {
+			t.Fatal(err)
+		}
+		p, c, b := h.LastSlice()
+		slices = append(slices, [3]int64{p, c, b})
+		if dequeues := (b + c - 1) / c; p < 1 || p > lanes || p > dequeues {
+			t.Fatalf("slice %d started %d groups for %d dequeues (budget %d, chunk %d) on %d lanes",
+				len(slices)-1, p, dequeues, b, c, lanes)
+		}
+	}
+	for i := int64(0); i < n; i++ {
+		if got := int32(binary.LittleEndian.Uint32(buf.Bytes[i*4:])); got != int32(i+1) {
+			t.Fatalf("out[%d] = %d, want %d (virtual group ran zero or multiple times)", i, got, i+1)
+		}
+	}
+	return slices
+}
+
+// TestStepStartsOnlyUsableGroups pins the rule Step applies to the plan:
+// at most interp.Lanes() physical groups, the kernel's own §6.4 chunk
+// when the slice holds fewer than DequeuesPerLane dequeues per started
+// group, and never a group that would find the queue empty — while the
+// slice budget stays the plan's phys·chunk·rounds.
+func TestStepStartsOnlyUsableGroups(t *testing.T) {
+	type slice = [3]int64 // started groups, chunk, budget
+	cases := []struct {
+		name                              string
+		phys, chunk, kchunk, total, round int64
+		want                              map[int]slice // first slice, by GOMAXPROCS
+	}{
+		{"cheap kernel, four groups: one dequeue, one group", 4, 1, 4, 4, 8,
+			map[int]slice{1: {1, 4, 4}, 2: {1, 4, 4}, 8: {1, 4, 4}}},
+		{"costly kernel, five groups, chunk 1: spreads over the lanes", 5, 1, 1, 5, 8,
+			map[int]slice{1: {1, 1, 5}, 2: {2, 1, 5}, 8: {5, 1, 5}}},
+		{"large grid keeps the planner's chunk", 104, 2, 4, 4096, 8,
+			map[int]slice{1: {1, 2, 1664}, 2: {2, 2, 1664}, 8: {8, 2, 1664}}},
+		{"budget at the balance threshold of one lane only", 4, 2, 8, 40, 1,
+			map[int]slice{1: {1, 2, 8}, 2: {1, 8, 8}, 8: {1, 8, 8}}},
+		{"kernel chunk larger than the budget", 2, 1, 16, 6, 8,
+			map[int]slice{1: {1, 6, 6}, 2: {1, 6, 6}, 8: {1, 6, 6}}},
+		{"entitlement below the lanes", 1, 4, 4, 64, 8,
+			map[int]slice{1: {1, 4, 32}, 2: {1, 4, 32}, 8: {1, 4, 32}}},
+		{"ragged last dequeue", 3, 1, 2, 7, 8,
+			map[int]slice{1: {1, 2, 7}, 2: {2, 2, 7}, 8: {3, 2, 7}}},
+	}
+	for _, procs := range []int{1, 2, 8} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%s", procs, c.name), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				slices := runMarkSliced(t, c.phys, c.chunk, c.kchunk, c.total, c.round)
+				if slices[0] != c.want[procs] {
+					t.Errorf("first slice (started, chunk, budget) = %v, want %v", slices[0], c.want[procs])
+				}
+				// The budget is the plan's, so the slice count is too.
+				planned := c.phys * c.chunk * c.round
+				if want := (c.total + planned - 1) / planned; int64(len(slices)) != want {
+					t.Errorf("%d slices, want %d (slice boundaries must not depend on the lanes)", len(slices), want)
+				}
+			})
+		}
+	}
+}
+
+// TestFewLongGroupsStillSpread is the tpacf/gen_hists shape: fewer than
+// lanes·DequeuesPerLane virtual groups, each expensive, so the kernel's
+// §6.4 chunk is 1. Serialising such a grid onto one physical group
+// because it is "small" nearly doubled that kernel's time; the kernel's
+// chunk, not the group count, decides.
+func TestFewLongGroupsStillSpread(t *testing.T) {
+	const lanes = 4
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(lanes))
+	slices := runMarkSliced(t, 13, 1, 1, 5, 8)
+	if len(slices) != 1 || slices[0] != [3]int64{lanes, 1, 5} {
+		t.Fatalf("slices (started, chunk, budget) = %v, want one slice of %d groups dequeuing 5 virtual groups by 1", slices, lanes)
 	}
 }

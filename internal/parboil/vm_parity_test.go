@@ -7,13 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/accelos"
 	"repro/internal/accelpass"
 	"repro/internal/clc"
+	"repro/internal/device"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/opencl"
 	"repro/internal/passes"
 	"repro/internal/rtlib"
+	"repro/internal/sim"
 )
 
 // vmParityO0 compiles the bytecode exactly as PR 3 shipped it: no O1
@@ -140,6 +143,74 @@ func TestVMParityTransformedSliced(t *testing.T) {
 						t.Errorf("buffer %d (%s) differs between tree-walker native and %s VM sliced execution",
 							i, spec.Args[i].Name, variant.name)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestNoGroupFindsTheQueueEmpty runs every kernel's verification launch
+// the way the live runtime does when the kernel is alone on the device —
+// the §3 plan PlanSingle gives on the modelled K20m, default slice
+// rounds — and checks on every slice that the handle started no more
+// physical groups than the lanes executing them and the dequeues the
+// slice's budget holds: the plan is an entitlement of up to 100+ groups,
+// and each one started past those bounds would pay the wrapper prologue
+// and a failing dequeue for nothing. Outputs must still match the
+// native launch byte for byte.
+func TestNoGroupFindsTheQueueEmpty(t *testing.T) {
+	dev := device.NVIDIAK20m()
+	lanes := int64(interp.Lanes())
+	for _, k := range Kernels() {
+		t.Run(k.FullName(), func(t *testing.T) {
+			ref, err := k.RunNativeEngine(interp.EngineVM)
+			if err != nil {
+				t.Fatalf("native: %v", err)
+			}
+			orig, err := clc.Compile(k.Source, k.Name)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			tm := ir.CloneModule(orig)
+			res, err := accelpass.Transform(tm)
+			if err != nil {
+				t.Fatalf("transform: %v", err)
+			}
+			info := res.Kernels[k.Name]
+			spec := k.Setup()
+			cl, bufs, err := clKernelFromSpec(orig, k.Name, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
+			plan := accelos.PlanSingle(dev, &sim.KernelExec{
+				WGSize:             nd.WGSize(),
+				NumWGs:             nd.TotalGroups(),
+				LocalBytes:         info.OrigLocalBytes,
+				RegsPerThread:      int64(info.Regs),
+				Chunk:              int64(info.Chunk),
+				TransRegsPerThread: int64(info.Regs) + 1,
+				TransLocalBytes:    info.LocalBytes,
+			}, false)
+			rtWords := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk)
+			h, err := opencl.NewLaunchHandle(nil, tm, cl, nd, rtWords, plan.PhysWGs, plan.Chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for slice, done := 0, false; !done; slice++ {
+				if done, err = h.Step(); err != nil {
+					t.Fatalf("slice %d: %v", slice, err)
+				}
+				started, chunk, budget := h.LastSlice()
+				dequeues := (budget + chunk - 1) / chunk
+				if started < 1 || started > plan.PhysWGs || started > lanes || started > dequeues {
+					t.Errorf("slice %d: started %d groups; planned %d, %d lanes, %d dequeues (budget %d, chunk %d)",
+						slice, started, plan.PhysWGs, lanes, dequeues, budget, chunk)
+				}
+			}
+			for i := range ref {
+				if !bytes.Equal(ref[i], bufs[i]) {
+					t.Errorf("buffer %d (%s) differs from the native launch", i, spec.Args[i].Name)
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -30,6 +31,7 @@ var ErrClientClosed = errors.New("service: client closed")
 // but not kernel launches or reads, which order inside the daemon.
 type Client struct {
 	nc     net.Conn
+	br     *bufio.Reader // the one reader of nc: handshake, then readLoop
 	tenant string
 
 	// ctx spans the connection's lifetime; shutdown cancels it, which
@@ -74,7 +76,8 @@ func Dial(path, tenant, token string) (*Client, error) {
 		nc.Close()
 		return nil, err
 	}
-	f, err := wire.ReadFrame(nc)
+	br := bufio.NewReaderSize(nc, frameReadBuf)
+	f, err := wire.ReadFrame(br)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("service: handshake: %w", err)
@@ -88,15 +91,17 @@ func Dial(path, tenant, token string) (*Client, error) {
 		nc.Close()
 		return nil, w.Code.Err(w.Msg)
 	}
-	return newClient(nc, tenant), nil
+	return newClient(nc, br, tenant), nil
 }
 
-// newClient wraps a connection whose handshake is done and starts its
+// newClient wraps a connection whose handshake is done — read through
+// br, which may already hold bytes past the welcome — and starts its
 // reply reader; Close (or the connection dying) stops it.
-func newClient(nc net.Conn, tenant string) *Client {
+func newClient(nc net.Conn, br *bufio.Reader, tenant string) *Client {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Client{
 		nc:     nc,
+		br:     br,
 		tenant: tenant,
 		ctx:    ctx,
 		cancel: cancel,
@@ -168,7 +173,7 @@ func (c *Client) waitEvent(ev *opencl.Event) error {
 
 func (c *Client) readLoop() {
 	for {
-		f, err := wire.ReadFrame(c.nc)
+		f, err := wire.ReadFrame(c.br)
 		if err != nil {
 			c.shutdown(fmt.Errorf("%w: %v", ErrClientClosed, err))
 			return

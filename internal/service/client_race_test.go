@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"net"
@@ -18,7 +19,7 @@ import (
 // ungated chains, which is why the benchmark issues its chains gated.
 func TestMirrorKnownUntilTerminal(t *testing.T) {
 	cn, sn := net.Pipe()
-	c := newClient(cn, "race")
+	c := newClient(cn, bufio.NewReader(cn), "race")
 	defer c.Close()
 
 	for _, code := range []wire.Code{wire.CodeOK, wire.CodeOf(wire.ErrNotFound)} {

@@ -22,6 +22,7 @@
 package service
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -147,6 +148,7 @@ func (s *Server) serve(ln net.Listener) {
 		c := &conn{
 			s:      s,
 			nc:     nc,
+			br:     bufio.NewReaderSize(nc, frameReadBuf),
 			progs:  make(map[uint64]*accelos.Program),
 			kerns:  make(map[uint64]*accelos.KernelHandle),
 			bufs:   make(map[uint64]*connBuf),
@@ -262,10 +264,19 @@ type connBuf struct {
 	released bool
 }
 
+// frameReadBuf sizes the per-connection read buffer on both ends: small
+// control frames (the steady state) fit whole; a larger body bypasses
+// the buffer and is read straight into the frame.
+const frameReadBuf = 4096
+
 // conn is one client connection = one tenant App.
 type conn struct {
-	s      *Server
-	nc     net.Conn
+	s  *Server
+	nc net.Conn
+	// br is the one reader of nc, for the handshake and the loop alike:
+	// a frame's length prefix and body then cost one read syscall, not
+	// two, and bytes buffered past the hello are not stranded.
+	br     *bufio.Reader
 	tenant string
 	app    *accelos.App
 
@@ -295,7 +306,7 @@ func (c *conn) serve() {
 		return
 	}
 	for {
-		f, err := wire.ReadFrame(c.nc)
+		f, err := wire.ReadFrame(c.br)
 		if err != nil {
 			return
 		}
@@ -313,7 +324,7 @@ func (c *conn) serve() {
 func (c *conn) handshake() bool {
 	s := c.s
 	c.nc.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
-	f, err := wire.ReadFrame(c.nc)
+	f, err := wire.ReadFrame(c.br)
 	if err != nil {
 		c.countEviction("handshake-timeout")
 		return false
