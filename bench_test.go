@@ -7,7 +7,6 @@ package repro
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/accelos"
@@ -294,82 +293,6 @@ kernel void spin(global int* out)
 			}
 		}
 	})
-	// vm-tiered is the steady-state tier-1 program: the same spin kernel
-	// recompiled under the profile of one warm-up launch, which enables
-	// the profile-gated superinstructions (bin+bin here) and hot-path
-	// block layout on top of the static O1 pipeline. CI's bench-tiered
-	// job requires it ≥1.05× faster than the static "vm" run.
-	b.Run("vm-tiered", func(b *testing.B) {
-		m := interp.NewMachine(mod)
-		m.Engine = interp.EngineVM
-		m.UseProgram(interp.CompileModuleOpts(mod, interp.Tier0CompileOpts))
-		prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
-		m.Profiler = prof
-		out := m.NewRegion(4, ir.Global)
-		args := []interp.Value{{K: ir.Pointer, P: interp.Ptr{R: out}}}
-		nd := interp.ND1(1, 1)
-		if err := m.Launch("spin", args, nd); err != nil {
-			b.Fatal(err)
-		}
-		m.Profiler = nil
-		guide := interp.GuideFromSnapshots(prof.Snapshot())
-		m.UseProgram(interp.CompileModuleOpts(mod, interp.CompileOpts{
-			Opt: true, WarpWidth: interp.DefaultWarpWidth, Profile: guide,
-		}))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := m.Launch("spin", args, nd); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTieredLaunch measures first-launch latency — bytecode
-// compile plus one small launch, the cost a tenant pays between program
-// build and first result — at tier 0 (no O1 clone, no fusion, no warp
-// tables) against the old eager O1 compile. The kernel is a long chain
-// of small branches: branchy CFGs are where O1 spends its time (mem2reg
-// phi placement, fusion scanning, block layout, warp tables), matching
-// the Parboil kernels where tier 0 measures 2.7–5× cheaper. Execution
-// is one work-item, so the gap is the optimization pipeline itself, not
-// the (identical) front end or run time. CI's bench-tiered job requires
-// tier 0 ≥2× faster.
-func BenchmarkTieredLaunch(b *testing.B) {
-	var src strings.Builder
-	src.WriteString("kernel void first(global int* out, int n)\n{\n    int acc = n;\n")
-	for i := 0; i < 160; i++ {
-		fmt.Fprintf(&src, "    if (acc & %d) { acc = acc + %d; } else { acc = acc ^ %d; }\n", 1<<(i%8), i+1, i+3)
-	}
-	src.WriteString("    out[0] = acc;\n}\n")
-	mod, err := clc.Compile(src.String(), "first")
-	if err != nil {
-		b.Fatal(err)
-	}
-	variants := []struct {
-		name string
-		opts interp.CompileOpts
-	}{
-		{"tier0", interp.Tier0CompileOpts},
-		{"eager-O1", interp.DefaultCompileOpts},
-	}
-	for _, v := range variants {
-		b.Run("first-launch/"+v.name, func(b *testing.B) {
-			nd := interp.ND1(1, 1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := interp.CompileModuleOpts(mod, v.opts)
-				m := interp.NewMachine(mod)
-				m.UseProgram(p)
-				out := m.NewRegion(4, ir.Global)
-				args := []interp.Value{{K: ir.Pointer, P: interp.Ptr{R: out}}, interp.IntV(7)}
-				if err := m.Launch("first", args, nd); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkWarpDispatch measures warp-batched dispatch against per-item

@@ -86,7 +86,6 @@ func main() {
 	clients := flag.Int("clients", 8, "service experiment: concurrent daemon clients")
 	trace := flag.String("trace", "", "run a live multi-tenant workload and write its Chrome trace_event JSON here (load in chrome://tracing or Perfetto)")
 	profile := flag.Bool("profile", false, "collect and dump sampled VM execution profiles for the live run")
-	tier := flag.Bool("tier", false, "live experiment: tiered execution — cheap tier-0 first launches, background hot-kernel recompilation (promotions reported)")
 	seed := flag.Int64("seed", 42, "chaos experiment: fault-injection RNG seed")
 	dumpIR := flag.String("dump-ir", "", "print a named Parboil kernel's IR before and after the O1 pipeline, then exit (e.g. -dump-ir sad/larger_sad_calc_8)")
 	disable := flag.String("disable-pass", "", "comma-separated O1 passes to skip with -dump-ir (mem2reg, constfold, dce, simplifycfg)")
@@ -114,7 +113,7 @@ func main() {
 		return
 	}
 	if *exp == "live" {
-		if err := runLive(*chains, *profile, *tier); err != nil {
+		if err := runLive(*chains, *profile); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -285,28 +284,15 @@ func runCluster(devices int, policy string, tenants, perTenant int) error {
 // blocking wrappers, then asynchronously with wait-list edges only —
 // and reports the throughput the out-of-order window buys by
 // overlapping transfers with in-flight kernels.
-func runLive(chains int, profile, tier bool) error {
+func runLive(chains int, profile bool) error {
 	if chains < 1 {
 		chains = 1
 	}
 	rt := accelos.NewRuntime(opencl.GetPlatforms()[0])
 	defer rt.Shutdown()
 	rt.Ctx.SetDMAModel(true)
-	var tc *interp.TierController
-	if tier {
-		// A low hotness threshold and exact sampling so the small live
-		// kernels (4 work-groups a launch) cross it within the run and
-		// the promotion machinery is visible.
-		tc = rt.EnableTiering(interp.TierOptions{HotInstrs: 1 << 12, SampleEvery: 1})
-		defer tc.Close()
-	}
 	var prof *interp.Profiler
-	if profile && tier {
-		// The tier controller's own profiler already samples every
-		// launch (its snapshots feed the promotion guide); installing a
-		// second one would starve it of the hotness signal.
-		prof = tc.Profiler()
-	} else if profile {
+	if profile {
 		prof = interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 		rt.SetProfiler(prof)
 	}
@@ -421,9 +407,6 @@ kernel void strided(global float* d, int n, int stride, int iters)
 	fmt.Printf("mean wait-list queue delay:   %12v\n", (queued / time.Duration(len(events))).Round(time.Microsecond))
 	fmt.Printf("runtime: %d launches, %d re-plans, %d wait-deferred\n",
 		st.KernelsLaunched, st.Replans, st.WaitDeferred)
-	if tc != nil {
-		fmt.Printf("tiered execution: %d background promotion(s) to tier 1\n", tc.Promotions())
-	}
 	if prof != nil {
 		fmt.Println("\n--- VM execution profiles ---")
 		prof.Dump(os.Stdout)

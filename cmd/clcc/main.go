@@ -14,17 +14,12 @@
 //	clcc -demo                # use the paper's Fig. 8 example kernel
 //	clcc -profile file.cl     # run each kernel on synthesized arguments
 //	                          # and dump its VM execution profile
-//	clcc -emit-tiers file.cl  # run the tiered pipeline (tier-0 compile,
-//	                          # profile, tier-1 recompile) and print each
-//	                          # kernel's profile-guided compile decisions
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"repro/internal/accelpass"
 	"repro/internal/clc"
@@ -50,7 +45,6 @@ func main() {
 	stage := flag.String("stage", "all", "what to print: ir, transformed, meta, all (those three), or warp (transformed bytecode with warp dispatch modes)")
 	demo := flag.Bool("demo", false, "compile the paper's Fig. 8 example instead of a file")
 	profile := flag.Bool("profile", false, "execute each kernel on synthesized arguments (64x64 NDRange) and dump its VM execution profile")
-	emitTiersFlag := flag.Bool("emit-tiers", false, "run the tiered pipeline on synthesized arguments and print per-kernel tier decisions: chosen superinstructions with profile weights and the hot block order")
 	flag.Parse()
 
 	var src, name string
@@ -111,23 +105,15 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *emitTiersFlag {
-		fmt.Println("\n==== tier decisions (tier-0 compile -> synthesized profile -> tier-1 recompile) ====")
-		emitTiers(mod)
-	}
 }
 
 // dumpWarp compiles the transformed module the way the daemon's JIT
-// does (O1 over a clone, then bytecode with warp tables) and lists every
-// scheduling kernel's bytecode with its dispatch modes. A "spill" in
-// the listing is a point where the warp leaves vector dispatch.
+// does (interp.CompileModule) and lists every scheduling kernel's
+// bytecode with its dispatch modes. A "spill" in the listing is a point
+// where the warp leaves vector dispatch.
 func dumpWarp(trans *ir.Module) error {
-	opt := ir.CloneModule(trans)
-	if err := passes.RunO1(opt); err != nil {
-		return err
-	}
-	prog := interp.CompileModuleOpts(opt, interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth})
-	for _, f := range opt.Kernels() {
+	prog := interp.CompileModule(trans)
+	for _, f := range trans.Kernels() {
 		if err := prog.DumpWarp(os.Stdout, f.Name); err != nil {
 			return err
 		}
@@ -177,53 +163,4 @@ func synthArgs(m *interp.Machine, f *ir.Function) []interp.Value {
 		}
 	}
 	return args
-}
-
-// emitTiers replays the runtime's tiered execution pipeline offline:
-// compile the module at tier 0 (no O1, no fusion), execute every kernel
-// once on synthesized arguments under an unsampled profiler, then
-// recompile at tier 1 under the resulting profile guide and print what
-// the profile-guided compiler decided — the hot block emission order
-// and every superinstruction candidate with its dynamic weight,
-// including the ones the uniformity analysis gated off.
-func emitTiers(mod *ir.Module) {
-	t0 := time.Now()
-	p0 := interp.CompileModuleOpts(mod, interp.Tier0CompileOpts)
-	tier0 := time.Since(t0)
-
-	prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
-	for _, f := range mod.Kernels() {
-		m := interp.NewMachine(mod)
-		m.Profiler = prof
-		m.UseProgram(p0)
-		if err := m.Launch(f.Name, synthArgs(m, f), interp.ND1(64, 64)); err != nil {
-			fmt.Printf("kernel %s faulted on synthesized input: %v\n", f.Name, err)
-		}
-	}
-	guide := interp.GuideFromSnapshots(prof.Snapshot())
-
-	t1 := time.Now()
-	p1 := interp.CompileModuleOpts(mod, interp.CompileOpts{
-		Opt: true, WarpWidth: interp.DefaultWarpWidth, Profile: guide,
-	})
-	tier1 := time.Since(t1)
-
-	fmt.Printf("tier 0 compile: %v (O1 pipeline and fusion skipped)\n", tier0)
-	fmt.Printf("tier 1 compile: %v (profile-guided)\n", tier1)
-	for _, d := range p1.Decisions() {
-		fmt.Printf("\nfunction %s:\n", d.Fn)
-		fmt.Printf("  block order: %s\n", strings.Join(d.BlockOrder, " -> "))
-		if len(d.Super) == 0 {
-			fmt.Println("  superinstructions: none eligible")
-			continue
-		}
-		for _, s := range d.Super {
-			state := "emitted"
-			if s.Gated {
-				state = "gated (divergent operands)"
-			}
-			fmt.Printf("  superinstruction %-14s block=%-12s weight=%-10d %s\n",
-				s.Name, s.Block, s.Weight, state)
-		}
-	}
 }

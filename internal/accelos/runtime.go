@@ -18,7 +18,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/metrics"
 	"repro/internal/opencl"
-	"repro/internal/passes"
 	"repro/internal/rtlib"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -78,12 +77,6 @@ type Runtime struct {
 	tracer *telemetry.Tracer
 	reg    *telemetry.Registry
 	score  *metrics.LiveScorecard
-
-	// tier, when set (EnableTiering, before any work is scheduled), is
-	// the tiered-execution controller shared by every machine pool: JIT
-	// skips the eager O1 compile, first launches run the cheap tier-0
-	// form, and hot kernels are recompiled in the background.
-	tier *interp.TierController
 
 	// Fault tolerance (faulttol.go): the installed policy and the
 	// per-(tenant, kernel) watchdog-kill counts driving quarantine.
@@ -288,65 +281,20 @@ func (rt *Runtime) SetTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, s
 	for _, plat := range rt.plats {
 		plat.Machines().SetWarpStats(sink)
 	}
-	// Shared-program-cache hits and misses, labeled with the cached
-	// program's tier, make tier promotions and cold compiles observable.
+	// Shared-program-cache hits and misses make cold compiles observable.
 	if reg != nil {
 		interp.SetCacheMetrics(cacheTelemetry{reg})
 	} else {
 		interp.SetCacheMetrics(nil)
 	}
-	rt.wireTierTelemetry()
 }
 
 // cacheTelemetry adapts interp shared-program-cache events onto the
 // telemetry registry.
 type cacheTelemetry struct{ reg *telemetry.Registry }
 
-func (c cacheTelemetry) ProgramCacheHit(tier int) {
-	c.reg.Counter("program_cache_hits_total", telemetry.L("tier", strconv.Itoa(tier))).Inc()
-}
-
-func (c cacheTelemetry) ProgramCacheMiss(tier int) {
-	c.reg.Counter("program_cache_misses_total", telemetry.L("tier", strconv.Itoa(tier))).Inc()
-}
-
-// EnableTiering switches the runtime to tiered execution: JIT stops
-// optimizing eagerly, first launches run a cheap tier-0 compile, and
-// the returned controller recompiles hot kernels in the background
-// (see interp.TierOptions for the knobs). Call once, before connecting
-// applications, and Close the controller after Shutdown. Order with
-// SetTelemetry is immaterial — whichever comes second wires the
-// promotion metrics.
-func (rt *Runtime) EnableTiering(opts interp.TierOptions) *interp.TierController {
-	tc := interp.NewTierController(opts)
-	rt.tier = tc
-	for _, plat := range rt.plats {
-		plat.Machines().SetTierController(tc)
-	}
-	rt.wireTierTelemetry()
-	return tc
-}
-
-// Tiering returns the controller installed by EnableTiering (nil
-// without one).
-func (rt *Runtime) Tiering() *interp.TierController { return rt.tier }
-
-// wireTierTelemetry connects the tier controller's promotion events to
-// the metrics registry; a no-op until both exist.
-func (rt *Runtime) wireTierTelemetry() {
-	tc, reg := rt.tier, rt.reg
-	if tc == nil || reg == nil {
-		return
-	}
-	tc.SetEventSink(func(ev interp.TierEvent) {
-		tier := strconv.Itoa(ev.Tier)
-		for _, k := range ev.Kernels {
-			reg.Counter("tier_promotions_total",
-				telemetry.L("kernel", k), telemetry.L("tier", tier)).Inc()
-		}
-		reg.Histogram("tier_compile_ns", telemetry.L("tier", tier)).Observe(ev.CompileNs)
-	})
-}
+func (c cacheTelemetry) ProgramCacheHit()  { c.reg.Counter("program_cache_hits_total").Inc() }
+func (c cacheTelemetry) ProgramCacheMiss() { c.reg.Counter("program_cache_misses_total").Inc() }
 
 // warpTelemetry adapts interp warp-launch stats onto the telemetry
 // registry, labeled by kernel: a warp_occupancy histogram (percent, one
@@ -470,12 +418,11 @@ type build struct {
 }
 
 // buildProgram returns the finished build of src, compiling it on the
-// calling goroutine when the cache does not hold it. Tiering is fixed
-// before any application connects and a program carries no options, so
-// the source hash is the whole key. Concurrent creators of one source
-// wait for the first one's compile and share its outcome, error
-// included; a failed build leaves the cache before its waiters wake, so
-// the next creator compiles afresh.
+// calling goroutine when the cache does not hold it. A program carries
+// no options, so the source hash is the whole key. Concurrent creators
+// of one source wait for the first one's compile and share its outcome,
+// error included; a failed build leaves the cache before its waiters
+// wake, so the next creator compiles afresh.
 func (rt *Runtime) buildProgram(tenant, src string) *build {
 	key := buildKey(sha256.Sum256([]byte(src)))
 	rt.buildMu.Lock()
@@ -494,7 +441,7 @@ func (rt *Runtime) buildProgram(tenant, src string) *build {
 		rt.runBuild(b, key, tenant, func() error {
 			// The module is named after its source, not after the
 			// application that happened to create it first.
-			return b.compile(src, fmt.Sprintf("prog_%x", key[:8]), rt.tier != nil)
+			return b.compile(src, fmt.Sprintf("prog_%x", key[:8]))
 		})
 		return b
 	}
@@ -538,9 +485,12 @@ func (rt *Runtime) runBuild(b *build, key buildKey, tenant string, compile func(
 }
 
 // compile is the JIT proper: compile the source, clone, transform, and
-// keep both modules; then lower the transformed one for the VM, unless
-// tiered execution defers that to the first launch.
-func (b *build) compile(src, name string, tiered bool) error {
+// keep both modules; then lower the transformed one for the VM exactly
+// as a native program is lowered — interp.CompileModule's O1 pipeline,
+// fusion and warp tables over a private clone, falling back to the
+// memory-form module should the pipeline fail — and install it in the
+// shared program cache, so the first launch finds it compiled.
+func (b *build) compile(src, name string) error {
 	orig, err := clc.Compile(src, name)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrBuildFailed, err)
@@ -552,29 +502,7 @@ func (b *build) compile(src, name string, tiered bool) error {
 	b.orig = orig
 	b.trans = res.Module
 	b.infos = res.Kernels
-	// Run the O1 optimization pipeline (mem2reg + constfold + dce +
-	// simplifycfg) over a clone of the transformed module and adopt it
-	// on success: the scheduling wrapper's dequeue loop and the
-	// computation function both shed their alloca traffic before any
-	// slice executes. The clone matters — the pipeline mutates
-	// pass-by-pass, so a mid-pipeline failure must not leave the
-	// module half-transformed; on error the intact memory-form module
-	// stays in service.
-	if tiered {
-		// Tiered execution: defer all optimization. The first launch
-		// resolves a cheap tier-0 compile through the controller, and the
-		// O1+profile-guided recompile happens in the background once the
-		// kernel proves hot — once per source, for every tenant of it.
-	} else if opt := ir.CloneModule(b.trans); passes.RunO1(opt) == nil {
-		b.trans = opt
-		// Bytecode lowering would re-run the pipeline on a private
-		// clone; the module is already in optimized form, so skip it —
-		// but keep warp dispatch tables, which Opt does not imply.
-		interp.ShareProgram(interp.CompileModuleOpts(b.trans,
-			interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth}))
-	} else {
-		interp.SharedProgram(b.trans)
-	}
+	interp.SharedProgram(b.trans)
 	return nil
 }
 
@@ -964,20 +892,8 @@ func (rt *Runtime) recordKernel(rec *launchRec, status string) {
 		}
 	}
 	if reg != nil {
-		klabels := []telemetry.Label{
-			telemetry.L("tenant", rec.app), telemetry.L("dev", dev), telemetry.L("status", status)}
-		if rt.tier != nil {
-			// Per-tier execution counts, only under tiered execution so
-			// the label set stays stable for non-tiered deployments. The
-			// handle is nil for kernels that never launched (failed wait
-			// list, rejected admission): those count as tier 0.
-			t := 0
-			if rec.h != nil {
-				t = rec.h.Tier()
-			}
-			klabels = append(klabels, telemetry.L("tier", strconv.Itoa(t)))
-		}
-		reg.Counter("kernels_total", klabels...).Inc()
+		reg.Counter("kernels_total",
+			telemetry.L("tenant", rec.app), telemetry.L("dev", dev), telemetry.L("status", status)).Inc()
 		if !p.Running.IsZero() {
 			reg.Histogram("enqueue_latency_ns", telemetry.L("tenant", rec.app)).
 				Observe(int64(p.Running.Sub(p.Queued)))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -81,30 +80,7 @@ const (
 	opSubF32
 	opMulF32
 	opDivF32
-
-	// Profile-guided superinstructions: emitted only for blocks a
-	// ProfileGuide marks hot (tier-1 recompiles), never by the static
-	// single-use heuristic alone, so profile-free compiles stay
-	// byte-identical to the pre-tiering output.
-	opBinBin     // fused bin+bin: t = bin sub(a,b) kind; dst = bin imm.op(t, c) imm.kind
-	opBinCmpJump // fused bin+cmp+condbr: dst = bin sub(a,b) kind; pc = cmp args[0](dst, args[1]) ? c : imm
 )
-
-// opBinBin packs its second binop into imm: bits 0-7 the BinKind, bits
-// 8-15 the result kind, bit bbSwapped set when the first result is the
-// RIGHT operand of the second (non-commutative) binop.
-const (
-	bbKindShift = 8
-	bbSwapped   = 1 << 16
-)
-
-// opBinCmpJump packs the comparison into args[0]: bits 0-15 the
-// CmpPred, bit bcjSwapped set when the bin result is the RIGHT operand
-// of the comparison. args[1] is the comparison's other operand register.
-// Unlike the older fusions, the bin result may be multi-use — its
-// register write is kept — which is exactly what lets dynamic frequency
-// (not the static single-use test) decide the fusion.
-const bcjSwapped = 1 << 16
 
 // specBin maps a (BinKind, Kind) pair onto its specialized opcode.
 var specBin = map[[2]uint8]vmOp{
@@ -239,23 +215,12 @@ type CompileOpts struct {
 	// (the zero value keeps plain per-item dispatch); widths above
 	// MaxWarpWidth are clamped to it.
 	WarpWidth int
-	// Profile, when non-nil, turns the compile profile-guided (tier 1+):
-	// measured block frequencies select which blocks get superinstruction
-	// effort (including the hot-only opBinBin/opBinCmpJump fusions,
-	// ranked by dynamic frequency instead of the static single-use
-	// heuristic) and drive hot-path block layout — profile-hot successors
-	// fall through, cold blocks move out-of-line. With WarpWidth > 0 the
-	// uniformity analysis additionally gates branch fusions so fused
-	// jumps stay on the once-per-warp dispatch path.
-	Profile *ProfileGuide
 }
 
-// Tier0CompileOpts is the cheap first-launch compile of tiered
-// execution: no O1 pipeline (and so no module clone or per-pass
-// verification), no superinstruction fusion, no uniformity analysis or
-// warp tables. It minimizes compile-to-first-dispatch latency; the tier
-// controller recompiles hot kernels at full optimization in the
-// background (see TierController).
+// Tier0CompileOpts is the cheapest lowering: no O1, no fusion, no warp
+// tables (and so no module clone, per-pass verification or uniformity
+// analysis). The runtime never compiles this way; the benchmark times it
+// as the lower bound of the JIT's lowering cost.
 var Tier0CompileOpts = CompileOpts{Disable: []string{"fuse"}}
 
 // DefaultWarpWidth is the warp width DefaultCompileOpts enables:
@@ -300,49 +265,11 @@ type Prog struct {
 	// warpWidth is the lane count of warp-batched execution (0: the
 	// program runs work-items one at a time).
 	warpWidth int
-
-	// tier is the optimization tier the program was compiled at: 0 for
-	// the cheap first-launch compile (no O1/fusion/warp tables), 1 for
-	// the fully optimized form. decisions records the profile-guided
-	// choices of a tier-1+ compile (nil without a ProfileGuide).
-	tier      int
-	decisions []TierDecision
 }
 
 // WarpWidth returns the warp lane width the program was compiled with
 // (0: warp execution disabled).
 func (p *Prog) WarpWidth() int { return p.warpWidth }
-
-// Tier returns the optimization tier the program was compiled at
-// (0: cheap first-launch compile, 1: full O1 pipeline).
-func (p *Prog) Tier() int { return p.tier }
-
-// Decisions returns the per-function profile-guided compile decisions
-// of a tier-1+ compile (nil when no ProfileGuide was supplied). The
-// clcc -emit-tiers debug flag renders these.
-func (p *Prog) Decisions() []TierDecision { return p.decisions }
-
-// SuperinstrChoice records one candidate profile-guided fusion: either
-// emitted (Gated false) with the dynamic weight of its enclosing block,
-// or skipped because the uniformity analysis proved the fused branch
-// divergent (fusing it would push the whole warp off the once-per-warp
-// dispatch path).
-type SuperinstrChoice struct {
-	Fn     string
-	Block  string
-	Name   string // opcode name ("bin+bin", "bin+cmp+jump")
-	Weight int64  // profile weight of the enclosing block
-	Gated  bool   // skipped: divergent under the uniformity analysis
-}
-
-// TierDecision is the profile-guided compile record of one function:
-// the final block emission order (hot successors fall through) and the
-// superinstruction choices with their profile weights.
-type TierDecision struct {
-	Fn         string
-	BlockOrder []string
-	Super      []SuperinstrChoice
-}
 
 // CompileModule lowers every defined function of the module to bytecode
 // with the default optimization pipeline (see DefaultCompileOpts). The
@@ -366,9 +293,6 @@ func CompileModuleOpts(mod *ir.Module, opts CompileOpts) *Prog {
 		}
 	}
 	p := &Prog{Mod: mod, src: src, fns: make(map[string]*compiledFn)}
-	if opts.Opt {
-		p.tier = 1
-	}
 	if opts.WarpWidth > 0 {
 		p.warpWidth = min(opts.WarpWidth, MaxWarpWidth)
 	}
@@ -381,7 +305,7 @@ func CompileModuleOpts(mod *ir.Module, opts CompileOpts) *Prog {
 	}
 	for _, f := range src.Funcs {
 		if !f.IsDecl() {
-			p.compileFn(p.fns[f.Name], fuse, opts.Profile)
+			p.compileFn(p.fns[f.Name], fuse)
 		}
 	}
 	return p
@@ -397,27 +321,17 @@ var (
 	progMu    sync.Mutex
 	progCache = make(map[*ir.Module]*Prog)
 	// cacheMetrics (guarded by progMu) receives SharedProgram hit/miss
-	// events, labeled with the program's tier; the accelOS runtime adapts
-	// it onto its telemetry registry so tier promotions and cold compiles
-	// are observable.
+	// events; the accelOS runtime adapts it onto its telemetry registry
+	// so cold compiles are observable.
 	cacheMetrics CacheMetrics
 )
-
-// progVersion counts program hot-swaps (SwapProgram). In-flight
-// LaunchHandles compare it against the version they last resolved at
-// each slice boundary, so a background tier promotion is picked up
-// without the handles polling the cache every slice.
-var progVersion atomic.Uint64
-
-// ProgramVersion returns the current hot-swap generation.
-func ProgramVersion() uint64 { return progVersion.Load() }
 
 // CacheMetrics receives shared-program-cache events; implementations
 // must be safe for concurrent use (calls arrive under the cache lock,
 // so they must not call back into the program cache).
 type CacheMetrics interface {
-	ProgramCacheHit(tier int)
-	ProgramCacheMiss(tier int)
+	ProgramCacheHit()
+	ProgramCacheMiss()
 }
 
 // SetCacheMetrics installs (or, with nil, removes) the process-wide
@@ -447,56 +361,18 @@ func SharedProgram(mod *ir.Module) *Prog {
 	}
 	if cacheMetrics != nil {
 		if miss {
-			cacheMetrics.ProgramCacheMiss(p.tier)
+			cacheMetrics.ProgramCacheMiss()
 		} else {
-			cacheMetrics.ProgramCacheHit(p.tier)
+			cacheMetrics.ProgramCacheHit()
 		}
 	}
 	progMu.Unlock()
 	return p
 }
 
-// cachedProgram returns the cached program for mod without compiling
-// (nil if absent). The tier controller uses it to avoid downgrading a
-// module some other path already compiled.
-func cachedProgram(mod *ir.Module) *Prog {
-	progMu.Lock()
-	defer progMu.Unlock()
-	return progCache[mod]
-}
-
-// recordCacheEvent reports a hit or miss on behalf of resolution paths
-// that bypass SharedProgram (the tier controller's ProgramFor), so the
-// cache counters stay truthful under tiered execution.
-func recordCacheEvent(hit bool, tier int) {
-	progMu.Lock()
-	m := cacheMetrics
-	progMu.Unlock()
-	if m == nil {
-		return
-	}
-	if hit {
-		m.ProgramCacheHit(tier)
-	} else {
-		m.ProgramCacheMiss(tier)
-	}
-}
-
-// SwapProgram atomically replaces the cached program for p.Mod and
-// bumps the hot-swap generation. The previous program stays valid for
-// slices already executing from it (compiled programs are immutable);
-// handles and pooled machines re-resolve at their next slice boundary.
-func SwapProgram(p *Prog) {
-	progMu.Lock()
-	cacheProgramLocked(p)
-	progMu.Unlock()
-	progVersion.Add(1)
-}
-
 // ShareProgram installs an already-compiled program in the shared cache
-// under its module identity. The accelOS JIT uses it after running the
-// O1 pipeline over the module in place: lowering with the default
-// options would clone and re-optimize an already-optimal module.
+// under its module identity, so every later launch of p.Mod resolves to
+// it instead of compiling with the default options.
 func ShareProgram(p *Prog) {
 	progMu.Lock()
 	defer progMu.Unlock()
@@ -559,26 +435,16 @@ type fnCompiler struct {
 	// fusion gate, jump threading and the dispatch-mode tables.
 	uni *passes.Uniformity
 
-	// Profile-guided compile state (nil/zero without a ProfileGuide):
-	// guide supplies measured block weights, curHot/curWeight describe
-	// the block being emitted, and dec accumulates the decisions record.
-	guide     *ProfileGuide
-	curHot    bool
-	curWeight int64
-	curBlock  string
-	dec       *TierDecision
-
 	needScratch bool // some edge's parallel copy had a cycle
 }
 
-func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide) {
+func (p *Prog) compileFn(cf *compiledFn, fuse bool) {
 	fn := cf.fn
 	c := &fnCompiler{
 		prog:      p,
 		cf:        cf,
 		nb:        ir.NumberFunction(fn),
 		fuse:      fuse,
-		guide:     guide,
 		constRegs: make(map[constKey]int32),
 		blockPC:   make(map[*ir.Block]int32),
 		uses:      make(map[ir.Value]int),
@@ -588,14 +454,6 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide) {
 		// are analyzed and get dispatch-mode tables.
 		c.uni = passes.AnalyzeUniformity(fn)
 	}
-	blocks := fn.Blocks
-	if guide != nil {
-		blocks = layoutBlocks(fn, guide)
-		c.dec = &TierDecision{Fn: fn.Name}
-		for _, b := range blocks {
-			c.dec.BlockOrder = append(c.dec.BlockOrder, b.Name)
-		}
-	}
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -603,28 +461,14 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide) {
 			}
 		}
 	}
-	for bi, b := range blocks {
+	for _, b := range fn.Blocks {
 		c.blockPC[b] = int32(len(c.code))
-		var next *ir.Block
-		if bi+1 < len(blocks) {
-			next = blocks[bi+1]
-		}
-		if c.guide != nil {
-			c.curWeight = c.guide.Weight(fn.Name, b.Name)
-			c.curHot = c.curWeight > 0
-			c.curBlock = b.Name
-		}
-		c.emitBlock(b, next)
+		c.emitBlock(b)
 		if !b.Terminated() {
 			c.code = append(c.code, instr{op: opTrap, msg: fmt.Sprintf("fell off unterminated block in %s", fn.Name)})
 		}
-	}
-	for _, b := range blocks {
 		cf.blockStarts = append(cf.blockStarts, c.blockPC[b])
 		cf.blockNames = append(cf.blockNames, b.Name)
-	}
-	if c.dec != nil {
-		p.decisions = append(p.decisions, *c.dec)
 	}
 	if len(c.stubs) > 0 {
 		cf.blockStarts = append(cf.blockStarts, int32(len(c.code)))
@@ -655,7 +499,7 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide) {
 	}
 	var keep map[int32]bool
 	if c.uni != nil {
-		keep = reconvergencePCs(c.uni, blocks, c.blockPC)
+		keep = reconvergencePCs(c.uni, fn.Blocks, c.blockPC)
 	}
 	c.threadJumps(keep)
 	cf.code = c.code
@@ -683,78 +527,8 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool, guide *ProfileGuide) {
 		return &s
 	}
 	if c.uni != nil {
-		cf.buildWarpTables(c.uni, c.nb, blocks, c.blockPC)
+		cf.buildWarpTables(c.uni, c.nb, c.blockPC)
 	}
-}
-
-// layoutBlocks orders a function's blocks for emission by profile
-// weight: starting from the entry block, each chain greedily follows
-// the hottest not-yet-placed successor (so the hot path becomes a
-// fallthrough run and its unconditional jumps can be elided), then the
-// next-hottest unplaced block seeds a new chain; stone-cold blocks
-// land at the end in original order. The entry block always stays
-// first — kernel frames begin at pc 0.
-func layoutBlocks(fn *ir.Function, guide *ProfileGuide) []*ir.Block {
-	if len(fn.Blocks) < 2 {
-		return fn.Blocks
-	}
-	placed := make(map[*ir.Block]bool, len(fn.Blocks))
-	out := make([]*ir.Block, 0, len(fn.Blocks))
-	weight := func(b *ir.Block) int64 { return guide.Weight(fn.Name, b.Name) }
-	place := func(b *ir.Block) {
-		for b != nil && !placed[b] {
-			placed[b] = true
-			out = append(out, b)
-			// Follow the hottest unplaced successor; stop when every
-			// successor is placed or cold (ties keep successor order, so
-			// an unprofiled function reproduces the original layout).
-			var next *ir.Block
-			best := int64(0)
-			for _, s := range blockSuccs(b) {
-				if !placed[s] && weight(s) > best {
-					next, best = s, weight(s)
-				}
-			}
-			b = next
-		}
-	}
-	place(fn.Blocks[0])
-	for {
-		var seed *ir.Block
-		best := int64(0)
-		for _, b := range fn.Blocks {
-			if !placed[b] && weight(b) > best {
-				seed, best = b, weight(b)
-			}
-		}
-		if seed == nil {
-			break
-		}
-		place(seed)
-	}
-	for _, b := range fn.Blocks {
-		if !placed[b] {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// blockSuccs returns a block's CFG successors from its terminator.
-func blockSuccs(b *ir.Block) []*ir.Block {
-	for _, in := range b.Instrs {
-		if !in.IsTerminator() {
-			continue
-		}
-		switch in.Op {
-		case ir.OpBr:
-			return []*ir.Block{in.Then}
-		case ir.OpCondBr:
-			return []*ir.Block{in.Then, in.Else}
-		}
-		return nil
-	}
-	return nil
 }
 
 // emitBlock lowers one basic block: the phi prefix produces no code
@@ -762,17 +536,14 @@ func blockSuccs(b *ir.Block) []*ir.Block {
 // to superinstructions, and the terminator carries this block's
 // outgoing phi copies. pos records where each value-producing IR
 // instruction landed in the bytecode, feeding the phi-copy coalescer.
-// next is the block emitted immediately after this one (nil at the
-// end): a profile-guided compile elides the unconditional jump of a
-// branch that would land exactly there.
-func (c *fnCompiler) emitBlock(b, next *ir.Block) {
+func (c *fnCompiler) emitBlock(b *ir.Block) {
 	instrs := b.Instrs
 	pos := make(map[*ir.Instr]int)
 	i := len(b.Phis())
 	for i < len(instrs) {
 		in := instrs[i]
 		if in.IsTerminator() {
-			c.emitTerm(b, in, pos, next)
+			c.emitTerm(b, in, pos)
 			i++
 			continue
 		}
@@ -829,59 +600,6 @@ func (c *fnCompiler) tryFuse(instrs []*ir.Instr, i int) int {
 			}
 		}
 	case ir.OpBin:
-		// Profile-guided superinstructions, only in blocks the guide
-		// marks hot. bin+cmp+condbr keeps the bin's register write, so
-		// unlike the static fusions below the bin result may have other
-		// uses — the induction-variable increment feeding the back-edge
-		// test is the canonical shape.
-		if c.guide != nil && c.curHot && i+2 < len(instrs) {
-			cmp, br := instrs[i+1], instrs[i+2]
-			if cmp.Op == ir.OpCmp && br.Op == ir.OpCondBr &&
-				fusableI32Bin(in) && fastIntPred(cmp.CmpK) &&
-				c.singleUse(cmp) && br.Args[0] == ir.Value(cmp) &&
-				(cmp.Args[0] == ir.Value(in)) != (cmp.Args[1] == ir.Value(in)) {
-				info := int32(cmp.CmpK)
-				other := cmp.Args[1]
-				if cmp.Args[1] == ir.Value(in) {
-					info |= bcjSwapped
-					other = cmp.Args[0]
-				}
-				// In a warp kernel the fused jump replaces what would be
-				// a once-dispatched uniform back edge; fuse only when it
-				// stays uniform, else the superinstruction would make the
-				// bin's register write part of a per-lane divergent branch.
-				if c.uni != nil && !(c.uni.ValueUniform(in) && c.uni.ValueUniform(other)) {
-					c.recordSuper("bin+cmp+jump", true)
-				} else if ops, ok := c.regs([]ir.Value{in.Args[0], in.Args[1], other}); ok {
-					at := len(c.code)
-					c.code = append(c.code, instr{op: opBinCmpJump, dst: c.dst(in), sub: uint8(in.BinK), kind: in.Ty.Kind, a: ops[0], b: ops[1], args: []int32{info, ops[2]}})
-					c.fixEdge(at, 'c', br.Block(), br.Then)
-					c.fixEdge(at, 'i', br.Block(), br.Else)
-					c.recordSuper("bin+cmp+jump", false)
-					return 3
-				}
-			}
-		}
-		// bin + bin: a dependent arithmetic pair collapses to one
-		// dispatch; hot blocks only, first result must be single-use.
-		if c.guide != nil && c.curHot && i+1 < len(instrs) {
-			b2 := instrs[i+1]
-			if b2.Op == ir.OpBin && fusableI32Bin(in) && fusableI32Bin(b2) &&
-				c.singleUse(in) &&
-				(b2.Args[0] == ir.Value(in)) != (b2.Args[1] == ir.Value(in)) {
-				imm := int64(uint8(b2.BinK)) | int64(b2.Ty.Kind)<<bbKindShift
-				other := b2.Args[1]
-				if b2.Args[1] == ir.Value(in) {
-					imm |= bbSwapped
-					other = b2.Args[0]
-				}
-				if ops, ok := c.regs([]ir.Value{in.Args[0], in.Args[1], other}); ok {
-					c.code = append(c.code, instr{op: opBinBin, dst: c.dst(b2), sub: uint8(in.BinK), kind: in.Ty.Kind, a: ops[0], b: ops[1], c: ops[2], imm: imm})
-					c.recordSuper("bin+bin", false)
-					return 2
-				}
-			}
-		}
 		// bin + store.
 		if i+1 < len(instrs) {
 			st := instrs[i+1]
@@ -935,43 +653,6 @@ func (c *fnCompiler) tryFuse(instrs []*ir.Instr, i int) int {
 		}
 	}
 	return 0
-}
-
-// fusableI32Bin reports whether a bin has the shape the fused
-// superinstructions execute on their inline integer path: an i32 result
-// from a BinKind with a specialized opcode (no div/rem — those trap and
-// stay on their own checked dispatch, preserving fault attribution).
-func fusableI32Bin(in *ir.Instr) bool {
-	if in.Ty.Kind != ir.I32 {
-		return false
-	}
-	_, ok := specBin[[2]uint8{uint8(in.BinK), uint8(ir.I32)}]
-	return ok
-}
-
-// fastIntPred reports whether fastCmp resolves the predicate on its
-// inline integer path — the only comparisons bin+cmp+jump fuses.
-func fastIntPred(p ir.CmpPred) bool {
-	switch p {
-	case ir.IEQ, ir.INE, ir.ILT, ir.ILE, ir.IGT, ir.IGE:
-		return true
-	}
-	return false
-}
-
-// recordSuper logs one superinstruction decision of the current block
-// into the per-function TierDecision (profile-guided compiles only).
-func (c *fnCompiler) recordSuper(name string, gated bool) {
-	if c.dec == nil {
-		return
-	}
-	c.dec.Super = append(c.dec.Super, SuperinstrChoice{
-		Fn:     c.dec.Fn,
-		Block:  c.curBlock,
-		Name:   name,
-		Weight: c.curWeight,
-		Gated:  gated,
-	})
 }
 
 // reg resolves an operand to its register index, interning constants.
@@ -1088,18 +769,13 @@ func (c *fnCompiler) emit(in *ir.Instr) {
 // copies: unconditional branches coalesce them into their producers
 // where legal and run the rest inline before the jump; conditional
 // branches route any phi-bearing side through an edge stub.
-func (c *fnCompiler) emitTerm(b *ir.Block, in *ir.Instr, pos map[*ir.Instr]int, next *ir.Block) {
+func (c *fnCompiler) emitTerm(b *ir.Block, in *ir.Instr, pos map[*ir.Instr]int) {
 	switch in.Op {
 	case ir.OpBr:
 		pairs, traps := c.edgePairs(b, in.Then)
 		pairs = c.coalescePairs(pairs, pos)
 		c.code = append(c.code, traps...)
 		c.code = append(c.code, sequentialize(pairs, &c.needScratch)...)
-		if c.guide != nil && in.Then == next {
-			// Hot-path layout put the target right after this block:
-			// fall through instead of jumping.
-			return
-		}
 		at := len(c.code)
 		c.code = append(c.code, instr{op: opJump})
 		c.fixups = append(c.fixups, fixup{at: at, field: 'i', blk: in.Then, stub: -1})
@@ -1225,10 +901,8 @@ func readsReg(in *instr, r int32) bool {
 		opAddI32, opSubI32, opMulI32, opAndI32, opOrI32, opXorI32,
 		opAddI64, opAddF32, opSubF32, opMulF32, opDivF32:
 		return in.a == r || in.b == r
-	case opSelect, opBinStore, opLoadBinStore, opBinBin:
+	case opSelect, opBinStore, opLoadBinStore:
 		return in.a == r || in.b == r || in.c == r
-	case opBinCmpJump:
-		return in.a == r || in.b == r || in.args[1] == r
 	case opWI:
 		return in.a >= 0 && in.a == r
 	case opMath:
@@ -1321,9 +995,6 @@ func (c *fnCompiler) threadJumps(keep map[int32]bool) {
 			in.b = int32(chase(int64(in.b)))
 			in.c = int32(chase(int64(in.c)))
 		case opCmpJump:
-			in.c = int32(chase(int64(in.c)))
-			in.imm = chase(in.imm)
-		case opBinCmpJump:
 			in.c = int32(chase(int64(in.c)))
 			in.imm = chase(in.imm)
 		}

@@ -138,11 +138,6 @@ func (in *instr) disasm(reg func(int32) string) string {
 		return fmt.Sprintf("%s = %s %s [%s + %s*%d]", reg(in.dst), name, kindName(in.kind), reg(in.a), reg(in.b), in.imm)
 	case opLoadOff:
 		return fmt.Sprintf("%s = %s %s [%s + %d]", reg(in.dst), name, kindName(in.kind), reg(in.a), in.imm)
-	case opBinBin:
-		return fmt.Sprintf("%s = %s (%s %s, %s) %s %s", reg(in.dst), name, ir.BinKind(in.sub), reg(in.a), reg(in.b), ir.BinKind(in.imm&0xff), reg(in.c))
-	case opBinCmpJump:
-		return fmt.Sprintf("%s = %s %s %s, %s; %s %s ? %04d : %04d", reg(in.dst), name, ir.BinKind(in.sub), reg(in.a), reg(in.b),
-			ir.CmpPred(in.args[0]&0xffff), reg(in.args[1]), in.c, in.imm)
 	}
 	// The specialized binops: dst = op a, b.
 	return fmt.Sprintf("%s = %s %s, %s", reg(in.dst), name, reg(in.a), reg(in.b))

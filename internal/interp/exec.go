@@ -107,12 +107,13 @@ type launchCtx struct {
 	kcf  *compiledFn
 
 	// Execution profiling (VM engine only): the machine's profiler and
-	// this kernel's aggregate, resolved once per launch. profPhase
-	// offsets group sampling so identical launches rotate which group of
-	// the grid gets profiled.
-	prof      *Profiler
-	kp        *KernelProfile
-	profPhase int64
+	// this kernel's aggregate, resolved once per launch. profBase is the
+	// launch's first slot in the kernel's group stream and profRot the
+	// rotation mapping groups onto its slots (see launchVM).
+	prof     *Profiler
+	kp       *KernelProfile
+	profBase int64
+	profRot  int64
 
 	// Warp execution stats (VM engine with WarpWidth > 0): warps formed,
 	// lanes across them (occupancy numerator), lane-mask splits at
@@ -221,12 +222,6 @@ func (m *Machine) Launch(kernel string, args []Value, nd NDRange) error {
 	}
 	if m.Engine == EngineTreeWalk {
 		return m.launchTreeWalk(fn, args, locals, nd)
-	}
-	if m.Tier != nil {
-		// After the launch (including its profile flush) the tier
-		// controller re-applies its hotness test; crossing the threshold
-		// queues a background recompile — never a compile on this path.
-		defer m.Tier.Observe(m.Mod, kernel)
 	}
 	return m.launchVM(fn, args, locals, nd)
 }

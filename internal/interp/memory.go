@@ -147,11 +147,6 @@ type Machine struct {
 	// "mach-N"); empty for anonymous machines.
 	Name string
 
-	// Tier, when set, is notified after every launch (TierController.
-	// Observe) so hot kernels get promoted to an optimized recompile.
-	// Per-launch-exclusive like Profiler; the controller is shared.
-	Tier *TierController
-
 	// interrupt, when set, aborts the launch executing on the machine at
 	// its next budget flush (see Interrupt); cleared by Reset.
 	interrupt atomic.Pointer[string]

@@ -10,12 +10,11 @@ import (
 
 // This file is the VM execution-profile collector: per-opcode and
 // per-block dynamic frequencies plus per-kernel instruction, barrier and
-// fault totals — the measurement layer tiered (profile-guided) execution
-// needs. Nothing is counted per instruction. A sampled work-group counts
-// only where control LANDS — frame entry and the target of every jump —
-// in a table indexed by pc (the dispatch loops carry one `if gp != nil`
-// hook per control transfer; jump threading lands mid-block, hence per
-// pc, not per block). From a landing a work-item executes every
+// fault totals. Nothing is counted per instruction. A sampled work-group
+// counts only where control LANDS — frame entry and the target of every
+// jump — in a table indexed by pc (the dispatch loops carry one
+// `if gp != nil` hook per control transfer; jump threading lands
+// mid-block, hence per pc, not per block). From a landing a work-item executes every
 // instruction up to and including the next jump, return or trap, so the
 // rest is derived: flush adds hits × run length to the instruction
 // total, Snapshot walks each run for opcode counts and bins landings into
@@ -24,8 +23,8 @@ import (
 // work-group granularity, so the overhead scales with 1/SampleEvery.
 // Faults are counted on every group, sampled or not.
 
-// numOps sizes per-opcode count tables (opBinCmpJump is the last opcode).
-const numOps = int(opBinCmpJump) + 1
+// numOps sizes per-opcode count tables (opDivF32 is the last opcode).
+const numOps = int(opDivF32) + 1
 
 // opNames names every vmOp for profile dumps; keep in sync with the
 // opcode enum in compile.go.
@@ -66,8 +65,6 @@ var opNames = [numOps]string{
 	opSubF32:       "sub.f32",
 	opMulF32:       "mul.f32",
 	opDivF32:       "div.f32",
-	opBinBin:       "bin+bin",
-	opBinCmpJump:   "bin+cmp+jump",
 }
 
 // defaultSampleEvery is the sampling period when ProfileOptions leaves
@@ -115,13 +112,13 @@ func (p *Profiler) kernel(name string) *KernelProfile {
 	return kp
 }
 
-// KernelProfile aggregates the sampled groups of one kernel. Group and
-// fault counters are atomic (every group touches them); the sampled
-// aggregates are flushed under the mutex once per sampled group.
+// KernelProfile aggregates the sampled groups of one kernel. Group,
+// launch and fault counters are atomic (every launch touches them); the
+// sampled aggregates are flushed under the mutex once per sampled group.
 type KernelProfile struct {
 	name       string
-	groupsSeen atomic.Int64
-	launches   atomic.Int64 // seeds the per-launch sampling phase
+	groupsSeen atomic.Int64 // slots of the group stream launches took (see launchVM)
+	launches   atomic.Int64 // seeds the per-launch sampling rotation
 	faults     atomic.Int64
 
 	// Warp execution stats, aggregated per retired launch (every launch,
@@ -164,7 +161,7 @@ func (gp groupProfile) land(cf *compiledFn, pc int32, n int64) {
 func (cf *compiledFn) runEnd(pc int) int {
 	for {
 		switch cf.code[pc].op {
-		case opJump, opCondJump, opCmpJump, opBinCmpJump, opRet, opTrap:
+		case opJump, opCondJump, opCmpJump, opRet, opTrap:
 			return pc
 		}
 		pc++
@@ -215,7 +212,7 @@ type BlockCount struct {
 type KernelProfileSnapshot struct {
 	Kernel       string
 	SampleEvery  int64
-	Groups       int64         // work-groups executed (sampled or not)
+	Groups       int64         // work-groups launched (sampled or not)
 	Sampled      int64         // work-groups that counted their landings
 	Instrs       int64         // instructions in sampled groups
 	Barriers     int64         // barrier suspensions in sampled groups
@@ -229,25 +226,9 @@ type KernelProfileSnapshot struct {
 	Blocks       []BlockCount  // nonzero entry counts, descending
 }
 
-// ResetKernel discards one kernel's accumulated profile, including its
-// launch ordinal (which seeds the sampling phase). The tier controller
-// calls it after a hot-swap so tier-1 decisions, if a further promotion
-// is ever added, would not be skewed by stale tier-0 counts — and so
-// stale *compiledFn landing tables from the replaced program do not pin
-// the old code alive.
-func (p *Profiler) ResetKernel(name string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	delete(p.kernels, name)
-	p.mu.Unlock()
-}
-
 // KernelInstrEstimate returns the estimated total dynamic instruction
 // count for one kernel (sampled count scaled by the sampling period),
-// without building a full snapshot — the tier controller's hotness test
-// runs on the launch path.
+// without building a full snapshot.
 func (p *Profiler) KernelInstrEstimate(name string) int64 {
 	if p == nil {
 		return 0

@@ -137,6 +137,56 @@ func TestProfilerSampling(t *testing.T) {
 	}
 }
 
+// TestProfilerSamplingAnyGroupCount: a stream of T-group launches
+// samples one group in every, whatever T is — the one- and two-group
+// slices the runtime starts included — and for T > 1 the sampled group
+// moves across the grid: group 0, whose items alone enter the if-arm,
+// is sampled sometimes but not always.
+func TestProfilerSamplingAnyGroupCount(t *testing.T) {
+	mod := compileOrDie(t, `
+kernel void samp(global int* out)
+{
+    if (get_group_id(0) == 0)
+        out[0] = 1;
+}
+`)
+	for _, every := range []int64{2, 16, 64} {
+		for _, T := range []int64{1, 2, 3, 4, 8, 64} {
+			prof := NewProfiler(ProfileOptions{SampleEvery: every})
+			m := NewMachine(mod)
+			m.Profiler = prof
+			out := m.NewRegion(4, ir.Global)
+			args := []Value{{K: ir.Pointer, P: Ptr{R: out}}}
+			launches := (256*every + T - 1) / T
+			for i := int64(0); i < launches; i++ {
+				if err := m.Launch("samp", args, ND1(T, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s := prof.Snapshot()[0]
+			groups := launches * T
+			if want := groups / every; s.Groups != groups || s.Sampled < want-1 || s.Sampled > want+1 {
+				t.Errorf("T=%d every=%d: %d groups, %d sampled; want %d groups, %d±1 sampled",
+					T, every, s.Groups, s.Sampled, groups, want)
+				continue
+			}
+			var group0 int64
+			for _, bc := range s.Blocks {
+				if strings.HasPrefix(bc.Block, "if.then") {
+					group0 += bc.Hits
+				}
+			}
+			if T == 1 && group0 != s.Sampled {
+				t.Errorf("T=1 every=%d: group 0 sampled %d times of %d samples", every, group0, s.Sampled)
+			}
+			if T > 1 && (group0 == 0 || group0 == s.Sampled) {
+				t.Errorf("T=%d every=%d: group 0 sampled %d times of %d samples: the sampled group does not move",
+					T, every, group0, s.Sampled)
+			}
+		}
+	}
+}
+
 // TestProfilerFaultCounting checks faults are recorded even for
 // unsampled groups, and that a sampled faulting group still flushes a
 // self-consistent profile.

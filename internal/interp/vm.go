@@ -174,14 +174,17 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 	if p := m.Profiler; p != nil {
 		l.prof = p
 		l.kp = p.kernel(fn.Name)
-		// Rotate which group of the grid gets sampled: the cumulative
-		// group counter advances by the same amount per launch, so
-		// launches whose group count divides the sampling period would
-		// always profile the same groups of the grid. The phase is
-		// seeded from the launch ordinal and the launch's group count,
-		// walking the sample point across the grid over repeats.
-		c := l.kp.launches.Add(1) - 1
-		l.profPhase = (c * (total/2 + 1)) % p.every
+		// A kernel's groups form one stream across its launches and
+		// every every-th slot of the stream is sampled, so launches of
+		// any group count T sample ⌊groups/every⌋ of them. This launch
+		// takes the next total slots; its groups map onto them rotated
+		// by a hash of the launch ordinal (Fibonacci hashing, so
+		// launches that sample land on unrelated rotations whatever the
+		// period), and the sampled group walks across the grid over
+		// repeats instead of staying at one place.
+		l.profBase = l.kp.groupsSeen.Add(total) - total
+		c := uint64(l.kp.launches.Add(1) - 1)
+		l.profRot = int64((c*0x9E3779B97F4A7C15)>>33) % total
 	}
 	defer l.flushWarpStats()
 	workers := int64(Lanes())
@@ -192,7 +195,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		gr := runnerPool.Get().(*groupRunner)
 		defer gr.scrub()
 		for i := int64(0); i < total; i++ {
-			if err := l.runGroupVM(gr, delinearize(i, l.ng)); err != nil {
+			if err := l.runGroupVM(gr, i); err != nil {
 				return err
 			}
 		}
@@ -215,7 +218,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 			if i >= total {
 				return
 			}
-			if err := l.runGroupVM(gr, delinearize(i, l.ng)); err != nil {
+			if err := l.runGroupVM(gr, i); err != nil {
 				mu.Lock()
 				if bestIdx < 0 || i < bestIdx {
 					bestIdx, bestErr = i, err
@@ -246,46 +249,6 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 
 func delinearize(i int64, ng [3]int64) [3]int64 {
 	return [3]int64{i % ng[0], (i / ng[0]) % ng[1], i / (ng[0] * ng[1])}
-}
-
-// i32Bin is the inline integer core of the fused superinstructions.
-// Only BinKinds with a specialized i32 opcode reach it — tryFuse gates
-// on specBin — so div/rem (which trap) never land here and the switch
-// needs no fallback. Small enough to inline into the dispatch loop.
-func i32Bin(k ir.BinKind, a, b int64) int64 {
-	switch k {
-	case ir.Add:
-		return int64(int32(a + b))
-	case ir.Sub:
-		return int64(int32(a - b))
-	case ir.Mul:
-		return int64(int32(a * b))
-	case ir.And:
-		return int64(int32(a & b))
-	case ir.Or:
-		return int64(int32(a | b))
-	default: // ir.Xor — fusableI32Bin admits nothing else
-		return int64(int32(a ^ b))
-	}
-}
-
-// i32Cmp is the matching inline comparison: tryFuse admits only the
-// fast integer predicates (fastIntPred), so the switch is exhaustive.
-func i32Cmp(p ir.CmpPred, a, b int64) bool {
-	switch p {
-	case ir.IEQ:
-		return a == b
-	case ir.INE:
-		return a != b
-	case ir.ILT:
-		return a < b
-	case ir.ILE:
-		return a <= b
-	case ir.IGT:
-		return a > b
-	default: // ir.IGE
-		return a >= b
-	}
 }
 
 // fastBin is binOp over register pointers: identical semantics (the
@@ -374,8 +337,9 @@ func fastCmp(p ir.CmpPred, x, y *Value) bool {
 // returns); when the round ends, all live items have arrived, which IS
 // the barrier release. Completed items count as arrived at every later
 // barrier, so a group whose items retire at different loop trip counts
-// drains instead of deadlocking.
-func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
+// drains instead of deadlocking. lin is the group's linear index.
+func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
+	group := delinearize(lin, l.ng)
 	nd := l.nd
 	size := int(nd.WGSize())
 	if cap(gr.items) < size {
@@ -390,11 +354,10 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, group [3]int64) error {
 	clear(gr.locals)
 	g := &vmGroup{l: l, group: group, locals: gr.locals, ar: &gr.ar}
 	if p := l.prof; p != nil {
-		// Sample 1 in every groups. The phase is seeded from the launch
-		// geometry (see launchVM), so repeated identical launches do not
-		// keep profiling the same group of the grid; short launches on a
-		// sparse profiler still pay nothing.
-		if n := l.kp.groupsSeen.Add(1); (n+l.profPhase)%p.every == 0 {
+		// Sample the group whose slot of the kernel's group stream is a
+		// multiple of the period (see launchVM).
+		total := l.ng[0] * l.ng[1] * l.ng[2]
+		if (l.profBase+(lin+l.profRot)%total+1)%p.every == 0 {
 			// Every work-item enters the kernel frame once.
 			g.prof = groupProfile{}
 			g.prof.land(l.kcf, 0, int64(size))
@@ -583,32 +546,6 @@ func (g *vmGroup) exec(wi *wiState) {
 			regs[in.dst] = Value{K: ir.F32, F: float64(float32(regs[in.a].F / regs[in.b].F))}
 		case opCmpJump:
 			if fastCmp(ir.CmpPred(in.sub), &regs[in.a], &regs[in.b]) {
-				pc = in.c
-			} else {
-				pc = int32(in.imm)
-			}
-			if gp != nil {
-				gp.land(cf, pc, 1)
-			}
-		case opBinBin:
-			t := i32Bin(ir.BinKind(in.sub), regs[in.a].I, regs[in.b].I)
-			var r int64
-			if in.imm&bbSwapped != 0 {
-				r = i32Bin(ir.BinKind(in.imm&0xff), regs[in.c].I, t)
-			} else {
-				r = i32Bin(ir.BinKind(in.imm&0xff), t, regs[in.c].I)
-			}
-			regs[in.dst] = Value{K: ir.I32, I: r}
-		case opBinCmpJump:
-			// The bin result write is kept: unlike the other fusions the
-			// bin may have further uses (the induction variable).
-			v := i32Bin(ir.BinKind(in.sub), regs[in.a].I, regs[in.b].I)
-			regs[in.dst] = Value{K: ir.I32, I: v}
-			x, y := v, regs[in.args[1]].I
-			if in.args[0]&bcjSwapped != 0 {
-				x, y = y, x
-			}
-			if i32Cmp(ir.CmpPred(in.args[0]&0xffff), x, y) {
 				pc = in.c
 			} else {
 				pc = int32(in.imm)

@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -358,6 +359,86 @@ func TestCompiledProgramShared(t *testing.T) {
 	m1.Reset()
 	if m1.Program() != p {
 		t.Error("Reset dropped the compiled program")
+	}
+}
+
+// cacheLoopSrc is a small kernel for the program-cache tests; each test
+// compiles its own module, so each starts with a cold cache entry.
+const cacheLoopSrc = `
+kernel void f(global int* out)
+{
+    int acc = 0;
+    int i = 0;
+    do { acc += i & 7; i = i + 1; } while (i < 100);
+    out[0] = acc;
+}
+`
+
+// fakeCacheMetrics counts SharedProgram events.
+type fakeCacheMetrics struct {
+	mu           sync.Mutex
+	hits, misses int
+}
+
+func (f *fakeCacheMetrics) ProgramCacheHit() {
+	f.mu.Lock()
+	f.hits++
+	f.mu.Unlock()
+}
+
+func (f *fakeCacheMetrics) ProgramCacheMiss() {
+	f.mu.Lock()
+	f.misses++
+	f.mu.Unlock()
+}
+
+// TestProgramCacheMetrics: SharedProgram reports a miss on the cold
+// compile and a hit on the warm lookup.
+func TestProgramCacheMetrics(t *testing.T) {
+	mod := compileOrDie(t, cacheLoopSrc)
+	fm := &fakeCacheMetrics{}
+	SetCacheMetrics(fm)
+	defer SetCacheMetrics(nil)
+
+	SharedProgram(mod)
+	SharedProgram(mod)
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	if fm.misses != 1 || fm.hits != 1 {
+		t.Errorf("misses %d hits %d, want 1 and 1", fm.misses, fm.hits)
+	}
+}
+
+// TestSharedProgramConcurrentMiss: racing first resolutions of one
+// module compile with the cache lock released, yet every caller gets
+// the one program the cache kept and the counters read one miss and a
+// hit for each of the others — what a compile under the lock reported.
+func TestSharedProgramConcurrentMiss(t *testing.T) {
+	mod := compileOrDie(t, cacheLoopSrc)
+	fm := &fakeCacheMetrics{}
+	SetCacheMetrics(fm)
+	defer SetCacheMetrics(nil)
+
+	const callers = 8
+	progs := make([]*Prog, callers)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			progs[i] = SharedProgram(mod)
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("caller %d resolved %p, caller 0 resolved %p", i, p, progs[0])
+		}
+	}
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	if fm.misses != 1 || fm.hits != callers-1 {
+		t.Errorf("misses %d hits %d, want one miss and %d hits", fm.misses, fm.hits, callers-1)
 	}
 }
 

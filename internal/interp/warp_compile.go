@@ -79,10 +79,11 @@ func reconvergencePCs(u *passes.Uniformity, blocks []*ir.Block, blockPC map[*ir.
 // kernel from the uniformity analysis: the per-register uniformity
 // (register homes), the per-instruction dispatch mode, the
 // reconvergence pc of every divergent branch, and the barrier resume
-// pcs where a spilled warp may re-form. blocks is the emission order
-// (profile-guided layout permutes it), parallel to cf.blockStarts.
-func (cf *compiledFn) buildWarpTables(u *passes.Uniformity, nb *ir.Numbering, blocks []*ir.Block, blockPC map[*ir.Block]int32) {
+// pcs where a spilled warp may re-form. Blocks are emitted in the
+// function's order, so fn.Blocks is parallel to cf.blockStarts.
+func (cf *compiledFn) buildWarpTables(u *passes.Uniformity, nb *ir.Numbering, blockPC map[*ir.Block]int32) {
 	fn := cf.fn
+	blocks := fn.Blocks
 
 	uniform := make([]bool, cf.nregs)
 	for _, p := range fn.Params {
@@ -163,13 +164,6 @@ func (cf *compiledFn) buildWarpTables(u *passes.Uniformity, nb *ir.Numbering, bl
 		case opCmpJump:
 			m = wmOnce
 			if !ru(in.a) || !ru(in.b) {
-				m = diverge(pc)
-			}
-		case opBinCmpJump:
-			// tryFuse only emits this when the uniformity analysis
-			// agrees; the divergent form is executed all the same.
-			m = wmOnce
-			if !ru(in.a) || !ru(in.b) || !ru(in.args[1]) || !ru(in.dst) {
 				m = diverge(pc)
 			}
 		case opStore:

@@ -185,58 +185,6 @@ kernel void k(global int* out, global const int* in, int n)
 	}
 }
 
-// TestWarpTablesFollowLayout: a profile-guided recompile emits blocks
-// hottest-first, so the per-block tables behind the dispatch modes must
-// follow the emitted order, not the function's. Here the never-taken
-// arm of a local-id branch moves from second place to last, and the
-// barrier's block takes its place: read against the function's order
-// the barrier would sit in a divergent block and spill every warp.
-func TestWarpTablesFollowLayout(t *testing.T) {
-	const src = `
-kernel void k(global int* out, global const int* in, int n)
-{
-    int lid = (int)get_local_id(0);
-    int acc = 1;
-    if (lid < 0) { acc = in[0] * 3; acc ^= lid; }
-    barrier(1);
-    int i;
-    for (i = 0; i < 32; ++i) acc += (i + lid) & 3;
-    out[get_global_id(0)] = acc;
-}
-`
-	mod, err := clc.Compile(src, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	launch := func(p *Prog, prof *Profiler) []byte {
-		m := NewMachine(mod)
-		m.UseProgram(p)
-		m.Profiler = prof
-		in := m.NewRegion(128*4, ir.Global)
-		out := m.NewRegion(128*4, ir.Global)
-		args := []Value{{K: ir.Pointer, P: Ptr{R: out}}, {K: ir.Pointer, P: Ptr{R: in}}, IntV(128)}
-		if err := m.Launch("k", args, ND1(128, 64)); err != nil {
-			t.Fatal(err)
-		}
-		return out.Bytes
-	}
-	prof0 := NewProfiler(ProfileOptions{SampleEvery: 1})
-	want := launch(CompileModuleOpts(mod, Tier0CompileOpts), prof0)
-
-	p1 := CompileModuleOpts(mod, CompileOpts{Opt: true, WarpWidth: DefaultWarpWidth, Profile: GuideFromSnapshots(prof0.Snapshot())})
-	order := p1.Decisions()[0].BlockOrder
-	if !strings.HasPrefix(order[len(order)-1], "if.then") {
-		t.Fatalf("fixture lost its shape: the cold arm is not emitted last: %v", order)
-	}
-	prof1 := NewProfiler(ProfileOptions{SampleEvery: 1})
-	if got := launch(p1, prof1); !bytes.Equal(got, want) {
-		t.Errorf("tier-1 warp output differs from tier 0")
-	}
-	if s := prof1.Snapshot()[0]; s.Warps != 2 || s.WarpSpills != 0 {
-		t.Errorf("Warps/WarpSpills = %d/%d, want 2/0 (the barrier sits in a control-uniform block)", s.Warps, s.WarpSpills)
-	}
-}
-
 type warpSinkFunc func(WarpLaunchStats)
 
 func (f warpSinkFunc) ObserveWarpLaunch(st WarpLaunchStats) { f(st) }

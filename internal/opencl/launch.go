@@ -42,13 +42,7 @@ type MachinePool struct {
 	prof *interp.Profiler
 	// warp, when set, receives per-launch warp execution stats from
 	// every machine the pool hands out (see interp.WarpStatsSink).
-	warp interp.WarpStatsSink
-	// tier, when set, is the tiered-execution controller: machines the
-	// pool hands out notify it after each launch, and launch handles
-	// resolve their program through it (tier-0 first, hot-swap later).
-	// With a tier controller and no explicit profiler, the controller's
-	// own profiler is installed so hotness counts accumulate.
-	tier     *interp.TierController
+	warp     interp.WarpStatsSink
 	nextMach int
 
 	workers *interp.WorkerPool // started on first use, stopped by Close
@@ -118,34 +112,11 @@ func (p *MachinePool) SetWarpStats(s interp.WarpStatsSink) {
 	p.mu.Unlock()
 }
 
-// SetTierController installs (or, with nil, removes) the tiered-
-// execution controller on the pool: subsequently acquired machines
-// notify it after each launch, and NewLaunchHandle resolves programs
-// through it (cheap tier-0 compile first, background tier-1 later).
-func (p *MachinePool) SetTierController(tc *interp.TierController) {
-	p.mu.Lock()
-	p.tier = tc
-	p.mu.Unlock()
-}
-
-// TierController returns the installed tiered-execution controller
-// (nil without one).
-func (p *MachinePool) TierController() *interp.TierController {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tier
-}
-
 // seedLocked installs the pool's shared sinks on a machine about to be
-// handed out. With a tier controller and no explicit profiler, the
-// controller's profiler is used so its hotness estimates have data.
+// handed out.
 func (p *MachinePool) seedLocked(m *interp.Machine) {
 	m.Profiler = p.prof
-	if m.Profiler == nil && p.tier != nil {
-		m.Profiler = p.tier.Profiler()
-	}
 	m.WarpStats = p.warp
-	m.Tier = p.tier
 }
 
 // Acquire returns a machine for the module, reusing an idle one when
@@ -274,15 +245,6 @@ type LaunchHandle struct {
 
 	// What the most recent Step started (LastSlice).
 	lastPhys, lastChunk, lastBudget int64
-
-	// Tiered execution: mod and progVer let Step re-resolve the shared
-	// program at each slice boundary when a background promotion bumped
-	// the hot-swap generation; pinned (an explicit UseProgram call)
-	// opts the handle out, and tier mirrors the running program's tier.
-	mod     *ir.Module
-	progVer uint64
-	pinned  bool
-	tier    int
 }
 
 // NewLaunchHandle binds the kernel's arguments and the RT descriptor
@@ -301,16 +263,8 @@ func NewLaunchHandle(plat *Platform, mod *ir.Module, k *Kernel, nd NDRange, rtWo
 	// The handle's machine executes mod (usually the JIT-transformed
 	// module, not k's build product); resolve its bytecode through the
 	// shared cache so every slice — and every pooled machine that later
-	// serves this module — runs the same compiled form. Under a tier
-	// controller the first resolution is the cheap tier-0 compile.
-	var prog *interp.Prog
-	if tc := pool.TierController(); tc != nil {
-		prog = tc.ProgramFor(mod)
-	} else {
-		prog = interp.SharedProgram(mod)
-	}
-	ver := interp.ProgramVersion()
-	mach.UseProgram(prog)
+	// serves this module — runs the same compiled form.
+	mach.UseProgram(interp.SharedProgram(mod))
 	args := make([]interp.Value, 0, len(k.args)+1)
 	for i, a := range k.args {
 		if !a.set {
@@ -343,9 +297,6 @@ func NewLaunchHandle(plat *Platform, mod *ir.Module, k *Kernel, nd NDRange, rtWo
 		total:    rtWords[rtlib.RTTotal],
 		kchunk:   rtWords[rtlib.RTChunk],
 		lanes:    int64(interp.Lanes()),
-		mod:      mod,
-		progVer:  ver,
-		tier:     prog.Tier(),
 	}
 	h.setPlan(phys, chunk)
 	return h, nil
@@ -363,26 +314,13 @@ func (h *LaunchHandle) setPlan(phys, chunk int64) {
 
 // UseProgram overrides the compiled bytecode the handle's machine
 // executes (the parity suite pins O0/O1 compile variants of the same
-// module with it). The handle is pinned afterwards: slice boundaries
-// stop re-resolving the shared program, so a concurrent tier promotion
-// cannot displace the explicit choice. No-op once the execution
-// finished.
+// module with it). No-op once the execution finished.
 func (h *LaunchHandle) UseProgram(p *interp.Prog) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.done {
 		h.mach.UseProgram(p)
-		h.pinned = true
-		h.tier = p.Tier()
 	}
-}
-
-// Tier returns the optimization tier of the program the handle ran its
-// most recent slice with (0 until a promotion is picked up).
-func (h *LaunchHandle) Tier() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tier
 }
 
 // UpdatePlan installs a new physical work-group allocation and chunk
@@ -533,19 +471,6 @@ func (h *LaunchHandle) Step() (done bool, err error) {
 		h.err = h.cancel
 		h.finishLocked()
 		return true, h.err
-	}
-	// Slice boundary: pick up a background tier promotion. The version
-	// check is one atomic load on the common (no-swap) path; in-flight
-	// slices are never interrupted — the old program stays valid until
-	// this point, and programs are immutable.
-	if !h.pinned {
-		if v := interp.ProgramVersion(); v != h.progVer {
-			h.progVer = v
-			if p := interp.SharedProgram(h.mod); p != nil {
-				h.mach.UseProgram(p)
-				h.tier = p.Tier()
-			}
-		}
 	}
 	phys, chunk, consumed := h.phys, h.chunk, h.consumed
 	budget := phys * chunk * h.rounds

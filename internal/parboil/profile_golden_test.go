@@ -14,26 +14,21 @@ import (
 )
 
 // profileGoldenConfigs are the engine configurations the golden profile
-// covers: the tier-0 compile (calls survive: no inliner), the O1 scalar
-// and warp engines, and both again as tier-1 compiles guided by the
-// tier-0 profile (hot-path layout lets runs fall through block ends, and
-// only a guided compile emits bin+cmp+jump).
+// covers: the cheapest lowering (calls survive: no inliner), and the O1
+// scalar and warp engines.
 var profileGoldenConfigs = []struct {
-	name   string
-	opts   interp.CompileOpts
-	guided bool
+	name string
+	opts interp.CompileOpts
 }{
-	{"tier0", interp.Tier0CompileOpts, false},
-	{"o1", interp.CompileOpts{Opt: true}, false},
-	{"o1-warp", interp.CompileOpts{Opt: true, WarpWidth: interp.DefaultWarpWidth}, false},
-	{"tier1", interp.CompileOpts{Opt: true}, true},
-	{"tier1-warp", interp.CompileOpts{Opt: true, WarpWidth: interp.DefaultWarpWidth}, true},
+	{"tier0", interp.Tier0CompileOpts},
+	{"o1", interp.CompileOpts{Opt: true}},
+	{"o1-warp", interp.CompileOpts{Opt: true, WarpWidth: interp.DefaultWarpWidth}},
 }
 
-// profileGoldenUniform is a 26th kernel for the two landing sites no
+// profileGoldenUniform is a 26th kernel for the landing sites no
 // Parboil kernel reaches in vector dispatch: a warp-invariant
 // short-circuit condition (a once-mode condjump) and a warp-invariant
-// counted loop (a once-mode bin+cmp+jump under a guide).
+// counted loop.
 var profileGoldenUniform = &Kernel{
 	Benchmark: "synthetic",
 	Name:      "uniform",
@@ -62,7 +57,7 @@ kernel void uniform(global int* out, int n)
 // profiles, a line per configuration. A profile accumulates the native
 // verification launch plus the same launch through the accelOS
 // transformation on three physical groups (the scheduling wrapper is
-// where tier 0 makes calls); its line holds the instruction and barrier
+// where the unoptimized lowering makes calls); its line holds the instruction and barrier
 // totals and a hash of the snapshot's sorted opcode and block lines.
 func profileGoldenLines(k *Kernel) ([]string, error) {
 	orig, err := clc.Compile(k.Source, k.Name)
@@ -75,17 +70,12 @@ func profileGoldenLines(k *Kernel) ([]string, error) {
 		return nil, err
 	}
 	var lines []string
-	var guide *interp.ProfileGuide
 	for _, cfg := range profileGoldenConfigs {
-		opts := cfg.opts
-		if cfg.guided {
-			opts.Profile = guide
-		}
 		prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
 		for _, mod := range []*ir.Module{orig, tm} {
 			mach := interp.NewMachine(mod)
 			mach.Profiler = prof
-			mach.UseProgram(interp.CompileModuleOpts(mod, opts))
+			mach.UseProgram(interp.CompileModuleOpts(mod, cfg.opts))
 			var info *accelpass.KernelInfo
 			if mod == tm {
 				info = res.Kernels[k.Name]
@@ -94,11 +84,7 @@ func profileGoldenLines(k *Kernel) ([]string, error) {
 				return nil, fmt.Errorf("%s: %w", cfg.name, err)
 			}
 		}
-		snaps := prof.Snapshot()
-		if guide == nil {
-			guide = interp.GuideFromSnapshots(snaps) // tier0 runs first
-		}
-		s := snaps[0]
+		s := prof.Snapshot()[0]
 		h := fnv.New64a()
 		for _, oc := range s.Opcodes {
 			fmt.Fprintf(h, "%s %d\n", oc.Name, oc.Count)

@@ -75,9 +75,10 @@ func TestVMParityNative(t *testing.T) {
 // TestVMParityTransformedSliced is the differential suite over the live
 // execution path: every kernel's JIT-transformed form runs as a
 // multi-slice LaunchHandle execution on the VM (one dequeue round per
-// slice, a reduced physical grid) — once on unoptimized bytecode and
-// once behind the O1 pipeline — and both must reproduce the
-// tree-walker's native output buffers byte for byte.
+// slice, a reduced physical grid) — on the program the handle resolves
+// from the shared cache, as the runtime's launches do (O1, fusion, warp
+// tables), and pinned to the scalar O1 and unoptimized forms — and each
+// must reproduce the tree-walker's native output buffers byte for byte.
 func TestVMParityTransformedSliced(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
@@ -105,9 +106,9 @@ func TestVMParityTransformedSliced(t *testing.T) {
 			spec := k.Setup()
 			for _, variant := range []struct {
 				name string
-				prog *interp.Prog
+				prog *interp.Prog // nil: the shared program
 			}{
-				{"warp", interp.CompileModuleOpts(tm, interp.DefaultCompileOpts)},
+				{"warp", nil},
 				{"O1", interp.CompileModuleOpts(tm, vmParityO1)},
 				{"O0", interp.CompileModuleOpts(tm, vmParityO0)},
 			} {
@@ -121,7 +122,9 @@ func TestVMParityTransformedSliced(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s handle: %v", variant.name, err)
 				}
-				h.UseProgram(variant.prog)
+				if variant.prog != nil {
+					h.UseProgram(variant.prog)
+				}
 				h.SetSliceRounds(1) // force many slices
 				slices := 0
 				for {
@@ -266,34 +269,75 @@ func clKernelFromSpec(mod *ir.Module, name string, spec LaunchSpec) (*opencl.Ker
 	return cl, bufs, nil
 }
 
+// transformedWarpListing returns the `clcc -stage warp` listing of a
+// kernel's JIT-transformed module compiled the way the daemon compiles
+// it: interp.CompileModule, O1 over a private clone plus fusion and
+// warp tables.
+func transformedWarpListing(k *Kernel) (string, error) {
+	trans, err := transformed(k)
+	if err != nil {
+		return "", err
+	}
+	var listing bytes.Buffer
+	err = interp.CompileModule(trans).DumpWarp(&listing, k.Name)
+	return listing.String(), err
+}
+
+func transformed(k *Kernel) (*ir.Module, error) {
+	orig, err := clc.Compile(k.Source, k.Name)
+	if err != nil {
+		return nil, err
+	}
+	res, err := accelpass.Transform(ir.CloneModule(orig))
+	if err != nil {
+		return nil, err
+	}
+	return res.Module, nil
+}
+
+// TestCompileModuleMatchesStagedJIT: for every kernel the daemon's one
+// compile call, interp.CompileModule over the transformed module, lowers
+// to the same bytecode and warp tables as the staged pipeline the
+// benchmark's per-layer JIT rungs time — passes.RunO1 over a clone, then
+// lowering with warp tables only — so those rungs time the program the
+// runtime runs.
+func TestCompileModuleMatchesStagedJIT(t *testing.T) {
+	for _, k := range Kernels() {
+		got, err := transformedWarpListing(k)
+		if err != nil {
+			t.Fatalf("%s: %v", k.FullName(), err)
+		}
+		opt, err := transformed(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := passes.RunO1(opt); err != nil {
+			t.Fatalf("%s: O1: %v", k.FullName(), err)
+		}
+		var staged bytes.Buffer
+		if err := interp.CompileModuleOpts(opt, interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth}).DumpWarp(&staged, k.Name); err != nil {
+			t.Fatalf("%s: %v", k.FullName(), err)
+		}
+		if got != staged.String() {
+			t.Errorf("%s: CompileModule differs from the staged RunO1 + WarpWidth lowering:\n%s\nstaged:\n%s", k.FullName(), got, staged.String())
+		}
+	}
+}
+
 // TestTransformedKernelsStayVector: compiled the way the daemon's JIT
-// compiles them (transform, O1 over a clone, bytecode with warp tables),
-// none of the 25 scheduling kernels contains an instruction at which a
-// warp leaves vector dispatch — the wrapper, the computation function
-// and the rt_* library are one function, and no Parboil kernel has a
-// recursive helper or a barrier under a divergent branch. The listing
-// checked is the one `clcc -stage warp` prints.
+// compiles them, none of the 25 scheduling kernels contains an
+// instruction at which a warp leaves vector dispatch — the wrapper, the
+// computation function and the rt_* library are one function, and no
+// Parboil kernel has a recursive helper or a barrier under a divergent
+// branch. The listing checked is the one `clcc -stage warp` prints.
 func TestTransformedKernelsStayVector(t *testing.T) {
 	for _, k := range Kernels() {
-		orig, err := clc.Compile(k.Source, k.Name)
+		listing, err := transformedWarpListing(k)
 		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := accelpass.Transform(ir.CloneModule(orig))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := ir.CloneModule(res.Module)
-		if err := passes.RunO1(opt); err != nil {
-			t.Fatal(err)
-		}
-		prog := interp.CompileModuleOpts(opt, interp.CompileOpts{WarpWidth: interp.DefaultWarpWidth})
-		var listing bytes.Buffer
-		if err := prog.DumpWarp(&listing, k.Name); err != nil {
 			t.Fatalf("%s: %v", k.FullName(), err)
 		}
 		diverges := false
-		for _, line := range strings.Split(listing.String(), "\n") {
+		for _, line := range strings.Split(listing, "\n") {
 			f := strings.Fields(line)
 			if len(f) < 2 {
 				continue
@@ -304,7 +348,7 @@ func TestTransformedKernelsStayVector(t *testing.T) {
 			diverges = diverges || strings.HasPrefix(f[1], "diverge→")
 		}
 		if !diverges {
-			t.Errorf("%s: no masked branch in the listing — the master-only dequeue should be one:\n%s", k.FullName(), listing.String())
+			t.Errorf("%s: no masked branch in the listing — the master-only dequeue should be one:\n%s", k.FullName(), listing)
 		}
 	}
 }

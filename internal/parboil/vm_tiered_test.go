@@ -6,21 +6,20 @@ import (
 
 	"repro/internal/accelpass"
 	"repro/internal/clc"
-	"repro/internal/device"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/opencl"
 	"repro/internal/rtlib"
 )
 
-// TestVMParityTieredSliced is the vm-tiered parity axis: every kernel's
-// JIT-transformed form starts its sliced execution on the cheap tier-0
-// compile, a promotion to the profile-guided tier-1 program is forced
-// after the first slice, and the in-flight handle picks the hot-swap up
-// at the next slice boundary — the output buffers must still match the
-// tree-walker's native run byte for byte. Run with -race this is also
-// the concurrent-launch-during-recompile exercise: the controller's
-// background workers race the forced promotion and the stepping.
+// TestVMParityTieredSliced switches compile tiers at a slice boundary:
+// every kernel's JIT-transformed form starts its sliced execution on the
+// cheapest lowering (interp.Tier0CompileOpts: no O1, no fusion, scalar),
+// and after the first slice the handle is switched to the shared
+// program the runtime runs (eager O1, fusion, warp tables). Everything
+// a sliced execution carries from one slice to the next lives in
+// memory — the RT descriptor, the dequeue counter, the buffers — so the
+// output must still match the tree-walker's native run byte for byte.
 func TestVMParityTieredSliced(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
@@ -45,14 +44,6 @@ func TestVMParityTieredSliced(t *testing.T) {
 				t.Fatal("transformation lost the kernel")
 			}
 
-			// A private platform (and so a private machine pool) keeps the
-			// controller scoped to this subtest; HotInstrs 1 also lets the
-			// background path race the forced promotion below.
-			plat := &opencl.Platform{Dev: device.Platforms()[0]}
-			tc := interp.NewTierController(interp.TierOptions{HotInstrs: 1, SampleEvery: 1})
-			defer tc.Close()
-			plat.Machines().SetTierController(tc)
-
 			spec := k.Setup()
 			cl, bufs, err := clKernelFromSpec(orig, k.Name, spec)
 			if err != nil {
@@ -60,15 +51,11 @@ func TestVMParityTieredSliced(t *testing.T) {
 			}
 			nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
 			rtWords := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk)
-			h, err := opencl.NewLaunchHandle(plat, tm, cl, nd, rtWords, 2, rtWords[rtlib.RTChunk])
+			h, err := opencl.NewLaunchHandle(nil, tm, cl, nd, rtWords, 2, rtWords[rtlib.RTChunk])
 			if err != nil {
 				t.Fatalf("handle: %v", err)
 			}
-			// No UseProgram: the handle stays unpinned, running whatever the
-			// tier controller resolved (tier 0 now, tier 1 after the swap).
-			if h.Tier() != 0 {
-				t.Fatalf("first slice would run tier %d, want 0", h.Tier())
-			}
+			h.UseProgram(interp.CompileModuleOpts(tm, interp.Tier0CompileOpts))
 			h.SetSliceRounds(1) // force many slices
 			slices := 0
 			for {
@@ -81,20 +68,15 @@ func TestVMParityTieredSliced(t *testing.T) {
 					break
 				}
 				if slices == 1 {
-					// Forced mid-run promotion: recompile at tier 1 with the
-					// profile of the first slice and hot-swap.
-					tc.PromoteSync(tm)
+					h.UseProgram(interp.SharedProgram(tm))
 				}
 			}
 			if total := nd.TotalGroups(); total > 2 && slices < 2 {
 				t.Fatalf("expected a multi-slice execution, got %d slice(s) for %d virtual groups", slices, total)
 			}
-			if slices >= 3 && h.Tier() != 1 {
-				t.Errorf("handle never picked up the tier-1 hot-swap (%d slices, tier %d)", slices, h.Tier())
-			}
 			for i := range ref {
 				if !bytes.Equal(ref[i], bufs[i]) {
-					t.Errorf("buffer %d (%s) differs between tree-walker native and tiered VM sliced execution",
+					t.Errorf("buffer %d (%s) differs between tree-walker native and tier-switched VM sliced execution",
 						i, spec.Args[i].Name)
 				}
 			}

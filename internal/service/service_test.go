@@ -225,7 +225,7 @@ kernel void churn(global int* out, int n)
 // grid) that the admission test's first launch reliably still holds
 // its device slot while the test races two more enqueues against it —
 // sized to stay under the launch-global instruction budget even at
-// tier-0 (unfused) step counts: 8192 items x 1500 iters x ~8 steps.
+// unoptimized, unfused step counts: 8192 items x 1500 iters x ~8 steps.
 const svcHoldSrc = `
 kernel void hold(global int* out, int n)
 {
