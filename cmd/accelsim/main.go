@@ -45,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,7 +89,7 @@ func main() {
 	profile := flag.Bool("profile", false, "collect and dump sampled VM execution profiles for the live run")
 	seed := flag.Int64("seed", 42, "chaos experiment: fault-injection RNG seed")
 	dumpIR := flag.String("dump-ir", "", "print a named Parboil kernel's IR before and after the O1 pipeline, then exit (e.g. -dump-ir sad/larger_sad_calc_8)")
-	disable := flag.String("disable-pass", "", "comma-separated O1 passes to skip with -dump-ir (mem2reg, constfold, dce, simplifycfg)")
+	disable := flag.String("disable-pass", "", "comma-separated O1 passes to skip with -dump-ir ("+strings.Join(passNames(passes.O1()), ", ")+")")
 	flag.Parse()
 
 	if *dumpIR != "" {
@@ -213,6 +214,10 @@ var schemes = []experiments.Scheme{experiments.Baseline, experiments.EK, experim
 // optimization pipeline — the inspection tool for the per-pass disable
 // knob (skip a pass and diff the output to see what it contributed).
 func runDumpIR(name, disable string) error {
+	skip, err := parseDisable(disable)
+	if err != nil {
+		return err
+	}
 	k, err := parboil.ByName(name)
 	if err != nil {
 		return err
@@ -221,27 +226,50 @@ func runDumpIR(name, disable string) error {
 	if err != nil {
 		return err
 	}
-	var skip []string
-	for _, p := range strings.Split(disable, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			skip = append(skip, p)
-		}
-	}
 	fmt.Printf("--- %s: pre-pipeline IR (clc -O0 memory form) ---\n\n", name)
 	fmt.Println(mod.String())
 	opt := ir.CloneModule(mod)
-	if err := passes.RunO1(opt, skip...); err != nil {
+	pm := passes.O1(skip...)
+	if err := pm.Run(opt); err != nil {
 		return fmt.Errorf("O1 pipeline: %w", err)
 	}
-	pipeline := "mem2reg + constfold + dce + simplifycfg"
-	if len(skip) > 0 {
-		pipeline += " minus " + strings.Join(skip, ",")
+	pipeline := strings.Join(passNames(pm), " + ")
+	if pipeline == "" {
+		pipeline = "no passes"
 	}
 	fmt.Printf("--- %s: post-pipeline IR (%s) ---\n\n", name, pipeline)
 	fmt.Println(opt.String())
 	pre, post := mod.Lookup(k.Name), opt.Lookup(k.Name)
 	fmt.Printf("kernel %s: %d -> %d instructions\n", k.Name, pre.NumInstrs(), post.NumInstrs())
 	return nil
+}
+
+// parseDisable splits -disable-pass's comma-separated list and rejects
+// any name the O1 pipeline does not run, so a typo fails instead of
+// silently skipping nothing.
+func parseDisable(list string) ([]string, error) {
+	known := passNames(passes.O1())
+	var skip []string
+	for _, p := range strings.Split(list, ",") {
+		p = strings.TrimSpace(p)
+		if p == "" {
+			continue
+		}
+		if !slices.Contains(known, p) {
+			return nil, fmt.Errorf("-disable-pass: %q is not an O1 pass (%s)", p, strings.Join(known, ", "))
+		}
+		skip = append(skip, p)
+	}
+	return skip, nil
+}
+
+// passNames lists a pipeline's passes in run order.
+func passNames(pm *passes.Manager) []string {
+	names := make([]string, len(pm.Passes))
+	for i, p := range pm.Passes {
+		names[i] = p.Name()
+	}
+	return names
 }
 
 // runCluster sweeps the cluster scheduler: one row per placement
@@ -418,8 +446,9 @@ kernel void strided(global float* d, int n, int stride, int iters)
 // daemon on a private unix socket, `clients` concurrent client shims
 // each pipelining `perClient` write→kernel→read chains through
 // shared-memory buffers. Reported are aggregate launch throughput and
-// the tail of the full chain latency (enqueue to read-back complete) —
-// the numbers the BENCH_service CI job tracks at 1/8/64 clients.
+// the tail of the full chain latency (enqueue to read-back complete):
+// a quick fan-in smoke of the daemon at client counts the benchmark's
+// one- and two-tenant workloads never reach.
 func runService(clients, perClient int) error {
 	if clients < 1 {
 		clients = 1

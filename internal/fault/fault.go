@@ -4,8 +4,9 @@
 // transport (frame drop, connection close, shm map failure).
 //
 // Production builds compile the hooks in but install no injector: every
-// hook site is one atomic load plus a nil check (the bench-fault CI job
-// guards the overhead at <3%). The chaos harness installs one Injector
+// hook site is one atomic load plus a nil check, paid once per slice,
+// placement, frame or shm map and never inside the interpreter's
+// work-item loops. The chaos harness installs one Injector
 // process-wide, runs a seeded multi-tenant workload, and asserts the
 // runtime's recovery invariants.
 package fault

@@ -1,0 +1,93 @@
+package interp
+
+import (
+	"testing"
+
+	"repro/internal/clc"
+	"repro/internal/ir"
+)
+
+// TestDispatchFloors holds the two dispatch speedups the VM is built
+// around, each as an in-run ratio between a slow and a fast compile of
+// the same kernel: the O1 pipeline plus fusion over the unoptimized
+// lowering on one work-item spinning a tight loop, and warp over scalar
+// dispatch on a group whose loop is warp-uniform. The sides alternate
+// and each keeps its fastest of three rounds, so a burst of load on one
+// side cannot fail the row. The floors sit far below what the engine
+// measures (4.8–9× against 3×, 25–36× against 2× on a 2-vCPU box), so
+// only a real regression trips them. Overhead bounds of a few percent
+// are not timed here: one side alone moves more than that between runs.
+func TestDispatchFloors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing under the race detector measures its instrumentation")
+	}
+	if testing.Short() {
+		t.Skip("timed test")
+	}
+	const spin = `
+kernel void spin(global int* out)
+{
+    int acc = 0;
+    int i;
+    for (i = 0; i < 100000; ++i) acc += i & 7;
+    out[0] = acc;
+}
+`
+	const uniform = `
+kernel void k(global int* out)
+{
+    int acc = 0;
+    int i;
+    for (i = 0; i < 20000; ++i) acc += i & 7;
+    out[get_local_id(0)] = acc;
+}
+`
+	rows := []struct {
+		name, src, kernel string
+		items             int64
+		slow, fast        CompileOpts
+		floor             float64
+	}{
+		{"o1-over-o0", spin, "spin", 1, CompileOpts{Disable: []string{"fuse"}}, DefaultCompileOpts, 3},
+		{"warp-over-scalar", uniform, "k", 64, scalarO1, DefaultCompileOpts, 2},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			mod, err := clc.Compile(r.src, r.kernel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			launches := func(opts CompileOpts) func(*testing.B) {
+				m := NewMachine(mod)
+				m.UseProgram(CompileModuleOpts(mod, opts))
+				args := []Value{{K: ir.Pointer, P: Ptr{R: m.NewRegion(r.items*4, ir.Global)}}}
+				nd := ND1(r.items, r.items)
+				return func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := m.Launch(r.kernel, args, nd); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			sides := []func(*testing.B){launches(r.slow), launches(r.fast)}
+			var best [2]int64
+			for round := 0; round < 3; round++ {
+				for i, side := range sides {
+					res := testing.Benchmark(side)
+					if res.N == 0 {
+						t.Fatal("launch failed inside the benchmark")
+					}
+					if ns := res.NsPerOp(); best[i] == 0 || ns < best[i] {
+						best[i] = ns
+					}
+				}
+			}
+			ratio := float64(best[0]) / float64(best[1])
+			t.Logf("slow %d ns/op, fast %d ns/op: %.1f× (floor %.0f×)", best[0], best[1], ratio, r.floor)
+			if ratio < r.floor {
+				t.Errorf("fast side is only %.2f× the slow side, floor %.0f×", ratio, r.floor)
+			}
+		})
+	}
+}

@@ -13,8 +13,9 @@ import (
 )
 
 // launchInjector is the process-wide chaos injector consulted at Step's
-// SliceDelay point. The disabled-path cost is one atomic load per slice
-// (guarded <3% by the bench-fault CI job).
+// SliceDelay point. With none installed (production: only the chaos
+// harness installs one) the hook is one atomic load and a nil check per
+// slice, not per work-group.
 var launchInjector atomic.Pointer[fault.Injector]
 
 // SetFaultInjector installs (or, with nil, removes) the chaos injector

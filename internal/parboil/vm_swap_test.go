@@ -12,15 +12,15 @@ import (
 	"repro/internal/rtlib"
 )
 
-// TestVMParityTieredSliced switches compile tiers at a slice boundary:
-// every kernel's JIT-transformed form starts its sliced execution on the
-// cheapest lowering (interp.Tier0CompileOpts: no O1, no fusion, scalar),
-// and after the first slice the handle is switched to the shared
-// program the runtime runs (eager O1, fusion, warp tables). Everything
-// a sliced execution carries from one slice to the next lives in
-// memory — the RT descriptor, the dequeue counter, the buffers — so the
-// output must still match the tree-walker's native run byte for byte.
-func TestVMParityTieredSliced(t *testing.T) {
+// TestVMParitySwappedProgramSliced swaps the program under a sliced
+// execution with UseProgram after its first slice: every kernel's
+// JIT-transformed form starts on an unoptimized scalar lowering
+// (interp.Tier0CompileOpts: no O1, no fusion) and finishes on the shared
+// program the runtime runs (O1, fusion, warp tables). Everything a
+// sliced execution carries from one slice to the next lives in memory —
+// the RT descriptor, the dequeue counter, the buffers — so the output
+// must still match the tree-walker's native run byte for byte.
+func TestVMParitySwappedProgramSliced(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k
 		t.Run(k.FullName(), func(t *testing.T) {
