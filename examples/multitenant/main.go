@@ -135,16 +135,15 @@ func main() {
 	}
 
 	st := rt.Stats()
-	fmt.Printf("\nruntime: %d programs JITed, %d kernel launches scheduled, %d passthrough calls\n",
-		st.ProgramsJITed, st.KernelsLaunched, st.Passthroughs)
+	fmt.Printf("\nruntime: %d programs JITed, %d kernel launches scheduled\n",
+		st.ProgramsJITed, st.KernelsLaunched)
 	fmt.Printf("memory manager: %d tenant pauses while the device was oversubscribed\n",
 		rt.Memory().TotalPauses())
 
 	// The sliced engine re-plans every launch on each arrival and
 	// completion; the live scorecard below shows what the contention cost
 	// each tenant, in the paper's §7.4 multi-tenancy metrics.
-	fmt.Printf("scheduler: %d dynamic re-plans (%d scheduler re-entries)\n",
-		st.Replans, rt.Monitor().Reschedules())
+	fmt.Printf("scheduler: %d dynamic re-plans\n", st.Replans)
 
 	fmt.Println("\nlive §7.4 scorecard (shared = enqueue→retire, alone = summed slice time):")
 	fmt.Println(score.Compute().String())

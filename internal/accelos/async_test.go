@@ -74,6 +74,22 @@ func TestAsyncPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// execCounts counts the runtime's registered executions: pending ones
+// wait on their wait list or on admission, running ones have launched
+// and not yet settled.
+func execCounts(rt *Runtime) (pending, running int) {
+	rt.launchMu.Lock()
+	defer rt.launchMu.Unlock()
+	for _, rec := range rt.execs {
+		if rec.started {
+			running++
+		} else {
+			pending++
+		}
+	}
+	return pending, running
+}
+
 // TestPendingWindowAccounting gates a kernel on a user event and checks
 // the Kernel Scheduler sees it as pending (the scheduler's lookahead
 // window) before the dependency releases it to running.
@@ -102,14 +118,10 @@ func TestPendingWindowAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The daemon registers the execution as pending even though its wait
-	// list is incomplete.
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.Monitor().PendingKernels() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pending window never showed the gated kernel (pending=%d)", rt.Monitor().PendingKernels())
-		}
-		time.Sleep(time.Millisecond)
+	// The scheduler registers the execution as pending before the call
+	// returns, even though its wait list is incomplete.
+	if pending, running := execCounts(rt); pending != 1 || running != 0 {
+		t.Fatalf("gated kernel: pending=%d running=%d, want 1 and 0", pending, running)
 	}
 	if got := ev.Status(); got.Terminal() {
 		t.Fatalf("gated kernel already terminal: %v", got)
@@ -118,11 +130,8 @@ func TestPendingWindowAccounting(t *testing.T) {
 	if err := ev.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Monitor().PendingKernels(); got != 0 {
-		t.Errorf("pending after completion = %d", got)
-	}
-	if got := rt.Monitor().RunningKernels(); got != 0 {
-		t.Errorf("running after completion = %d", got)
+	if pending, running := execCounts(rt); pending != 0 || running != 0 {
+		t.Errorf("after completion: pending=%d running=%d, want 0", pending, running)
 	}
 	if got := rt.Stats().WaitDeferred; got != 1 {
 		t.Errorf("WaitDeferred = %d, want 1", got)
@@ -166,8 +175,8 @@ func TestAsyncFailurePropagation(t *testing.T) {
 	if got := rt.Stats().KernelsLaunched; got != 0 {
 		t.Errorf("failed-dependency kernel launched (KernelsLaunched=%d)", got)
 	}
-	if got := rt.Monitor().PendingKernels(); got != 0 {
-		t.Errorf("pending after abandon = %d", got)
+	if pending, _ := execCounts(rt); pending != 0 {
+		t.Errorf("pending after abandon = %d", pending)
 	}
 	// The queue stays usable: the same kernel without the poisoned
 	// dependency runs fine.

@@ -190,11 +190,11 @@ func TestBuildSharedAcrossApps(t *testing.T) {
 	}
 }
 
-// TestBuildOffServeLoop: while one application's program is compiling,
-// the scheduling goroutine keeps serving another's requests. With the
-// compile on serve(), the first Query below would return only after the
-// CreateProgram had.
-func TestBuildOffServeLoop(t *testing.T) {
+// TestBuildDoesNotBlockOtherTenants: while one application's program is
+// compiling, another application allocates buffers and runs a
+// write → kernel → read chain to completion. A compile that held up the
+// runtime's other entry points would make CreateProgram return first.
+func TestBuildDoesNotBlockOtherTenants(t *testing.T) {
 	rt := NewRuntime(opencl.GetPlatforms()[0])
 	defer rt.Shutdown()
 	reg := telemetry.NewRegistry()
@@ -205,33 +205,68 @@ func TestBuildOffServeLoop(t *testing.T) {
 	defer builder.Close()
 	other := rt.Connect("other")
 	defer other.Close()
+	// Built before the slow compile starts: with one compile slot it
+	// would otherwise queue behind it.
+	prog, err := other.CreateProgram(vaddSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	src := slowSrc(400)
 	built := make(chan error, 1) // one send: the CreateProgram's outcome
 	start := time.Now()
 	go func() {
-		_, err := builder.CreateProgram(src)
+		_, err := builder.CreateProgram(slowSrc(400))
 		built <- err
 	}()
 	// The miss is counted when the builder claims the source, just
 	// before it compiles.
 	waitCounter(t, reg, "jit_cache_misses_total", 1)
-	const queries = 10
-	for i := 0; i < queries; i++ {
-		if err := other.Query(func() error { return nil }); err != nil {
-			t.Fatalf("query %d: %v", i, err)
+
+	const n, buffers = 64, 10
+	bufs := make([]*BufferHandle, buffers)
+	for i := range bufs {
+		if bufs[i], err = other.CreateBuffer(n * 4); err != nil {
+			t.Fatalf("CreateBuffer %d: %v", i, err)
 		}
+	}
+	in := make([]byte, n*4)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(in[i*4:], float32ToBits(float32(i)))
+	}
+	k, _ := prog.CreateKernel("vadd")
+	_ = k.SetArgBuffer(0, bufs[0])
+	_ = k.SetArgBuffer(1, bufs[1])
+	_ = k.SetArgBuffer(2, bufs[2])
+	_ = k.SetArgInt32(3, n)
+	wev, err := bufs[0].WriteAsync(0, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kev, err := other.EnqueueKernelAsync(k, opencl.ND1(n, 32), wev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, n*4)
+	rev, err := bufs[2].ReadAsync(0, out, kev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rev.Wait(); err != nil {
+		t.Fatalf("chain: %v", err)
 	}
 	select {
 	case err := <-built:
-		t.Fatalf("CreateProgram returned (%v, after %v) before %d queries of another app had: the compile did not overlap them",
-			err, time.Since(start), queries)
+		t.Fatalf("CreateProgram returned (%v, after %v) before another app's %d buffers and chain had: the compile did not overlap them",
+			err, time.Since(start), buffers)
 	default:
+	}
+	if !bytes.Equal(out, in) {
+		t.Error("chain read back different bytes than it wrote (b is zero, so c must equal a)")
 	}
 	if err := <-built; err != nil {
 		t.Fatalf("CreateProgram: %v", err)
 	}
-	t.Logf("%d queries served inside a %v compile", queries, time.Since(start))
+	t.Logf("%d buffers and a chain served inside a %v compile", buffers, time.Since(start))
 }
 
 // TestBuildCacheBounded: seventy distinct sources leave at most

@@ -86,9 +86,6 @@ func TestAppClosedTypedErrors(t *testing.T) {
 	app.Close()
 	app.Close() // idempotent
 
-	if err := app.Query(func() error { return nil }); !errors.Is(err, ErrAppClosed) {
-		t.Errorf("Query after Close = %v, want ErrAppClosed", err)
-	}
 	if _, err := app.CreateProgram(peerSrc); !errors.Is(err, ErrAppClosed) {
 		t.Errorf("CreateProgram after Close = %v, want ErrAppClosed", err)
 	}

@@ -18,8 +18,11 @@ var ErrAppClosed = errors.New("accelos: application closed")
 // of vendor OpenCL: the same call shapes, transparently routed to the
 // accelOS daemon. The paper transports calls over interprocess shared
 // memory (shown in the authors' prior work to have negligible overhead);
-// this reproduction transports them over an in-process channel, which
-// preserves the interposition boundary the paper relies on.
+// in this reproduction the App methods are that boundary: each call runs
+// the runtime on the application's own goroutine, routed by what it is
+// (the Application Monitor's scenarios of Fig. 6) — a program creation
+// to the JIT, a kernel execution to the Kernel Scheduler, anything else
+// straight through to OpenCL.
 //
 // Submissions are event-based: EnqueueKernelAsync and the buffer
 // Read/WriteAsync calls return an *opencl.Event immediately, accept wait
@@ -197,25 +200,24 @@ type Program struct {
 }
 
 // CreateProgram intercepts clCreateProgramWithSource+clBuildProgram:
-// scenario (a) of the Application Monitor FSM — the JIT compiler
-// analyzes and transforms the kernel code. The first creation of a
-// source compiles it here, on the caller's goroutine; creations of the
-// same source in the meantime wait for that compile, and later ones
-// find it in the runtime's build cache. The daemon is then told, and
-// installs the build on the handle. A source that does not build fails
-// with an error wrapping ErrBuildFailed.
+// scenario (a) of the Application Monitor — the JIT compiler analyzes
+// and transforms the kernel code. The first creation of a source
+// compiles it here, on the caller's goroutine; creations of the same
+// source in the meantime wait for that compile, and later ones find it
+// in the runtime's build cache. A source that does not build fails with
+// an error wrapping ErrBuildFailed. The application keeps launching
+// kernels under their original names; the transformed module provides
+// them.
 func (a *App) CreateProgram(src string) (*Program, error) {
 	if err := a.begin(); err != nil {
 		return nil, err
 	}
 	defer a.end()
-	p := &Program{app: a, Source: src}
 	b := a.rt.buildProgram(a.Name, src)
-	err := a.rt.submit(&Request{Kind: ReqProgramCreate, App: a, Prog: p, build: b})
-	if err != nil {
-		return nil, err
+	if b.err != nil {
+		return nil, b.err
 	}
-	return p, nil
+	return &Program{app: a, Source: src, build: b}, nil
 }
 
 // BufferHandle is the application's device memory handle.
@@ -271,8 +273,8 @@ func (a *App) createBuffer(size int64, mk func() (*opencl.Buffer, error), onFree
 	// waits for tickets to drain — may be the very thing whose buffer
 	// releases would resume it.
 	a.end()
-	// Pausing happens in the application's own goroutine so the daemon
-	// stays responsive.
+	// Pausing happens in the application's own goroutine, so other
+	// tenants are never held up by it.
 	if err := a.rt.mem.Alloc(a.ID, size); err != nil {
 		return nil, err
 	}
@@ -284,21 +286,12 @@ func (a *App) createBuffer(size int64, mk func() (*opencl.Buffer, error), onFree
 		return nil, err
 	}
 	defer a.end()
-	h := &BufferHandle{app: a, Size: size, onFree: onFree}
-	err := a.rt.submit(&Request{Kind: ReqOther, App: a, Other: func() error {
-		b, err := mk()
-		if err != nil {
-			return err
-		}
-		h.mu.Lock()
-		h.buf = b
-		h.mu.Unlock()
-		return nil
-	}})
+	b, err := mk()
 	if err != nil {
 		a.rt.mem.Free(a.ID, size)
 		return nil, err
 	}
+	h := &BufferHandle{app: a, Size: size, buf: b, onFree: onFree}
 	a.addBuf(h)
 	return h, nil
 }
@@ -554,7 +547,7 @@ func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*o
 	})
 	a.track(ev)
 	snap := &KernelHandle{prog: k.prog, name: k.name, args: args}
-	a.rt.submitAsync(&Request{Kind: ReqKernelExec, App: a, Kern: snap, ND: nd, Waits: waits, Event: ev, Bufs: bufs})
+	a.rt.scheduleKernel(a, snap, nd, waits, ev, bufs)
 	return ev, nil
 }
 
@@ -567,15 +560,4 @@ func (a *App) EnqueueKernel(k *KernelHandle, nd opencl.NDRange) error {
 		return err
 	}
 	return ev.Wait()
-}
-
-// Query is an example of scenario (c): a passthrough request that
-// accelOS does not intervene in. After Close it fails with the typed
-// ErrAppClosed instead of reaching the daemon.
-func (a *App) Query(fn func() error) error {
-	if err := a.begin(); err != nil {
-		return err
-	}
-	defer a.end()
-	return a.rt.submit(&Request{Kind: ReqOther, App: a, Other: fn})
 }

@@ -24,9 +24,12 @@ import (
 )
 
 // Runtime is the accelOS background system process (level 1 of Fig. 5):
-// the Application Monitor, the JIT compiler front door, the Kernel
-// Scheduler and the memory manager, sitting between ProxyCL applications
-// and the standard OpenCL system interface.
+// the JIT compiler front door, the Kernel Scheduler and the memory
+// manager, sitting between ProxyCL applications and the standard OpenCL
+// system interface. ProxyCL calls route themselves (the Application
+// Monitor's three scenarios of Fig. 6): CreateProgram enters the JIT,
+// EnqueueKernelAsync the Kernel Scheduler, and everything else passes
+// through, each on the calling application's goroutine.
 type Runtime struct {
 	Ctx *opencl.Context
 
@@ -37,12 +40,7 @@ type Runtime struct {
 	plats []*opencl.Platform
 	pool  *cluster.Pool
 
-	mon *Monitor
 	mem *MemoryManager
-
-	reqCh chan *Request
-	quit  chan struct{}
-	wg    sync.WaitGroup
 
 	mu          sync.Mutex
 	nextApp     int
@@ -50,7 +48,9 @@ type Runtime struct {
 
 	// launchMu guards the launch registry — every execution from
 	// interception to its terminal event, keyed by its pool request —
-	// the handle and resume point on each record, and the plan ring.
+	// the handle, resume point and started flag on each record, and the
+	// plan ring. The registry is also the pending window: a record that
+	// has not started is waiting on its wait list or on admission.
 	launchMu sync.Mutex
 	execs    map[*sim.ClusterExec]*launchRec
 	nextExec int
@@ -107,7 +107,7 @@ type launchRec struct {
 	bufs    []*opencl.Buffer // argument buffers, pinned by the app until completion
 	h       *opencl.LaunchHandle
 	ev      *opencl.Event
-	started bool // reached startLaunch (pending → running)
+	started bool // reached startLaunch (pending → running); under launchMu
 
 	// root pre-allocates the execution's trace-span ID at schedule time so
 	// slice spans can parent to it before the root span itself is emitted
@@ -147,7 +147,6 @@ type Stats struct {
 	// source the build cache already holds is not one.
 	ProgramsJITed   int
 	KernelsLaunched int
-	Passthroughs    int
 	// Replans counts dynamic re-plan events (every kernel arrival and
 	// completion re-runs the §3 algorithm over the resident set).
 	Replans int
@@ -171,28 +170,6 @@ type Stats struct {
 	// lanes that execute them (opencl.LaunchHandle.Step).
 	PhysGroupsPlanned int64
 	PhysGroupsStarted int64
-}
-
-// Request is one intercepted OpenCL call.
-type Request struct {
-	Kind ReqKind
-	App  *App
-
-	Prog  *Program
-	Kern  *KernelHandle
-	ND    opencl.NDRange
-	Other func() error
-
-	// Asynchronous kernel submissions carry their wait list, completion
-	// event and pinned argument buffers instead of a reply channel.
-	Waits []*opencl.Event
-	Event *opencl.Event
-	Bufs  []*opencl.Buffer
-
-	// A program creation carries its finished build to the JIT state.
-	build *build
-
-	reply chan error
 }
 
 // NewRuntime starts the accelOS daemon on one platform: a pool of one,
@@ -224,8 +201,6 @@ func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident
 		Ctx:   plats[0].CreateContext(),
 		plats: plats,
 		pool:  cluster.NewPool(devs, pol, maxResident),
-		reqCh: make(chan *Request, 64),
-		quit:  make(chan struct{}),
 		execs: make(map[*sim.ClusterExec]*launchRec),
 
 		builds: make(map[buildKey]*build),
@@ -237,13 +212,6 @@ func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident
 	rt.pool.SetObserver(rt.onPoolEvent)
 	rt.stats.DeviceLaunches = make([]int, len(plats))
 	rt.mem = NewMemoryManager(rt.Ctx.GlobalMemBytes())
-	rt.mon = &Monitor{
-		OnJIT:      rt.jitProgram,
-		OnSchedule: rt.scheduleKernel,
-		OnPass:     rt.passthrough,
-	}
-	rt.wg.Add(1)
-	go rt.serve()
 	return rt
 }
 
@@ -323,12 +291,10 @@ func (rt *Runtime) SetProfiler(p *interp.Profiler) {
 	}
 }
 
-// Shutdown stops the daemon after draining pending requests, and the
-// VM worker goroutines of every platform it launched on: what a
-// runtime started is gone when Shutdown returns.
+// Shutdown stops the VM worker goroutines of every platform the
+// runtime launched on: what a runtime started is gone when Shutdown
+// returns.
 func (rt *Runtime) Shutdown() {
-	close(rt.quit)
-	rt.wg.Wait()
 	for _, plat := range rt.plats {
 		plat.Machines().Close() // idempotent: a pool may name one platform twice
 	}
@@ -345,49 +311,6 @@ func (rt *Runtime) Stats() Stats {
 
 // Memory exposes the memory manager (for tests and monitoring).
 func (rt *Runtime) Memory() *MemoryManager { return rt.mem }
-
-// Monitor exposes the FSM (for tests and monitoring).
-func (rt *Runtime) Monitor() *Monitor { return rt.mon }
-
-func (rt *Runtime) serve() {
-	defer rt.wg.Done()
-	for {
-		select {
-		case req := <-rt.reqCh:
-			err := rt.mon.Handle(req)
-			if req.reply != nil && req.Kind != ReqKernelExec {
-				req.reply <- err
-			}
-		case <-rt.quit:
-			// Drain whatever is already queued, then stop.
-			for {
-				select {
-				case req := <-rt.reqCh:
-					err := rt.mon.Handle(req)
-					if req.reply != nil && req.Kind != ReqKernelExec {
-						req.reply <- err
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (rt *Runtime) submit(req *Request) error {
-	req.reply = make(chan error, 1)
-	rt.reqCh <- req
-	return <-req.reply
-}
-
-// submitAsync hands a request to the daemon without waiting for a
-// reply: the request's event carries the outcome. This is the
-// non-blocking path that lets the Kernel Scheduler see an application's
-// whole pending window while earlier submissions are still in flight.
-func (rt *Runtime) submitAsync(req *Request) {
-	rt.reqCh <- req
-}
 
 // ErrBuildFailed wraps every failure to turn a program's source into its
 // transformed module: a front-end diagnostic, a transformation the JIT
@@ -506,20 +429,6 @@ func (b *build) compile(src, name string) error {
 	return nil
 }
 
-// jitProgram is scenario (a) of the FSM. The compile itself ran on the
-// creating application's goroutine (buildProgram); the JIT state only
-// reports its outcome and installs the build on the application's
-// program handle, so the scheduling goroutine never waits for a
-// compiler. The application keeps launching kernels under their
-// original names; the transformed module provides them.
-func (rt *Runtime) jitProgram(req *Request) error {
-	if req.build.err != nil {
-		return req.build.err
-	}
-	req.Prog.build = req.build
-	return nil
-}
-
 // scheduleKernel is scenario (b): the Kernel Scheduler builds the
 // Virtual NDRange and hands the execution to the sliced engine. The
 // kernel runs as a sequence of work-group-range slices on a pooled
@@ -528,44 +437,37 @@ func (rt *Runtime) jitProgram(req *Request) error {
 // set and pushes the resized PhysWGs/Chunk to the in-flight handles at
 // their next slice boundary — the paper's §5 dynamic adaptation, live.
 //
-// Submissions are asynchronous: the request's event reports the
-// outcome. A submission with an incomplete wait list is registered as
-// pending immediately — the scheduler sees the app's whole dependency
-// window — and admitted to a device when the last dependency completes.
-func (rt *Runtime) scheduleKernel(req *Request) error {
-	k := req.Kern
-	ev := req.Event
+// Submissions are asynchronous: ev reports the outcome, and every
+// refusal fails it rather than the call. A submission with an
+// incomplete wait list is registered as pending immediately — the
+// scheduler sees the app's whole dependency window — and admitted to a
+// device when the last dependency completes. nd was validated by the
+// caller; bufs are the argument buffers it pinned.
+func (rt *Runtime) scheduleKernel(app *App, k *KernelHandle, nd opencl.NDRange, waits []*opencl.Event, ev *opencl.Event, bufs []*opencl.Buffer) {
 	info := k.prog.infos[k.name]
 	if info == nil {
-		err := fmt.Errorf("accelos: kernel %q has no JIT metadata", k.name)
-		ev.Fail(err)
-		return err
+		ev.Fail(fmt.Errorf("accelos: kernel %q has no JIT metadata", k.name))
+		return
 	}
 	// Repeat watchdog offenders are refused before they consume a
 	// scheduler slot: one tenant's runaway kernel must not keep
 	// re-entering the fleet to burn its deadline over and over.
-	if rt.isQuarantined(req.App.Name, k.name) {
-		err := fmt.Errorf("accelos: kernel %q (tenant %q): %w", k.name, req.App.Name, ErrKernelQuarantined)
-		rt.reg.Counter("admission_rejections_total", telemetry.L("tenant", req.App.Name)).Add(1)
-		ev.Fail(err)
-		return err
-	}
-	nd := req.ND
-	if err := nd.Validate(); err != nil {
-		ev.Fail(err)
-		return err
+	if rt.isQuarantined(app.Name, k.name) {
+		rt.reg.Counter("admission_rejections_total", telemetry.L("tenant", app.Name)).Add(1)
+		ev.Fail(fmt.Errorf("accelos: kernel %q (tenant %q): %w", k.name, app.Name, ErrKernelQuarantined))
+		return
 	}
 	cl, err := k.toCL()
 	if err != nil {
 		ev.Fail(err)
-		return err
+		return
 	}
 	// Describe this execution for the resource-sharing algorithm, and
 	// register it: the scheduler sees it from here to its terminal event.
 	rec := &launchRec{
-		app:  req.App.Name,
+		app:  app.Name,
 		kern: k.name,
-		ce: &sim.ClusterExec{Tenant: req.App.Name, K: &sim.KernelExec{
+		ce: &sim.ClusterExec{Tenant: app.Name, K: &sim.KernelExec{
 			WGSize:             nd.WGSize(),
 			NumWGs:             nd.TotalGroups(),
 			LocalBytes:         info.OrigLocalBytes,
@@ -579,7 +481,7 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 		cl:      cl,
 		nd:      nd,
 		rtWords: rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk),
-		bufs:    req.Bufs,
+		bufs:    bufs,
 		ev:      ev,
 		root:    rt.tracer.NewID(),
 	}
@@ -589,10 +491,9 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 	rec.ce.K.ID = rec.id
 	rt.execs[rec.ce] = rec
 	rt.launchMu.Unlock()
-	rt.mon.KernelQueued()
 
 	deferred := false
-	for _, w := range req.Waits {
+	for _, w := range waits {
 		if w != nil && !w.Status().Terminal() {
 			deferred = true
 			break
@@ -606,7 +507,7 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 	// Admission runs when the wait list drains (immediately for an empty
 	// or already-complete one). A failed dependency abandons the
 	// execution and propagates the cause to its event.
-	opencl.WhenAll(req.Waits, func(depErr error) {
+	opencl.WhenAll(waits, func(depErr error) {
 		if depErr != nil {
 			rt.settle(rec, fmt.Errorf("accelos: kernel %q: wait-list dependency failed: %w", rec.kern, depErr), "wait-failed")
 			return
@@ -617,7 +518,6 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 		rec.ev.MarkSubmitted()
 		rt.submitToPool(rec)
 	})
-	return nil
 }
 
 // settle retires an execution — completed, failed, or one that will not
@@ -627,13 +527,11 @@ func (rt *Runtime) scheduleKernel(req *Request) error {
 // a peer's regrown share is pushed before the application that made
 // room hears back. The re-plan is called here, not from the pool's
 // EvCompleted event, because another goroutine may be the one draining
-// pool events. status labels the kernel in the metrics registry;
-// rec.started keeps the monitor's pending and running counts apart.
+// pool events. status labels the kernel in the metrics registry.
 func (rt *Runtime) settle(rec *launchRec, err error, status string) {
 	rt.launchMu.Lock()
 	delete(rt.execs, rec.ce)
 	rt.launchMu.Unlock()
-	rt.mon.KernelRetired(rec.started)
 	rec.stopWatchdog()
 	if rec.devIdx >= 0 {
 		// A no-op for an execution its device's failure already evicted.
@@ -742,14 +640,11 @@ func (rt *Runtime) startLaunch(rec *launchRec) {
 	// completed before the old device failed stay completed.
 	rt.launchMu.Lock()
 	rec.h = h
+	rec.started = true
 	resumeAt := rec.resumeAt
 	rt.launchMu.Unlock()
 	if resumeAt > 0 {
 		h.ResumeAt(resumeAt)
-	}
-	if !rec.started {
-		rec.started = true
-		rt.mon.KernelStarted()
 	}
 	rt.armWatchdog(rec)
 
@@ -936,7 +831,6 @@ func (rt *Runtime) replan(devIdx int) {
 		tenants[i] = r.Tenant
 	}
 	launches := PlanTenantShares(rt.plats[devIdx].Dev, kes, tenants, nil, false)
-	rt.mon.Reschedule()
 	rt.launchMu.Lock()
 	for i, l := range launches {
 		// A resident request without a handle was admitted but has not
@@ -984,17 +878,6 @@ func (rt *Runtime) SetSliceRounds(n int64) {
 	rt.mu.Lock()
 	rt.sliceRounds = n
 	rt.mu.Unlock()
-}
-
-// passthrough is scenario (c): accelOS does not intervene.
-func (rt *Runtime) passthrough(req *Request) error {
-	rt.statsMu.Lock()
-	rt.stats.Passthroughs++
-	rt.statsMu.Unlock()
-	if req.Other != nil {
-		return req.Other()
-	}
-	return nil
 }
 
 // ActiveExecutions returns how many kernel executions are currently

@@ -163,37 +163,6 @@ func TestRuntimeConcurrentApps(t *testing.T) {
 	}
 }
 
-func TestMonitorFSM(t *testing.T) {
-	var seq []MonState
-	m := &Monitor{
-		OnJIT:      func(*Request) error { seq = append(seq, StateJIT); return nil },
-		OnSchedule: func(*Request) error { seq = append(seq, StateScheduler); return nil },
-		OnPass:     func(*Request) error { seq = append(seq, StateMonitor); return nil },
-	}
-	reqs := []*Request{
-		{Kind: ReqProgramCreate, reply: make(chan error, 1)},
-		{Kind: ReqKernelExec, reply: make(chan error, 1)},
-		{Kind: ReqOther, reply: make(chan error, 1)},
-	}
-	for _, r := range reqs {
-		if err := m.Handle(r); err != nil {
-			t.Fatal(err)
-		}
-		if m.State() != StateMonitor {
-			t.Errorf("monitor did not return to idle after %v", r.Kind)
-		}
-	}
-	want := []MonState{StateJIT, StateScheduler, StateMonitor}
-	for i := range want {
-		if seq[i] != want[i] {
-			t.Errorf("request %d handled in state %v, want %v", i, seq[i], want[i])
-		}
-	}
-	if m.Transitions() != 4 { // JIT in+out, Scheduler in+out; passthrough stays
-		t.Errorf("transitions = %d, want 4", m.Transitions())
-	}
-}
-
 func TestMemoryManagerPausesApps(t *testing.T) {
 	m := NewMemoryManager(1000)
 	if err := m.Alloc(1, 800); err != nil {

@@ -1,7 +1,8 @@
 // Package accelos implements the host runtime of the paper: the
-// resource-sharing algorithm (§3), the Kernel Scheduler, the Application
-// Monitor FSM, the ProxyCL interposition layer and device memory
-// management (§5). The JIT half of accelOS lives in internal/accelpass.
+// resource-sharing algorithm (§3), the Kernel Scheduler, the ProxyCL
+// interposition layer that routes each call as the Application Monitor
+// would, and device memory management (§5). The JIT half of accelOS
+// lives in internal/accelpass.
 package accelos
 
 import (

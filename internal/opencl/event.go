@@ -71,7 +71,8 @@ type Event struct {
 	err    error
 	done   chan struct{}
 	cbs    []func(*Event)
-	deps   []*Event // recorded wait-list edges; cleared on completion
+	rel    []func(*Event) // wait-list dependants (WhenAll); run before cbs
+	deps   []*Event       // recorded wait-list edges; cleared on completion
 	user   bool
 
 	// times stamps each status transition (indexed by EventStatus;
@@ -171,14 +172,18 @@ func WaitAll(events ...*Event) error {
 // after the event reaches a terminal status — immediately (on the
 // caller's goroutine) if it already has. Callbacks observe the final
 // status and error through the event itself.
-func (e *Event) OnComplete(fn func(*Event)) {
+func (e *Event) OnComplete(fn func(*Event)) { e.register(&e.cbs, fn) }
+
+// register appends fn to one of the event's callback lists, or runs it
+// at once if the event is already terminal.
+func (e *Event) register(list *[]func(*Event), fn func(*Event)) {
 	e.mu.Lock()
 	if e.status.Terminal() {
 		e.mu.Unlock()
 		fn(e)
 		return
 	}
-	e.cbs = append(e.cbs, fn)
+	*list = append(*list, fn)
 	e.mu.Unlock()
 }
 
@@ -270,7 +275,10 @@ func (e *Event) MarkRunning() { e.transition(EventRunning) }
 
 // finish completes the event exactly once: later calls are no-ops, so a
 // dependency-failure propagation and a command body racing to finish the
-// same event resolve deterministically to whichever lands first.
+// same event resolve deterministically to whichever lands first. The
+// wait-list dependants (WhenAll) are released before any OnComplete
+// observer runs: an observer may be slow (a reply written to a socket),
+// and the next command of a chain must not queue behind it.
 func (e *Event) finish(err error) {
 	e.mu.Lock()
 	if e.status.Terminal() {
@@ -283,11 +291,14 @@ func (e *Event) finish(err error) {
 		e.status = EventComplete
 	}
 	e.times[EventComplete] = time.Now()
-	cbs := e.cbs
-	e.cbs = nil
+	rel, cbs := e.rel, e.cbs
+	e.rel, e.cbs = nil, nil
 	e.deps = nil // completed events cannot take part in cycles
 	e.mu.Unlock()
 	close(e.done)
+	for _, fn := range rel {
+		fn(e)
+	}
 	for _, fn := range cbs {
 		fn(e)
 	}
@@ -374,7 +385,8 @@ func reaches(from []*Event, target *Event) bool {
 
 // WhenAll invokes fn exactly once, after every listed event is terminal,
 // with the first failure among them (nil if all succeeded). With an
-// empty list it fires immediately on the caller's goroutine.
+// empty list it fires immediately on the caller's goroutine. The last
+// event to finish calls fn before its own OnComplete observers.
 func WhenAll(waits []*Event, fn func(error)) {
 	n := 0
 	for _, w := range waits {
@@ -395,7 +407,7 @@ func WhenAll(waits []*Event, fn func(error)) {
 		if w == nil {
 			continue
 		}
-		w.OnComplete(func(ev *Event) {
+		w.register(&w.rel, func(ev *Event) {
 			mu.Lock()
 			if err := ev.Err(); err != nil && firstErr == nil {
 				firstErr = err

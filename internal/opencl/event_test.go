@@ -652,6 +652,39 @@ func TestWhenAllEmptyAndStatusStrings(t *testing.T) {
 	_ = fmt.Sprintf("%v", u.Status())
 }
 
+// TestWaitListDependantsRunBeforeObservers: an event releases the
+// commands waiting on it before it notifies its OnComplete observers,
+// whatever order they registered in, and on failure the dependant still
+// runs exactly once with the cause.
+func TestWaitListDependantsRunBeforeObservers(t *testing.T) {
+	for _, cause := range []error{nil, errors.New("upstream failed")} {
+		ev := NewUserEvent()
+		var order []string
+		ev.OnComplete(func(*Event) { order = append(order, "observer") })
+		runs := 0
+		var got error
+		WhenAll([]*Event{ev}, func(err error) {
+			runs++
+			got = err
+			order = append(order, "dependant")
+		})
+		if cause == nil {
+			ev.Complete()
+		} else {
+			ev.Fail(cause)
+		}
+		if runs != 1 {
+			t.Errorf("cause %v: dependant ran %d times, want 1", cause, runs)
+		}
+		if got != cause {
+			t.Errorf("dependant saw %v, want %v", got, cause)
+		}
+		if want := []string{"dependant", "observer"}; fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("cause %v: callbacks ran %v, want %v", cause, order, want)
+		}
+	}
+}
+
 // TestEventWaitContext covers the bounded wait: a completed event
 // returns its terminal error regardless of context state, a pending
 // event returns the context's error on cancellation or deadline, and a
