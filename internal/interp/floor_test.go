@@ -7,16 +7,21 @@ import (
 	"repro/internal/ir"
 )
 
-// TestDispatchFloors holds the two dispatch speedups the VM is built
+// TestDispatchFloors holds the dispatch speedups the VM is built
 // around, each as an in-run ratio between a slow and a fast compile of
 // the same kernel: the O1 pipeline plus fusion over the unoptimized
-// lowering on one work-item spinning a tight loop, and warp over scalar
-// dispatch on a group whose loop is warp-uniform. The sides alternate
-// and each keeps its fastest of three rounds, so a burst of load on one
-// side cannot fail the row. The floors sit far below what the engine
-// measures (4.8–9× against 3×, 25–36× against 2× on a 2-vCPU box), so
-// only a real regression trips them. Overhead bounds of a few percent
-// are not timed here: one side alone moves more than that between runs.
+// lowering on one work-item spinning a tight loop, warp over scalar
+// dispatch on a group whose loop is warp-uniform, and warp over scalar
+// on a group whose loop control is uniform but whose accumulator is
+// divergent, so every arithmetic instruction runs in lane mode. The
+// sides alternate and each keeps its fastest of three rounds, so a
+// burst of load on one side cannot fail the row. The floors sit below
+// what the engine measures (4.8–9× against 3×, 25–36× against 2×,
+// 2.2–3.8× against 1.5× on a 2-vCPU box), so only a real regression
+// trips them; the lane row read 0.9–1.8× while a lane-mode instruction
+// re-decoded its opcode and operands for every lane. Overhead bounds of
+// a few percent are not timed here: one side alone moves more than that
+// between runs.
 func TestDispatchFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing under the race detector measures its instrumentation")
@@ -42,6 +47,16 @@ kernel void k(global int* out)
     out[get_local_id(0)] = acc;
 }
 `
+	const lane = `
+kernel void k(global int* out)
+{
+    int lid = (int)get_local_id(0);
+    int acc = lid;
+    int i;
+    for (i = 0; i < 2000; ++i) acc = acc * 3 + (i ^ lid);
+    out[lid] = acc;
+}
+`
 	rows := []struct {
 		name, src, kernel string
 		items             int64
@@ -50,6 +65,7 @@ kernel void k(global int* out)
 	}{
 		{"o1-over-o0", spin, "spin", 1, CompileOpts{Disable: []string{"fuse"}}, DefaultCompileOpts, 3},
 		{"warp-over-scalar", uniform, "k", 64, scalarO1, DefaultCompileOpts, 2},
+		{"lane-over-scalar", lane, "k", 64, scalarO1, DefaultCompileOpts, 1.5},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -84,9 +100,9 @@ kernel void k(global int* out)
 				}
 			}
 			ratio := float64(best[0]) / float64(best[1])
-			t.Logf("slow %d ns/op, fast %d ns/op: %.1f× (floor %.0f×)", best[0], best[1], ratio, r.floor)
+			t.Logf("slow %d ns/op, fast %d ns/op: %.2f× (floor %.1f×)", best[0], best[1], ratio, r.floor)
 			if ratio < r.floor {
-				t.Errorf("fast side is only %.2f× the slow side, floor %.0f×", ratio, r.floor)
+				t.Errorf("fast side is only %.2f× the slow side, floor %.1f×", ratio, r.floor)
 			}
 		})
 	}

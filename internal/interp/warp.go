@@ -13,7 +13,8 @@ import (
 // (warp_compile.go): warp-invariant registers live in a single shared
 // file per warp and their instructions execute once per warp (wmOnce);
 // divergent registers live in each lane's own file and their
-// instructions loop over the active lanes (wmLane).
+// instructions (wmLane) are decoded once as well, then loop over the
+// active lanes inside the opcode's arm (laneExec).
 //
 // A branch on a divergent condition (wmDiverge) splits the warp's
 // active-lane mask instead of leaving vector dispatch: one side runs
@@ -362,17 +363,30 @@ func (l *launchCtx) suspend(w *warp, steps, diverges int64, keep bool) {
 	}
 }
 
-// lv resolves a wmLane operand register to its home: the warp's shared
-// file for uniform registers, the lane file for divergent ones.
-func lv(uniform []bool, lr, uregs []Value, r int32) *Value {
+// shared resolves a lane-mode operand register's home once per
+// instruction: its slot in the warp's shared file if the register is
+// uniform, nil if it is divergent and every lane reads its own file
+// (at).
+func shared(uniform []bool, uregs []Value, r int32) *Value {
 	if uniform[r] {
 		return &uregs[r]
+	}
+	return nil
+}
+
+// at is one lane's operand: the resolved shared slot, or register r of
+// the lane file lr.
+func at(s *Value, lr []Value, r int32) *Value {
+	if s != nil {
+		return s
 	}
 	return &lr[r]
 }
 
 // warpExec is the vector dispatch loop: one fetch/decode per
-// instruction per warp. Instruction cost is charged per active lane (n
+// instruction per warp. A once-mode instruction executes into the
+// shared file; a lane-mode one goes to laneExec, which loops the active
+// lanes inside its arm. Instruction cost is charged per active lane (n
 // steps per dispatch), so the launch instruction budget is
 // engine-invariant; so is the sampled execution profile, which lands
 // every active lane at each control transfer.
@@ -391,16 +405,6 @@ func (g *vmGroup) warpExec(w *warp) {
 	gp := g.prof
 	var diverges int64
 	g.faultWI = lanes[0]
-	// frameGuard holds this frame at the 1064 bytes it had before the
-	// bin+bin and bin+cmp+jump arms went. The loop spills its dispatch
-	// state to the stack on every instruction, and at 984 bytes one of
-	// those slots collides, modulo 4 KiB, with a hot address of the
-	// benchmark's sgemm and spmv launches: pair-long-short fg_p50_us
-	// +40-56 %, solo-parboil +13 % (2 vCPUs). Every frame from 1000 to
-	// 1176 bytes measured at the 1064-byte speed. The trap arm below
-	// takes its address, so the compiler keeps it.
-	var frameGuard [10]int64
-	guard := &frameGuard
 
 	// uget resolves a wmOnce operand: uniform registers live in the
 	// shared file; the only divergent-homed operand a once-instruction
@@ -569,140 +573,11 @@ func (g *vmGroup) warpExec(w *warp) {
 					gp.land(cf, pc, n)
 				}
 			default:
-				guard[in.a&7]++
 				panic(trap{"warp: once-mode dispatch of unexpected opcode"})
 			}
 
 		case wmLane:
-			for _, wi := range lanes {
-				g.faultWI = wi
-				lr := wi.kregs
-				switch in.op {
-				case opAlloca:
-					r := g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
-					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
-				case opAllocaLocal:
-					r := g.locals[in.a]
-					if r == nil {
-						r = g.ar.alloc(in.imm, ir.Local)
-						g.locals[in.a] = r
-					}
-					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
-				case opLoad:
-					lr[in.dst] = m.load(kindTypes[in.kind], lv(uniform, lr, uregs, in.a).P)
-				case opStore:
-					m.store(kindTypes[in.kind], *lv(uniform, lr, uregs, in.a), lv(uniform, lr, uregs, in.b).P)
-				case opGEP:
-					base := lv(uniform, lr, uregs, in.a).P
-					if base.IsNull() {
-						panic(trap{"gep on null pointer"})
-					}
-					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + lv(uniform, lr, uregs, in.b).I*in.imm}}
-				case opGEPConst:
-					base := lv(uniform, lr, uregs, in.a).P
-					if base.IsNull() {
-						panic(trap{"gep on null pointer"})
-					}
-					lr[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
-				case opBin:
-					lr[in.dst] = fastBin(ir.BinKind(in.sub), in.kind, lv(uniform, lr, uregs, in.a), lv(uniform, lr, uregs, in.b))
-				case opCmp:
-					lr[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), lv(uniform, lr, uregs, in.a), lv(uniform, lr, uregs, in.b)))
-				case opMove:
-					lr[in.dst] = *lv(uniform, lr, uregs, in.a)
-				case opAddI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I + lv(uniform, lr, uregs, in.b).I))}
-				case opSubI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I - lv(uniform, lr, uregs, in.b).I))}
-				case opMulI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I * lv(uniform, lr, uregs, in.b).I))}
-				case opAndI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I & lv(uniform, lr, uregs, in.b).I))}
-				case opOrI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I | lv(uniform, lr, uregs, in.b).I))}
-				case opXorI32:
-					lr[in.dst] = Value{K: ir.I32, I: int64(int32(lv(uniform, lr, uregs, in.a).I ^ lv(uniform, lr, uregs, in.b).I))}
-				case opAddI64:
-					lr[in.dst] = Value{K: ir.I64, I: lv(uniform, lr, uregs, in.a).I + lv(uniform, lr, uregs, in.b).I}
-				case opAddF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F + lv(uniform, lr, uregs, in.b).F))}
-				case opSubF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F - lv(uniform, lr, uregs, in.b).F))}
-				case opMulF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F * lv(uniform, lr, uregs, in.b).F))}
-				case opDivF32:
-					lr[in.dst] = Value{K: ir.F32, F: float64(float32(lv(uniform, lr, uregs, in.a).F / lv(uniform, lr, uregs, in.b).F))}
-				case opBinStore:
-					m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], *lv(uniform, lr, uregs, in.a), *lv(uniform, lr, uregs, in.b)), lv(uniform, lr, uregs, in.c).P)
-				case opLoadBinStore:
-					t := kindTypes[in.kind]
-					v := m.load(t, lv(uniform, lr, uregs, in.a).P)
-					x := *lv(uniform, lr, uregs, in.b)
-					if in.sub&lbsSwapped != 0 {
-						v, x = x, v
-					}
-					m.store(t, binOp(ir.BinKind(in.sub&^lbsSwapped), t, v, x), lv(uniform, lr, uregs, in.c).P)
-				case opLoadIdx:
-					base := lv(uniform, lr, uregs, in.a).P
-					if base.IsNull() {
-						panic(trap{"gep on null pointer"})
-					}
-					lr[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + lv(uniform, lr, uregs, in.b).I*in.imm})
-				case opLoadOff:
-					base := lv(uniform, lr, uregs, in.a).P
-					if base.IsNull() {
-						panic(trap{"gep on null pointer"})
-					}
-					lr[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
-				case opCast:
-					lr[in.dst] = castOp(ir.CastKind(in.sub), kindTypes[in.kind], *lv(uniform, lr, uregs, in.a))
-				case opSelect:
-					if lv(uniform, lr, uregs, in.a).Bool() {
-						lr[in.dst] = *lv(uniform, lr, uregs, in.b)
-					} else {
-						lr[in.dst] = *lv(uniform, lr, uregs, in.c)
-					}
-				case opAtomic:
-					lr[in.dst] = m.atomicRMW(ir.AtomicKind(in.sub), kindTypes[in.kind], lv(uniform, lr, uregs, in.a).P, *lv(uniform, lr, uregs, in.b))
-				case opWI:
-					dim := in.imm
-					if in.a >= 0 {
-						dim = lv(uniform, lr, uregs, in.a).I
-						if dim < 0 || dim > 2 {
-							dim = 0
-						}
-					}
-					var v Value
-					switch in.sub {
-					case wiGlobalID:
-						v = LongV(g.group[dim]*l.nd.Local[dim] + wi.lid[dim])
-					case wiLocalID:
-						v = LongV(wi.lid[dim])
-					case wiGroupID:
-						v = LongV(g.group[dim])
-					case wiNumGroups:
-						v = LongV(l.ng[dim])
-					case wiLocalSize:
-						v = LongV(l.nd.Local[dim])
-					case wiGlobalSize:
-						v = LongV(l.nd.Global[dim])
-					case wiGlobalOffset:
-						v = LongV(0)
-					case wiWorkDim:
-						v = IntV(int64(l.nd.Dims))
-					}
-					lr[in.dst] = v
-				case opMath:
-					x := lv(uniform, lr, uregs, in.a).F
-					var y float64
-					if in.b >= 0 {
-						y = lv(uniform, lr, uregs, in.b).F
-					}
-					lr[in.dst] = evalMath(in.sub, in.kind, x, y)
-				default:
-					panic(trap{"warp: lane-mode dispatch of unexpected opcode"})
-				}
-			}
+			g.laneExec(in, lanes, uregs)
 
 		case wmDiverge:
 			// Every active lane evaluates the branch; taken collects the
@@ -712,15 +587,18 @@ func (g *vmGroup) warpExec(w *warp) {
 			switch in.op {
 			case opCondJump:
 				tpc, fpc = in.b, in.c
+				a := shared(uniform, uregs, in.a)
 				for _, wi := range lanes {
-					if lv(uniform, wi.kregs, uregs, in.a).Bool() {
+					if at(a, wi.kregs, in.a).Bool() {
 						taken |= 1 << wi.lane
 					}
 				}
 			case opCmpJump:
 				tpc, fpc = in.c, int32(in.imm)
+				p := ir.CmpPred(in.sub)
+				a, b := shared(uniform, uregs, in.a), shared(uniform, uregs, in.b)
 				for _, wi := range lanes {
-					if fastCmp(ir.CmpPred(in.sub), lv(uniform, wi.kregs, uregs, in.a), lv(uniform, wi.kregs, uregs, in.b)) {
+					if fastCmp(p, at(a, wi.kregs, in.a), at(b, wi.kregs, in.b)) {
 						taken |= 1 << wi.lane
 					}
 				}
@@ -774,5 +652,295 @@ func (g *vmGroup) warpExec(w *warp) {
 			}
 			lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
 		}
+	}
+}
+
+// laneExec executes one lane-mode instruction for the active lanes. It
+// decodes the instruction and resolves each operand's home once, then
+// loops the lanes inside the opcode's arm. A fault is attributed to the
+// first active lane, except in the arms that can trap on one lane's own
+// data (an out-of-bounds load, store or atomic, a GEP on a null pointer,
+// an integer division by zero): there each lane records itself before
+// it runs, as the scalar engine's item order would.
+func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
+	l := g.l
+	m := l.m
+	uniform := l.kcf.uniform
+	dst, ra, rb, rc := in.dst, in.a, in.b, in.c
+	g.faultWI = lanes[0]
+	switch in.op {
+	case opAlloca:
+		for _, wi := range lanes {
+			r := g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
+			wi.kregs[dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+		}
+	case opAllocaLocal:
+		r := g.locals[ra]
+		if r == nil {
+			r = g.ar.alloc(in.imm, ir.Local)
+			g.locals[ra] = r
+		}
+		for _, wi := range lanes {
+			wi.kregs[dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+		}
+	case opLoad:
+		t := kindTypes[in.kind]
+		a := shared(uniform, uregs, ra)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			lr[dst] = m.load(t, at(a, lr, ra).P)
+		}
+	case opLoadIdx:
+		t, scale := kindTypes[in.kind], in.imm
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			base := at(a, lr, ra).P
+			if base.IsNull() {
+				panic(trap{"gep on null pointer"})
+			}
+			lr[dst] = m.load(t, Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
+		}
+	case opLoadOff:
+		t, off := kindTypes[in.kind], in.imm
+		a := shared(uniform, uregs, ra)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			base := at(a, lr, ra).P
+			if base.IsNull() {
+				panic(trap{"gep on null pointer"})
+			}
+			lr[dst] = m.load(t, Ptr{R: base.R, Off: base.Off + off})
+		}
+	case opStore:
+		t := kindTypes[in.kind]
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			m.store(t, *at(a, lr, ra), at(b, lr, rb).P)
+		}
+	case opGEP:
+		scale := in.imm
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			base := at(a, lr, ra).P
+			if base.IsNull() {
+				panic(trap{"gep on null pointer"})
+			}
+			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale}}
+		}
+	case opGEPConst:
+		off := in.imm
+		a := shared(uniform, uregs, ra)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			base := at(a, lr, ra).P
+			if base.IsNull() {
+				panic(trap{"gep on null pointer"})
+			}
+			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + off}}
+		}
+	case opBin:
+		k, kind := ir.BinKind(in.sub), in.kind
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			lr[dst] = fastBin(k, kind, at(a, lr, ra), at(b, lr, rb))
+		}
+	case opBinStore:
+		k, t := ir.BinKind(in.sub), kindTypes[in.kind]
+		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			m.store(t, binOp(k, t, *at(a, lr, ra), *at(b, lr, rb)), at(c, lr, rc).P)
+		}
+	case opLoadBinStore:
+		k, swapped, t := ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0, kindTypes[in.kind]
+		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			v := m.load(t, at(a, lr, ra).P)
+			x := *at(b, lr, rb)
+			if swapped {
+				v, x = x, v
+			}
+			m.store(t, binOp(k, t, v, x), at(c, lr, rc).P)
+		}
+	case opAtomic:
+		k, t := ir.AtomicKind(in.sub), kindTypes[in.kind]
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			g.faultWI = wi
+			lr := wi.kregs
+			lr[dst] = m.atomicRMW(k, t, at(a, lr, ra).P, *at(b, lr, rb))
+		}
+	case opCmp:
+		p := ir.CmpPred(in.sub)
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = BoolV(fastCmp(p, at(a, lr, ra), at(b, lr, rb)))
+		}
+	case opMove:
+		a := shared(uniform, uregs, ra)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = *at(a, lr, ra)
+		}
+	case opAddI32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I + at(b, lr, rb).I))}
+		}
+	case opSubI32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I - at(b, lr, rb).I))}
+		}
+	case opMulI32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I * at(b, lr, rb).I))}
+		}
+	case opAndI32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I & at(b, lr, rb).I))}
+		}
+	case opOrI32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I | at(b, lr, rb).I))}
+		}
+	case opXorI32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I ^ at(b, lr, rb).I))}
+		}
+	case opAddI64:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.I64, I: at(a, lr, ra).I + at(b, lr, rb).I}
+		}
+	case opAddF32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F + at(b, lr, rb).F))}
+		}
+	case opSubF32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F - at(b, lr, rb).F))}
+		}
+	case opMulF32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F * at(b, lr, rb).F))}
+		}
+	case opDivF32:
+		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F / at(b, lr, rb).F))}
+		}
+	case opCast:
+		k, kind := ir.CastKind(in.sub), in.kind
+		a := shared(uniform, uregs, ra)
+		if k == ir.SExt || k == ir.ZExt {
+			// castOp's re-tag, without the call.
+			for _, wi := range lanes {
+				lr := wi.kregs
+				lr[dst] = Value{K: kind, I: at(a, lr, ra).I}
+			}
+			break
+		}
+		t := kindTypes[kind]
+		for _, wi := range lanes {
+			lr := wi.kregs
+			lr[dst] = castOp(k, t, *at(a, lr, ra))
+		}
+	case opSelect:
+		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
+		for _, wi := range lanes {
+			lr := wi.kregs
+			if at(a, lr, ra).Bool() {
+				lr[dst] = *at(b, lr, rb)
+			} else {
+				lr[dst] = *at(c, lr, rc)
+			}
+		}
+	case opWI:
+		var a *Value
+		if ra >= 0 {
+			a = shared(uniform, uregs, ra)
+		}
+		for _, wi := range lanes {
+			lr := wi.kregs
+			dim := in.imm
+			if ra >= 0 {
+				dim = at(a, lr, ra).I
+				if dim < 0 || dim > 2 {
+					dim = 0
+				}
+			}
+			var v Value
+			switch in.sub {
+			case wiGlobalID:
+				v = LongV(g.group[dim]*l.nd.Local[dim] + wi.lid[dim])
+			case wiLocalID:
+				v = LongV(wi.lid[dim])
+			case wiGroupID:
+				v = LongV(g.group[dim])
+			case wiNumGroups:
+				v = LongV(l.ng[dim])
+			case wiLocalSize:
+				v = LongV(l.nd.Local[dim])
+			case wiGlobalSize:
+				v = LongV(l.nd.Global[dim])
+			case wiGlobalOffset:
+				v = LongV(0)
+			case wiWorkDim:
+				v = IntV(int64(l.nd.Dims))
+			}
+			lr[dst] = v
+		}
+	case opMath:
+		op, kind := in.sub, in.kind
+		a := shared(uniform, uregs, ra)
+		var b *Value
+		if rb >= 0 {
+			b = shared(uniform, uregs, rb)
+		}
+		for _, wi := range lanes {
+			lr := wi.kregs
+			x := at(a, lr, ra).F
+			var y float64
+			if rb >= 0 {
+				y = at(b, lr, rb).F
+			}
+			lr[dst] = evalMath(op, kind, x, y)
+		}
+	default:
+		panic(trap{"warp: lane-mode dispatch of unexpected opcode"})
 	}
 }

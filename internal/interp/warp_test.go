@@ -236,42 +236,59 @@ kernel void k(global int* out, global const int* in, int n)
 
 // TestWarpFaultAttribution: a fault on one specific lane must be
 // attributed to the same work-item global id under the warp engine as
-// under the scalar engine, with the same error text.
+// under the scalar engine, with the same error text. There is one case
+// per lane-mode trap that depends on a lane's own data; each first
+// faults on lid 37 of 64, a lane that is neither the first nor the last
+// the lane loop visits. far runs past the end of both buffers from lid
+// 37 on.
 func TestWarpFaultAttribution(t *testing.T) {
-	const src = `
+	cases := []struct{ name, stmt string }{
+		{"division by zero", "out[lid] = n / (lid - 37) + 1;"},
+		{"remainder by zero", "out[lid] = n % (lid - 37);"},
+		{"indexed load", "out[lid] = in[far];"},
+		{"store", "out[far] = n;"},
+		{"load-bin-store", "out[far] += n;"},
+		{"atomic_add", "atomic_add(&out[far], n);"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			src := fmt.Sprintf(`
 kernel void k(global int* out, global const int* in, int n)
 {
     int lid = (int)get_local_id(0);
-    out[lid] = n / (lid - 5);
+    int far = lid + (lid / 37) * 1000;
+    %s
 }
-`
-	fault := func(opts CompileOpts) string {
-		mod, err := clc.Compile(src, "k")
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewMachine(mod)
-		m.UseProgram(CompileModuleOpts(mod, opts))
-		in := m.NewRegion(64*4, ir.Global)
-		out := m.NewRegion(64*4, ir.Global)
-		args := []Value{
-			{K: ir.Pointer, P: Ptr{R: out}},
-			{K: ir.Pointer, P: Ptr{R: in}},
-			IntV(64),
-		}
-		err = m.Launch("k", args, ND1(64, 64))
-		if err == nil {
-			t.Fatal("launch did not fault")
-		}
-		return err.Error()
-	}
-	scalar := fault(scalarO1)
-	warp := fault(DefaultCompileOpts)
-	if scalar != warp {
-		t.Errorf("fault attribution differs:\n  scalar: %s\n  warp:   %s", scalar, warp)
-	}
-	if !strings.Contains(warp, "(5,0,0)") {
-		t.Errorf("fault not attributed to lane 5: %s", warp)
+`, c.stmt)
+			mod, err := clc.Compile(src, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault := func(opts CompileOpts) string {
+				m := NewMachine(mod)
+				m.UseProgram(CompileModuleOpts(mod, opts))
+				in := m.NewRegion(64*4, ir.Global)
+				out := m.NewRegion(64*4, ir.Global)
+				args := []Value{
+					{K: ir.Pointer, P: Ptr{R: out}},
+					{K: ir.Pointer, P: Ptr{R: in}},
+					IntV(64),
+				}
+				err := m.Launch("k", args, ND1(64, 64))
+				if err == nil {
+					t.Fatal("launch did not fault")
+				}
+				return err.Error()
+			}
+			scalar := fault(scalarO1)
+			warp := fault(DefaultCompileOpts)
+			if scalar != warp {
+				t.Errorf("fault attribution differs:\n  scalar: %s\n  warp:   %s", scalar, warp)
+			}
+			if !strings.Contains(warp, "(37,0,0)") {
+				t.Errorf("fault not attributed to lane 37: %s", warp)
+			}
+		})
 	}
 }
 
