@@ -23,7 +23,8 @@ func TestBindRegionZeroCopy(t *testing.T) {
 		t.Errorf("store not visible in caller slice: % x", host[:8])
 	}
 	host[8] = 42
-	if v := m.load(ir.I64T, Ptr{R: r, Off: 8}); v.I != 42 {
+	var v Value
+	if m.load(&v, ir.I64T, Ptr{R: r, Off: 8}); v.I != 42 {
 		t.Errorf("caller write not visible to load: got %d", v.I)
 	}
 }
@@ -69,7 +70,8 @@ func TestCrossMachineAtomics(t *testing.T) {
 		for i := 0; i < n; i++ {
 			mu := atomicLock(Ptr{R: r})
 			mu.Lock()
-			old := m.load(ir.I64T, Ptr{R: r})
+			var old Value
+			m.load(&old, ir.I64T, Ptr{R: r})
 			m.store(ir.I64T, LongV(old.I+1), Ptr{R: r})
 			mu.Unlock()
 		}
@@ -80,7 +82,8 @@ func TestCrossMachineAtomics(t *testing.T) {
 	go func() { defer wg.Done(); add(m1, r1, n) }()
 	go func() { defer wg.Done(); add(m2, r2, n) }()
 	wg.Wait()
-	if v := m1.load(ir.I64T, Ptr{R: r1}); v.I != 2*n {
+	var v Value
+	if m1.load(&v, ir.I64T, Ptr{R: r1}); v.I != 2*n {
 		t.Errorf("cross-machine atomic count = %d, want %d", v.I, 2*n)
 	}
 }

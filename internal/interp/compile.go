@@ -1061,7 +1061,7 @@ func (c *fnCompiler) emitCall(in *ir.Instr, ops []int32) {
 }
 
 // kindTypes maps a value kind back to a type singleton for the shared
-// load/store/binop helpers (which only inspect Kind and Size).
+// load/store/atomicRMW helpers (which only inspect Kind and Size).
 var kindTypes = func() [ir.Pointer + 1]*ir.Type {
 	var t [ir.Pointer + 1]*ir.Type
 	t[ir.Void] = ir.VoidT

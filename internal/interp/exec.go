@@ -419,6 +419,7 @@ func (fr *frame) eval(v ir.Value) Value {
 
 func (fr *frame) exec(in *ir.Instr, depth int) {
 	m := fr.wi.wg.l.m
+	var d Value // the result, written in place by the shared helpers
 	switch in.Op {
 	case ir.OpAlloca:
 		size := in.AllocaElem.Size() * in.AllocaCount
@@ -438,8 +439,8 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 		}
 		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: r}}
 	case ir.OpLoad:
-		p := fr.eval(in.Args[0]).P
-		fr.env[in] = m.load(in.Ty, p)
+		m.load(&d, in.Ty, fr.eval(in.Args[0]).P)
+		fr.env[in] = d
 	case ir.OpStore:
 		v := fr.eval(in.Args[0])
 		p := fr.eval(in.Args[1]).P
@@ -453,11 +454,15 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 		}
 		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: base.P.R, Off: base.P.Off + idx*elem.Size()}}
 	case ir.OpBin:
-		fr.env[in] = binOp(in.BinK, in.Ty, fr.eval(in.Args[0]), fr.eval(in.Args[1]))
+		x, y := fr.eval(in.Args[0]), fr.eval(in.Args[1])
+		binOp(&d, in.BinK, in.Ty.Kind, &x, &y)
+		fr.env[in] = d
 	case ir.OpCmp:
 		fr.env[in] = cmpOp(in.CmpK, fr.eval(in.Args[0]), fr.eval(in.Args[1]))
 	case ir.OpCast:
-		fr.env[in] = castOp(in.CastK, in.Ty, fr.eval(in.Args[0]))
+		x := fr.eval(in.Args[0])
+		castOp(&d, in.CastK, in.Ty.Kind, &x)
+		fr.env[in] = d
 	case ir.OpSelect:
 		if fr.eval(in.Args[0]).Bool() {
 			fr.env[in] = fr.eval(in.Args[1])
@@ -467,7 +472,8 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 	case ir.OpAtomic:
 		p := fr.eval(in.Args[0]).P
 		v := fr.eval(in.Args[1])
-		fr.env[in] = m.atomicRMW(in.AtomK, in.Args[1].Type(), p, v)
+		m.atomicRMW(&d, in.AtomK, in.Args[1].Type(), p, &v)
+		fr.env[in] = d
 	case ir.OpBarrier:
 		fr.wi.wg.bar.await()
 	case ir.OpCall:
@@ -532,22 +538,33 @@ func (fr *frame) execBuiltin(name string, args []Value) Value {
 		if len(args) > 1 {
 			y = args[1].F
 		}
-		return evalMath(op, kind, x, y)
+		return Value{K: kind, F: evalMath(op, kind, x, y)}
 	}
 	panic(trap{fmt.Sprintf("unknown builtin %q", name)})
 }
 
-// --- semantics shared by both engines --------------------------------
+// --- semantics shared by all three engines -------------------------
+//
+// The scalar VM loop (vm.go), the warp loops (warp.go) and the
+// tree-walker above share one spelling of each operation. A helper that
+// produces a register value writes it through a destination pointer d
+// instead of returning it: a 40-byte Value returned from a call is
+// spilled with 8-byte stores and reloaded with 16-byte ones, which the
+// CPU cannot forward, and that stall dominated the dispatch loops. Every
+// helper reads its operands before it writes *d, and writes all of *d,
+// so d may alias an operand.
 
-// atomicRMW performs an atomic read-modify-write on p. A deferred
-// unlock so a trapping access (out of bounds, null) cannot leave the
-// stripe locked: machines are pooled and the stripes are shared, so a
-// poisoned lock would outlive the faulting launch.
-func (m *Machine) atomicRMW(k ir.AtomicKind, t *ir.Type, p Ptr, v Value) Value {
+// atomicRMW performs an atomic read-modify-write on p and writes the
+// old value to d. A deferred unlock so a trapping access (out of
+// bounds, null) cannot leave the stripe locked: machines are pooled and
+// the stripes are shared, so a poisoned lock would outlive the faulting
+// launch.
+func (m *Machine) atomicRMW(d *Value, k ir.AtomicKind, t *ir.Type, p Ptr, v *Value) {
 	mu := atomicLock(p)
 	mu.Lock()
 	defer mu.Unlock()
-	old := m.load(t, p)
+	var old Value
+	m.load(&old, t, p)
 	var next Value
 	switch k {
 	case ir.AtomAdd:
@@ -557,22 +574,22 @@ func (m *Machine) atomicRMW(k ir.AtomicKind, t *ir.Type, p Ptr, v Value) Value {
 	case ir.AtomMin:
 		next = old
 		if v.I < old.I {
-			next = v
+			next = *v
 		}
 	case ir.AtomMax:
 		next = old
 		if v.I > old.I {
-			next = v
+			next = *v
 		}
 	case ir.AtomAnd:
 		next = Value{K: old.K, I: old.I & v.I}
 	case ir.AtomOr:
 		next = Value{K: old.K, I: old.I | v.I}
 	case ir.AtomXchg:
-		next = v
+		next = *v
 	}
 	m.store(t, next, p)
-	return old
+	*d = old
 }
 
 // Math builtin codes, pre-parsed from "__clc_<op>_<type>" names by the
@@ -625,8 +642,9 @@ func parseMathBuiltin(name string) (op uint8, kind ir.Kind, errMsg string) {
 	return op, kind, ""
 }
 
-// evalMath evaluates a pre-parsed math builtin.
-func evalMath(op uint8, kind ir.Kind, x, y float64) Value {
+// evalMath evaluates a pre-parsed math builtin at kind (F32 or F64);
+// the caller tags the result Value{K: kind, F: r}.
+func evalMath(op uint8, kind ir.Kind, x, y float64) float64 {
 	var r float64
 	switch op {
 	case mathSqrt:
@@ -667,12 +685,15 @@ func evalMath(op uint8, kind ir.Kind, x, y float64) Value {
 		r = x / y
 	}
 	if kind == ir.F32 {
-		return Value{K: ir.F32, F: float64(float32(r))}
+		r = float64(float32(r))
 	}
-	return Value{K: ir.F64, F: r}
+	return r
 }
 
-func binOp(k ir.BinKind, t *ir.Type, x, y Value) Value {
+// binOp computes x k y at kind into d: float arithmetic rounds to F32
+// for F32, integer results wrap to 32 bits for I32 and to the low bit
+// for Bool.
+func binOp(d *Value, k ir.BinKind, kind ir.Kind, x, y *Value) {
 	if k.IsFloatOp() {
 		var r float64
 		switch k {
@@ -685,10 +706,11 @@ func binOp(k ir.BinKind, t *ir.Type, x, y Value) Value {
 		case ir.FDiv:
 			r = x.F / y.F
 		}
-		if t.Kind == ir.F32 {
+		if kind == ir.F32 {
 			r = float64(float32(r))
 		}
-		return Value{K: t.Kind, F: r}
+		*d = Value{K: kind, F: r}
+		return
 	}
 	var r int64
 	switch k {
@@ -719,18 +741,13 @@ func binOp(k ir.BinKind, t *ir.Type, x, y Value) Value {
 	case ir.AShr:
 		r = x.I >> uint64(y.I&63)
 	}
-	return truncInt(t.Kind, r)
-}
-
-func truncInt(k ir.Kind, v int64) Value {
-	switch k {
+	switch kind {
 	case ir.Bool:
-		return Value{K: k, I: v & 1}
+		r &= 1
 	case ir.I32:
-		return Value{K: k, I: int64(int32(v))}
-	default:
-		return Value{K: k, I: v}
+		r = int64(int32(r))
 	}
+	*d = Value{K: kind, I: r}
 }
 
 // ptrOrd orders a pointer for relational comparison: region ID (order
@@ -796,26 +813,42 @@ func cmpOp(p ir.CmpPred, x, y Value) Value {
 	return BoolV(b)
 }
 
-func castOp(k ir.CastKind, to *ir.Type, x Value) Value {
+// castOp converts x to kind to into d. Trunc and FPToSI wrap the
+// integer as binOp does.
+func castOp(d *Value, k ir.CastKind, to ir.Kind, x *Value) {
+	var r int64
 	switch k {
 	case ir.Trunc:
-		return truncInt(to.Kind, x.I)
-	case ir.SExt, ir.ZExt:
-		return Value{K: to.Kind, I: x.I}
+		r = x.I
 	case ir.FPToSI:
-		return truncInt(to.Kind, int64(x.F))
+		r = int64(x.F)
+	case ir.SExt, ir.ZExt:
+		*d = Value{K: to, I: x.I}
+		return
 	case ir.SIToFP:
-		r := float64(x.I)
-		if to.Kind == ir.F32 {
-			r = float64(float32(r))
+		f := float64(x.I)
+		if to == ir.F32 {
+			f = float64(float32(f))
 		}
-		return Value{K: to.Kind, F: r}
+		*d = Value{K: to, F: f}
+		return
 	case ir.FPTrunc:
-		return Value{K: to.Kind, F: float64(float32(x.F))}
+		*d = Value{K: to, F: float64(float32(x.F))}
+		return
 	case ir.FPExt:
-		return Value{K: to.Kind, F: x.F}
+		*d = Value{K: to, F: x.F}
+		return
 	case ir.PtrCast:
-		return Value{K: ir.Pointer, P: x.P}
+		*d = Value{K: ir.Pointer, P: x.P}
+		return
+	default:
+		panic(trap{fmt.Sprintf("unsupported cast %v", k)})
 	}
-	panic(trap{fmt.Sprintf("unsupported cast %v", k)})
+	switch to {
+	case ir.Bool:
+		r &= 1
+	case ir.I32:
+		r = int64(int32(r))
+	}
+	*d = Value{K: to, I: r}
 }

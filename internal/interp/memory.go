@@ -321,26 +321,28 @@ func checkBounds(p Ptr, size int64) {
 	}
 }
 
-// load reads a typed value from memory.
-func (m *Machine) load(t *ir.Type, p Ptr) Value {
+// load reads a typed value from memory into d (see the helpers in
+// exec.go for why it does not return the Value).
+func (m *Machine) load(d *Value, t *ir.Type, p Ptr) {
 	size := t.Size()
 	checkBounds(p, size)
 	b := p.R.Bytes[p.Off:]
 	switch t.Kind {
 	case ir.Bool:
-		return Value{K: ir.Bool, I: int64(b[0] & 1)}
+		*d = Value{K: ir.Bool, I: int64(b[0] & 1)}
 	case ir.I32:
-		return Value{K: ir.I32, I: int64(int32(binary.LittleEndian.Uint32(b)))}
+		*d = Value{K: ir.I32, I: int64(int32(binary.LittleEndian.Uint32(b)))}
 	case ir.I64:
-		return Value{K: ir.I64, I: int64(binary.LittleEndian.Uint64(b))}
+		*d = Value{K: ir.I64, I: int64(binary.LittleEndian.Uint64(b))}
 	case ir.F32:
-		return Value{K: ir.F32, F: float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))}
+		*d = Value{K: ir.F32, F: float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))}
 	case ir.F64:
-		return Value{K: ir.F64, F: math.Float64frombits(binary.LittleEndian.Uint64(b))}
+		*d = Value{K: ir.F64, F: math.Float64frombits(binary.LittleEndian.Uint64(b))}
 	case ir.Pointer:
-		return Value{K: ir.Pointer, P: m.decodePtr(binary.LittleEndian.Uint64(b))}
+		*d = Value{K: ir.Pointer, P: m.decodePtr(binary.LittleEndian.Uint64(b))}
+	default:
+		panic(trap{fmt.Sprintf("load of unsupported type %s", t)})
 	}
-	panic(trap{fmt.Sprintf("load of unsupported type %s", t)})
 }
 
 // store writes a typed value to memory.

@@ -33,17 +33,19 @@ func TestTypedLoadStoreProperty(t *testing.T) {
 	r := m.NewRegion(16, ir.Global)
 	p := Ptr{R: r}
 	f := func(i int64, fl float64) bool {
+		var v Value
 		m.store(ir.I64T, Value{K: ir.I64, I: i}, p)
-		if m.load(ir.I64T, p).I != i {
+		if m.load(&v, ir.I64T, p); v.I != i {
 			return false
 		}
 		m.store(ir.F64T, Value{K: ir.F64, F: fl}, p)
-		if m.load(ir.F64T, p).F != fl {
+		if m.load(&v, ir.F64T, p); v.F != fl {
 			return false
 		}
 		i32 := int64(int32(i))
 		m.store(ir.I32T, Value{K: ir.I32, I: i32}, p)
-		return m.load(ir.I32T, p).I == i32
+		m.load(&v, ir.I32T, p)
+		return v.I == i32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -56,13 +58,14 @@ func TestPointerEncodingRoundTrip(t *testing.T) {
 	slot := m.NewRegion(8, ir.Private)
 	p := Ptr{R: r, Off: 40}
 	m.store(ir.PointerTo(ir.F32T, ir.Global), Value{K: ir.Pointer, P: p}, Ptr{R: slot})
-	got := m.load(ir.PointerTo(ir.F32T, ir.Global), Ptr{R: slot})
+	var got Value
+	m.load(&got, ir.PointerTo(ir.F32T, ir.Global), Ptr{R: slot})
 	if got.P.R != r || got.P.Off != 40 {
 		t.Errorf("pointer roundtrip: %+v", got.P)
 	}
 	// Null pointer stores as zero and loads back as null.
 	m.store(ir.PointerTo(ir.F32T, ir.Global), Value{K: ir.Pointer}, Ptr{R: slot})
-	if !m.load(ir.PointerTo(ir.F32T, ir.Global), Ptr{R: slot}).P.IsNull() {
+	if m.load(&got, ir.PointerTo(ir.F32T, ir.Global), Ptr{R: slot}); !got.P.IsNull() {
 		t.Error("null pointer did not round-trip")
 	}
 }
@@ -78,8 +81,9 @@ func TestBoundsChecks(t *testing.T) {
 		}()
 		fn()
 	}
-	mustTrap(func() { m.load(ir.I64T, Ptr{R: r, Off: 1}) })
-	mustTrap(func() { m.load(ir.I32T, Ptr{R: r, Off: -4}) })
+	var v Value
+	mustTrap(func() { m.load(&v, ir.I64T, Ptr{R: r, Off: 1}) })
+	mustTrap(func() { m.load(&v, ir.I32T, Ptr{R: r, Off: -4}) })
 	mustTrap(func() { m.store(ir.I32T, IntV(0), Ptr{}) })
 }
 

@@ -28,9 +28,11 @@ import (
 //     (kernel and callee entry, every jump target) and profile.go
 //     derives instruction, opcode, barrier and block counts from that.
 //
-// Semantics are shared with the reference tree-walker (exec.go) through
-// the common binOp/cmpOp/castOp/evalMath/load/store helpers; the Parboil
-// differential parity suite holds the two engines byte-identical.
+// Semantics are shared with the warp loops (warp.go) and the reference
+// tree-walker (exec.go) through one set of helpers (exec.go, load and
+// store in memory.go); load, binOp, castOp and atomicRMW write their
+// result in place through a destination register pointer. The Parboil
+// differential parity suite holds the engines byte-identical.
 
 type wiStatus uint8
 
@@ -251,65 +253,6 @@ func delinearize(i int64, ng [3]int64) [3]int64 {
 	return [3]int64{i % ng[0], (i / ng[0]) % ng[1], i / (ng[0] * ng[1])}
 }
 
-// fastBin is binOp over register pointers: identical semantics (the
-// parity suite holds the two engines byte-identical), but the operands
-// stay in place instead of being copied through a call frame.
-func fastBin(k ir.BinKind, kind ir.Kind, x, y *Value) Value {
-	if k >= ir.FAdd {
-		var r float64
-		switch k {
-		case ir.FAdd:
-			r = x.F + y.F
-		case ir.FSub:
-			r = x.F - y.F
-		case ir.FMul:
-			r = x.F * y.F
-		case ir.FDiv:
-			r = x.F / y.F
-		}
-		if kind == ir.F32 {
-			r = float64(float32(r))
-		}
-		return Value{K: kind, F: r}
-	}
-	var r int64
-	switch k {
-	case ir.Add:
-		r = x.I + y.I
-	case ir.Sub:
-		r = x.I - y.I
-	case ir.Mul:
-		r = x.I * y.I
-	case ir.SDiv:
-		if y.I == 0 {
-			panic(trap{"integer division by zero"})
-		}
-		r = x.I / y.I
-	case ir.SRem:
-		if y.I == 0 {
-			panic(trap{"integer remainder by zero"})
-		}
-		r = x.I % y.I
-	case ir.And:
-		r = x.I & y.I
-	case ir.Or:
-		r = x.I | y.I
-	case ir.Xor:
-		r = x.I ^ y.I
-	case ir.Shl:
-		r = x.I << uint64(y.I&63)
-	case ir.AShr:
-		r = x.I >> uint64(y.I&63)
-	}
-	switch kind {
-	case ir.Bool:
-		r &= 1
-	case ir.I32:
-		r = int64(int32(r))
-	}
-	return Value{K: kind, I: r}
-}
-
 // fastCmp is cmpOp over register pointers, returning the bare verdict.
 func fastCmp(p ir.CmpPred, x, y *Value) bool {
 	if !p.IsFloatPred() && x.K != ir.Pointer {
@@ -497,7 +440,7 @@ func (g *vmGroup) exec(wi *wiState) {
 			}
 			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
 		case opLoad:
-			regs[in.dst] = m.load(kindTypes[in.kind], regs[in.a].P)
+			m.load(&regs[in.dst], kindTypes[in.kind], regs[in.a].P)
 		case opStore:
 			m.store(kindTypes[in.kind], regs[in.a], regs[in.b].P)
 		case opGEP:
@@ -513,11 +456,10 @@ func (g *vmGroup) exec(wi *wiState) {
 			}
 			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
 		case opBin:
-			// The arithmetic is inlined rather than delegated to the
-			// shared binOp helper: after mem2reg the hot loops are almost
-			// pure register arithmetic, and marshalling two 48-byte
-			// Values through a call dominated the dispatch cost.
-			regs[in.dst] = fastBin(ir.BinKind(in.sub), in.kind, &regs[in.a], &regs[in.b])
+			// Operands and result stay in the register file: binOp reads
+			// through x and y and writes through d, so no 40-byte Value is
+			// copied into or returned from the call.
+			binOp(&regs[in.dst], ir.BinKind(in.sub), in.kind, &regs[in.a], &regs[in.b])
 		case opCmp:
 			regs[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), &regs[in.a], &regs[in.b]))
 		case opMove:
@@ -554,29 +496,33 @@ func (g *vmGroup) exec(wi *wiState) {
 				gp.land(cf, pc, 1)
 			}
 		case opBinStore:
-			m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], regs[in.a], regs[in.b]), regs[in.c].P)
+			var v Value
+			binOp(&v, ir.BinKind(in.sub), in.kind, &regs[in.a], &regs[in.b])
+			m.store(kindTypes[in.kind], v, regs[in.c].P)
 		case opLoadBinStore:
 			t := kindTypes[in.kind]
-			v := m.load(t, regs[in.a].P)
-			x := regs[in.b]
+			var v Value
+			m.load(&v, t, regs[in.a].P)
+			x, y := &v, &regs[in.b]
 			if in.sub&lbsSwapped != 0 {
-				v, x = x, v
+				x, y = y, x
 			}
-			m.store(t, binOp(ir.BinKind(in.sub&^lbsSwapped), t, v, x), regs[in.c].P)
+			binOp(&v, ir.BinKind(in.sub&^lbsSwapped), in.kind, x, y)
+			m.store(t, v, regs[in.c].P)
 		case opLoadIdx:
 			base := regs[in.a].P
 			if base.IsNull() {
 				panic(trap{"gep on null pointer"})
 			}
-			regs[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm})
+			m.load(&regs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm})
 		case opLoadOff:
 			base := regs[in.a].P
 			if base.IsNull() {
 				panic(trap{"gep on null pointer"})
 			}
-			regs[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
+			m.load(&regs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
 		case opCast:
-			regs[in.dst] = castOp(ir.CastKind(in.sub), kindTypes[in.kind], regs[in.a])
+			castOp(&regs[in.dst], ir.CastKind(in.sub), in.kind, &regs[in.a])
 		case opSelect:
 			if regs[in.a].Bool() {
 				regs[in.dst] = regs[in.b]
@@ -584,7 +530,7 @@ func (g *vmGroup) exec(wi *wiState) {
 				regs[in.dst] = regs[in.c]
 			}
 		case opAtomic:
-			regs[in.dst] = m.atomicRMW(ir.AtomicKind(in.sub), kindTypes[in.kind], regs[in.a].P, regs[in.b])
+			m.atomicRMW(&regs[in.dst], ir.AtomicKind(in.sub), kindTypes[in.kind], regs[in.a].P, &regs[in.b])
 		case opBarrier:
 			wi.frames[top].pc = pc
 			wi.status = wiBarrier
@@ -641,7 +587,7 @@ func (g *vmGroup) exec(wi *wiState) {
 			if in.b >= 0 {
 				y = regs[in.b].F
 			}
-			regs[in.dst] = evalMath(in.sub, in.kind, x, y)
+			regs[in.dst] = Value{K: in.kind, F: evalMath(in.sub, in.kind, x, y)}
 		case opJump:
 			pc = int32(in.imm)
 			if gp != nil {

@@ -453,23 +453,25 @@ func (g *vmGroup) warpExec(w *warp) {
 				}
 				uregs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
 			case opLoad:
-				uregs[in.dst] = m.load(kindTypes[in.kind], uget(in.a).P)
+				m.load(&uregs[in.dst], kindTypes[in.kind], uget(in.a).P)
 			case opLoadIdx:
 				base := uget(in.a).P
 				if base.IsNull() {
 					panic(trap{"gep on null pointer"})
 				}
-				uregs[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + uget(in.b).I*in.imm})
+				m.load(&uregs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + uget(in.b).I*in.imm})
 			case opLoadOff:
 				base := uget(in.a).P
 				if base.IsNull() {
 					panic(trap{"gep on null pointer"})
 				}
-				uregs[in.dst] = m.load(kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
+				m.load(&uregs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
 			case opStore:
 				m.store(kindTypes[in.kind], *uget(in.a), uget(in.b).P)
 			case opBinStore:
-				m.store(kindTypes[in.kind], binOp(ir.BinKind(in.sub), kindTypes[in.kind], *uget(in.a), *uget(in.b)), uget(in.c).P)
+				var v Value
+				binOp(&v, ir.BinKind(in.sub), in.kind, uget(in.a), uget(in.b))
+				m.store(kindTypes[in.kind], v, uget(in.c).P)
 			case opGEP:
 				base := uget(in.a).P
 				if base.IsNull() {
@@ -483,7 +485,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				}
 				uregs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
 			case opBin:
-				uregs[in.dst] = fastBin(ir.BinKind(in.sub), in.kind, uget(in.a), uget(in.b))
+				binOp(&uregs[in.dst], ir.BinKind(in.sub), in.kind, uget(in.a), uget(in.b))
 			case opCmp:
 				uregs[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), uget(in.a), uget(in.b)))
 			case opMove:
@@ -511,7 +513,7 @@ func (g *vmGroup) warpExec(w *warp) {
 			case opDivF32:
 				uregs[in.dst] = Value{K: ir.F32, F: float64(float32(uget(in.a).F / uget(in.b).F))}
 			case opCast:
-				uregs[in.dst] = castOp(ir.CastKind(in.sub), kindTypes[in.kind], *uget(in.a))
+				castOp(&uregs[in.dst], ir.CastKind(in.sub), in.kind, uget(in.a))
 			case opSelect:
 				if uget(in.a).Bool() {
 					uregs[in.dst] = *uget(in.b)
@@ -548,7 +550,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				if in.b >= 0 {
 					y = uget(in.b).F
 				}
-				uregs[in.dst] = evalMath(in.sub, in.kind, x, y)
+				uregs[in.dst] = Value{K: in.kind, F: evalMath(in.sub, in.kind, x, y)}
 			case opJump:
 				pc = int32(in.imm)
 				if gp != nil {
@@ -689,7 +691,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			lr[dst] = m.load(t, at(a, lr, ra).P)
+			m.load(&lr[dst], t, at(a, lr, ra).P)
 		}
 	case opLoadIdx:
 		t, scale := kindTypes[in.kind], in.imm
@@ -701,7 +703,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			if base.IsNull() {
 				panic(trap{"gep on null pointer"})
 			}
-			lr[dst] = m.load(t, Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
+			m.load(&lr[dst], t, Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
 		}
 	case opLoadOff:
 		t, off := kindTypes[in.kind], in.imm
@@ -713,7 +715,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			if base.IsNull() {
 				panic(trap{"gep on null pointer"})
 			}
-			lr[dst] = m.load(t, Ptr{R: base.R, Off: base.Off + off})
+			m.load(&lr[dst], t, Ptr{R: base.R, Off: base.Off + off})
 		}
 	case opStore:
 		t := kindTypes[in.kind]
@@ -753,28 +755,32 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			lr[dst] = fastBin(k, kind, at(a, lr, ra), at(b, lr, rb))
+			binOp(&lr[dst], k, kind, at(a, lr, ra), at(b, lr, rb))
 		}
 	case opBinStore:
-		k, t := ir.BinKind(in.sub), kindTypes[in.kind]
+		k, kind, t := ir.BinKind(in.sub), in.kind, kindTypes[in.kind]
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
+		var v Value
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			m.store(t, binOp(k, t, *at(a, lr, ra), *at(b, lr, rb)), at(c, lr, rc).P)
+			binOp(&v, k, kind, at(a, lr, ra), at(b, lr, rb))
+			m.store(t, v, at(c, lr, rc).P)
 		}
 	case opLoadBinStore:
-		k, swapped, t := ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0, kindTypes[in.kind]
+		k, swapped, kind, t := ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0, in.kind, kindTypes[in.kind]
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
+		var v Value
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			v := m.load(t, at(a, lr, ra).P)
-			x := *at(b, lr, rb)
+			m.load(&v, t, at(a, lr, ra).P)
+			x, y := &v, at(b, lr, rb)
 			if swapped {
-				v, x = x, v
+				x, y = y, x
 			}
-			m.store(t, binOp(k, t, v, x), at(c, lr, rc).P)
+			binOp(&v, k, kind, x, y)
+			m.store(t, v, at(c, lr, rc).P)
 		}
 	case opAtomic:
 		k, t := ir.AtomicKind(in.sub), kindTypes[in.kind]
@@ -782,7 +788,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			lr[dst] = m.atomicRMW(k, t, at(a, lr, ra).P, *at(b, lr, rb))
+			m.atomicRMW(&lr[dst], k, t, at(a, lr, ra).P, at(b, lr, rb))
 		}
 	case opCmp:
 		p := ir.CmpPred(in.sub)
@@ -874,10 +880,9 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			}
 			break
 		}
-		t := kindTypes[kind]
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = castOp(k, t, *at(a, lr, ra))
+			castOp(&lr[dst], k, kind, at(a, lr, ra))
 		}
 	case opSelect:
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
@@ -938,7 +943,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			if rb >= 0 {
 				y = at(b, lr, rb).F
 			}
-			lr[dst] = evalMath(op, kind, x, y)
+			lr[dst] = Value{K: kind, F: evalMath(op, kind, x, y)}
 		}
 	default:
 		panic(trap{"warp: lane-mode dispatch of unexpected opcode"})
