@@ -10,8 +10,9 @@ import (
 // Warp-style batched work-item execution: the work-items of a group run
 // in fixed-width batches ("warps") with ONE fetch/decode per instruction
 // per warp. Register homes are split by the uniformity analysis
-// (warp_compile.go): warp-invariant registers live in a single shared
-// file per warp and their instructions execute once per warp (wmOnce);
+// (warp_compile.go): uniform registers — the same for every lane that
+// executes them together — live in a single shared file per warp and
+// their instructions execute once per warp (wmOnce);
 // divergent registers live in each lane's own file and their
 // instructions (wmLane) are decoded once as well, then loop over the
 // active lanes inside the opcode's arm (laneExec).
@@ -270,9 +271,10 @@ func (l *launchCtx) groupFault(gr *groupRunner, g *vmGroup, err error) error {
 // tryReform re-enters vector dispatch after a spill: legal when every
 // surviving lane is suspended at the same barrier-resume pc with a
 // single frame. The shared file is re-gathered from the first surviving
-// lane — for any uniform register whose value can still be read, SSA
-// dominance guarantees every surviving lane executed its defining
-// instruction with warp-invariant operands, so all lane copies agree.
+// lane. A uniform value defined in a divergent region is never live
+// outside it (temporal rule, passes.Uniformity), so a control-uniform
+// barrier sees only warp-invariant uniform registers: all lane copies
+// of one that can still be read agree.
 func (g *vmGroup) tryReform(w *warp) bool {
 	cf := g.l.kcf
 	pc := int32(-1)
@@ -409,8 +411,8 @@ func (g *vmGroup) warpExec(w *warp) {
 	// uget resolves a wmOnce operand: uniform registers live in the
 	// shared file; the only divergent-homed operand a once-instruction
 	// can read is the phi-cycle scratch, whose copy in the first active
-	// lane is warp-invariant exactly when the analysis proved the
-	// result uniform.
+	// lane is the same in every active lane exactly when the analysis
+	// proved the result uniform.
 	uget := func(r int32) *Value {
 		if uniform[r] {
 			return &uregs[r]

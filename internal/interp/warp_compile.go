@@ -19,12 +19,15 @@ const (
 	// region (a lane subset cannot park the warp), and a trap (the
 	// scalar path attributes it to the exact work-item).
 	wmSpill uint8 = iota
-	// wmOnce executes the instruction once per warp: its destination
-	// (if any) is a uniform register homed in the warp's shared file,
-	// and uniform operands read from there (the rare divergent-homed
-	// operand — the phi-cycle scratch — reads the first active lane,
-	// whose value is warp-invariant whenever the analysis proved the
-	// result uniform).
+	// wmOnce executes the instruction once for the warp's active lanes:
+	// its destination (if any) is a uniform register homed in the
+	// warp's shared file, and uniform operands read from there (the
+	// rare divergent-homed operand — the phi-cycle scratch — reads the
+	// first active lane, whose value every active lane shares whenever
+	// the analysis proved the result uniform). Inside a divergent
+	// region the active lanes are a subset, and a uniform register
+	// holds their value: the analysis keeps every register a region
+	// defines from being read by lanes that did not run it with them.
 	wmOnce
 	// wmLane executes the instruction once per active lane, reading
 	// uniform operands from the shared file and divergent ones from

@@ -246,3 +246,151 @@ kernel void ids(global long* out)
 		}
 	}
 }
+
+// loopPhi returns the phi of the unique block named prefix whose
+// incoming values include the constant 0: a loop counter's phi.
+func loopPhi(t *testing.T, f *ir.Function, prefix string) *ir.Instr {
+	t.Helper()
+	for _, phi := range blockByPrefix(t, f, prefix).Phis() {
+		for _, a := range phi.Args {
+			if c, ok := a.(*ir.ConstInt); ok && c.V == 0 {
+				return phi
+			}
+		}
+	}
+	t.Fatalf("no counter phi in %s:\n%s", prefix, f)
+	return nil
+}
+
+// TestUniformityLoopInDivergentIf: a uniform-trip loop inside a
+// local-id guard runs with the same lanes on every iteration, so its
+// counter phi and its loads through the counter are uniform, although
+// every block of the loop is control-divergent.
+func TestUniformityLoopInDivergentIf(t *testing.T) {
+	f, u := analyzeKernel(t, `
+kernel void nested(global int* out, global const int* in, int n, int k)
+{
+    if ((int)get_local_id(0) < k) {
+        int acc = 0;
+        int j;
+        for (j = 0; j < n; ++j) acc += in[j];
+        out[get_global_id(0)] = acc;
+    }
+}
+`, "nested")
+	head := blockByPrefix(t, f, "for.cond")
+	if u.BlockUniform(head) {
+		t.Errorf("loop header %s control-uniform, want divergent (inside a local-id guard):\n%s", head.Name, f)
+	}
+	if u.DivergentBranch(head) {
+		t.Errorf("loop test divergent, want uniform (trip count is a kernel arg):\n%s", f)
+	}
+	if !u.ValueUniform(loopPhi(t, f, "for.cond")) {
+		t.Errorf("loop counter divergent, want uniform among the lanes that run the loop:\n%s", f)
+	}
+	loads := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpLoad {
+				loads++
+				if !u.ValueUniform(in) {
+					t.Errorf("load divergent, want uniform (its address is the counter):\n%s", f)
+				}
+			}
+		}
+	}
+	if loads != 1 {
+		t.Fatalf("fixture has %d loads, want 1:\n%s", loads, f)
+	}
+}
+
+// TestUniformityCounterAfterLoop (temporal): lanes leave a loop with a
+// per-lane trip count at different iterations, so its counter read
+// after the loop differs per lane even though every iteration computes
+// it from uniform values.
+func TestUniformityCounterAfterLoop(t *testing.T) {
+	f, u := analyzeKernel(t, `
+kernel void after(global int* out)
+{
+    int j;
+    for (j = 0; j < ((int)get_local_id(0) & 7); ++j) ;
+    out[get_global_id(0)] = j;
+}
+`, "after")
+	if u.ValueUniform(loopPhi(t, f, "for.cond")) {
+		t.Errorf("counter read after a per-lane loop uniform, want divergent:\n%s", f)
+	}
+}
+
+// TestUniformityBreakWrap (wrap): a break under a local-id branch whose
+// sides meet only after the loop. The lanes that stay run whole
+// iterations while the breaking lanes wait, so every value the breaking
+// side reads from the loop is divergent.
+func TestUniformityBreakWrap(t *testing.T) {
+	f, u := analyzeKernel(t, `
+kernel void wrap(global int* out, global const int* in, int n)
+{
+    int res = -1;
+    int j;
+    for (j = 0; j < n; ++j) {
+        int v = in[j];
+        if (v > 1) {
+            if ((int)get_local_id(0) >= 12 - j) {
+                out[j] = v;
+            } else {
+                res = v * 100;
+                break;
+            }
+        }
+    }
+    out[get_global_id(0)] = res;
+}
+`, "wrap")
+	if u.ValueUniform(loopPhi(t, f, "for.cond")) {
+		t.Errorf("loop counter uniform, want divergent (read by the lanes that break):\n%s", f)
+	}
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpLoad && u.ValueUniform(in) {
+				t.Errorf("load in the loop uniform, want divergent (read by the lanes that break):\n%s", f)
+			}
+		}
+	}
+}
+
+// TestUniformityReentry (temporal): x is read only inside the region of
+// the local-id branch, but the region reaches x's definition before the
+// inner loop's header, where the branch reconverges; the lanes that
+// break redefine x before the others have read theirs.
+func TestUniformityReentry(t *testing.T) {
+	f, u := analyzeKernel(t, `
+kernel void reentry(global int* out, global const int* in, int n)
+{
+    int acc = 0;
+    int j = 0;
+    int t = 0;
+    for (;;) {
+        int x = in[j];
+        for (;;) {
+            if (t >= n) {
+                out[get_global_id(0)] = acc;
+                return;
+            }
+            t = t + 1;
+            if ((((int)get_local_id(0) + t) & 3) == 0) {
+                j = j + 1;
+                break;
+            }
+            acc = acc + x;
+        }
+    }
+}
+`, "reentry")
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpLoad && u.ValueUniform(in) {
+				t.Errorf("load uniform, want divergent (live where the branch reconverges):\n%s", f)
+			}
+		}
+	}
+}
