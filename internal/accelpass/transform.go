@@ -105,6 +105,7 @@ func Transform(m *ir.Module) (*Result, error) {
 		extended[f.Name] = true
 	}
 	for _, f := range extend {
+		guardDims(f)
 		if err := replaceBuiltins(f, extended); err != nil {
 			return nil, err
 		}
@@ -212,6 +213,55 @@ func appendRuntimeParams(f *ir.Function) {
 func runtimeArgs(f *ir.Function) (rt, sd, hdlr ir.Value) {
 	n := len(f.Params)
 	return f.Params[n-3], f.Params[n-2], f.Params[n-1]
+}
+
+// pastWorkDim is the OpenCL value of each work-item builtin that takes
+// a dimension, for a dimension outside 0..2: 0 for an id or offset, 1
+// for a size or count.
+var pastWorkDim = map[string]int64{
+	"get_global_id": 0, "get_local_id": 0, "get_group_id": 0, "get_global_offset": 0,
+	"get_num_groups": 1, "get_local_size": 1, "get_global_size": 1,
+}
+
+// guardDims keeps a dimension outside 0..2 away from the runtime
+// library, whose replacements index the RT descriptor by it. A constant
+// one folds to the builtin's OpenCL value; a runtime one is clamped to 0
+// for the call, and the result is replaced by that value when the
+// dimension is out of range. Calls with constant dimensions 0..2 are
+// left as they are.
+func guardDims(f *ir.Function) {
+	repl := make(map[*ir.Instr]ir.Value)
+	for _, b := range f.Blocks {
+		instrs := b.Instrs
+		b.Instrs = make([]*ir.Instr, 0, len(instrs))
+		ib := &ir.Builder{Fn: f, Cur: b}
+		for _, in := range instrs {
+			past, ok := pastWorkDim[in.Callee]
+			if in.Op != ir.OpCall || !ok || len(in.Args) != 1 {
+				b.Append(in)
+				continue
+			}
+			d := in.Args[0]
+			pastV := &ir.ConstInt{Ty: in.Ty, V: past}
+			if c, isConst := ir.ConstIntValue(d); isConst {
+				if c < 0 || c > 2 {
+					repl[in] = pastV
+				} else {
+					b.Append(in)
+				}
+				continue
+			}
+			dt := d.Type()
+			inRange := ib.Bin(ir.And,
+				ib.Cmp(ir.IGE, d, &ir.ConstInt{Ty: dt, V: 0}),
+				ib.Cmp(ir.ILT, d, &ir.ConstInt{Ty: dt, V: 3}))
+			call := ib.Call(in.Callee, in.Ty, ib.Select(inRange, d, &ir.ConstInt{Ty: dt, V: 0}))
+			repl[in] = ib.Select(inRange, call, pastV)
+		}
+	}
+	for call, v := range repl {
+		replaceUsesInFunc(f, call, v)
+	}
 }
 
 // replaceBuiltins rewrites work-item builtin calls into runtime library

@@ -1,6 +1,8 @@
 package accelpass
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,12 +14,13 @@ import (
 
 // runEquiv compiles src, runs the named kernel both natively and through
 // the accelOS transformation with a reduced number of physical
-// work-groups, and compares every output buffer byte for byte.
+// work-groups, compares every output buffer byte for byte, and returns
+// the native buffers by argument index.
 //
 // bufs maps argument index -> byte size for buffers; ints maps argument
 // index -> scalar int32 value. seed fills buffers deterministically.
 func runEquiv(t *testing.T, src, kernel string, nd interp.NDRange, physGroups int64,
-	bufSizes map[int]int64, intArgs map[int]int64) {
+	bufSizes map[int]int64, intArgs map[int]int64) map[int][]byte {
 	t.Helper()
 
 	orig, err := clc.Compile(src, "orig")
@@ -79,6 +82,7 @@ func runEquiv(t *testing.T, src, kernel string, nd interp.NDRange, physGroups in
 			t.Errorf("kernel %s: buffer arg %d differs between native and transformed execution", kernel, i)
 		}
 	}
+	return want
 }
 
 func TestTransformMopEquivalence(t *testing.T) {
@@ -160,6 +164,49 @@ kernel void t2d(global float* out, int width)
 `
 	nd := interp.ND2(32, 16, 8, 4)
 	runEquiv(t, src, "t2d", nd, 2, map[int]int64{0: 32 * 16 * 4}, map[int]int64{1: 32})
+}
+
+// TestTransformDimOutOfRange: a work-item query with a dimension outside
+// 0..2 returns the OpenCL value — 0 for an id or offset, 1 for a size or
+// count — natively and through the transformation, whose runtime library
+// would otherwise index the RT descriptor by that dimension. The
+// dimension is a runtime argument or a constant.
+func TestTransformDimOutOfRange(t *testing.T) {
+	queries := []struct {
+		name string
+		want int64
+	}{
+		{"get_global_id", 0}, {"get_local_id", 0}, {"get_group_id", 0}, {"get_global_offset", 0},
+		{"get_num_groups", 1}, {"get_local_size", 1}, {"get_global_size", 1},
+	}
+	dims := []struct {
+		arg string
+		d   int64
+	}{{"d", 3}, {"d", -1}, {"d", 7}, {"3", 0}}
+	const items = 4 * 8
+	for _, q := range queries {
+		for _, dim := range dims {
+			name := fmt.Sprintf("%s(%s)", q.name, dim.arg)
+			if dim.arg == "d" {
+				name = fmt.Sprintf("%s(d=%d)", q.name, dim.d)
+			}
+			t.Run(name, func(t *testing.T) {
+				src := fmt.Sprintf(`
+kernel void q(global long* out, int d)
+{
+    out[get_global_id(0)] = %s(%s);
+}
+`, q.name, dim.arg)
+				out := runEquiv(t, src, "q", interp.ND1(items, 8), 2,
+					map[int]int64{0: items * 8}, map[int]int64{1: dim.d})[0]
+				for i := 0; i < items; i++ {
+					if got := int64(binary.LittleEndian.Uint64(out[i*8:])); got != q.want {
+						t.Fatalf("native out[%d] = %d, want %d", i, got, q.want)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestTransformMetadata(t *testing.T) {

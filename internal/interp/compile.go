@@ -1027,15 +1027,12 @@ func (c *fnCompiler) emitCall(in *ir.Instr, ops []int32) {
 	}
 	name := in.Callee
 	if code, ok := wiBuiltins[name]; ok {
-		// Dimension argument: constants fold into imm (with the same
-		// clamp the reference engine applies); non-constants read a
-		// register at runtime; pointer or absent arguments mean dim 0.
+		// Dimension argument: constants fold into imm; non-constants
+		// read a register at runtime; pointer or absent arguments mean
+		// dim 0. launchCtx.workItem answers a dimension outside 0..2.
 		ins := instr{op: opWI, dst: c.dst(in), sub: code, a: -1}
 		if len(in.Args) == 1 && in.Args[0].Type().Kind != ir.Pointer {
 			if cv, isConst := ir.ConstIntValue(in.Args[0]); isConst {
-				if cv < 0 || cv > 2 {
-					cv = 0
-				}
 				ins.imm = cv
 			} else {
 				ins.a = ops[0]

@@ -502,31 +502,14 @@ func (fr *frame) execCall(in *ir.Instr, depth int) Value {
 // execBuiltin evaluates work-item and math builtins.
 func (fr *frame) execBuiltin(name string, args []Value) Value {
 	wi := fr.wi
-	l := wi.wg.l
-	dim := 0
-	if len(args) == 1 && args[0].K != ir.Pointer && !strings.HasPrefix(name, "__clc_") {
-		dim = int(args[0].I)
-	}
-	if dim < 0 || dim > 2 {
-		dim = 0
-	}
-	switch name {
-	case "get_global_id":
-		return LongV(wi.wg.group[dim]*l.nd.Local[dim] + wi.lid[dim])
-	case "get_local_id":
-		return LongV(wi.lid[dim])
-	case "get_group_id":
-		return LongV(wi.wg.group[dim])
-	case "get_num_groups":
-		return LongV(l.ng[dim])
-	case "get_local_size":
-		return LongV(l.nd.Local[dim])
-	case "get_global_size":
-		return LongV(l.nd.Global[dim])
-	case "get_global_offset":
-		return LongV(0)
-	case "get_work_dim":
-		return IntV(int64(l.nd.Dims))
+	if sub, ok := wiBuiltins[name]; ok {
+		var dim int64
+		if len(args) == 1 && args[0].K != ir.Pointer {
+			dim = args[0].I
+		}
+		var v Value
+		wi.wg.l.workItem(&v, sub, dim, &wi.wg.group, &wi.lid)
+		return v
 	}
 	if strings.HasPrefix(name, "__clc_") {
 		op, kind, errMsg := parseMathBuiltin(name)
@@ -553,6 +536,41 @@ func (fr *frame) execBuiltin(name string, args []Value) Value {
 // CPU cannot forward, and that stall dominated the dispatch loops. Every
 // helper reads its operands before it writes *d, and writes all of *d,
 // so d may alias an operand.
+
+// workItem writes work-item query sub (wiGlobalID, …) for dimension dim
+// of the item lid in group into d; every engine answers through it. A
+// dimension outside 0..2 reads as OpenCL defines one past
+// get_work_dim(): 0 for an id or offset, 1 for a size or count. Launches
+// carry no global offset, so wiGlobalOffset is always 0.
+func (l *launchCtx) workItem(d *Value, sub uint8, dim int64, group, lid *[3]int64) {
+	if sub == wiWorkDim {
+		*d = IntV(int64(l.nd.Dims))
+		return
+	}
+	var v int64
+	if dim < 0 || dim > 2 {
+		switch sub {
+		case wiNumGroups, wiLocalSize, wiGlobalSize:
+			v = 1
+		}
+	} else {
+		switch sub {
+		case wiGlobalID:
+			v = group[dim]*l.nd.Local[dim] + lid[dim]
+		case wiLocalID:
+			v = lid[dim]
+		case wiGroupID:
+			v = group[dim]
+		case wiNumGroups:
+			v = l.ng[dim]
+		case wiLocalSize:
+			v = l.nd.Local[dim]
+		case wiGlobalSize:
+			v = l.nd.Global[dim]
+		}
+	}
+	*d = LongV(v)
+}
 
 // atomicRMW performs an atomic read-modify-write on p and writes the
 // old value to d. A deferred unlock so a trapping access (out of

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -242,6 +243,53 @@ func TestDispatchLoopsAssignNoValueCalls(t *testing.T) {
 		if !found[name] {
 			t.Errorf("dispatch loop (*vmGroup).%s not found", name)
 		}
+	}
+}
+
+// TestWarpOnceModeHasNoDataOpcodes keeps one spelling of each opcode in
+// the warp engine: warpExec runs a once-mode data instruction through
+// laneExec over the first active lane, so its once-mode switch may name
+// only the control transfers it handles itself. A data opcode there is
+// a second copy of the lane arm's semantics.
+func TestWarpOnceModeHasNoDataOpcodes(t *testing.T) {
+	allowed := map[string]bool{"opJump": true, "opCondJump": true, "opCmpJump": true}
+	f, err := parser.ParseFile(token.NewFileSet(), "warp.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once *ast.CaseClause
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Name.Name != "warpExec" || !isVMGroupMethod(fd) {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, e := range cc.List {
+					if id, ok := e.(*ast.Ident); ok && id.Name == "wmOnce" {
+						once = cc
+					}
+				}
+			}
+			return once == nil
+		})
+	}
+	if once == nil {
+		t.Fatal("(*vmGroup).warpExec has no wmOnce case")
+	}
+	for _, s := range once.Body {
+		ast.Inspect(s, func(n ast.Node) bool {
+			cc, ok := n.(*ast.CaseClause)
+			if !ok {
+				return true
+			}
+			for _, e := range cc.List {
+				if id, ok := e.(*ast.Ident); !ok || !allowed[id.Name] {
+					t.Errorf("warpExec's once mode dispatches %s itself; leave it to laneExec", types.ExprString(e))
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -557,30 +557,8 @@ func (g *vmGroup) exec(wi *wiState) {
 			dim := in.imm
 			if in.a >= 0 {
 				dim = regs[in.a].I
-				if dim < 0 || dim > 2 {
-					dim = 0
-				}
 			}
-			var v Value
-			switch in.sub {
-			case wiGlobalID:
-				v = LongV(g.group[dim]*l.nd.Local[dim] + wi.lid[dim])
-			case wiLocalID:
-				v = LongV(wi.lid[dim])
-			case wiGroupID:
-				v = LongV(g.group[dim])
-			case wiNumGroups:
-				v = LongV(l.ng[dim])
-			case wiLocalSize:
-				v = LongV(l.nd.Local[dim])
-			case wiGlobalSize:
-				v = LongV(l.nd.Global[dim])
-			case wiGlobalOffset:
-				v = LongV(0)
-			case wiWorkDim:
-				v = IntV(int64(l.nd.Dims))
-			}
-			regs[in.dst] = v
+			l.workItem(&regs[in.dst], in.sub, dim, &g.group, &wi.lid)
 		case opMath:
 			x := regs[in.a].F
 			var y float64

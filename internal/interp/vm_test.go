@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -470,6 +471,68 @@ kernel void dims(global long* out)
 	for i := range outs[0] {
 		if outs[0][i] != outs[1][i] {
 			t.Fatalf("out[%d]: vm %d, tree-walker %d", i, outs[0][i], outs[1][i])
+		}
+	}
+}
+
+// TestWorkItemDimOutOfRange: every engine answers a work-item query with
+// a dimension outside 0..2 as OpenCL does — 0 for an id or offset, 1 for
+// a size or count — whether the dimension is a constant (folded at
+// compile time), a uniform register or a divergent one.
+func TestWorkItemDimOutOfRange(t *testing.T) {
+	queries := []struct {
+		name string
+		want int64
+	}{
+		{"get_global_id", 0}, {"get_local_id", 0}, {"get_group_id", 0}, {"get_global_offset", 0},
+		{"get_num_groups", 1}, {"get_local_size", 1}, {"get_global_size", 1},
+	}
+	dims := []string{"3", "d", "dv"}
+	var body strings.Builder
+	var want []int64
+	for _, q := range queries {
+		for _, d := range dims {
+			fmt.Fprintf(&body, "    out[i * %d + %d] = %s(%s);\n", len(queries)*len(dims), len(want), q.name, d)
+			want = append(want, q.want)
+		}
+	}
+	src := `
+kernel void dims(global long* out, int d)
+{
+    long i = get_global_id(0);
+    int dv = d + (int)(i & 1) * 4;
+` + body.String() + "}\n"
+	mod := compileOrDie(t, src)
+	const items = 16
+	configs := []struct {
+		name string
+		eng  Engine
+		opts CompileOpts
+	}{
+		{"treewalk", EngineTreeWalk, CompileOpts{}},
+		{"tier0", EngineVM, Tier0CompileOpts},
+		{"scalar-o1", EngineVM, scalarO1},
+		{"warp", EngineVM, DefaultCompileOpts},
+	}
+	for _, c := range configs {
+		for _, d := range []int64{3, -1, 7} {
+			t.Run(fmt.Sprintf("%s/d=%d", c.name, d), func(t *testing.T) {
+				m := NewMachine(mod)
+				m.Engine = c.eng
+				if c.eng == EngineVM {
+					m.UseProgram(CompileModuleOpts(mod, c.opts))
+				}
+				out := m.NewRegion(int64(items*len(want))*8, ir.Global)
+				if err := m.Launch("dims", []Value{{K: ir.Pointer, P: Ptr{R: out}}, IntV(d)}, ND1(items, 8)); err != nil {
+					t.Fatalf("launch: %v", err)
+				}
+				got := out.ReadInt64s(0, items*len(want))
+				for i, v := range got {
+					if q := i % len(want); v != want[q] {
+						t.Fatalf("item %d: %s(%s) = %d, want %d", i/len(want), queries[q/len(dims)].name, dims[q%len(dims)], v, want[q])
+					}
+				}
+			})
 		}
 	}
 }

@@ -15,7 +15,9 @@ import (
 // their instructions execute once per warp (wmOnce);
 // divergent registers live in each lane's own file and their
 // instructions (wmLane) are decoded once as well, then loop over the
-// active lanes inside the opcode's arm (laneExec).
+// active lanes inside the opcode's arm (laneExec). Each opcode is
+// spelled once: a once-mode instruction other than a jump is laneExec
+// over the first active lane, its result stored into the shared file.
 //
 // A branch on a divergent condition (wmDiverge) splits the warp's
 // active-lane mask instead of leaving vector dispatch: one side runs
@@ -386,15 +388,17 @@ func at(s *Value, lr []Value, r int32) *Value {
 }
 
 // warpExec is the vector dispatch loop: one fetch/decode per
-// instruction per warp. A once-mode instruction executes into the
-// shared file; a lane-mode one goes to laneExec, which loops the active
-// lanes inside its arm. Instruction cost is charged per active lane (n
-// steps per dispatch), so the launch instruction budget is
-// engine-invariant; so is the sampled execution profile, which lands
-// every active lane at each control transfer.
+// instruction per warp. A lane-mode instruction goes to laneExec, which
+// loops the active lanes inside its arm. A once-mode one is a jump,
+// taken here, or a data instruction, which laneExec runs for the first
+// active lane alone; its result is then copied into the shared file.
+// That lane's copy of a uniform register is never read in vector mode,
+// and warpSpill overwrites it before the scalar path could. Instruction
+// cost is charged per active lane (n steps per dispatch), so the launch
+// instruction budget is engine-invariant; so is the sampled execution
+// profile, which lands every active lane at each control transfer.
 func (g *vmGroup) warpExec(w *warp) {
 	l := g.l
-	m := l.m
 	cf := l.kcf
 	code := cf.code
 	wmode := cf.wmode
@@ -408,17 +412,6 @@ func (g *vmGroup) warpExec(w *warp) {
 	var diverges int64
 	g.faultWI = lanes[0]
 
-	// uget resolves a wmOnce operand: uniform registers live in the
-	// shared file; the only divergent-homed operand a once-instruction
-	// can read is the phi-cycle scratch, whose copy in the first active
-	// lane is the same in every active lane exactly when the analysis
-	// proved the result uniform.
-	uget := func(r int32) *Value {
-		if uniform[r] {
-			return &uregs[r]
-		}
-		return &lanes[0].kregs[r]
-	}
 	for {
 		if pc == rpc {
 			// The active lanes are where the branch that split them off
@@ -446,120 +439,15 @@ func (g *vmGroup) warpExec(w *warp) {
 		switch mode {
 		case wmOnce:
 			g.faultWI = lanes[0]
+			lr := lanes[0].kregs
 			switch in.op {
-			case opAllocaLocal:
-				r := g.locals[in.a]
-				if r == nil {
-					r = g.ar.alloc(in.imm, ir.Local)
-					g.locals[in.a] = r
-				}
-				uregs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
-			case opLoad:
-				m.load(&uregs[in.dst], kindTypes[in.kind], uget(in.a).P)
-			case opLoadIdx:
-				base := uget(in.a).P
-				if base.IsNull() {
-					panic(trap{"gep on null pointer"})
-				}
-				m.load(&uregs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + uget(in.b).I*in.imm})
-			case opLoadOff:
-				base := uget(in.a).P
-				if base.IsNull() {
-					panic(trap{"gep on null pointer"})
-				}
-				m.load(&uregs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
-			case opStore:
-				m.store(kindTypes[in.kind], *uget(in.a), uget(in.b).P)
-			case opBinStore:
-				var v Value
-				binOp(&v, ir.BinKind(in.sub), in.kind, uget(in.a), uget(in.b))
-				m.store(kindTypes[in.kind], v, uget(in.c).P)
-			case opGEP:
-				base := uget(in.a).P
-				if base.IsNull() {
-					panic(trap{"gep on null pointer"})
-				}
-				uregs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + uget(in.b).I*in.imm}}
-			case opGEPConst:
-				base := uget(in.a).P
-				if base.IsNull() {
-					panic(trap{"gep on null pointer"})
-				}
-				uregs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
-			case opBin:
-				binOp(&uregs[in.dst], ir.BinKind(in.sub), in.kind, uget(in.a), uget(in.b))
-			case opCmp:
-				uregs[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), uget(in.a), uget(in.b)))
-			case opMove:
-				uregs[in.dst] = *uget(in.a)
-			case opAddI32:
-				uregs[in.dst] = Value{K: ir.I32, I: int64(int32(uget(in.a).I + uget(in.b).I))}
-			case opSubI32:
-				uregs[in.dst] = Value{K: ir.I32, I: int64(int32(uget(in.a).I - uget(in.b).I))}
-			case opMulI32:
-				uregs[in.dst] = Value{K: ir.I32, I: int64(int32(uget(in.a).I * uget(in.b).I))}
-			case opAndI32:
-				uregs[in.dst] = Value{K: ir.I32, I: int64(int32(uget(in.a).I & uget(in.b).I))}
-			case opOrI32:
-				uregs[in.dst] = Value{K: ir.I32, I: int64(int32(uget(in.a).I | uget(in.b).I))}
-			case opXorI32:
-				uregs[in.dst] = Value{K: ir.I32, I: int64(int32(uget(in.a).I ^ uget(in.b).I))}
-			case opAddI64:
-				uregs[in.dst] = Value{K: ir.I64, I: uget(in.a).I + uget(in.b).I}
-			case opAddF32:
-				uregs[in.dst] = Value{K: ir.F32, F: float64(float32(uget(in.a).F + uget(in.b).F))}
-			case opSubF32:
-				uregs[in.dst] = Value{K: ir.F32, F: float64(float32(uget(in.a).F - uget(in.b).F))}
-			case opMulF32:
-				uregs[in.dst] = Value{K: ir.F32, F: float64(float32(uget(in.a).F * uget(in.b).F))}
-			case opDivF32:
-				uregs[in.dst] = Value{K: ir.F32, F: float64(float32(uget(in.a).F / uget(in.b).F))}
-			case opCast:
-				castOp(&uregs[in.dst], ir.CastKind(in.sub), in.kind, uget(in.a))
-			case opSelect:
-				if uget(in.a).Bool() {
-					uregs[in.dst] = *uget(in.b)
-				} else {
-					uregs[in.dst] = *uget(in.c)
-				}
-			case opWI:
-				dim := in.imm
-				if in.a >= 0 {
-					dim = uget(in.a).I
-					if dim < 0 || dim > 2 {
-						dim = 0
-					}
-				}
-				var v Value
-				switch in.sub {
-				case wiGroupID:
-					v = LongV(g.group[dim])
-				case wiNumGroups:
-					v = LongV(l.ng[dim])
-				case wiLocalSize:
-					v = LongV(l.nd.Local[dim])
-				case wiGlobalSize:
-					v = LongV(l.nd.Global[dim])
-				case wiGlobalOffset:
-					v = LongV(0)
-				case wiWorkDim:
-					v = IntV(int64(l.nd.Dims))
-				}
-				uregs[in.dst] = v
-			case opMath:
-				x := uget(in.a).F
-				var y float64
-				if in.b >= 0 {
-					y = uget(in.b).F
-				}
-				uregs[in.dst] = Value{K: in.kind, F: evalMath(in.sub, in.kind, x, y)}
 			case opJump:
 				pc = int32(in.imm)
 				if gp != nil {
 					gp.land(cf, pc, n)
 				}
 			case opCondJump:
-				if uget(in.a).Bool() {
+				if at(shared(uniform, uregs, in.a), lr, in.a).Bool() {
 					pc = in.b
 				} else {
 					pc = in.c
@@ -568,7 +456,8 @@ func (g *vmGroup) warpExec(w *warp) {
 					gp.land(cf, pc, n)
 				}
 			case opCmpJump:
-				if fastCmp(ir.CmpPred(in.sub), uget(in.a), uget(in.b)) {
+				a, b := at(shared(uniform, uregs, in.a), lr, in.a), at(shared(uniform, uregs, in.b), lr, in.b)
+				if fastCmp(ir.CmpPred(in.sub), a, b) {
 					pc = in.c
 				} else {
 					pc = int32(in.imm)
@@ -577,7 +466,14 @@ func (g *vmGroup) warpExec(w *warp) {
 					gp.land(cf, pc, n)
 				}
 			default:
-				panic(trap{"warp: once-mode dispatch of unexpected opcode"})
+				// The first active lane's file also holds the phi-cycle
+				// scratch, the one divergent-homed operand a once-mode
+				// instruction can read. Store and bin-store have no
+				// result; their dst is 0, a parameter register.
+				g.laneExec(in, lanes[:1], uregs)
+				if in.op != opStore && in.op != opBinStore {
+					uregs[in.dst] = lr[in.dst]
+				}
 			}
 
 		case wmLane:
@@ -659,7 +555,9 @@ func (g *vmGroup) warpExec(w *warp) {
 	}
 }
 
-// laneExec executes one lane-mode instruction for the active lanes. It
+// laneExec executes one data instruction for lanes: the active lanes of
+// a lane-mode instruction, or the first active lane alone of a
+// once-mode one (warpExec copies its result into the shared file). It
 // decodes the instruction and resolves each operand's home once, then
 // loops the lanes inside the opcode's arm. A fault is attributed to the
 // first active lane, except in the arms that can trap on one lane's own
@@ -906,30 +804,8 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			dim := in.imm
 			if ra >= 0 {
 				dim = at(a, lr, ra).I
-				if dim < 0 || dim > 2 {
-					dim = 0
-				}
 			}
-			var v Value
-			switch in.sub {
-			case wiGlobalID:
-				v = LongV(g.group[dim]*l.nd.Local[dim] + wi.lid[dim])
-			case wiLocalID:
-				v = LongV(wi.lid[dim])
-			case wiGroupID:
-				v = LongV(g.group[dim])
-			case wiNumGroups:
-				v = LongV(l.ng[dim])
-			case wiLocalSize:
-				v = LongV(l.nd.Local[dim])
-			case wiGlobalSize:
-				v = LongV(l.nd.Global[dim])
-			case wiGlobalOffset:
-				v = LongV(0)
-			case wiWorkDim:
-				v = IntV(int64(l.nd.Dims))
-			}
-			lr[dst] = v
+			l.workItem(&lr[dst], in.sub, dim, &g.group, &wi.lid)
 		}
 	case opMath:
 		op, kind := in.sub, in.kind

@@ -20,14 +20,16 @@ const (
 	// scalar path attributes it to the exact work-item).
 	wmSpill uint8 = iota
 	// wmOnce executes the instruction once for the warp's active lanes:
-	// its destination (if any) is a uniform register homed in the
-	// warp's shared file, and uniform operands read from there (the
-	// rare divergent-homed operand — the phi-cycle scratch — reads the
-	// first active lane, whose value every active lane shares whenever
-	// the analysis proved the result uniform). Inside a divergent
-	// region the active lanes are a subset, and a uniform register
-	// holds their value: the analysis keeps every register a region
-	// defines from being read by lanes that did not run it with them.
+	// a jump in warpExec, any other opcode as laneExec over the first
+	// active lane alone. Its destination (if any) is a uniform register
+	// homed in the warp's shared file, where the result is copied, and
+	// uniform operands read from there (the rare divergent-homed
+	// operand — the phi-cycle scratch — reads the first active lane,
+	// whose value every active lane shares whenever the analysis proved
+	// the result uniform). Inside a divergent region the active lanes
+	// are a subset, and a uniform register holds their value: the
+	// analysis keeps every register a region defines from being read
+	// by lanes that did not run it with them.
 	wmOnce
 	// wmLane executes the instruction once per active lane, reading
 	// uniform operands from the shared file and divergent ones from

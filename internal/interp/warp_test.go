@@ -240,15 +240,20 @@ kernel void k(global int* out, global const int* in, int n)
 // per lane-mode trap that depends on a lane's own data; each first
 // faults on lid 37 of 64, a lane that is neither the first nor the last
 // the lane loop visits. far runs past the end of both buffers from lid
-// 37 on.
+// 37 on. The once cases trap on uniform operands inside a divergent
+// region, once per warp: on its first active lane, lid 37 again. Each
+// names its faulting instruction, which the warp listing must show in
+// once mode.
 func TestWarpFaultAttribution(t *testing.T) {
-	cases := []struct{ name, stmt string }{
-		{"division by zero", "out[lid] = n / (lid - 37) + 1;"},
-		{"remainder by zero", "out[lid] = n % (lid - 37);"},
-		{"indexed load", "out[lid] = in[far];"},
-		{"store", "out[far] = n;"},
-		{"load-bin-store", "out[far] += n;"},
-		{"atomic_add", "atomic_add(&out[far], n);"},
+	cases := []struct{ name, stmt, once string }{
+		{"division by zero", "out[lid] = n / (lid - 37) + 1;", ""},
+		{"remainder by zero", "out[lid] = n % (lid - 37);", ""},
+		{"indexed load", "out[lid] = in[far];", ""},
+		{"store", "out[far] = n;", ""},
+		{"load-bin-store", "out[far] += n;", ""},
+		{"atomic_add", "atomic_add(&out[far], n);", ""},
+		{"once division by zero", "if (lid >= 37) out[lid] = n / (n - 64) + 1;", "bin sdiv"},
+		{"once indexed load", "if (lid >= 37) out[lid] = in[n * 1000];", "gep+load"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -263,6 +268,20 @@ kernel void k(global int* out, global const int* in, int n)
 			mod, err := clc.Compile(src, "k")
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.once != "" {
+				var listing strings.Builder
+				if err := CompileModuleOpts(mod, DefaultCompileOpts).DumpWarp(&listing, "k"); err != nil {
+					t.Fatal(err)
+				}
+				found := false
+				for _, line := range strings.Split(listing.String(), "\n") {
+					f := strings.Fields(line)
+					found = found || len(f) > 2 && f[1] == "once" && strings.Contains(line, c.once)
+				}
+				if !found {
+					t.Fatalf("no once-mode %q instruction:\n%s", c.once, listing.String())
+				}
 			}
 			fault := func(opts CompileOpts) string {
 				m := NewMachine(mod)
