@@ -89,8 +89,8 @@ func main() {
 	st := rt.Stats()
 	rt.Shutdown()
 	os.Remove(*socket)
-	fmt.Printf("acceld: served %d launches (%d queued, %d rejected)\n",
-		st.KernelsLaunched, st.QueuedAdmissions, st.Rejected)
+	fmt.Printf("acceld: served %d launches (%d queued)\n",
+		st.KernelsLaunched, st.QueuedAdmissions)
 	if *dumpMetrics {
 		reg.WriteText(os.Stdout)
 	}

@@ -500,6 +500,8 @@ func TestBuildCompilesOnce(t *testing.T) {
 	if misses, hits := reg.CounterTotal("program_cache_misses_total"), reg.CounterTotal("program_cache_hits_total"); misses != 1 || hits < 2 {
 		t.Errorf("after one launch per tenant: program cache misses %d hits %d, want 1 and at least 2", misses, hits)
 	}
+	// A kernel is counted after its event reports, so wait for both.
+	waitCounter(t, reg, "kernels_total", 2)
 	var text bytes.Buffer
 	if err := reg.WriteText(&text); err != nil {
 		t.Fatal(err)

@@ -158,10 +158,6 @@ type Stats struct {
 	// incomplete wait list: the scheduler saw them as its pending window
 	// before their dependencies released them.
 	WaitDeferred int
-	// Rejected counts executions refused at admission because the target
-	// device's run queue was at its bound (Pool().SetMaxQueued); their
-	// events fail with ErrAdmissionRejected.
-	Rejected int
 	// DeviceLaunches counts launches per pool member.
 	DeviceLaunches []int
 	// PhysGroupsPlanned and PhysGroupsStarted sum, over every slice run,
@@ -218,13 +214,6 @@ func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident
 // Pool exposes the runtime's device pool: residency and queue bounds,
 // device fail/heal, load snapshots.
 func (rt *Runtime) Pool() *cluster.Pool { return rt.pool }
-
-// ErrAdmissionRejected fails a kernel execution's event when the
-// admission controller refused it outright: the placement policy's
-// device had both a full resident set and a full run queue (see
-// cluster.Pool.SetMaxQueued). The tenant's overflow is counted, not
-// silently queued without bound.
-var ErrAdmissionRejected = errors.New("accelos: admission rejected: device run queue full")
 
 // SetTelemetry installs the runtime's observability sinks: tr receives
 // kernel-lifecycle/slice/replan trace spans, reg the per-tenant and
@@ -521,8 +510,8 @@ func (rt *Runtime) scheduleKernel(app *App, k *KernelHandle, nd opencl.NDRange, 
 }
 
 // settle retires an execution — completed, failed, or one that will not
-// run (again): failed wait list, refused admission, a relaunch the pool
-// rejected — from the registry, releases its device slot, re-plans the
+// run (again): failed wait list, released buffer, exhausted relaunch
+// budget — from the registry, releases its device slot, re-plans the
 // device's survivors, and only then reports the outcome on its event:
 // a peer's regrown share is pushed before the application that made
 // room hears back. The re-plan is called here, not from the pool's
@@ -565,15 +554,6 @@ func (rt *Runtime) submitToPool(rec *launchRec) {
 		// No healthy device: the pool holds the request until a
 		// HealDevice re-admits it.
 		rt.reg.Counter("launches_parked_total", telemetry.L("tenant", rec.app)).Add(1)
-	case cluster.EvRejected:
-		// The request never joined the pool (the synchronous return is
-		// the only signal; no membership event will claim it): fail the
-		// application's event.
-		rt.statsMu.Lock()
-		rt.stats.Rejected++
-		rt.statsMu.Unlock()
-		rt.reg.Counter("admission_rejections_total", telemetry.L("tenant", rec.app)).Add(1)
-		rt.settle(rec, fmt.Errorf("accelos: kernel %q: %w", rec.kern, ErrAdmissionRejected), "rejected")
 	}
 }
 
@@ -599,9 +579,6 @@ func (rt *Runtime) onPoolEvent(ev cluster.PoolEvent) {
 		}
 	case cluster.EvQueued:
 		// Nothing to do: the request waits for the admission event.
-	case cluster.EvRejected:
-		// Handled synchronously by submitToPool on Submit's return value;
-		// the event exists for external pool observers.
 	case cluster.EvDeviceFailed:
 		rt.reg.Counter("device_failures_total", telemetry.L("dev", strconv.Itoa(ev.Dev))).Inc()
 	case cluster.EvEvicted:
@@ -776,7 +753,7 @@ func (rt *Runtime) recordKernel(rec *launchRec, status string) {
 			telemetry.Arg{Key: "dev", Val: dev},
 			telemetry.Arg{Key: "status", Val: status})
 		// Children cover the phases the execution actually reached; an
-		// abandoned kernel (failed wait list, rejected admission) has no
+		// abandoned kernel (failed wait list, released buffer) has no
 		// running stamp and gets only the phases before the cut.
 		if !p.Submitted.IsZero() {
 			tr.Complete(rec.root, rec.app, thread, "kernel", "wait-list", p.Queued, p.Submitted)

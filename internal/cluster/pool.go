@@ -19,14 +19,9 @@ type Pool struct {
 	devs []*device.Platform
 	pol  Policy
 	// maxResident bounds each device's concurrently executing requests;
-	// 0 means unbounded (the live runtime blocks callers instead of
-	// queueing, so admission happens at placement time).
+	// 0 means unbounded. A request past the bound waits in its device's
+	// run queue until Complete frees a slot or Rebalance migrates it.
 	maxResident int
-	// maxQueued bounds each device's run queue; 0 means unbounded. A
-	// Submit that would exceed it is rejected outright — the multi-tenant
-	// backpressure signal, so an aggressive tenant's overflow is refused
-	// (and counted) instead of growing queues without bound.
-	maxQueued int
 
 	resident [][]slot
 	queued   [][]slot
@@ -79,10 +74,6 @@ const (
 	// EvMigrated: Rebalance moved the queued request to drained Dev and
 	// admitted it there.
 	EvMigrated
-	// EvRejected: Submit refused the request because Dev's run queue was
-	// at its MaxQueued bound. The request never joins the pool; the event
-	// exists so telemetry can count rejections per tenant.
-	EvRejected
 	// EvDeviceFailed: FailDevice removed Dev from placement. Followed by
 	// one EvEvicted per request that was resident or queued there.
 	EvDeviceFailed
@@ -187,16 +178,6 @@ func (p *Pool) Devices() []*device.Platform { return p.devs }
 // limit (and can therefore ever hold queued requests).
 func (p *Pool) Bounded() bool { return p.maxResident > 0 }
 
-// SetMaxQueued bounds each device's run queue to n waiting requests;
-// 0 (the default) restores unbounded queueing. Only meaningful on a
-// bounded pool — an unbounded pool admits everything immediately and
-// never queues.
-func (p *Pool) SetMaxQueued(n int) {
-	p.mu.Lock()
-	p.maxQueued = n
-	p.mu.Unlock()
-}
-
 // Loads snapshots the pool for placement decisions.
 func (p *Pool) Loads() []sim.DeviceLoad {
 	p.mu.Lock()
@@ -241,11 +222,9 @@ func (p *Pool) healthyLoadsLocked() []sim.DeviceLoad {
 // Submit places a request on a healthy device. It returns the device
 // index the policy picked and what happened there: EvAdmitted (resident
 // now, launch it), EvQueued (waiting in that device's run queue until
-// Complete frees a slot or Rebalance migrates it), EvRejected (the
-// queue was at its SetMaxQueued bound; the request is NOT in the pool
-// and must not be launched or Completed), or EvParked (no healthy
-// device exists; devIdx is -1 and the request waits in the parked set
-// until HealDevice re-admits it).
+// Complete frees a slot or Rebalance migrates it), or EvParked (no
+// healthy device exists; devIdx is -1 and the request waits in the
+// parked set until HealDevice re-admits it).
 func (p *Pool) Submit(e *sim.ClusterExec) (devIdx int, kind PoolEventKind) {
 	s := slot{e: e, work: e.K.TotalWork() * e.K.NumIters()}
 	p.mu.Lock()
@@ -265,13 +244,6 @@ func (p *Pool) Submit(e *sim.ClusterExec) (devIdx int, kind PoolEventKind) {
 	if p.maxResident <= 0 || len(p.resident[di]) < p.maxResident {
 		p.resident[di] = append(p.resident[di], s)
 		kind = EvAdmitted
-	} else if p.maxQueued > 0 && len(p.queued[di]) >= p.maxQueued {
-		// Rejected requests contribute no work: load snapshots must not
-		// count demand the pool refused to carry.
-		p.emitLocked(PoolEvent{Kind: EvRejected, Dev: di, Exec: e})
-		p.mu.Unlock()
-		p.dispatch()
-		return di, EvRejected
 	} else {
 		p.queued[di] = append(p.queued[di], s)
 		kind = EvQueued

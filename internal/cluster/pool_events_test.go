@@ -49,47 +49,6 @@ func TestPoolEventsAdmissionLifecycle(t *testing.T) {
 	}
 }
 
-// TestPoolEventsRejection checks the SetMaxQueued bound: a submit past
-// both the resident and queue limits is refused with EvRejected, never
-// joins the pool, and contributes nothing to the load snapshot.
-func TestPoolEventsRejection(t *testing.T) {
-	p := cluster.NewPool([]*device.Platform{device.NVIDIAK20m()}, cluster.RoundRobin(), 1)
-	p.SetMaxQueued(1)
-	var evs []cluster.PoolEvent
-	p.SetObserver(func(ev cluster.PoolEvent) { evs = append(evs, ev) })
-
-	e1 := exec(1, "a", 64, 100)
-	e2 := exec(2, "b", 64, 100)
-	e3 := exec(3, "c", 64, 100)
-	if _, kind := p.Submit(e1); kind != cluster.EvAdmitted {
-		t.Fatal("first submit not admitted")
-	}
-	if _, kind := p.Submit(e2); kind != cluster.EvQueued {
-		t.Fatal("second submit not queued")
-	}
-	wantWork := p.Loads()[0].PendingWork
-	if _, kind := p.Submit(e3); kind != cluster.EvRejected {
-		t.Fatal("third submit not rejected past maxQueued")
-	}
-	last := evs[len(evs)-1]
-	if last.Kind != cluster.EvRejected || last.Exec != e3 || last.Dev != 0 {
-		t.Errorf("last event = %+v, want EvRejected e3 on dev 0", last)
-	}
-	loads := p.Loads()
-	if loads[0].Resident != 1 || loads[0].Queued != 1 {
-		t.Errorf("loads after rejection = %+v, want 1 resident / 1 queued", loads[0])
-	}
-	if loads[0].PendingWork != wantWork {
-		t.Errorf("rejected request changed pending work: %d -> %d", wantWork, loads[0].PendingWork)
-	}
-	// The bound only refuses while the queue is full: a completion frees
-	// a slot and the next submit queues again.
-	p.Complete(0, e1)
-	if _, kind := p.Submit(e3); kind != cluster.EvQueued {
-		t.Error("submit after a completion should queue, not reject")
-	}
-}
-
 // TestPoolEventsMigration checks Rebalance reports queue steals as
 // EvMigrated on the receiving device.
 func TestPoolEventsMigration(t *testing.T) {

@@ -54,7 +54,6 @@ func typedRuntimeFault(err error) bool {
 	return errors.Is(err, accelos.ErrDeviceLost) ||
 		errors.Is(err, accelos.ErrKernelTimeout) ||
 		errors.Is(err, accelos.ErrKernelQuarantined) ||
-		errors.Is(err, accelos.ErrAdmissionRejected) ||
 		errors.Is(err, opencl.ErrBufferReleased)
 }
 
@@ -297,8 +296,9 @@ func RunChaosRuntime(seed int64, w io.Writer) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// chaosSpinSrc is a runaway kernel: far over any reasonable launch
-// deadline, under the instruction budget.
+// chaosSpinSrc is a runaway kernel: under the instruction budget, but
+// far over RunChaosWatchdog's 10 ms deadline (it runs 75–150 ms on a
+// 2-vCPU x86 box).
 const chaosSpinSrc = `
 kernel void spin(global int* out, int n)
 {
@@ -317,7 +317,7 @@ func RunChaosWatchdog(w io.Writer) error {
 	rt := accelos.NewRuntime(opencl.GetPlatforms()[0])
 	defer rt.Shutdown()
 	rt.SetFaultPolicy(accelos.FaultPolicy{
-		LaunchDeadline:  100 * time.Millisecond,
+		LaunchDeadline:  10 * time.Millisecond,
 		QuarantineAfter: 2,
 	})
 	app := rt.Connect("runaway")

@@ -214,12 +214,6 @@ func (m *Machine) Launch(kernel string, args []Value, nd NDRange) error {
 		}
 		locals = append(locals, localArg{idx: i, size: size})
 	}
-	if m.MaxWorkItems > 0 {
-		total := nd.Global[0] * nd.Global[1] * nd.Global[2]
-		if total > m.MaxWorkItems {
-			return fmt.Errorf("interp: launch of %d work-items exceeds limit %d", total, m.MaxWorkItems)
-		}
-	}
 	if m.Engine == EngineTreeWalk {
 		return m.launchTreeWalk(fn, args, locals, nd)
 	}
@@ -448,11 +442,8 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 	case ir.OpGEP:
 		base := fr.eval(in.Args[0])
 		idx := fr.eval(in.Args[1]).I
-		elem := in.Ty.Elem
-		if base.P.IsNull() {
-			panic(trap{"gep on null pointer"})
-		}
-		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: base.P.R, Off: base.P.Off + idx*elem.Size()}}
+		checkGEP(base.P)
+		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: base.P.R, Off: base.P.Off + idx*in.Ty.Elem.Size()}}
 	case ir.OpBin:
 		x, y := fr.eval(in.Args[0]), fr.eval(in.Args[1])
 		binOp(&d, in.BinK, in.Ty.Kind, &x, &y)

@@ -115,10 +115,6 @@ type Machine struct {
 	mu      sync.Mutex
 	regions []*Region
 
-	// MaxWorkItems bounds a single launch as a safety net against
-	// runaway NDRanges in tests. Zero means no limit.
-	MaxWorkItems int64
-
 	// MaxSteps bounds the total instructions one Launch may execute
 	// across all its work-items and call frames. Zero means the default
 	// budget (defaultMaxSteps).
@@ -318,6 +314,13 @@ func checkBounds(p Ptr, size int64) {
 	}
 	if p.Off < 0 || p.Off+size > int64(len(p.R.Bytes)) {
 		panic(trap{fmt.Sprintf("out-of-bounds access: offset %d size %d in region of %d bytes", p.Off, size, len(p.R.Bytes))})
+	}
+}
+
+// checkGEP traps on a null GEP base: it has no region to offset into.
+func checkGEP(p Ptr) {
+	if p.IsNull() {
+		panic(trap{"gep on null pointer"})
 	}
 }
 

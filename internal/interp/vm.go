@@ -445,15 +445,11 @@ func (g *vmGroup) exec(wi *wiState) {
 			m.store(kindTypes[in.kind], regs[in.a], regs[in.b].P)
 		case opGEP:
 			base := regs[in.a].P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm}}
 		case opGEPConst:
 			base := regs[in.a].P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
 		case opBin:
 			// Operands and result stay in the register file: binOp reads
@@ -511,15 +507,11 @@ func (g *vmGroup) exec(wi *wiState) {
 			m.store(t, v, regs[in.c].P)
 		case opLoadIdx:
 			base := regs[in.a].P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			m.load(&regs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm})
 		case opLoadOff:
 			base := regs[in.a].P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			m.load(&regs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
 		case opCast:
 			castOp(&regs[in.dst], ir.CastKind(in.sub), in.kind, &regs[in.a])

@@ -600,9 +600,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			g.faultWI = wi
 			lr := wi.kregs
 			base := at(a, lr, ra).P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			m.load(&lr[dst], t, Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
 		}
 	case opLoadOff:
@@ -612,9 +610,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			g.faultWI = wi
 			lr := wi.kregs
 			base := at(a, lr, ra).P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			m.load(&lr[dst], t, Ptr{R: base.R, Off: base.Off + off})
 		}
 	case opStore:
@@ -632,9 +628,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			g.faultWI = wi
 			lr := wi.kregs
 			base := at(a, lr, ra).P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale}}
 		}
 	case opGEPConst:
@@ -644,9 +638,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			g.faultWI = wi
 			lr := wi.kregs
 			base := at(a, lr, ra).P
-			if base.IsNull() {
-				panic(trap{"gep on null pointer"})
-			}
+			checkGEP(base)
 			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + off}}
 		}
 	case opBin:

@@ -174,10 +174,6 @@ func (p *MachinePool) Idle() int {
 	return n
 }
 
-// fallbackPool serves launches that are not tied to a platform (the
-// LaunchTransformed convenience entry point).
-var fallbackPool = NewMachinePool()
-
 // DefaultSliceRounds is how many dequeue rounds each planned physical
 // work-group is budgeted per slice: the slice covers PhysWGs·Chunk·rounds
 // virtual groups of the plan, however many physical groups Step starts
@@ -249,17 +245,14 @@ type LaunchHandle struct {
 }
 
 // NewLaunchHandle binds the kernel's arguments and the RT descriptor
-// into a pooled machine for the platform (nil platform uses a shared
-// pool) and returns a handle ready to Step. phys and chunk seed the
-// plan; UpdatePlan changes both between slices.
+// into a pooled machine of the platform and returns a handle ready to
+// Step. phys and chunk seed the plan; UpdatePlan changes both between
+// slices.
 func NewLaunchHandle(plat *Platform, mod *ir.Module, k *Kernel, nd NDRange, rtWords []int64, phys, chunk int64) (*LaunchHandle, error) {
 	if err := nd.Validate(); err != nil {
 		return nil, err
 	}
-	pool := fallbackPool
-	if plat != nil {
-		pool = plat.Machines()
-	}
+	pool := plat.Machines()
 	mach := pool.Acquire(mod)
 	// The handle's machine executes mod (usually the JIT-transformed
 	// module, not k's build product); resolve its bytecode through the

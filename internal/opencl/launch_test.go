@@ -261,7 +261,7 @@ func runMarkSliced(t *testing.T, phys, chunk, kchunk, total, rounds int64) [][3]
 	buf := &Buffer{Size: n * 4, Bytes: make([]byte, n*4)}
 	k, trans := buildTransformed(t, buf, n)
 	nd := NDRange{Dims: 1, Global: [3]int64{n, 1, 1}, Local: [3]int64{local, 1, 1}}
-	h, err := NewLaunchHandle(nil, trans, k, nd, rtlib.BuildRT(1, nd.NumGroups(), nd.Local, int(kchunk)), phys, chunk)
+	h, err := NewLaunchHandle(GetPlatforms()[0], trans, k, nd, rtlib.BuildRT(1, nd.NumGroups(), nd.Local, int(kchunk)), phys, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/rtlib"
 	"repro/internal/telemetry"
 )
 
@@ -409,16 +408,3 @@ func ND1(global, local int64) NDRange { return interp.ND1(global, local) }
 
 // ND2 builds a 2-D launch geometry.
 func ND2(gx, gy, lx, ly int64) NDRange { return interp.ND2(gx, gy, lx, ly) }
-
-// LaunchTransformed launches kernel name from an arbitrary (transformed)
-// module with the RT descriptor appended and a reduced physical grid,
-// running every slice back to back. It is the one-shot convenience entry
-// point over NewLaunchHandle; the accelOS Kernel Scheduler holds the
-// handle itself so it can re-plan between slices.
-func LaunchTransformed(mod *ir.Module, k *Kernel, nd NDRange, rtWords []int64, physGroups int64) error {
-	h, err := NewLaunchHandle(nil, mod, k, nd, rtWords, physGroups, rtWords[rtlib.RTChunk])
-	if err != nil {
-		return err
-	}
-	return h.Run()
-}

@@ -222,10 +222,7 @@ func (q *CommandQueue) EnqueueKernel(k *Kernel, nd NDRange, waits ...*Event) (*E
 			bufs = append(bufs, a.buf)
 		}
 	}
-	pool := fallbackPool
-	if k.Prog.Ctx != nil {
-		pool = k.Prog.Ctx.Plat.Machines()
-	}
+	pool := q.Ctx.Plat.Machines()
 	mod, name, prog := k.Prog.Module, k.Name, k.Prog.Compiled()
 	return q.enqueue(fmt.Sprintf("opencl: kernel %q", name), "kernel "+name, 0, bufs, waits, func() error {
 		mach := pool.Acquire(mod)

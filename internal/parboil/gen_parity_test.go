@@ -237,7 +237,7 @@ func slicedRun(t *testing.T, orig, tm *ir.Module, info *accelpass.KernelInfo, pr
 	}
 	nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
 	rtWords := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk)
-	h, err := opencl.NewLaunchHandle(nil, tm, cl, nd, rtWords, 1, rtWords[rtlib.RTChunk])
+	h, err := opencl.NewLaunchHandle(opencl.GetPlatforms()[0], tm, cl, nd, rtWords, 1, rtWords[rtlib.RTChunk])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,41 +171,3 @@ func (k *Kernel) RunNativeVM(opts interp.CompileOpts) ([][]byte, error) {
 	mach.UseProgram(interp.CompileModuleOpts(mod, opts))
 	return launchSpec(mach, k.Name, k.Setup(), nil, 0)
 }
-
-// PreparedLaunch is a reusable native verification launch: a machine
-// with the spec's buffers bound, ready to Launch repeatedly over the
-// same memory. Benchmarks use it to time kernel execution in isolation
-// from front-end compilation and buffer setup.
-type PreparedLaunch struct {
-	Mach   *interp.Machine
-	Kernel string
-	Args   []interp.Value
-	ND     interp.NDRange
-}
-
-// PrepareNative compiles the kernel once and binds its verification
-// launch onto a machine with the given engine.
-func (k *Kernel) PrepareNative(eng interp.Engine) (*PreparedLaunch, error) {
-	mod, err := clc.Compile(k.Source, k.Name)
-	if err != nil {
-		return nil, err
-	}
-	mach := interp.NewMachine(mod)
-	mach.Engine = eng
-	spec := k.Setup()
-	args, _, err := bindSpecArgs(mach, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &PreparedLaunch{
-		Mach:   mach,
-		Kernel: k.Name,
-		Args:   args,
-		ND:     interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local},
-	}, nil
-}
-
-// Run executes the prepared launch once.
-func (pl *PreparedLaunch) Run() error {
-	return pl.Mach.Launch(pl.Kernel, pl.Args, pl.ND)
-}

@@ -118,7 +118,7 @@ func TestVMParityTransformedSliced(t *testing.T) {
 				}
 				nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
 				rtWords := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk)
-				h, err := opencl.NewLaunchHandle(nil, tm, cl, nd, rtWords, 2, rtWords[rtlib.RTChunk])
+				h, err := opencl.NewLaunchHandle(opencl.GetPlatforms()[0], tm, cl, nd, rtWords, 2, rtWords[rtlib.RTChunk])
 				if err != nil {
 					t.Fatalf("%s handle: %v", variant.name, err)
 				}
@@ -196,7 +196,7 @@ func TestNoGroupFindsTheQueueEmpty(t *testing.T) {
 				TransLocalBytes:    info.LocalBytes,
 			}, false)
 			rtWords := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk)
-			h, err := opencl.NewLaunchHandle(nil, tm, cl, nd, rtWords, plan.PhysWGs, plan.Chunk)
+			h, err := opencl.NewLaunchHandle(opencl.GetPlatforms()[0], tm, cl, nd, rtWords, plan.PhysWGs, plan.Chunk)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -51,7 +51,7 @@ func TestVMParitySwappedProgramSliced(t *testing.T) {
 			}
 			nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
 			rtWords := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk)
-			h, err := opencl.NewLaunchHandle(nil, tm, cl, nd, rtWords, 2, rtWords[rtlib.RTChunk])
+			h, err := opencl.NewLaunchHandle(opencl.GetPlatforms()[0], tm, cl, nd, rtWords, 2, rtWords[rtlib.RTChunk])
 			if err != nil {
 				t.Fatalf("handle: %v", err)
 			}

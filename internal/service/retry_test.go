@@ -43,7 +43,6 @@ func TestRetryable(t *testing.T) {
 		{"device-lost", accelos.ErrDeviceLost, false},
 		{"kernel-timeout", accelos.ErrKernelTimeout, false},
 		{"quarantined", accelos.ErrKernelQuarantined, false},
-		{"admission-rejected", accelos.ErrAdmissionRejected, false},
 		{"arbitrary", errors.New("something else"), false},
 	}
 	for _, tc := range cases {

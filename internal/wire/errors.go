@@ -14,7 +14,7 @@ import (
 // error on the client for which errors.Is against the original sentinel
 // still holds — so a client can write
 //
-//	errors.Is(err, accelos.ErrAdmissionRejected)
+//	errors.Is(err, accelos.ErrKernelQuarantined)
 //
 // about a failure that happened in another process.
 type Code uint16
@@ -22,14 +22,15 @@ type Code uint16
 const (
 	CodeOK Code = 0
 
-	// Runtime sentinels that round-trip across the boundary.
-	CodeAdmissionRejected Code = 1 // accelos.ErrAdmissionRejected
-	CodeBufferReleased    Code = 2 // opencl.ErrBufferReleased
-	CodeAppClosed         Code = 3 // accelos.ErrAppClosed
-	CodeOutOfMemory       Code = 4 // opencl.ErrOutOfMemory
-	CodeDeviceLost        Code = 5 // accelos.ErrDeviceLost
-	CodeKernelTimeout     Code = 6 // accelos.ErrKernelTimeout
-	CodeQuarantined       Code = 7 // accelos.ErrKernelQuarantined
+	// Runtime sentinels that round-trip across the boundary. Code 1 is
+	// retired and never reused: an older peer that sends it is read as
+	// an untyped failure with its message.
+	CodeBufferReleased Code = 2 // opencl.ErrBufferReleased
+	CodeAppClosed      Code = 3 // accelos.ErrAppClosed
+	CodeOutOfMemory    Code = 4 // opencl.ErrOutOfMemory
+	CodeDeviceLost     Code = 5 // accelos.ErrDeviceLost
+	CodeKernelTimeout  Code = 6 // accelos.ErrKernelTimeout
+	CodeQuarantined    Code = 7 // accelos.ErrKernelQuarantined
 
 	// Service-layer verdicts.
 	CodeBadHandshake  Code = 16 // malformed hello or version mismatch
@@ -61,8 +62,6 @@ var (
 // CodeOK and unknown codes.
 func (c Code) sentinel() error {
 	switch c {
-	case CodeAdmissionRejected:
-		return accelos.ErrAdmissionRejected
 	case CodeBufferReleased:
 		return opencl.ErrBufferReleased
 	case CodeAppClosed:
@@ -112,8 +111,6 @@ func CodeOf(err error) Code {
 	switch {
 	case err == nil:
 		return CodeOK
-	case errors.Is(err, accelos.ErrAdmissionRejected):
-		return CodeAdmissionRejected
 	case errors.Is(err, opencl.ErrBufferReleased):
 		return CodeBufferReleased
 	case errors.Is(err, accelos.ErrAppClosed):

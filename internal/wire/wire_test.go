@@ -103,15 +103,14 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCodeRoundTrip is the satellite-2 acceptance check at the wire
-// layer: runtime sentinels survive encode → decode such that errors.Is
-// against the original sentinel holds on the client side.
+// TestCodeRoundTrip checks that runtime sentinels survive encode →
+// decode such that errors.Is against the original sentinel holds on the
+// client side, and that every code keeps its number.
 func TestCodeRoundTrip(t *testing.T) {
 	cases := []struct {
 		err  error
 		code Code
 	}{
-		{fmt.Errorf("admit: %w", accelos.ErrAdmissionRejected), CodeAdmissionRejected},
 		{fmt.Errorf("kernel arg 2: %w", opencl.ErrBufferReleased), CodeBufferReleased},
 		{accelos.ErrAppClosed, CodeAppClosed},
 		{opencl.ErrOutOfMemory, CodeOutOfMemory},
@@ -142,9 +141,6 @@ func TestCodeRoundTrip(t *testing.T) {
 		}
 	}
 	// The headline round trips, spelled the way client code writes them.
-	if !errors.Is(CodeAdmissionRejected.Err("busy"), accelos.ErrAdmissionRejected) {
-		t.Error("ErrAdmissionRejected does not round-trip")
-	}
 	if !errors.Is(CodeBufferReleased.Err("gone"), opencl.ErrBufferReleased) {
 		t.Error("ErrBufferReleased does not round-trip")
 	}
@@ -154,8 +150,31 @@ func TestCodeRoundTrip(t *testing.T) {
 	if !errors.Is(CodeBuildFailed.Err("3:7: expected ';'"), accelos.ErrBuildFailed) {
 		t.Error("ErrBuildFailed does not round-trip")
 	}
-	if CodeBuildFailed != 23 {
-		t.Errorf("CodeBuildFailed = %d: codes are appended, never renumbered", CodeBuildFailed)
+	// Codes are appended, never renumbered: a peer built from another
+	// revision reads the same numbers.
+	for _, c := range []struct {
+		code Code
+		num  uint16
+	}{
+		{CodeBufferReleased, 2}, {CodeAppClosed, 3}, {CodeOutOfMemory, 4},
+		{CodeDeviceLost, 5}, {CodeKernelTimeout, 6}, {CodeQuarantined, 7},
+		{CodeBadHandshake, 16}, {CodeUnknownTenant, 17}, {CodeBackpressure, 18},
+		{CodeRateLimited, 19}, {CodeNotFound, 20}, {CodeBadRequest, 21},
+		{CodeInternal, 22}, {CodeBuildFailed, 23},
+	} {
+		if uint16(c.code) != c.num {
+			t.Errorf("%v = %d, want %d: codes are never renumbered", c.code, uint16(c.code), c.num)
+		}
+	}
+	// Code 1 is retired: what an older peer sends under it decodes to an
+	// untyped failure that keeps the server's message.
+	var old Status
+	if err := old.Decode((&Status{Code: 1, Msg: "device run queue full"}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Code.Err(old.Msg); err == nil || err.Error() != "device run queue full" || errors.Unwrap(err) != nil {
+		t.Errorf("retired code 1 decodes to %v (unwraps to %v), want an untyped error with the server's message",
+			err, errors.Unwrap(err))
 	}
 	if CodeOf(nil) != CodeOK || CodeOK.Err("") != nil {
 		t.Error("CodeOK must map to nil and back")
