@@ -2,6 +2,7 @@ package main
 
 import (
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,27 @@ func TestParseDisable(t *testing.T) {
 		}
 		if !slices.Equal(got, c.want) {
 			t.Errorf("parseDisable(%q) = %q, want %q", c.list, got, c.want)
+		}
+	}
+}
+
+func TestCheckExp(t *testing.T) {
+	for _, id := range experimentIDs {
+		if err := checkExp(id); err != nil {
+			t.Errorf("checkExp(%q) = %v, want nil", id, err)
+		}
+	}
+	// The live-runtime harnesses are gone: their ids fail like any typo.
+	for _, id := range []string{"", "bogus", "live", "service", "FIG2", "fig16"} {
+		err := checkExp(id)
+		if err == nil {
+			t.Errorf("checkExp(%q) = nil, want an error", id)
+			continue
+		}
+		for _, valid := range experimentIDs {
+			if !strings.Contains(err.Error(), valid) {
+				t.Errorf("checkExp(%q) error %q does not name %q", id, err, valid)
+			}
 		}
 	}
 }

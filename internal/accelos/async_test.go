@@ -185,39 +185,6 @@ func TestAsyncFailurePropagation(t *testing.T) {
 	}
 }
 
-// TestCyclicWaitListRejectedProxyCL mirrors the opencl-level test at the
-// interposition boundary.
-func TestCyclicWaitListRejectedProxyCL(t *testing.T) {
-	rt := NewRuntime(opencl.GetPlatforms()[0])
-	defer rt.Shutdown()
-	app := rt.Connect("cycle")
-	defer app.Close()
-
-	prog, err := app.CreateProgram(vaddSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 64
-	a, _ := app.CreateBuffer(n * 4)
-	b, _ := app.CreateBuffer(n * 4)
-	c, _ := app.CreateBuffer(n * 4)
-	k, _ := prog.CreateKernel("vadd")
-	_ = k.SetArgBuffer(0, a)
-	_ = k.SetArgBuffer(1, b)
-	_ = k.SetArgBuffer(2, c)
-	_ = k.SetArgInt32(3, n)
-
-	u1, u2 := opencl.NewUserEvent(), opencl.NewUserEvent()
-	u1.CompleteWhen(u2)
-	u2.CompleteWhen(u1)
-	if _, err := app.EnqueueKernelAsync(k, opencl.ND1(n, 64), u1); !errors.Is(err, opencl.ErrCyclicWaitList) {
-		t.Fatalf("cyclic wait list: %v, want ErrCyclicWaitList", err)
-	}
-	if got := app.Outstanding(); got != 0 {
-		t.Fatalf("rejected enqueue left %d outstanding events", got)
-	}
-}
-
 // TestBufferReleaseFailsDeferredKernel releases a buffer while a kernel
 // depending on it is still gated: the kernel must fail with
 // ErrBufferReleased, and the memory-manager accounting must be returned

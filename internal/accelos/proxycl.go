@@ -93,13 +93,6 @@ func (a *App) end() {
 	a.mu.Unlock()
 }
 
-// Closed reports whether Close has begun.
-func (a *App) Closed() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.closed
-}
-
 // addBuf records a buffer handle so Close can release whatever the
 // application still holds. Released handles are compacted out once the
 // list doubles past its last high-water mark, so long-lived apps that
@@ -161,15 +154,12 @@ func (a *App) track(ev *opencl.Event) {
 // itself — the hook interposition layers (the wire service) use to
 // splice host-side conditions into the app's dependency graph while
 // Finish and Close still account for them.
-func (a *App) NewControlledEvent(waits ...*opencl.Event) (*opencl.Event, error) {
+func (a *App) NewControlledEvent() (*opencl.Event, error) {
 	if err := a.begin(); err != nil {
 		return nil, err
 	}
 	defer a.end()
-	if err := opencl.CheckWaitList(waits...); err != nil {
-		return nil, err
-	}
-	ev := opencl.NewControlledEvent(waits...)
+	ev := opencl.NewControlledEvent()
 	a.track(ev)
 	return ev, nil
 }
@@ -512,9 +502,6 @@ func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*o
 	if err := nd.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opencl.CheckWaitList(waits...); err != nil {
-		return nil, fmt.Errorf("accelos: kernel %q: %w", k.name, err)
-	}
 	args := make([]kernArg, len(k.args))
 	copy(args, k.args)
 	var bufs []*opencl.Buffer
@@ -539,7 +526,7 @@ func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*o
 			return nil, fmt.Errorf("accelos: kernel %q: %w", k.name, err)
 		}
 	}
-	ev := opencl.NewControlledEvent(waits...)
+	ev := opencl.NewControlledEvent()
 	ev.OnComplete(func(*opencl.Event) {
 		for _, b := range bufs {
 			b.Unpin()

@@ -270,16 +270,6 @@ func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
 	w.reg.Counter("divergence_fallbacks_total", telemetry.L("kernel", st.Kernel)).Add(st.Spills)
 }
 
-// SetProfiler installs a VM execution profiler on every platform the
-// runtime launches kernels on (nil removes it). Sampled per-opcode and
-// per-block profiles then accumulate for each kernel the interpreter
-// runs; see interp.ProfileOptions for the sampling period.
-func (rt *Runtime) SetProfiler(p *interp.Profiler) {
-	for _, plat := range rt.plats {
-		plat.Machines().SetProfiler(p)
-	}
-}
-
 // Shutdown stops the VM worker goroutines of every platform the
 // runtime launched on: what a runtime started is gone when Shutdown
 // returns.

@@ -17,8 +17,8 @@ import (
 // TestRuntimeTelemetryEndToEnd drives a kernel + transfers through a
 // fully instrumented runtime and checks every telemetry surface saw it:
 // the kernel lifecycle span tree, slice spans on a named machine, DMA
-// metrics under the tenant's queue label, the live scorecard, the VM
-// execution profile, and a loadable Chrome trace export.
+// metrics under the tenant's queue label, the live scorecard, and a
+// loadable Chrome trace export.
 func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 	rt := NewRuntime(opencl.GetPlatforms()[0])
 	defer rt.Shutdown()
@@ -26,8 +26,6 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	score := metrics.NewLiveScorecard()
 	rt.SetTelemetry(tr, reg, score)
-	prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
-	rt.SetProfiler(prof)
 
 	app := rt.Connect("tenant-a")
 	defer app.Close()
@@ -143,11 +141,6 @@ func TestRuntimeTelemetryEndToEnd(t *testing.T) {
 	}
 	if sc.Tenants[0].Slowdown < 1 {
 		t.Errorf("individual slowdown %f < 1", sc.Tenants[0].Slowdown)
-	}
-
-	snaps := prof.Snapshot()
-	if len(snaps) == 0 || snaps[0].Instrs == 0 {
-		t.Fatalf("profiler saw nothing: %+v", snaps)
 	}
 
 	var jsonBuf bytes.Buffer

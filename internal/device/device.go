@@ -34,12 +34,6 @@ type Platform struct {
 	// the hardware scheduler then admits a kernel's work-groups only
 	// once no other kernel is resident.
 	ExclusiveKernels bool
-
-	// PCIeGBps is the effective host↔device DMA bandwidth in GB/s. The
-	// live execution path can model transfer commands as wall-time DMA
-	// (host CPU idle), which is what an asynchronous host API overlaps
-	// with kernel execution.
-	PCIeGBps float64
 }
 
 // NVIDIAK20m models the paper's first platform: a Tesla K20m
@@ -60,7 +54,6 @@ func NVIDIAK20m() *Platform {
 		LaunchOverhead: 9000,
 		SchedOpCost:    150,
 		VGOverhead:     26,
-		PCIeGBps:       6.0, // PCIe 2.0 x16 effective
 	}
 }
 
@@ -83,7 +76,6 @@ func AMDR9295X2() *Platform {
 		SchedOpCost:      190,
 		VGOverhead:       30,
 		ExclusiveKernels: true,
-		PCIeGBps:         12.0, // PCIe 3.0 x16 effective
 	}
 }
 

@@ -161,9 +161,6 @@ func (m *Machine) Interrupt(msg string) {
 	m.interrupt.Store(&msg)
 }
 
-// Interrupted reports whether an interrupt is pending on the machine.
-func (m *Machine) Interrupted() bool { return m.interrupt.Load() != nil }
-
 // checkInterrupt panics the pending interrupt as an execution trap, if
 // one is set. It runs on the budget-flush path (once per stepBatch
 // instructions per work-item), so both engines observe interrupts

@@ -10,10 +10,10 @@ import (
 
 // This file is the event half of the asynchronous host API: every
 // Enqueue* call returns an *Event immediately and the command completes
-// in the background. Events carry a status, an error, completion
-// callbacks and — while incomplete — their recorded wait-list edges, so
-// the dispatcher can reject dependency cycles at enqueue time instead of
-// letting Finish deadlock on them.
+// in the background. Events carry a status, an error and completion
+// callbacks. An event's dependencies are fixed when it is created and
+// name only events that already exist, so the dependency graph is
+// acyclic by construction.
 
 // EventStatus is the lifecycle state of a command (mirrors the OpenCL
 // execution-status model, with an explicit failure state).
@@ -54,14 +54,6 @@ func (s EventStatus) String() string {
 // Terminal reports whether the status is final.
 func (s EventStatus) Terminal() bool { return s == EventComplete || s == EventFailed }
 
-// ErrCyclicWaitList marks a dependency cycle: no completion order
-// exists, so waiting on it would block forever. Command events always
-// depend on strictly older events, so cycles can only be closed by
-// CompleteWhen — which fails the closing event with this error — and an
-// Enqueue* whose wait list references a cycle-failed event is rejected
-// with it at enqueue time.
-var ErrCyclicWaitList = fmt.Errorf("opencl: wait list contains a dependency cycle")
-
 // Event is one asynchronously completing command (or a user event). It
 // is created by an Enqueue* call, NewUserEvent, or a runtime submission,
 // and completes exactly once.
@@ -72,8 +64,6 @@ type Event struct {
 	done   chan struct{}
 	cbs    []func(*Event)
 	rel    []func(*Event) // wait-list dependants (WhenAll); run before cbs
-	deps   []*Event       // recorded wait-list edges; cleared on completion
-	user   bool
 
 	// times stamps each status transition (indexed by EventStatus;
 	// terminal statuses share the EventComplete slot). The
@@ -81,10 +71,9 @@ type Event struct {
 	times [4]time.Time
 }
 
-// newEvent returns a queued event with the given dependency edges
-// recorded for cycle detection.
-func newEvent(deps []*Event) *Event {
-	e := &Event{done: make(chan struct{}), deps: deps}
+// newEvent returns a queued event.
+func newEvent() *Event {
+	e := &Event{done: make(chan struct{})}
 	e.times[EventQueued] = time.Now()
 	return e
 }
@@ -92,19 +81,13 @@ func newEvent(deps []*Event) *Event {
 // NewUserEvent returns an event completed by host code rather than by a
 // command (clCreateUserEvent): pass it in wait lists to gate commands on
 // host-side conditions, then call Complete or Fail exactly once.
-func NewUserEvent() *Event {
-	e := newEvent(nil)
-	e.user = true
-	return e
-}
+func NewUserEvent() *Event { return newEvent() }
 
 // NewControlledEvent returns an event that a runtime layer (e.g. the
-// accelOS daemon) completes itself, with the wait list recorded for
-// cycle detection. It is the producer-side constructor of the
-// interposition boundary; applications use queue Enqueue* calls instead.
-func NewControlledEvent(waits ...*Event) *Event {
-	return newEvent(compactWaits(waits))
-}
+// accelOS daemon) completes itself. It is the producer-side constructor
+// of the interposition boundary; applications use queue Enqueue* calls
+// instead.
+func NewControlledEvent() *Event { return newEvent() }
 
 // compactWaits drops nil entries (callers may pass optional events).
 func compactWaits(waits []*Event) []*Event {
@@ -293,7 +276,6 @@ func (e *Event) finish(err error) {
 	e.times[EventComplete] = time.Now()
 	rel, cbs := e.rel, e.cbs
 	e.rel, e.cbs = nil, nil
-	e.deps = nil // completed events cannot take part in cycles
 	e.mu.Unlock()
 	close(e.done)
 	for _, fn := range rel {
@@ -316,71 +298,6 @@ func (e *Event) Fail(err error) {
 		err = fmt.Errorf("opencl: event failed")
 	}
 	e.finish(err)
-}
-
-// CompleteWhen chains this (user or controlled) event to a wait list: it
-// completes when every listed event completes, or fails with the first
-// failure. CompleteWhen is the only way dependency edges are added after
-// an event's creation, so it is where cycles are caught: a chain that
-// would make the event (transitively) wait on itself immediately fails
-// it with ErrCyclicWaitList instead of recording a permanently
-// uncompletable edge — dependents then fail rather than hang, and the
-// dependency graph stays acyclic at all times.
-func (e *Event) CompleteWhen(waits ...*Event) {
-	ws := compactWaits(waits)
-	// chainMu makes the cycle scan and the edge append atomic across
-	// events: without it, two concurrent CompleteWhen calls could each
-	// miss the other's half of a cycle and record it undetected.
-	chainMu.Lock()
-	if reaches(ws, e) {
-		chainMu.Unlock()
-		e.finish(ErrCyclicWaitList)
-		return
-	}
-	e.mu.Lock()
-	if !e.status.Terminal() {
-		e.deps = append(e.deps, ws...)
-	}
-	e.mu.Unlock()
-	chainMu.Unlock()
-	WhenAll(ws, func(err error) { e.finish(err) })
-}
-
-// chainMu serializes CompleteWhen edge additions — the one way
-// dependency edges appear after an event's creation. Command enqueues
-// never contend for it: a freshly created event cannot close a cycle.
-var chainMu sync.Mutex
-
-// reaches reports whether target is reachable from any of the events
-// over recorded dependency edges (incomplete events only; completed
-// events drop their edges).
-func reaches(from []*Event, target *Event) bool {
-	seen := make(map[*Event]bool)
-	var visit func(ev *Event) bool
-	visit = func(ev *Event) bool {
-		if ev == target {
-			return true
-		}
-		if seen[ev] {
-			return false
-		}
-		seen[ev] = true
-		ev.mu.Lock()
-		deps := append([]*Event(nil), ev.deps...)
-		ev.mu.Unlock()
-		for _, d := range deps {
-			if visit(d) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, w := range from {
-		if w != nil && visit(w) {
-			return true
-		}
-	}
-	return false
 }
 
 // WhenAll invokes fn exactly once, after every listed event is terminal,
@@ -466,24 +383,4 @@ func (g *EventGroup) Pending() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.n
-}
-
-// CheckWaitList rejects wait lists that could never complete because of
-// a dependency cycle, returning ErrCyclicWaitList. The dependency graph
-// is acyclic by construction — command events only ever point at
-// strictly older events, and CompleteWhen (the one source of late
-// edges) fails a cycle-closing event on the spot — so the check is a
-// constant-time scan of the direct wait events for that cycle failure,
-// not a closure walk: enqueueing an N-long dependency chain stays O(N)
-// total.
-func CheckWaitList(waits ...*Event) error {
-	for _, w := range waits {
-		if w == nil {
-			continue
-		}
-		if err := w.Err(); err != nil && errors.Is(err, ErrCyclicWaitList) {
-			return ErrCyclicWaitList
-		}
-	}
-	return nil
 }

@@ -313,94 +313,6 @@ kernel void oob(global int* d)
 	}
 }
 
-// TestCyclicWaitListRejected builds a user-event cycle with CompleteWhen
-// and checks the enqueue whose wait list reaches it is rejected — so
-// Finish can never be deadlocked by an uncompletable dependency graph.
-func TestCyclicWaitListRejected(t *testing.T) {
-	ctx := GetPlatforms()[0].CreateContext()
-	q := ctx.CreateOutOfOrderQueue()
-	b, err := ctx.CreateBuffer(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u1, u2 := NewUserEvent(), NewUserEvent()
-	u1.CompleteWhen(u2)
-	u2.CompleteWhen(u1) // closes the cycle
-	if _, err := q.EnqueueWrite(b, 0, make([]byte, 4), u1); !errors.Is(err, ErrCyclicWaitList) {
-		t.Fatalf("cyclic wait list: err = %v, want ErrCyclicWaitList", err)
-	}
-	// The rejected enqueue left no command behind: Finish returns.
-	if err := q.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	// A diamond (same event reachable twice) is NOT a cycle.
-	d1, d2, d3 := NewUserEvent(), NewUserEvent(), NewUserEvent()
-	d2.CompleteWhen(d1)
-	d3.CompleteWhen(d1)
-	ev, err := q.EnqueueWrite(b, 0, make([]byte, 4), d2, d3)
-	if err != nil {
-		t.Fatalf("diamond wait list rejected: %v", err)
-	}
-	d1.Complete()
-	if err := ev.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCycleClosedAfterEnqueue closes a cycle AFTER a command was
-// already gated on one of its members: the command must fail with the
-// propagated cycle error rather than hang Finish forever.
-func TestCycleClosedAfterEnqueue(t *testing.T) {
-	ctx := GetPlatforms()[0].CreateContext()
-	q := ctx.CreateOutOfOrderQueue()
-	b, err := ctx.CreateBuffer(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u1 := NewUserEvent()
-	ev, err := q.EnqueueWrite(b, 0, make([]byte, 4), u1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2 := NewUserEvent()
-	u1.CompleteWhen(u2)
-	u2.CompleteWhen(u1) // closes the cycle: u2 fails on the spot
-	if werr := u2.Wait(); !errors.Is(werr, ErrCyclicWaitList) {
-		t.Fatalf("cycle-closing event: %v, want ErrCyclicWaitList", werr)
-	}
-	if werr := ev.Wait(); !errors.Is(werr, ErrCyclicWaitList) {
-		t.Fatalf("gated command: %v, want propagated ErrCyclicWaitList", werr)
-	}
-	if err := q.Finish(); err != nil { // must not hang
-		t.Fatal(err)
-	}
-}
-
-// TestConcurrentCompleteWhenCycle races two CompleteWhen calls that
-// together close a cycle: exactly one must lose and fail with
-// ErrCyclicWaitList (the other then fails by propagation), never
-// recording an undetected cycle that would hang Finish.
-func TestConcurrentCompleteWhenCycle(t *testing.T) {
-	for round := 0; round < 100; round++ {
-		u1, u2 := NewUserEvent(), NewUserEvent()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); u1.CompleteWhen(u2) }()
-		go func() { defer wg.Done(); u2.CompleteWhen(u1) }()
-		wg.Wait()
-		done := make(chan error, 1)
-		go func() { done <- WaitAll(u1, u2) }()
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrCyclicWaitList) {
-				t.Fatalf("round %d: cycle resolved with %v, want ErrCyclicWaitList", round, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("round %d: concurrent CompleteWhen recorded an undetected cycle (events never terminal)", round)
-		}
-	}
-}
-
 // TestEnqueueNonBlocking checks the core contract: Enqueue* returns
 // while a previously enqueued kernel is still running.
 func TestEnqueueNonBlocking(t *testing.T) {

@@ -36,13 +36,10 @@ func SetFaultInjector(in *fault.Injector) {
 type MachinePool struct {
 	mu   sync.Mutex
 	free map[*ir.Module][]*interp.Machine
-	// prof, when set, is installed on every machine the pool hands out
-	// (new or reused), so one SetProfiler call covers launches already
-	// drawing on parked machines. nextMach names machines "mach-N" in
-	// construction order for trace output.
-	prof *interp.Profiler
 	// warp, when set, receives per-launch warp execution stats from
 	// every machine the pool hands out (see interp.WarpStatsSink).
+	// nextMach names machines "mach-N" in construction order for trace
+	// output.
 	warp     interp.WarpStatsSink
 	nextMach int
 
@@ -94,16 +91,6 @@ func (p *MachinePool) Close() {
 	}
 }
 
-// SetProfiler installs (or, with nil, removes) a VM execution profiler
-// on every machine the pool subsequently hands out, including reused
-// ones. The profiler itself is concurrency-safe, so all of the pool's
-// machines share it.
-func (p *MachinePool) SetProfiler(prof *interp.Profiler) {
-	p.mu.Lock()
-	p.prof = prof
-	p.mu.Unlock()
-}
-
 // SetWarpStats installs (or, with nil, removes) a warp-statistics sink
 // on every machine the pool subsequently hands out, including reused
 // ones. The sink must be concurrency-safe.
@@ -111,13 +98,6 @@ func (p *MachinePool) SetWarpStats(s interp.WarpStatsSink) {
 	p.mu.Lock()
 	p.warp = s
 	p.mu.Unlock()
-}
-
-// seedLocked installs the pool's shared sinks on a machine about to be
-// handed out.
-func (p *MachinePool) seedLocked(m *interp.Machine) {
-	m.Profiler = p.prof
-	m.WarpStats = p.warp
 }
 
 // Acquire returns a machine for the module, reusing an idle one when
@@ -136,12 +116,12 @@ func (p *MachinePool) Acquire(mod *ir.Module) *interp.Machine {
 			p.free[mod] = ms[:n-1]
 		}
 		m.Workers = w
-		p.seedLocked(m)
+		m.WarpStats = p.warp
 		return m
 	}
 	m := interp.NewMachine(mod)
 	m.Workers = w
-	p.seedLocked(m)
+	m.WarpStats = p.warp
 	m.Name = fmt.Sprintf("mach-%d", p.nextMach)
 	p.nextMach++
 	return m

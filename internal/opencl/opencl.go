@@ -11,7 +11,6 @@ package opencl
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/clc"
 	"repro/internal/device"
@@ -53,7 +52,6 @@ type Context struct {
 
 	mu        sync.Mutex
 	allocated int64
-	modelDMA  bool
 	tracer    *telemetry.Tracer
 	metrics   *telemetry.Registry
 }
@@ -87,29 +85,6 @@ func (c *Context) telemetrySinks() (*telemetry.Tracer, *telemetry.Registry) {
 // CreateContext returns a context on the platform.
 func (p *Platform) CreateContext() *Context {
 	return &Context{Plat: p}
-}
-
-// SetDMAModel enables (or disables) modeled DMA timing on this context's
-// queues: transfer commands then take bytes/PCIeGBps of wall time, with
-// the host CPU idle — as on real hardware, where a DMA engine moves the
-// data. This is what the asynchronous API overlaps with kernel
-// execution; it is off by default so functional tests pay nothing.
-func (c *Context) SetDMAModel(on bool) {
-	c.mu.Lock()
-	c.modelDMA = on
-	c.mu.Unlock()
-}
-
-// dmaDelay returns the modeled DMA wall time for a transfer of n bytes
-// (zero when the model is disabled or the device has no modeled bus).
-func (c *Context) dmaDelay(n int) time.Duration {
-	c.mu.Lock()
-	on := c.modelDMA
-	c.mu.Unlock()
-	if !on || c.Plat == nil || c.Plat.Dev.PCIeGBps <= 0 {
-		return 0
-	}
-	return time.Duration(float64(n) / (c.Plat.Dev.PCIeGBps * 1e9) * float64(time.Second))
 }
 
 // GlobalMemBytes returns the device memory capacity.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -70,14 +69,11 @@ func (c *Context) CreateOutOfOrderQueue() *CommandQueue {
 	return q
 }
 
-// OutOfOrder reports the queue's execution mode.
-func (q *CommandQueue) OutOfOrder() bool { return q.outOfOrder }
-
-// enqueue is the dispatcher: it records the command's dependency edges
-// (wait list plus, on in-order queues, the implicit chain), rejects
-// cyclic wait lists, pins the buffers the command touches, and releases
-// the command body to a background goroutine once every dependency has
-// completed. It returns the command's event without blocking.
+// enqueue is the dispatcher: it gathers the command's dependencies
+// (wait list plus, on in-order queues, the implicit chain), pins the
+// buffers the command touches, and releases the command body to a
+// background goroutine once every dependency has completed. It returns
+// the command's event without blocking.
 //
 // op and nbytes describe the command for telemetry: when the context
 // carries a tracer/registry, completion emits a span from the event's
@@ -88,10 +84,6 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 	q.mu.Lock()
 	if !q.outOfOrder && q.chain != nil {
 		deps = append(deps, q.chain)
-	}
-	if err := CheckWaitList(deps...); err != nil {
-		q.mu.Unlock()
-		return nil, fmt.Errorf("%s: %w", what, err)
 	}
 	pinned := make([]*Buffer, 0, len(bufs))
 	for _, b := range bufs {
@@ -104,7 +96,7 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 		}
 		pinned = append(pinned, b)
 	}
-	ev := newEvent(deps)
+	ev := newEvent()
 	if !q.outOfOrder {
 		q.chain = ev
 	}
@@ -180,9 +172,6 @@ func (q *CommandQueue) EnqueueWrite(b *Buffer, off int64, data []byte, waits ...
 		return nil, fmt.Errorf("opencl: write outside buffer bounds")
 	}
 	return q.enqueue("opencl: write", "write", len(data), []*Buffer{b}, waits, func() error {
-		if d := q.Ctx.dmaDelay(len(data)); d > 0 {
-			time.Sleep(d)
-		}
 		copy(b.Bytes[off:], data)
 		return nil
 	})
@@ -195,9 +184,6 @@ func (q *CommandQueue) EnqueueRead(b *Buffer, off int64, out []byte, waits ...*E
 		return nil, fmt.Errorf("opencl: read outside buffer bounds")
 	}
 	return q.enqueue("opencl: read", "read", len(out), []*Buffer{b}, waits, func() error {
-		if d := q.Ctx.dmaDelay(len(out)); d > 0 {
-			time.Sleep(d)
-		}
 		copy(out, b.Bytes[off:])
 		return nil
 	})
@@ -251,16 +237,10 @@ func (q *CommandQueue) EnqueueMarker(waits ...*Event) (*Event, error) {
 	return q.enqueue("opencl: marker", "marker", 0, nil, waits, func() error { return nil })
 }
 
-// Flush returns once every enqueued command has been issued to the
-// dispatcher. Commands are dispatched eagerly at enqueue time, so Flush
-// is complete by construction; it exists for call-shape compatibility.
-func (q *CommandQueue) Flush() {}
-
 // Finish blocks until every command enqueued so far has reached a
 // terminal status and returns nil; per-command errors are reported on
 // the commands' own events. A wait list referencing a user event that is
-// never completed blocks Finish — cyclic wait lists, which could never
-// complete, are rejected at enqueue time instead.
+// never completed blocks Finish.
 func (q *CommandQueue) Finish() error {
 	q.group.Wait()
 	return nil

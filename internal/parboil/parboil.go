@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/accelpass"
 	"repro/internal/clc"
-	"repro/internal/ir"
 	"repro/internal/passes"
 	"repro/internal/sim"
 )
@@ -182,9 +181,4 @@ func (k *Kernel) jitMeta() JITMeta {
 	}
 	metaCache[k.FullName()] = m
 	return m
-}
-
-// Compile compiles the kernel's source to an IR module.
-func (k *Kernel) Compile() (*ir.Module, error) {
-	return clc.Compile(k.Source, k.Benchmark+"_"+k.Name)
 }

@@ -458,7 +458,7 @@ func (b *RemoteBuffer) Release() {
 
 // enqueueEvent registers a mirror event for an enqueue under a fresh
 // request id. Caller sends the frame with the returned id.
-func (c *Client) enqueueEvent(waits []*opencl.Event, onDone func()) (uint64, *opencl.Event, error) {
+func (c *Client) enqueueEvent(onDone func()) (uint64, *opencl.Event, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -466,7 +466,7 @@ func (c *Client) enqueueEvent(waits []*opencl.Event, onDone func()) (uint64, *op
 	}
 	c.nextReq++
 	req := c.nextReq
-	ev := opencl.NewControlledEvent(waits...)
+	ev := opencl.NewControlledEvent()
 	c.events[req] = &pendingEvent{ev: ev, onDone: onDone}
 	c.evIDs[ev] = req
 	c.group.Add(ev)
@@ -519,15 +519,12 @@ func (c *Client) EnqueueKernelAsync(k *RemoteKernel, nd opencl.NDRange, waits ..
 	if err := nd.Validate(); err != nil {
 		return nil, err
 	}
-	if err := opencl.CheckWaitList(waits...); err != nil {
-		return nil, err
-	}
 	args, err := k.snapshot()
 	if err != nil {
 		return nil, err
 	}
 	ids, depErr := c.waitIDs(waits)
-	req, ev, err := c.enqueueEvent(waits, nil)
+	req, ev, err := c.enqueueEvent(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -570,13 +567,10 @@ func (c *Client) EnqueueKernel(k *RemoteKernel, nd opencl.NDRange) error {
 // completes.
 func (b *RemoteBuffer) WriteAsync(off int64, data []byte, waits ...*opencl.Event) (*opencl.Event, error) {
 	c := b.c
-	if err := opencl.CheckWaitList(waits...); err != nil {
-		return nil, err
-	}
 	if off < 0 || off+int64(len(data)) > b.size {
 		return nil, fmt.Errorf("service: write [%d,%d) outside buffer of %d bytes", off, off+int64(len(data)), b.size)
 	}
-	req, ev, err := c.enqueueEvent(waits, nil)
+	req, ev, err := c.enqueueEvent(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -626,14 +620,11 @@ func (b *RemoteBuffer) copyOut(off int64, out []byte) bool {
 // copied out of the shared mapping into out when the signal lands.
 func (b *RemoteBuffer) ReadAsync(off int64, out []byte, waits ...*opencl.Event) (*opencl.Event, error) {
 	c := b.c
-	if err := opencl.CheckWaitList(waits...); err != nil {
-		return nil, err
-	}
 	if off < 0 || off+int64(len(out)) > b.size {
 		return nil, fmt.Errorf("service: read [%d,%d) outside buffer of %d bytes", off, off+int64(len(out)), b.size)
 	}
 	ids, depErr := c.waitIDs(waits)
-	req, ev, err := c.enqueueEvent(waits, func() {
+	req, ev, err := c.enqueueEvent(func() {
 		if !b.copyOut(off, out) {
 			// Mapping died between the daemon's signal and the copy;
 			// the event still completes — matching a released buffer's

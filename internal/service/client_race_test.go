@@ -25,7 +25,7 @@ func TestMirrorKnownUntilTerminal(t *testing.T) {
 	for _, code := range []wire.Code{wire.CodeOK, wire.CodeOf(wire.ErrNotFound)} {
 		var ev *opencl.Event
 		var during error
-		req, ev, err := c.enqueueEvent(nil, func() { _, during = c.waitIDs([]*opencl.Event{ev}) })
+		req, ev, err := c.enqueueEvent(func() { _, during = c.waitIDs([]*opencl.Event{ev}) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -809,7 +809,13 @@ func (c *conn) handleEnqueueCopy(req uint64, m wire.EnqueueCopy) {
 			return
 		}
 		c.registerEvent(req, ev, op, start)
-		ev.CompleteWhen(waits...)
+		opencl.WhenAll(waits, func(err error) {
+			if err != nil {
+				ev.Fail(err)
+				return
+			}
+			ev.Complete()
+		})
 	default:
 		c.releaseSlot()
 		c.eventDone(req, fmt.Errorf("%w: unknown copy direction %d", wire.ErrBadRequest, m.Dir))

@@ -356,6 +356,83 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServiceGatedReadJoin drives the daemon's read join: a read's
+// event completes when the server-side events it waits on do, or fails
+// with the first of their failures. Each chain is a client write gated
+// on a user event, a kernel behind the write and a read behind the
+// kernel, and the gate resolves only after the read has been sent, so
+// the join is already waiting when the outcome arrives. A failed gate
+// must fail the read with the propagated error; a completed one must
+// read back what the kernel wrote. Either way the daemon drains.
+func TestServiceGatedReadJoin(t *testing.T) {
+	d := startDaemon(t)
+	c, err := Dial(d.sock, "join", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	prog, err := c.CreateProgram(svcIncSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := prog.CreateKernel("inc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	buf, err := c.CreateBuffer(n * 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetArgBuffer(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetArgInt32(1, n); err != nil {
+		t.Fatal(err)
+	}
+	in, out, want := make([]byte, n*4), make([]byte, n*4), make([]byte, n*4)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint32(in[i*4:], uint32(3*i))
+		binary.LittleEndian.PutUint32(want[i*4:], uint32(3*i+1))
+	}
+	cause := fmt.Errorf("gate: %w", accelos.ErrDeviceLost)
+	for _, fail := range []bool{true, false} {
+		gate := opencl.NewUserEvent()
+		wev, err := buf.WriteAsync(0, in, gate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kev, err := c.EnqueueKernelAsync(k, opencl.ND1(n, 64), wev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev, err := buf.ReadAsync(0, out, kev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fail {
+			gate.Fail(cause)
+			err := rev.Wait()
+			if !errors.Is(err, accelos.ErrDeviceLost) || !strings.Contains(err.Error(), "gate") {
+				t.Fatalf("read behind a failed gate: %v, want the propagated %v", err, cause)
+			}
+			continue
+		}
+		gate.Complete()
+		if err := rev.Wait(); err != nil {
+			t.Fatalf("read behind a completed gate: %v", err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatal("read behind a completed gate returned the wrong bytes")
+		}
+	}
+	buf.Release()
+	c.Finish()
+	if final := d.stop(t); final != "FINAL mem=0 active=0" {
+		t.Fatalf("daemon final state %q", final)
+	}
+}
+
 // parboilNative caches the in-process reference results (RunNative)
 // for every Parboil kernel, shared across the parity and churn tests.
 var (
