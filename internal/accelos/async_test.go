@@ -240,8 +240,8 @@ func TestBufferReleaseFailsDeferredKernel(t *testing.T) {
 
 // TestDeferredFreeAfterAppClose pins a buffer with a gated kernel,
 // releases the buffer AND closes the app, then lets the pin drain: the
-// deferred free must not subtract the bytes a second time after
-// ReleaseApp already reclaimed the app's tally.
+// deferred free must return the bytes exactly once, after Close
+// released the app's other buffers.
 func TestDeferredFreeAfterAppClose(t *testing.T) {
 	rt := NewRuntime(opencl.GetPlatforms()[0])
 	defer rt.Shutdown()
@@ -267,7 +267,7 @@ func TestDeferredFreeAfterAppClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Release() // free deferred: the gated kernel pins c
-	app.Close() // ReleaseApp reclaims the app's whole tally
+	app.Close() // releases a and b now; c's free waits for the kernel
 	gate.Complete()
 	_ = ev.Wait()
 	deadline := time.Now().Add(2 * time.Second)

@@ -52,11 +52,12 @@ func (m *MemoryManager) Alloc(appID int, size int64) error {
 }
 
 // Free releases size bytes owned by the application and resumes paused
-// applications. A buffer's deferred release (pinned by in-flight
-// commands at Release time) may land after ReleaseApp already reclaimed
-// the application's whole tally at process exit; the free is clamped to
-// what the application still holds so the bytes are never subtracted
-// twice.
+// applications. Every buffer returns its bytes here once, when it is
+// really freed — a buffer pinned by in-flight commands at Release time,
+// even one of an application that has since closed, only once the last
+// command unpins it — so the ledger matches the context's allocations.
+// The free is clamped to what the application holds, so a mismatched
+// one cannot drive the ledger negative.
 func (m *MemoryManager) Free(appID int, size int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -68,16 +69,6 @@ func (m *MemoryManager) Free(appID int, size int64) {
 	if m.perApp[appID] <= 0 {
 		delete(m.perApp, appID)
 	}
-	m.cond.Broadcast()
-}
-
-// ReleaseApp frees everything the application still holds (process
-// exit).
-func (m *MemoryManager) ReleaseApp(appID int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.used -= m.perApp[appID]
-	delete(m.perApp, appID)
 	m.cond.Broadcast()
 }
 

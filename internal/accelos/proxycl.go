@@ -102,7 +102,7 @@ func (a *App) addBuf(h *BufferHandle) {
 	if len(a.bufs) >= 2*a.bufHigh+16 {
 		live := a.bufs[:0]
 		for _, b := range a.bufs {
-			if b.handle() != nil {
+			if !b.Released() {
 				live = append(live, b)
 			}
 		}
@@ -141,7 +141,6 @@ func (a *App) Close() {
 	for _, h := range bufs {
 		h.Release()
 	}
-	a.rt.mem.ReleaseApp(a.ID)
 }
 
 // track registers an event against the app's outstanding set (Finish
@@ -210,14 +209,15 @@ func (a *App) CreateProgram(src string) (*Program, error) {
 	return &Program{app: a, Source: src, build: b}, nil
 }
 
-// BufferHandle is the application's device memory handle.
+// BufferHandle is the application's device memory handle: the
+// opencl.Buffer, which owns the release state — commands pin it at
+// enqueue, and a released buffer fails them rather than yanking the
+// bytes — plus what accelOS hangs on its free.
 type BufferHandle struct {
 	app *App
 	// Size in bytes.
 	Size int64
-
-	mu  sync.Mutex
-	buf *opencl.Buffer
+	buf  *opencl.Buffer
 
 	// onFree, when set, runs after the memory-manager accounting is
 	// returned (i.e. once the last pin is gone and the backing is dead).
@@ -225,14 +225,8 @@ type BufferHandle struct {
 	onFree func()
 }
 
-// handle returns the underlying buffer, or nil after Release. Commands
-// resolve it once at enqueue time and pin it; a later Release then
-// fails the command rather than yanking the bytes.
-func (h *BufferHandle) handle() *opencl.Buffer {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.buf
-}
+// Released reports whether the buffer has been released.
+func (h *BufferHandle) Released() bool { return h.buf.Released() }
 
 // CreateBuffer allocates device memory. The accelOS memory manager may
 // pause the application (block) until peers release memory (§5).
@@ -269,9 +263,7 @@ func (a *App) createBuffer(size int64, mk func() (*opencl.Buffer, error), onFree
 		return nil, err
 	}
 	if err := a.begin(); err != nil {
-		// Closed while paused. ReleaseApp may have run before the Alloc
-		// landed, so this Free either returns the bytes or clamps to a
-		// no-op — the accounting nets to zero either way.
+		// Closed while paused: return the bytes the Alloc just took.
 		a.rt.mem.Free(a.ID, size)
 		return nil, err
 	}
@@ -292,15 +284,8 @@ func (a *App) createBuffer(size int64, mk func() (*opencl.Buffer, error), onFree
 // clear error instead of racing on the bytes, and a double Release is a
 // no-op.
 func (h *BufferHandle) Release() {
-	h.mu.Lock()
-	b := h.buf
-	h.buf = nil
-	h.mu.Unlock()
-	if b == nil {
-		return
-	}
 	app, size, onFree := h.app, h.Size, h.onFree
-	b.ReleaseFunc(func() {
+	h.buf.ReleaseFunc(func() {
 		app.rt.mem.Free(app.ID, size)
 		if onFree != nil {
 			onFree()
@@ -317,11 +302,7 @@ func (h *BufferHandle) WriteAsync(off int64, data []byte, waits ...*opencl.Event
 		return nil, err
 	}
 	defer h.app.end()
-	b := h.handle()
-	if b == nil {
-		return nil, fmt.Errorf("accelos: %w", opencl.ErrBufferReleased)
-	}
-	ev, err := h.app.q.EnqueueWrite(b, off, data, waits...)
+	ev, err := h.app.q.EnqueueWrite(h.buf, off, data, waits...)
 	if err != nil {
 		return nil, err
 	}
@@ -336,11 +317,7 @@ func (h *BufferHandle) ReadAsync(off int64, out []byte, waits ...*opencl.Event) 
 		return nil, err
 	}
 	defer h.app.end()
-	b := h.handle()
-	if b == nil {
-		return nil, fmt.Errorf("accelos: %w", opencl.ErrBufferReleased)
-	}
-	ev, err := h.app.q.EnqueueRead(b, off, out, waits...)
+	ev, err := h.app.q.EnqueueRead(h.buf, off, out, waits...)
 	if err != nil {
 		return nil, err
 	}
@@ -368,132 +345,53 @@ func (h *BufferHandle) Read(off int64, out []byte) error {
 	return ev.Wait()
 }
 
-// KernelHandle is the application's kernel object with bound arguments.
+// KernelHandle is the application's kernel object: an opencl.Kernel
+// over the program's original module, so its arity and bindings are the
+// original signature's. The Kernel Scheduler appends the RT descriptor
+// when it launches the transformed wrapper.
 type KernelHandle struct {
 	prog *Program
-	name string
-	args []kernArg
-}
-
-type kernArg struct {
-	set bool
-	buf *BufferHandle
-	// clb is the underlying buffer resolved (and pinned) at enqueue
-	// time; the daemon binds it instead of re-reading the handle, which
-	// the application may Release concurrently.
-	clb *opencl.Buffer
-	loc int64 // > 0: local-memory argument of this byte size
-	i32 *int32
-	i64 *int64
-	f32 *float32
+	cl   *opencl.Kernel
 }
 
 // CreateKernel resolves a kernel by its original name (the JIT keeps
 // the name on the scheduling wrapper, so this is transparent).
 func (p *Program) CreateKernel(name string) (*KernelHandle, error) {
-	f := p.orig.Lookup(name)
-	if f == nil || !f.Kernel {
-		return nil, fmt.Errorf("accelos: kernel %q not found", name)
+	cl, err := (&opencl.Program{Module: p.orig}).CreateKernel(name)
+	if err != nil {
+		return nil, err
 	}
-	return &KernelHandle{prog: p, name: name, args: make([]kernArg, len(f.Params))}, nil
+	return &KernelHandle{prog: p, cl: cl}, nil
 }
 
 // NumArgs reports the kernel's arity (its original signature, before
 // the JIT appends the RT descriptor).
-func (k *KernelHandle) NumArgs() int { return len(k.args) }
+func (k *KernelHandle) NumArgs() int { return k.cl.NumArgs() }
 
 // SetArgBuffer binds a buffer argument.
-func (k *KernelHandle) SetArgBuffer(i int, b *BufferHandle) error {
-	if i < 0 || i >= len(k.args) {
-		return fmt.Errorf("accelos: argument %d out of range", i)
-	}
-	k.args[i] = kernArg{set: true, buf: b}
-	return nil
-}
+func (k *KernelHandle) SetArgBuffer(i int, b *BufferHandle) error { return k.cl.SetArgBuffer(i, b.buf) }
 
 // SetArgInt32 binds an int scalar argument.
-func (k *KernelHandle) SetArgInt32(i int, v int32) error {
-	if i < 0 || i >= len(k.args) {
-		return fmt.Errorf("accelos: argument %d out of range", i)
-	}
-	k.args[i] = kernArg{set: true, i32: &v}
-	return nil
-}
+func (k *KernelHandle) SetArgInt32(i int, v int32) error { return k.cl.SetArgInt32(i, v) }
 
 // SetArgInt64 binds a long scalar argument.
-func (k *KernelHandle) SetArgInt64(i int, v int64) error {
-	if i < 0 || i >= len(k.args) {
-		return fmt.Errorf("accelos: argument %d out of range", i)
-	}
-	k.args[i] = kernArg{set: true, i64: &v}
-	return nil
-}
+func (k *KernelHandle) SetArgInt64(i int, v int64) error { return k.cl.SetArgInt64(i, v) }
 
 // SetArgFloat32 binds a float scalar argument.
-func (k *KernelHandle) SetArgFloat32(i int, v float32) error {
-	if i < 0 || i >= len(k.args) {
-		return fmt.Errorf("accelos: argument %d out of range", i)
-	}
-	k.args[i] = kernArg{set: true, f32: &v}
-	return nil
-}
+func (k *KernelHandle) SetArgFloat32(i int, v float32) error { return k.cl.SetArgFloat32(i, v) }
 
 // SetArgLocal binds a local-memory argument of the given byte size for
 // a __local pointer parameter: every work-group of the launch receives
 // its own zeroed local region of that size.
-func (k *KernelHandle) SetArgLocal(i int, size int64) error {
-	if i < 0 || i >= len(k.args) {
-		return fmt.Errorf("accelos: argument %d out of range", i)
-	}
-	if size <= 0 {
-		return fmt.Errorf("accelos: local argument %d has non-positive size %d", i, size)
-	}
-	k.args[i] = kernArg{set: true, loc: size}
-	return nil
-}
-
-// toCL materializes an opencl.Kernel with the bound arguments. The
-// argument list is sized by the ORIGINAL kernel signature; the Kernel
-// Scheduler appends the RT descriptor for the transformed wrapper.
-func (k *KernelHandle) toCL() (*opencl.Kernel, error) {
-	p := &opencl.Program{Module: k.prog.orig}
-	cl, err := p.CreateKernel(k.name)
-	if err != nil {
-		return nil, fmt.Errorf("accelos: kernel %q: %w", k.name, err)
-	}
-	for i, a := range k.args {
-		switch {
-		case a.clb != nil:
-			err = cl.SetArgBuffer(i, a.clb)
-		case a.buf != nil:
-			b := a.buf.handle()
-			if b == nil {
-				return nil, fmt.Errorf("accelos: kernel %q argument %d: %w", k.name, i, opencl.ErrBufferReleased)
-			}
-			err = cl.SetArgBuffer(i, b)
-		case a.loc > 0:
-			err = cl.SetArgLocal(i, a.loc)
-		case a.i32 != nil:
-			err = cl.SetArgInt32(i, *a.i32)
-		case a.i64 != nil:
-			err = cl.SetArgInt64(i, *a.i64)
-		case a.f32 != nil:
-			err = cl.SetArgFloat32(i, *a.f32)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("accelos: kernel %q: %w", k.name, err)
-		}
-	}
-	return cl, nil
-}
+func (k *KernelHandle) SetArgLocal(i int, size int64) error { return k.cl.SetArgLocal(i, size) }
 
 // EnqueueKernelAsync intercepts clEnqueueNDRangeKernel: scenario (b) —
 // the Kernel Scheduler alters the grid and launches the transformed
 // kernel. The call returns the execution's event immediately; the
 // kernel starts once every wait-list event completes (a failed
 // dependency fails this event instead of launching). Arguments are
-// snapshotted at enqueue, and the buffers they name stay pinned until
-// the event completes.
+// frozen at enqueue (opencl.Kernel.Snapshot), and the buffers they name
+// stay pinned until the event completes.
 func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*opencl.Event) (*opencl.Event, error) {
 	if err := a.begin(); err != nil {
 		return nil, err
@@ -502,28 +400,16 @@ func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*o
 	if err := nd.Validate(); err != nil {
 		return nil, err
 	}
-	args := make([]kernArg, len(k.args))
-	copy(args, k.args)
-	var bufs []*opencl.Buffer
-	for i, arg := range args {
-		if !arg.set {
-			return nil, fmt.Errorf("accelos: kernel %q argument %d not set", k.name, i)
-		}
-		if arg.buf != nil {
-			b := arg.buf.handle()
-			if b == nil {
-				return nil, fmt.Errorf("accelos: kernel %q argument %d: %w", k.name, i, opencl.ErrBufferReleased)
-			}
-			args[i].clb = b
-			bufs = append(bufs, b)
-		}
+	snap, bufs, err := k.cl.Snapshot()
+	if err != nil {
+		return nil, err
 	}
 	for pi, b := range bufs {
 		if err := b.Pin(); err != nil {
 			for _, p := range bufs[:pi] {
 				p.Unpin()
 			}
-			return nil, fmt.Errorf("accelos: kernel %q: %w", k.name, err)
+			return nil, fmt.Errorf("accelos: kernel %q: %w", snap.Name, err)
 		}
 	}
 	ev := opencl.NewControlledEvent()
@@ -533,8 +419,7 @@ func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*o
 		}
 	})
 	a.track(ev)
-	snap := &KernelHandle{prog: k.prog, name: k.name, args: args}
-	a.rt.scheduleKernel(a, snap, nd, waits, ev, bufs)
+	a.rt.scheduleKernel(a, k.prog, snap, nd, waits, ev, bufs)
 	return ev, nil
 }
 

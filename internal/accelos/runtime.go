@@ -420,32 +420,28 @@ func (b *build) compile(src, name string) error {
 // refusal fails it rather than the call. A submission with an
 // incomplete wait list is registered as pending immediately — the
 // scheduler sees the app's whole dependency window — and admitted to a
-// device when the last dependency completes. nd was validated by the
-// caller; bufs are the argument buffers it pinned.
-func (rt *Runtime) scheduleKernel(app *App, k *KernelHandle, nd opencl.NDRange, waits []*opencl.Event, ev *opencl.Event, bufs []*opencl.Buffer) {
-	info := k.prog.infos[k.name]
+// device when the last dependency completes. k is the frozen kernel of
+// prog's original module, nd was validated by the caller, and bufs are
+// the argument buffers it pinned.
+func (rt *Runtime) scheduleKernel(app *App, prog *Program, k *opencl.Kernel, nd opencl.NDRange, waits []*opencl.Event, ev *opencl.Event, bufs []*opencl.Buffer) {
+	info := prog.infos[k.Name]
 	if info == nil {
-		ev.Fail(fmt.Errorf("accelos: kernel %q has no JIT metadata", k.name))
+		ev.Fail(fmt.Errorf("accelos: kernel %q has no JIT metadata", k.Name))
 		return
 	}
 	// Repeat watchdog offenders are refused before they consume a
 	// scheduler slot: one tenant's runaway kernel must not keep
 	// re-entering the fleet to burn its deadline over and over.
-	if rt.isQuarantined(app.Name, k.name) {
+	if rt.isQuarantined(app.Name, k.Name) {
 		rt.reg.Counter("admission_rejections_total", telemetry.L("tenant", app.Name)).Add(1)
-		ev.Fail(fmt.Errorf("accelos: kernel %q (tenant %q): %w", k.name, app.Name, ErrKernelQuarantined))
-		return
-	}
-	cl, err := k.toCL()
-	if err != nil {
-		ev.Fail(err)
+		ev.Fail(fmt.Errorf("accelos: kernel %q (tenant %q): %w", k.Name, app.Name, ErrKernelQuarantined))
 		return
 	}
 	// Describe this execution for the resource-sharing algorithm, and
 	// register it: the scheduler sees it from here to its terminal event.
 	rec := &launchRec{
 		app:  app.Name,
-		kern: k.name,
+		kern: k.Name,
 		ce: &sim.ClusterExec{Tenant: app.Name, K: &sim.KernelExec{
 			WGSize:             nd.WGSize(),
 			NumWGs:             nd.TotalGroups(),
@@ -456,8 +452,8 @@ func (rt *Runtime) scheduleKernel(app *App, k *KernelHandle, nd opencl.NDRange, 
 			TransLocalBytes:    info.LocalBytes,
 		}},
 		devIdx:  -1,
-		mod:     k.prog.trans,
-		cl:      cl,
+		mod:     prog.trans,
+		cl:      k,
 		nd:      nd,
 		rtWords: rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, info.Chunk),
 		bufs:    bufs,

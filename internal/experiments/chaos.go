@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -57,11 +58,35 @@ func typedRuntimeFault(err error) bool {
 		errors.Is(err, opencl.ErrBufferReleased)
 }
 
-// runParboilViaApp replays one kernel's verification launch through the
-// in-process App API — uploads behind events, kernel behind the
-// uploads, read-backs behind the kernel — and compares every buffer
-// against the native reference.
-func runParboilViaApp(app *accelos.App, k *parboil.Kernel, native [][]byte) error {
+// proxyBuffer, proxyKernel, proxyProgram and proxyApp are the ProxyCL
+// surface a Parboil replay uses, which accelos.App and service.Client
+// both provide.
+type proxyBuffer interface {
+	WriteAsync(off int64, data []byte, waits ...*opencl.Event) (*opencl.Event, error)
+	ReadAsync(off int64, out []byte, waits ...*opencl.Event) (*opencl.Event, error)
+	Release()
+}
+
+type proxyKernel[B proxyBuffer] interface {
+	SetArgInt32(i int, v int32) error
+	SetArgBuffer(i int, b B) error
+}
+
+type proxyProgram[K any] interface {
+	CreateKernel(name string) (K, error)
+}
+
+type proxyApp[P proxyProgram[K], K proxyKernel[B], B proxyBuffer] interface {
+	CreateProgram(src string) (P, error)
+	CreateBuffer(size int64) (B, error)
+	EnqueueKernelAsync(k K, nd opencl.NDRange, waits ...*opencl.Event) (*opencl.Event, error)
+}
+
+// replayParboil replays one kernel's verification launch through a
+// ProxyCL surface — uploads behind events, kernel behind the uploads,
+// read-backs behind the kernel — and compares every buffer against the
+// native reference.
+func replayParboil[A proxyApp[P, K, B], P proxyProgram[K], K proxyKernel[B], B proxyBuffer](app A, k *parboil.Kernel, native [][]byte) error {
 	prog, err := app.CreateProgram(k.Source)
 	if err != nil {
 		return fmt.Errorf("%s: program: %w", k.FullName(), err)
@@ -71,10 +96,12 @@ func runParboilViaApp(app *accelos.App, k *parboil.Kernel, native [][]byte) erro
 		return fmt.Errorf("%s: kernel: %w", k.FullName(), err)
 	}
 	spec := k.Setup()
-	bufs := make([]*accelos.BufferHandle, len(spec.Args))
+	// outs[i] is allocated when argument i gets its buffer bufs[i].
+	bufs := make([]B, len(spec.Args))
+	outs := make([][]byte, len(spec.Args))
 	defer func() {
-		for _, b := range bufs {
-			if b != nil {
+		for i, b := range bufs {
+			if outs[i] != nil {
 				b.Release()
 			}
 		}
@@ -95,7 +122,7 @@ func runParboilViaApp(app *accelos.App, k *parboil.Kernel, native [][]byte) erro
 		if err != nil {
 			return fmt.Errorf("%s: buffer %q: %w", k.FullName(), a.Name, err)
 		}
-		bufs[i] = b
+		bufs[i], outs[i] = b, make([]byte, len(native[i]))
 		ev, err := b.WriteAsync(0, host)
 		if err != nil {
 			return fmt.Errorf("%s: write %q: %w", k.FullName(), a.Name, err)
@@ -110,13 +137,11 @@ func runParboilViaApp(app *accelos.App, k *parboil.Kernel, native [][]byte) erro
 	if err != nil {
 		return fmt.Errorf("%s: enqueue: %w", k.FullName(), err)
 	}
-	outs := make([][]byte, len(spec.Args))
 	var reads []*opencl.Event
 	for i, b := range bufs {
-		if b == nil {
+		if outs[i] == nil {
 			continue
 		}
-		outs[i] = make([]byte, len(native[i]))
 		ev, err := b.ReadAsync(0, outs[i], kev)
 		if err != nil {
 			return fmt.Errorf("%s: read %q: %w", k.FullName(), spec.Args[i].Name, err)
@@ -129,27 +154,12 @@ func runParboilViaApp(app *accelos.App, k *parboil.Kernel, native [][]byte) erro
 		}
 	}
 	for i := range spec.Args {
-		if outs[i] == nil {
-			continue
-		}
-		if !bytesEqual(native[i], outs[i]) {
+		if outs[i] != nil && !bytes.Equal(native[i], outs[i]) {
 			return fmt.Errorf("%s: buffer %d (%s) differs from the native reference",
 				k.FullName(), i, spec.Args[i].Name)
 		}
 	}
 	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // waitUntil polls cond to true within the deadline.
@@ -242,7 +252,7 @@ func RunChaosRuntime(seed int64, w io.Writer) (*ChaosReport, error) {
 			app := rt.Connect(fmt.Sprintf("chaos-%d", tnt))
 			defer app.Close()
 			for i := tnt; i < len(kernels); i += chaosTenants {
-				err := runParboilViaApp(app, kernels[i], natives[i])
+				err := replayParboil(app, kernels[i], natives[i])
 				mu.Lock()
 				rep.Chains++
 				switch {
@@ -366,86 +376,6 @@ func retryableChaos(err error) bool {
 	return service.Retryable(err) || errors.Is(err, fault.ErrInjected)
 }
 
-// runParboilViaClient is runParboilViaApp over the service boundary.
-func runParboilViaClient(c *service.Client, k *parboil.Kernel, native [][]byte) error {
-	prog, err := c.CreateProgram(k.Source)
-	if err != nil {
-		return fmt.Errorf("%s: program: %w", k.FullName(), err)
-	}
-	rk, err := prog.CreateKernel(k.Name)
-	if err != nil {
-		return fmt.Errorf("%s: kernel: %w", k.FullName(), err)
-	}
-	spec := k.Setup()
-	bufs := make([]*service.RemoteBuffer, len(spec.Args))
-	defer func() {
-		for _, b := range bufs {
-			if b != nil {
-				b.Release()
-			}
-		}
-	}()
-	var uploads []*opencl.Event
-	for i, a := range spec.Args {
-		if a.Scalar != nil {
-			if err := rk.SetArgInt32(i, int32(*a.Scalar)); err != nil {
-				return err
-			}
-			continue
-		}
-		host := parboil.EncodeArg(a)
-		if host == nil {
-			return fmt.Errorf("%s: argument %q has no value", k.FullName(), a.Name)
-		}
-		b, err := c.CreateBuffer(int64(len(host)))
-		if err != nil {
-			return fmt.Errorf("%s: buffer %q: %w", k.FullName(), a.Name, err)
-		}
-		bufs[i] = b
-		ev, err := b.WriteAsync(0, host)
-		if err != nil {
-			return fmt.Errorf("%s: write %q: %w", k.FullName(), a.Name, err)
-		}
-		uploads = append(uploads, ev)
-		if err := rk.SetArgBuffer(i, b); err != nil {
-			return err
-		}
-	}
-	nd := opencl.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
-	kev, err := c.EnqueueKernelAsync(rk, nd, uploads...)
-	if err != nil {
-		return fmt.Errorf("%s: enqueue: %w", k.FullName(), err)
-	}
-	outs := make([][]byte, len(spec.Args))
-	var reads []*opencl.Event
-	for i, b := range bufs {
-		if b == nil {
-			continue
-		}
-		outs[i] = make([]byte, len(native[i]))
-		ev, err := b.ReadAsync(0, outs[i], kev)
-		if err != nil {
-			return fmt.Errorf("%s: read %q: %w", k.FullName(), spec.Args[i].Name, err)
-		}
-		reads = append(reads, ev)
-	}
-	for _, ev := range reads {
-		if err := ev.Wait(); err != nil {
-			return fmt.Errorf("%s: pipeline: %w", k.FullName(), err)
-		}
-	}
-	for i := range spec.Args {
-		if outs[i] == nil {
-			continue
-		}
-		if !bytesEqual(native[i], outs[i]) {
-			return fmt.Errorf("%s: buffer %d (%s) differs from the native reference",
-				k.FullName(), i, spec.Args[i].Name)
-		}
-	}
-	return nil
-}
-
 // RunChaosService is chaos phase B: the same Parboil workload driven
 // through service clients against a CLEAN daemon at sock (the daemon
 // must run in another process — transport injection is installed in
@@ -493,7 +423,7 @@ func RunChaosService(sock string, seed int64, w io.Writer) (*ChaosReport, error)
 						Metrics:    reg,
 					})
 					if chainErr == nil {
-						chainErr = runParboilViaClient(c, kernels[i], natives[i])
+						chainErr = replayParboil(c, kernels[i], natives[i])
 						if chainErr != nil && retryableChaos(chainErr) {
 							c.CountRetry()
 						}

@@ -239,21 +239,10 @@ func NewLaunchHandle(plat *Platform, mod *ir.Module, k *Kernel, nd NDRange, rtWo
 	// shared cache so every slice — and every pooled machine that later
 	// serves this module — runs the same compiled form.
 	mach.UseProgram(interp.SharedProgram(mod))
-	args := make([]interp.Value, 0, len(k.args)+1)
-	for i, a := range k.args {
-		if !a.set {
-			pool.Release(mach)
-			return nil, fmt.Errorf("opencl: kernel %q argument %d not set", k.Name, i)
-		}
-		switch {
-		case a.buf != nil:
-			r := mach.BindRegion(a.buf.Bytes, ir.Global)
-			args = append(args, interp.Value{K: ir.Pointer, P: interp.Ptr{R: r}})
-		case a.localSize > 0:
-			args = append(args, interp.LocalArgV(a.localSize))
-		default:
-			args = append(args, a.val)
-		}
+	args, err := bind(mach, k.Name, k.args, 1)
+	if err != nil {
+		pool.Release(mach)
+		return nil, err
 	}
 	img := rtlib.EncodeRT(rtWords)
 	r := mach.BindRegion(img, ir.Global)

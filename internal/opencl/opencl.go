@@ -321,6 +321,62 @@ func (p *Program) CreateKernel(name string) (*Kernel, error) {
 	return &Kernel{Prog: p, Name: name, args: make([]arg, len(f.Params))}, nil
 }
 
+// freeze copies the kernel's bindings for one launch and collects the
+// buffers they name, failing on an argument never set. The launch binds
+// the copy, so the caller may rebind the kernel at once.
+func (k *Kernel) freeze() ([]arg, []*Buffer, error) {
+	args := make([]arg, len(k.args))
+	copy(args, k.args)
+	bufs := make([]*Buffer, 0, len(args))
+	for i, a := range args {
+		if !a.set {
+			return nil, nil, unsetArg(k.Name, i)
+		}
+		if a.buf != nil {
+			bufs = append(bufs, a.buf)
+		}
+	}
+	return args, bufs, nil
+}
+
+// Snapshot freezes the kernel's bindings into a new Kernel of the same
+// program and returns it with the buffers they name: the form a runtime
+// that launches the kernel later, through NewLaunchHandle, keeps.
+// Rebinding k does not change the snapshot. An argument never set fails
+// it.
+func (k *Kernel) Snapshot() (*Kernel, []*Buffer, error) {
+	args, bufs, err := k.freeze()
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Kernel{Prog: k.Prog, Name: k.Name, args: args}, bufs, nil
+}
+
+// bind turns a kernel's bindings into the values a launch on mach
+// passes, binding buffers into the machine zero-copy. extra reserves
+// room for values the caller appends (the RT descriptor).
+func bind(mach *interp.Machine, name string, args []arg, extra int) ([]interp.Value, error) {
+	vals := make([]interp.Value, 0, len(args)+extra)
+	for i, a := range args {
+		switch {
+		case !a.set:
+			return nil, unsetArg(name, i)
+		case a.buf != nil:
+			r := mach.BindRegion(a.buf.Bytes, ir.Global)
+			vals = append(vals, interp.Value{K: ir.Pointer, P: interp.Ptr{R: r}})
+		case a.localSize > 0:
+			vals = append(vals, interp.LocalArgV(a.localSize))
+		default:
+			vals = append(vals, a.val)
+		}
+	}
+	return vals, nil
+}
+
+func unsetArg(kernel string, i int) error {
+	return fmt.Errorf("opencl: kernel %q argument %d not set", kernel, i)
+}
+
 // NumArgs returns the kernel's declared argument count.
 func (k *Kernel) NumArgs() int { return len(k.args) }
 

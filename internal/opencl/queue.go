@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/telemetry"
 )
 
@@ -73,7 +71,7 @@ func (c *Context) CreateOutOfOrderQueue() *CommandQueue {
 // (wait list plus, on in-order queues, the implicit chain), pins the
 // buffers the command touches, and releases the command body to a
 // background goroutine once every dependency has completed. It returns
-// the command's event without blocking.
+// the command's event without blocking, and keeps bufs until then.
 //
 // op and nbytes describe the command for telemetry: when the context
 // carries a tracer/registry, completion emits a span from the event's
@@ -85,16 +83,14 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 	if !q.outOfOrder && q.chain != nil {
 		deps = append(deps, q.chain)
 	}
-	pinned := make([]*Buffer, 0, len(bufs))
-	for _, b := range bufs {
+	for i, b := range bufs {
 		if err := b.Pin(); err != nil {
-			for _, p := range pinned {
+			for _, p := range bufs[:i] {
 				p.Unpin()
 			}
 			q.mu.Unlock()
 			return nil, fmt.Errorf("%s: %w", what, err)
 		}
-		pinned = append(pinned, b)
 	}
 	ev := newEvent()
 	if !q.outOfOrder {
@@ -104,7 +100,7 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 	q.mu.Unlock()
 
 	ev.OnComplete(func(*Event) {
-		for _, b := range pinned {
+		for _, b := range bufs {
 			b.Unpin()
 		}
 	})
@@ -148,7 +144,7 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 		go func() {
 			// A buffer released while the command sat in the queue fails
 			// the command instead of touching freed memory.
-			for _, b := range pinned {
+			for _, b := range bufs {
 				if b.Released() {
 					ev.finish(fmt.Errorf("%s: %w", what, ErrBufferReleased))
 					return
@@ -197,16 +193,9 @@ func (q *CommandQueue) EnqueueKernel(k *Kernel, nd NDRange, waits ...*Event) (*E
 	if err := nd.Validate(); err != nil {
 		return nil, err
 	}
-	args := make([]arg, len(k.args))
-	copy(args, k.args)
-	var bufs []*Buffer
-	for i, a := range args {
-		if !a.set {
-			return nil, fmt.Errorf("opencl: kernel %q argument %d not set", k.Name, i)
-		}
-		if a.buf != nil {
-			bufs = append(bufs, a.buf)
-		}
+	args, bufs, err := k.freeze()
+	if err != nil {
+		return nil, err
 	}
 	pool := q.Ctx.Plat.Machines()
 	mod, name, prog := k.Prog.Module, k.Name, k.Prog.Compiled()
@@ -214,17 +203,9 @@ func (q *CommandQueue) EnqueueKernel(k *Kernel, nd NDRange, waits ...*Event) (*E
 		mach := pool.Acquire(mod)
 		defer pool.Release(mach)
 		mach.UseProgram(prog)
-		vals := make([]interp.Value, 0, len(args))
-		for _, a := range args {
-			switch {
-			case a.buf != nil:
-				r := mach.BindRegion(a.buf.Bytes, ir.Global)
-				vals = append(vals, interp.Value{K: ir.Pointer, P: interp.Ptr{R: r}})
-			case a.localSize > 0:
-				vals = append(vals, interp.LocalArgV(a.localSize))
-			default:
-				vals = append(vals, a.val)
-			}
+		vals, err := bind(mach, name, args, 0)
+		if err != nil {
+			return err
 		}
 		return mach.Launch(name, vals, nd)
 	})

@@ -65,8 +65,8 @@ type Options struct {
 	// empty). It must be on a filesystem that supports shared mappings.
 	ShmDir string
 
-	// Telemetry sinks (optional).
-	Tracer  *telemetry.Tracer
+	// Metrics, when set, receives the daemon's per-tenant counters and
+	// request latencies.
 	Metrics *telemetry.Registry
 }
 
@@ -151,7 +151,7 @@ func (s *Server) serve(ln net.Listener) {
 			br:     bufio.NewReaderSize(nc, frameReadBuf),
 			progs:  make(map[uint64]*accelos.Program),
 			kerns:  make(map[uint64]*accelos.KernelHandle),
-			bufs:   make(map[uint64]*connBuf),
+			bufs:   make(map[uint64]*accelos.BufferHandle),
 			events: make(map[uint64]*opencl.Event),
 			manual: make(map[uint64]*opencl.Event),
 		}
@@ -255,15 +255,6 @@ func (s *Server) counter(name, tenant string, extra ...telemetry.Label) *telemet
 	return s.opts.Metrics.Counter(name, labels...)
 }
 
-// connBuf is one client buffer: the runtime handle plus the
-// shared-memory segment that backs it.
-type connBuf struct {
-	h        *accelos.BufferHandle
-	path     string
-	size     int64
-	released bool
-}
-
 // frameReadBuf sizes the per-connection read buffer on both ends: small
 // control frames (the steady state) fit whole; a larger body bypasses
 // the buffer and is read straight into the frame.
@@ -288,7 +279,7 @@ type conn struct {
 	inflight int
 	progs    map[uint64]*accelos.Program
 	kerns    map[uint64]*accelos.KernelHandle
-	bufs     map[uint64]*connBuf
+	bufs     map[uint64]*accelos.BufferHandle
 	// events holds every enqueue's event keyed by its request id, so
 	// later enqueues can wait on it. Entries live for the connection:
 	// clients prune terminal waits locally, so steady-state wait lists
@@ -505,14 +496,7 @@ func (c *conn) dispatch(f wire.Frame) error {
 	return fmt.Errorf("service: unexpected frame %v", f.Type)
 }
 
-func (c *conn) span(name string, start time.Time) {
-	if tr := c.s.opts.Tracer; tr != nil {
-		tr.Complete(0, "service", c.tenant, "service", name, start, time.Now())
-	}
-}
-
 func (c *conn) handleProgramCreate(req uint64, src string) {
-	start := time.Now()
 	c.countRequest("program-create")
 	p, err := c.app.CreateProgram(src)
 	if err != nil {
@@ -528,13 +512,11 @@ func (c *conn) handleProgramCreate(req uint64, src string) {
 	id := c.nextObj
 	c.progs[id] = p
 	c.mu.Unlock()
-	c.span("program-create", start)
 	m := wire.ProgramInfo{Prog: id}
 	c.writeFrame(wire.MsgProgramInfo, req, m.Encode())
 }
 
 func (c *conn) handleBufferCreate(req uint64, size int64) {
-	start := time.Now()
 	c.countRequest("buffer-create")
 	shm, err := wire.CreateShm(c.s.opts.ShmDir, size)
 	if err != nil {
@@ -561,9 +543,8 @@ func (c *conn) handleBufferCreate(req uint64, size int64) {
 	}
 	c.nextObj++
 	id := c.nextObj
-	c.bufs[id] = &connBuf{h: h, path: shm.Path, size: size}
+	c.bufs[id] = h
 	c.mu.Unlock()
-	c.span("buffer-create", start)
 	m := wire.BufferInfo{Buffer: id, Path: shm.Path, Size: size}
 	c.writeFrame(wire.MsgBufferInfo, req, m.Encode())
 }
@@ -596,15 +577,12 @@ func (c *conn) handleBufferRelease(req uint64, m wire.BufferRelease) {
 	c.countRequest("buffer-release")
 	c.mu.Lock()
 	b := c.bufs[m.Buffer]
-	if b != nil {
-		b.released = true
-	}
 	c.mu.Unlock()
 	if b == nil {
 		c.replyErr(req, fmt.Errorf("buffer %d: %w", m.Buffer, wire.ErrNotFound))
 		return
 	}
-	b.h.Release()
+	b.Release()
 	c.writeFrame(wire.MsgAck, req, nil)
 }
 
@@ -673,7 +651,6 @@ func (c *conn) registerEvent(req uint64, ev *opencl.Event, op string, start time
 			m.Histogram("service_request_ns", telemetry.L("tenant", c.tenant),
 				telemetry.L("op", op)).Observe(time.Since(start).Nanoseconds())
 		}
-		c.span(op, start)
 		c.eventDone(req, e.Err())
 	})
 }
@@ -725,7 +702,7 @@ func (c *conn) bindArgs(k *accelos.KernelHandle, args []wire.KernelArg) error {
 			if b == nil {
 				return fmt.Errorf("arg %d: buffer %d: %w", i, a.Buffer, wire.ErrNotFound)
 			}
-			err = k.SetArgBuffer(i, b.h)
+			err = k.SetArgBuffer(i, b)
 		case wire.ArgI32:
 			err = k.SetArgInt32(i, int32(a.I64))
 		case wire.ArgI64:
@@ -762,14 +739,14 @@ func (c *conn) handleEnqueueCopy(req uint64, m wire.EnqueueCopy) {
 		c.releaseSlot()
 		c.eventDone(req, fmt.Errorf("buffer %d: %w", m.Buffer, wire.ErrNotFound))
 		return
-	case b.released:
+	case b.Released():
 		c.releaseSlot()
 		c.eventDone(req, fmt.Errorf("buffer %d: %w", m.Buffer, opencl.ErrBufferReleased))
 		return
-	case m.Off < 0 || m.N < 0 || m.Off+m.N > b.size:
+	case m.Off < 0 || m.N < 0 || m.Off+m.N > b.Size:
 		c.releaseSlot()
 		c.eventDone(req, fmt.Errorf("%w: copy [%d,%d) outside buffer of %d bytes",
-			wire.ErrBadRequest, m.Off, m.Off+m.N, b.size))
+			wire.ErrBadRequest, m.Off, m.Off+m.N, b.Size))
 		return
 	}
 	if mtr := c.s.opts.Metrics; mtr != nil {
