@@ -33,38 +33,77 @@ import (
 // Both layers are on by default and controlled per-pass by CompileOpts.
 
 // vmOp is a VM opcode. The set is deliberately finer-grained than
-// ir.Opcode where pre-resolution pays: builtin calls split into
-// work-item, math and IR-function calls, constant-index GEPs fold
-// the scaled offset, and the fused superinstructions above collapse
-// multi-instruction idioms into one dispatch.
+// ir.Opcode where pre-resolution pays: every value-producing opcode is
+// typed — the compiler resolves the kind an operation runs at into the
+// opcode (load.i32, bin.f32, …) or into its predicate (cmp), so no
+// helper switches on a kind at run time; builtin calls split into
+// work-item, math and IR-function calls, constant-index GEPs fold the
+// scaled offset, and the fused superinstructions above collapse
+// multi-instruction idioms into one dispatch. The typed variants of one
+// operation form a family that profiles count under one name (opNames).
 type vmOp uint8
 
 const (
-	opAlloca       vmOp = iota // dst = fresh private region of imm bytes (space in sub)
-	opAllocaLocal              // dst = work-group local region, slot a, imm bytes
-	opLoad                     // dst = load kind from regs[a]
-	opStore                    // store regs[a] (kind) to regs[b]
-	opGEP                      // dst = regs[a] + regs[b].I*imm
-	opGEPConst                 // dst = regs[a] + imm (pre-scaled constant index)
-	opBin                      // dst = binop sub(regs[a], regs[b]), result kind
-	opCmp                      // dst = cmp sub(regs[a], regs[b])
-	opCast                     // dst = cast sub(regs[a]) to kind
-	opSelect                   // dst = regs[a] ? regs[b] : regs[c]
-	opAtomic                   // dst = atomic sub on regs[a] with regs[b] (operand kind)
-	opBarrier                  // work-group barrier: suspend the work-item
-	opCall                     // dst = call fn(regs[args...])
-	opWI                       // dst = work-item builtin sub; dim = a<0 ? imm : regs[a].I
-	opMath                     // dst = math builtin sub(regs[a][, regs[b]]) at kind
-	opJump                     // pc = imm
-	opCondJump                 // pc = regs[a] ? b : c
-	opRet                      // return regs[a] (a < 0: void)
-	opTrap                     // execution fault with msg
-	opMove                     // dst = regs[a] (phi edge copy)
-	opCmpJump                  // fused cmp+condbr: pc = cmp sub(regs[a], regs[b]) ? c : imm
-	opBinStore                 // fused bin+store: binop sub(regs[a], regs[b]) kind -> [regs[c]]
-	opLoadBinStore             // fused load+bin+store: load kind [regs[a]] op regs[b] -> [regs[c]]
-	opLoadIdx                  // fused gep+load: dst = load kind [regs[a] + regs[b].I*imm]
-	opLoadOff                  // fused gepconst+load: dst = load kind [regs[a] + imm]
+	opAlloca      vmOp = iota // dst = fresh private region of imm bytes (space in sub)
+	opAllocaLocal             // dst = work-group local region, slot a, imm bytes
+
+	// Typed loads and stores, one per ir.Kind from Bool to Pointer
+	// (opLoadI1 + kind - ir.Bool): dst = load [regs[a]]; store regs[a]
+	// to [regs[b]].
+	opLoadI1
+	opLoadI32
+	opLoadI64
+	opLoadF32
+	opLoadF64
+	opLoadPtr
+	opStoreI1
+	opStoreI32
+	opStoreI64
+	opStoreF32
+	opStoreF64
+	opStorePtr
+
+	opGEP      // dst = regs[a] + regs[b]*imm
+	opGEPConst // dst = regs[a] + imm (pre-scaled constant index)
+
+	// Typed binops, one per result kind from Bool to F64 (opBinI1 +
+	// kind - ir.Bool): dst = binop sub(regs[a], regs[b]).
+	opBinI1
+	opBinI32
+	opBinI64
+	opBinF32
+	opBinF64
+
+	opCmp // dst = typed predicate sub (cmpSLT, cmpFLT, cmpPLT, …) of regs[a], regs[b]
+	// Typed conversions (kind: the result's; sub: the ir.CastKind for
+	// listings). opExt is every conversion that keeps the register as it
+	// is (sext, zext, fpext, pointer bitcast): a move.
+	opExt
+	opTruncI1
+	opTruncI32
+	opFPToI1
+	opFPToI32
+	opFPToI64
+	opSIToF32
+	opSIToF64
+	opFPTrunc
+
+	opSelect       // dst = regs[a] ? regs[b] : regs[c]
+	opAtomic       // dst = atomic sub on regs[a] with regs[b] (memory kind)
+	opBarrier      // work-group barrier: suspend the work-item
+	opCall         // dst = call fn(regs[args...])
+	opWI           // dst = work-item builtin sub; dim = a<0 ? imm : regs[a].I
+	opMath         // dst = math builtin sub(regs[a][, regs[b]]) at kind
+	opJump         // pc = imm
+	opCondJump     // pc = regs[a] ? b : c
+	opRet          // return regs[a] (a < 0: void)
+	opTrap         // execution fault with msg
+	opMove         // dst = regs[a] (phi edge copy)
+	opCmpJump      // fused cmp+condbr: pc = typed predicate sub(regs[a], regs[b]) ? c : imm
+	opBinStore     // fused bin+store: binop sub(regs[a], regs[b]) kind -> [regs[c]]
+	opLoadBinStore // fused load+bin+store: load kind [regs[a]] op regs[b] -> [regs[c]]
+	opLoadIdx      // fused gep+load: dst = load kind [regs[a] + regs[b].I*imm]
+	opLoadOff      // fused gepconst+load: dst = load kind [regs[a] + imm]
 
 	// Specialized binops: the (kind, op) pairs that dominate promoted
 	// loop bodies dispatch as single-case opcodes — no helper call, no
@@ -81,6 +120,43 @@ const (
 	opMulF32
 	opDivF32
 )
+
+// Typed comparison predicates (opCmp and opCmpJump sub): the integer
+// ones are ir.CmpPred's (IEQ…IGE, on sign-extended integers of any
+// width), then the float ones (FEQ…FGE), then the pointer ones: equal
+// regions and offsets, and order by offset within a region, by region
+// ID across regions.
+const (
+	cmpSLT = uint8(ir.ILT)
+	cmpFEQ = uint8(ir.FEQ)
+	cmpPEQ = uint8(ir.FGE) + 1
+	cmpPLT = cmpPEQ + uint8(ir.ILT)
+)
+
+// cmpCode is the typed predicate of p over operands of kind.
+func cmpCode(p ir.CmpPred, kind ir.Kind) uint8 {
+	if kind == ir.Pointer {
+		return cmpPEQ + uint8(p)
+	}
+	return uint8(p)
+}
+
+// castOpcode is the typed opcode of conversion k to kind to.
+func castOpcode(k ir.CastKind, to ir.Kind) vmOp {
+	switch {
+	case k == ir.Trunc && to == ir.Bool:
+		return opTruncI1
+	case k == ir.Trunc && to == ir.I32:
+		return opTruncI32
+	case k == ir.FPToSI:
+		return opFPToI1 + vmOp(to-ir.Bool)
+	case k == ir.SIToFP:
+		return opSIToF32 + vmOp(to-ir.F32)
+	case k == ir.FPTrunc:
+		return opFPTrunc
+	}
+	return opExt
+}
 
 // specBin maps a (BinKind, Kind) pair onto its specialized opcode.
 var specBin = map[[2]uint8]vmOp{
@@ -645,7 +721,7 @@ func (c *fnCompiler) tryFuse(instrs []*ir.Instr, i int) int {
 					return 0
 				}
 				at := len(c.code)
-				c.code = append(c.code, instr{op: opCmpJump, sub: uint8(in.CmpK), a: ops[0], b: ops[1]})
+				c.code = append(c.code, instr{op: opCmpJump, sub: cmpCode(in.CmpK, in.Args[0].Type().Kind), a: ops[0], b: ops[1]})
 				c.fixEdge(at, 'c', br.Block(), br.Then)
 				c.fixEdge(at, 'i', br.Block(), br.Else)
 				return 2
@@ -726,9 +802,10 @@ func (c *fnCompiler) emit(in *ir.Instr) {
 		}
 		c.code = append(c.code, instr{op: opAlloca, dst: c.dst(in), sub: uint8(in.AllocaSpace), imm: size})
 	case ir.OpLoad:
-		c.code = append(c.code, instr{op: opLoad, dst: c.dst(in), a: ops[0], kind: in.Ty.Kind})
+		c.code = append(c.code, instr{op: opLoadI1 + vmOp(in.Ty.Kind-ir.Bool), dst: c.dst(in), a: ops[0], kind: in.Ty.Kind})
 	case ir.OpStore:
-		c.code = append(c.code, instr{op: opStore, a: ops[0], b: ops[1], kind: in.Args[0].Type().Kind})
+		kind := in.Args[0].Type().Kind
+		c.code = append(c.code, instr{op: opStoreI1 + vmOp(kind-ir.Bool), a: ops[0], b: ops[1], kind: kind})
 	case ir.OpGEP:
 		elem := in.Ty.Elem.Size()
 		if cv, isConst := ir.ConstIntValue(in.Args[1]); isConst {
@@ -747,11 +824,11 @@ func (c *fnCompiler) emit(in *ir.Instr) {
 				return
 			}
 		}
-		c.code = append(c.code, instr{op: opBin, dst: c.dst(in), a: ops[0], b: ops[1], sub: uint8(in.BinK), kind: in.Ty.Kind})
+		c.code = append(c.code, instr{op: opBinI1 + vmOp(in.Ty.Kind-ir.Bool), dst: c.dst(in), a: ops[0], b: ops[1], sub: uint8(in.BinK), kind: in.Ty.Kind})
 	case ir.OpCmp:
-		c.code = append(c.code, instr{op: opCmp, dst: c.dst(in), a: ops[0], b: ops[1], sub: uint8(in.CmpK)})
+		c.code = append(c.code, instr{op: opCmp, dst: c.dst(in), a: ops[0], b: ops[1], sub: cmpCode(in.CmpK, in.Args[0].Type().Kind)})
 	case ir.OpCast:
-		c.code = append(c.code, instr{op: opCast, dst: c.dst(in), a: ops[0], sub: uint8(in.CastK), kind: in.Ty.Kind})
+		c.code = append(c.code, instr{op: castOpcode(in.CastK, in.Ty.Kind), dst: c.dst(in), a: ops[0], sub: uint8(in.CastK), kind: in.Ty.Kind})
 	case ir.OpSelect:
 		c.code = append(c.code, instr{op: opSelect, dst: c.dst(in), a: ops[0], b: ops[1], c: ops[2]})
 	case ir.OpAtomic:
@@ -895,9 +972,9 @@ func readsReg(in *instr, r int32) bool {
 	switch in.op {
 	case opAlloca, opAllocaLocal, opBarrier, opJump, opTrap:
 		return false
-	case opLoad, opGEPConst, opCast, opCondJump, opMove, opLoadOff:
+	case opGEPConst, opCondJump, opMove, opLoadOff:
 		return in.a == r
-	case opStore, opGEP, opBin, opCmp, opAtomic, opCmpJump, opLoadIdx,
+	case opGEP, opCmp, opAtomic, opCmpJump, opLoadIdx,
 		opAddI32, opSubI32, opMulI32, opAndI32, opOrI32, opXorI32,
 		opAddI64, opAddF32, opSubF32, opMulF32, opDivF32:
 		return in.a == r || in.b == r
@@ -916,6 +993,12 @@ func readsReg(in *instr, r int32) bool {
 			}
 		}
 		return false
+	}
+	switch {
+	case in.op >= opLoadI1 && in.op <= opLoadPtr, in.op >= opExt && in.op <= opFPTrunc:
+		return in.a == r
+	case in.op >= opStoreI1 && in.op <= opStorePtr, in.op >= opBinI1 && in.op <= opBinF64:
+		return in.a == r || in.b == r
 	}
 	return true // unknown op: assume it reads everything
 }
@@ -1056,17 +1139,3 @@ func (c *fnCompiler) emitCall(in *ir.Instr, ops []int32) {
 	}
 	c.code = append(c.code, instr{op: opTrap, msg: fmt.Sprintf("unknown builtin %q", name)})
 }
-
-// kindTypes maps a value kind back to a type singleton for the shared
-// load/store/atomicRMW helpers (which only inspect Kind and Size).
-var kindTypes = func() [ir.Pointer + 1]*ir.Type {
-	var t [ir.Pointer + 1]*ir.Type
-	t[ir.Void] = ir.VoidT
-	t[ir.Bool] = ir.BoolT
-	t[ir.I32] = ir.I32T
-	t[ir.I64] = ir.I64T
-	t[ir.F32] = ir.F32T
-	t[ir.F64] = ir.F64T
-	t[ir.Pointer] = ir.PointerTo(ir.I64T, ir.Global)
-	return t
-}()

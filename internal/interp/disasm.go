@@ -76,25 +76,27 @@ func (p *Prog) DumpWarp(w io.Writer, kernel string) error {
 // disasm renders one instruction; reg names a register operand.
 func (in *instr) disasm(reg func(int32) string) string {
 	name := opNames[in.op]
+	switch {
+	case in.op >= opLoadI1 && in.op <= opLoadPtr:
+		return fmt.Sprintf("%s = %s %s [%s]", reg(in.dst), name, kindName(in.kind), reg(in.a))
+	case in.op >= opStoreI1 && in.op <= opStorePtr:
+		return fmt.Sprintf("%s %s %s -> [%s]", name, kindName(in.kind), reg(in.a), reg(in.b))
+	case in.op >= opBinI1 && in.op <= opBinF64:
+		return fmt.Sprintf("%s = %s %s %s %s, %s", reg(in.dst), name, ir.BinKind(in.sub), kindName(in.kind), reg(in.a), reg(in.b))
+	case in.op >= opExt && in.op <= opFPTrunc:
+		return fmt.Sprintf("%s = %s %s %s to %s", reg(in.dst), name, ir.CastKind(in.sub), reg(in.a), kindName(in.kind))
+	}
 	switch in.op {
 	case opAlloca:
 		return fmt.Sprintf("%s = %s %dB", reg(in.dst), name, in.imm)
 	case opAllocaLocal:
 		return fmt.Sprintf("%s = %s slot %d, %dB", reg(in.dst), name, in.a, in.imm)
-	case opLoad:
-		return fmt.Sprintf("%s = %s %s [%s]", reg(in.dst), name, kindName(in.kind), reg(in.a))
-	case opStore:
-		return fmt.Sprintf("%s %s %s -> [%s]", name, kindName(in.kind), reg(in.a), reg(in.b))
 	case opGEP:
 		return fmt.Sprintf("%s = %s %s + %s*%d", reg(in.dst), name, reg(in.a), reg(in.b), in.imm)
 	case opGEPConst:
 		return fmt.Sprintf("%s = %s %s + %d", reg(in.dst), name, reg(in.a), in.imm)
-	case opBin:
-		return fmt.Sprintf("%s = %s %s %s %s, %s", reg(in.dst), name, ir.BinKind(in.sub), kindName(in.kind), reg(in.a), reg(in.b))
 	case opCmp:
-		return fmt.Sprintf("%s = %s %s %s, %s", reg(in.dst), name, ir.CmpPred(in.sub), reg(in.a), reg(in.b))
-	case opCast:
-		return fmt.Sprintf("%s = %s %s %s to %s", reg(in.dst), name, ir.CastKind(in.sub), reg(in.a), kindName(in.kind))
+		return fmt.Sprintf("%s = %s %s %s, %s", reg(in.dst), name, cmpNames[in.sub], reg(in.a), reg(in.b))
 	case opSelect:
 		return fmt.Sprintf("%s = %s %s ? %s : %s", reg(in.dst), name, reg(in.a), reg(in.b), reg(in.c))
 	case opAtomic:
@@ -129,7 +131,7 @@ func (in *instr) disasm(reg func(int32) string) string {
 	case opMove:
 		return fmt.Sprintf("%s = %s %s", reg(in.dst), name, reg(in.a))
 	case opCmpJump:
-		return fmt.Sprintf("%s %s %s, %s ? %04d : %04d", name, ir.CmpPred(in.sub), reg(in.a), reg(in.b), in.c, in.imm)
+		return fmt.Sprintf("%s %s %s, %s ? %04d : %04d", name, cmpNames[in.sub], reg(in.a), reg(in.b), in.c, in.imm)
 	case opBinStore:
 		return fmt.Sprintf("%s %s %s %s, %s -> [%s]", name, ir.BinKind(in.sub), kindName(in.kind), reg(in.a), reg(in.b), reg(in.c))
 	case opLoadBinStore:
@@ -152,10 +154,12 @@ var wiNames = func() [wiWorkDim + 1]string {
 	return t
 }()
 
+// cmpNames names the typed comparison predicates: ir.CmpPred's names,
+// then the pointer ones.
+var cmpNames = [...]string{"eq", "ne", "slt", "sle", "sgt", "sge", "oeq", "one", "olt", "ole", "ogt", "oge",
+	"peq", "pne", "plt", "ple", "pgt", "pge"}
+
 // kindName names a value kind for listings.
 func kindName(k ir.Kind) string {
-	if k == ir.Pointer {
-		return "ptr"
-	}
-	return kindTypes[k].String()
+	return [...]string{"void", "i1", "i32", "i64", "float", "double", "ptr"}[k]
 }

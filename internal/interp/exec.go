@@ -446,13 +446,17 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: base.P.R, Off: base.P.Off + idx*in.Ty.Elem.Size()}}
 	case ir.OpBin:
 		x, y := fr.eval(in.Args[0]), fr.eval(in.Args[1])
-		binOp(&d, in.BinK, in.Ty.Kind, &x, &y)
+		binOp(&d, opBinI1+vmOp(in.Ty.Kind-ir.Bool), in.BinK, &x, &y)
 		fr.env[in] = d
 	case ir.OpCmp:
-		fr.env[in] = cmpOp(in.CmpK, fr.eval(in.Args[0]), fr.eval(in.Args[1]))
+		x, y := fr.eval(in.Args[0]), fr.eval(in.Args[1])
+		fr.env[in] = BoolV(cmpOp(cmpCode(in.CmpK, in.Args[0].Type().Kind), &x, &y))
 	case ir.OpCast:
-		x := fr.eval(in.Args[0])
-		castOp(&d, in.CastK, in.Ty.Kind, &x)
+		d = fr.eval(in.Args[0])
+		if op := castOpcode(in.CastK, in.Ty.Kind); op != opExt {
+			castOp(&d, op, &d)
+		}
+		d.K = in.Ty.Kind
 		fr.env[in] = d
 	case ir.OpSelect:
 		if fr.eval(in.Args[0]).Bool() {
@@ -463,7 +467,7 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 	case ir.OpAtomic:
 		p := fr.eval(in.Args[0]).P
 		v := fr.eval(in.Args[1])
-		m.atomicRMW(&d, in.AtomK, in.Args[1].Type(), p, &v)
+		m.atomicRMW(&d, in.AtomK, in.Args[1].Type().Kind, p, &v)
 		fr.env[in] = d
 	case ir.OpBarrier:
 		fr.wi.wg.bar.await()
@@ -568,12 +572,12 @@ func (l *launchCtx) workItem(d *Value, sub uint8, dim int64, group, lid *[3]int6
 // bounds, null) cannot leave the stripe locked: machines are pooled and
 // the stripes are shared, so a poisoned lock would outlive the faulting
 // launch.
-func (m *Machine) atomicRMW(d *Value, k ir.AtomicKind, t *ir.Type, p Ptr, v *Value) {
+func (m *Machine) atomicRMW(d *Value, k ir.AtomicKind, kind ir.Kind, p Ptr, v *Value) {
 	mu := atomicLock(p)
 	mu.Lock()
 	defer mu.Unlock()
 	var old Value
-	m.load(&old, t, p)
+	loadKind[kind](m, &old, p)
 	var next Value
 	switch k {
 	case ir.AtomAdd:
@@ -597,7 +601,7 @@ func (m *Machine) atomicRMW(d *Value, k ir.AtomicKind, t *ir.Type, p Ptr, v *Val
 	case ir.AtomXchg:
 		next = *v
 	}
-	m.store(t, next, p)
+	storeKind[kind](m, &next, p)
 	*d = old
 }
 
@@ -699,64 +703,67 @@ func evalMath(op uint8, kind ir.Kind, x, y float64) float64 {
 	return r
 }
 
-// binOp computes x k y at kind into d: float arithmetic rounds to F32
-// for F32, integer results wrap to 32 bits for I32 and to the low bit
-// for Bool.
-func binOp(d *Value, k ir.BinKind, kind ir.Kind, x, y *Value) {
-	if k.IsFloatOp() {
-		var r float64
-		switch k {
-		case ir.FAdd:
-			r = x.F + y.F
-		case ir.FSub:
-			r = x.F - y.F
-		case ir.FMul:
-			r = x.F * y.F
-		case ir.FDiv:
-			r = x.F / y.F
-		}
-		if kind == ir.F32 {
-			r = float64(float32(r))
-		}
-		*d = Value{K: kind, F: r}
-		return
-	}
-	var r int64
+// intOp computes x k y on integers; the typed opcode wraps the result
+// to its kind.
+func intOp(k ir.BinKind, x, y int64) int64 {
 	switch k {
 	case ir.Add:
-		r = x.I + y.I
+		return x + y
 	case ir.Sub:
-		r = x.I - y.I
+		return x - y
 	case ir.Mul:
-		r = x.I * y.I
+		return x * y
 	case ir.SDiv:
-		if y.I == 0 {
+		if y == 0 {
 			panic(trap{"integer division by zero"})
 		}
-		r = x.I / y.I
+		return x / y
 	case ir.SRem:
-		if y.I == 0 {
+		if y == 0 {
 			panic(trap{"integer remainder by zero"})
 		}
-		r = x.I % y.I
+		return x % y
 	case ir.And:
-		r = x.I & y.I
+		return x & y
 	case ir.Or:
-		r = x.I | y.I
+		return x | y
 	case ir.Xor:
-		r = x.I ^ y.I
+		return x ^ y
 	case ir.Shl:
-		r = x.I << uint64(y.I&63)
-	case ir.AShr:
-		r = x.I >> uint64(y.I&63)
+		return x << uint64(y&63)
 	}
-	switch kind {
-	case ir.Bool:
-		r &= 1
-	case ir.I32:
-		r = int64(int32(r))
+	return x >> uint64(y&63) // AShr
+}
+
+// floatOp computes x k y in float64; an F32 opcode rounds the result.
+func floatOp(k ir.BinKind, x, y float64) float64 {
+	switch k {
+	case ir.FAdd:
+		return x + y
+	case ir.FSub:
+		return x - y
+	case ir.FMul:
+		return x * y
 	}
-	*d = Value{K: kind, I: r}
+	return x / y // FDiv
+}
+
+// binOp computes x k y at the kind of the typed opcode op (opBinI1 …
+// opBinF64) into d: F32 rounds, I32 wraps to 32 bits and Bool to the
+// low bit.
+func binOp(d *Value, op vmOp, k ir.BinKind, x, y *Value) {
+	switch op {
+	case opBinI1:
+		*d = Value{K: ir.Bool, I: intOp(k, x.I, y.I) & 1}
+	case opBinI32:
+		*d = Value{K: ir.I32, I: int64(int32(intOp(k, x.I, y.I)))}
+	case opBinI64:
+		*d = Value{K: ir.I64, I: intOp(k, x.I, y.I)}
+	case opBinF32:
+		*d = Value{K: ir.F32, F: float64(float32(floatOp(k, x.F, y.F)))}
+	default:
+		*d = Value{K: ir.F64, F: floatOp(k, x.F, y.F)}
+	}
 }
 
 // ptrOrd orders a pointer for relational comparison: region ID (order
@@ -770,94 +777,79 @@ func ptrOrd(p Ptr) int64 {
 	return int64(uint64(p.R.ID)<<ptrOffBits | uint64(p.Off))
 }
 
-func cmpOp(p ir.CmpPred, x, y Value) Value {
-	var b bool
-	if p.IsFloatPred() {
-		switch p {
-		case ir.FEQ:
-			b = x.F == y.F
-		case ir.FNE:
-			b = x.F != y.F
-		case ir.FLT:
-			b = x.F < y.F
-		case ir.FLE:
-			b = x.F <= y.F
-		case ir.FGT:
-			b = x.F > y.F
-		case ir.FGE:
-			b = x.F >= y.F
-		}
-		return BoolV(b)
+// cmpOp evaluates the typed predicate c (cmpCode).
+func cmpOp(c uint8, x, y *Value) bool {
+	switch {
+	case c < cmpFEQ:
+		return icmp(c, x.I, y.I)
+	case c < cmpPEQ:
+		return fcmp(c, x.F, y.F)
+	case c == cmpPEQ:
+		return x.P == y.P
+	case c == cmpPEQ+1:
+		return x.P != y.P
 	}
-	xi, yi := x.I, y.I
-	if x.K == ir.Pointer {
-		// Equality is region identity plus offset (null == null); this
-		// never forces region registration.
-		switch p {
-		case ir.IEQ:
-			return BoolV(x.P == y.P)
-		case ir.INE:
-			return BoolV(x.P != y.P)
-		}
-		if x.P.R == y.P.R {
-			xi, yi = x.P.Off, y.P.Off
-		} else {
-			xi, yi = ptrOrd(x.P), ptrOrd(y.P)
-		}
+	xi, yi := ptrOrd(x.P), ptrOrd(y.P)
+	if x.P.R == y.P.R {
+		xi, yi = x.P.Off, y.P.Off
 	}
-	switch p {
-	case ir.IEQ:
-		b = xi == yi
-	case ir.INE:
-		b = xi != yi
-	case ir.ILT:
-		b = xi < yi
-	case ir.ILE:
-		b = xi <= yi
-	case ir.IGT:
-		b = xi > yi
-	case ir.IGE:
-		b = xi >= yi
-	}
-	return BoolV(b)
+	return icmp(c-cmpPLT+cmpSLT, xi, yi)
 }
 
-// castOp converts x to kind to into d. Trunc and FPToSI wrap the
-// integer as binOp does.
-func castOp(d *Value, k ir.CastKind, to ir.Kind, x *Value) {
-	var r int64
-	switch k {
-	case ir.Trunc:
-		r = x.I
-	case ir.FPToSI:
-		r = int64(x.F)
-	case ir.SExt, ir.ZExt:
-		*d = Value{K: to, I: x.I}
-		return
-	case ir.SIToFP:
-		f := float64(x.I)
-		if to == ir.F32 {
-			f = float64(float32(f))
-		}
-		*d = Value{K: to, F: f}
-		return
-	case ir.FPTrunc:
-		*d = Value{K: to, F: float64(float32(x.F))}
-		return
-	case ir.FPExt:
-		*d = Value{K: to, F: x.F}
-		return
-	case ir.PtrCast:
-		*d = Value{K: ir.Pointer, P: x.P}
-		return
-	default:
-		panic(trap{fmt.Sprintf("unsupported cast %v", k)})
+// icmp is an integer predicate (IEQ…IGE) on sign-extended integers.
+func icmp(c uint8, x, y int64) bool {
+	switch ir.CmpPred(c) {
+	case ir.IEQ:
+		return x == y
+	case ir.INE:
+		return x != y
+	case ir.ILT:
+		return x < y
+	case ir.ILE:
+		return x <= y
+	case ir.IGT:
+		return x > y
 	}
-	switch to {
-	case ir.Bool:
-		r &= 1
-	case ir.I32:
-		r = int64(int32(r))
+	return x >= y
+}
+
+// fcmp is a float predicate (FEQ…FGE).
+func fcmp(c uint8, x, y float64) bool {
+	switch ir.CmpPred(c) {
+	case ir.FEQ:
+		return x == y
+	case ir.FNE:
+		return x != y
+	case ir.FLT:
+		return x < y
+	case ir.FLE:
+		return x <= y
+	case ir.FGT:
+		return x > y
 	}
-	*d = Value{K: to, I: r}
+	return x >= y
+}
+
+// castOp converts x by the typed conversion op (opTruncI1 … opFPTrunc;
+// opExt keeps the register and is a move) into d. Trunc and FPToSI wrap
+// the integer as binOp does.
+func castOp(d *Value, op vmOp, x *Value) {
+	switch op {
+	case opTruncI1:
+		*d = Value{K: ir.Bool, I: x.I & 1}
+	case opTruncI32:
+		*d = Value{K: ir.I32, I: int64(int32(x.I))}
+	case opFPToI1:
+		*d = Value{K: ir.Bool, I: int64(x.F) & 1}
+	case opFPToI32:
+		*d = Value{K: ir.I32, I: int64(int32(int64(x.F)))}
+	case opFPToI64:
+		*d = Value{K: ir.I64, I: int64(x.F)}
+	case opSIToF32:
+		*d = Value{K: ir.F32, F: float64(float32(float64(x.I)))}
+	case opSIToF64:
+		*d = Value{K: ir.F64, F: float64(x.I)}
+	default: // opFPTrunc
+		*d = Value{K: ir.F32, F: float64(float32(x.F))}
+	}
 }

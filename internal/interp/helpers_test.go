@@ -27,17 +27,25 @@ func TestHelpersWriteWholeRegister(t *testing.T) {
 	stale := Value{K: ir.Pointer, I: 7, F: 2.5, P: Ptr{R: m.NewRegion(8, ir.Private), Off: 3}}
 
 	load := func(k ir.Kind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { m.load(d, kindTypes[k], x.P) }
+		return func(d, x, y *Value) { loadKind[k](m, d, x.P) }
 	}
 	bin := func(k ir.BinKind, kind ir.Kind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { binOp(d, k, kind, x, y) }
+		return func(d, x, y *Value) { binOp(d, opBinI1+vmOp(kind-ir.Bool), k, x, y) }
 	}
 	cast := func(k ir.CastKind, to ir.Kind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { castOp(d, k, to, x) }
+		return func(d, x, y *Value) {
+			if op := castOpcode(k, to); op != opExt {
+				castOp(d, op, x)
+				return
+			}
+			v := *x
+			v.K = to
+			*d = v
+		}
 	}
 	// x is the value operand (the one d aliases), y the pointer.
 	atomic := func(k ir.AtomicKind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { m.atomicRMW(d, k, ir.I32T, y.P, x) }
+		return func(d, x, y *Value) { m.atomicRMW(d, k, ir.I32, y.P, x) }
 	}
 
 	cases := []struct {
@@ -112,7 +120,7 @@ func TestHelpersWriteWholeRegister(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				if c.init.K != ir.Void {
-					m.store(kindTypes[c.init.K], c.init, Ptr{R: word})
+					storeKind[c.init.K](m, &c.init, Ptr{R: word})
 				}
 				x, y, d := c.x, c.y, stale
 				dp := &d
@@ -130,7 +138,7 @@ func TestHelpersWriteWholeRegister(t *testing.T) {
 				}
 				if c.mem.K != ir.Void {
 					var got Value
-					m.load(&got, kindTypes[c.mem.K], Ptr{R: word})
+					loadKind[c.mem.K](m, &got, Ptr{R: word})
 					if got != c.mem {
 						t.Errorf("memory = %+v, want %+v", got, c.mem)
 					}

@@ -321,51 +321,70 @@ func checkGEP(p Ptr) {
 	}
 }
 
-// load reads a typed value from memory into d (see the helpers in
-// exec.go for why it does not return the Value).
-func (m *Machine) load(d *Value, t *ir.Type, p Ptr) {
-	size := t.Size()
+// mem returns the size bytes at p, trapping on a null or out-of-bounds
+// access.
+func mem(p Ptr, size int64) []byte {
 	checkBounds(p, size)
-	b := p.R.Bytes[p.Off:]
-	switch t.Kind {
-	case ir.Bool:
-		*d = Value{K: ir.Bool, I: int64(b[0] & 1)}
-	case ir.I32:
-		*d = Value{K: ir.I32, I: int64(int32(binary.LittleEndian.Uint32(b)))}
-	case ir.I64:
-		*d = Value{K: ir.I64, I: int64(binary.LittleEndian.Uint64(b))}
-	case ir.F32:
-		*d = Value{K: ir.F32, F: float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))}
-	case ir.F64:
-		*d = Value{K: ir.F64, F: math.Float64frombits(binary.LittleEndian.Uint64(b))}
-	case ir.Pointer:
-		*d = Value{K: ir.Pointer, P: m.decodePtr(binary.LittleEndian.Uint64(b))}
-	default:
-		panic(trap{fmt.Sprintf("load of unsupported type %s", t)})
-	}
+	return p.R.Bytes[p.Off : p.Off+size]
 }
 
-// store writes a typed value to memory.
+// The typed loads and stores: one per kind, the single spelling of how a
+// value of that kind sits in memory. The dispatch loops call them by
+// typed opcode; the fused opcodes and the tree-walker, which carry a
+// kind, go through loadKind and storeKind.
+func (m *Machine) loadI1(d *Value, p Ptr) { *d = Value{K: ir.Bool, I: int64(mem(p, 1)[0] & 1)} }
+func (m *Machine) loadI32(d *Value, p Ptr) {
+	*d = Value{K: ir.I32, I: int64(int32(binary.LittleEndian.Uint32(mem(p, 4))))}
+}
+func (m *Machine) loadI64(d *Value, p Ptr) {
+	*d = Value{K: ir.I64, I: int64(binary.LittleEndian.Uint64(mem(p, 8)))}
+}
+func (m *Machine) loadF32(d *Value, p Ptr) {
+	*d = Value{K: ir.F32, F: float64(math.Float32frombits(binary.LittleEndian.Uint32(mem(p, 4))))}
+}
+func (m *Machine) loadF64(d *Value, p Ptr) {
+	*d = Value{K: ir.F64, F: math.Float64frombits(binary.LittleEndian.Uint64(mem(p, 8)))}
+}
+func (m *Machine) loadPtr(d *Value, p Ptr) {
+	*d = Value{K: ir.Pointer, P: m.decodePtr(binary.LittleEndian.Uint64(mem(p, 8)))}
+}
+func (m *Machine) storeI1(v *Value, p Ptr)  { mem(p, 1)[0] = byte(v.I & 1) }
+func (m *Machine) storeI32(v *Value, p Ptr) { binary.LittleEndian.PutUint32(mem(p, 4), uint32(v.I)) }
+func (m *Machine) storeI64(v *Value, p Ptr) { binary.LittleEndian.PutUint64(mem(p, 8), uint64(v.I)) }
+func (m *Machine) storeF32(v *Value, p Ptr) {
+	binary.LittleEndian.PutUint32(mem(p, 4), math.Float32bits(float32(v.F)))
+}
+func (m *Machine) storeF64(v *Value, p Ptr) {
+	binary.LittleEndian.PutUint64(mem(p, 8), math.Float64bits(v.F))
+}
+func (m *Machine) storePtr(v *Value, p Ptr) {
+	checkBounds(p, 8)
+	binary.LittleEndian.PutUint64(p.R.Bytes[p.Off:], m.encodePtr(v.P))
+}
+
+// loadKind and storeKind index the typed loads and stores by ir.Kind.
+var (
+	loadKind = [ir.Pointer + 1]func(*Machine, *Value, Ptr){ir.Bool: (*Machine).loadI1, ir.I32: (*Machine).loadI32,
+		ir.I64: (*Machine).loadI64, ir.F32: (*Machine).loadF32, ir.F64: (*Machine).loadF64, ir.Pointer: (*Machine).loadPtr}
+	storeKind = [ir.Pointer + 1]func(*Machine, *Value, Ptr){ir.Bool: (*Machine).storeI1, ir.I32: (*Machine).storeI32,
+		ir.I64: (*Machine).storeI64, ir.F32: (*Machine).storeF32, ir.F64: (*Machine).storeF64, ir.Pointer: (*Machine).storePtr}
+)
+
+// load reads a value of type t from memory into d (the tree-walker's
+// typed access).
+func (m *Machine) load(d *Value, t *ir.Type, p Ptr) {
+	if t.Kind == ir.Void {
+		panic(trap{fmt.Sprintf("load of unsupported type %s", t)})
+	}
+	loadKind[t.Kind](m, d, p)
+}
+
+// store writes a value of type t to memory.
 func (m *Machine) store(t *ir.Type, v Value, p Ptr) {
-	size := t.Size()
-	checkBounds(p, size)
-	b := p.R.Bytes[p.Off:]
-	switch t.Kind {
-	case ir.Bool:
-		b[0] = byte(v.I & 1)
-	case ir.I32:
-		binary.LittleEndian.PutUint32(b, uint32(v.I))
-	case ir.I64:
-		binary.LittleEndian.PutUint64(b, uint64(v.I))
-	case ir.F32:
-		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(v.F)))
-	case ir.F64:
-		binary.LittleEndian.PutUint64(b, math.Float64bits(v.F))
-	case ir.Pointer:
-		binary.LittleEndian.PutUint64(b, m.encodePtr(v.P))
-	default:
+	if t.Kind == ir.Void {
 		panic(trap{fmt.Sprintf("store of unsupported type %s", t)})
 	}
+	storeKind[t.Kind](m, &v, p)
 }
 
 // Buffer helpers for host code (the mini OpenCL runtime).

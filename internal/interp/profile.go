@@ -27,45 +27,57 @@ import (
 const numOps = int(opDivF32) + 1
 
 // opNames names every vmOp for profile dumps; keep in sync with the
-// opcode enum in compile.go.
-var opNames = [numOps]string{
-	opAlloca:       "alloca",
-	opAllocaLocal:  "alloca.local",
-	opLoad:         "load",
-	opStore:        "store",
-	opGEP:          "gep",
-	opGEPConst:     "gep.const",
-	opBin:          "bin",
-	opCmp:          "cmp",
-	opCast:         "cast",
-	opSelect:       "select",
-	opAtomic:       "atomic",
-	opBarrier:      "barrier",
-	opCall:         "call",
-	opWI:           "wi",
-	opMath:         "math",
-	opJump:         "jump",
-	opCondJump:     "condjump",
-	opRet:          "ret",
-	opTrap:         "trap",
-	opMove:         "move",
-	opCmpJump:      "cmp+jump",
-	opBinStore:     "bin+store",
-	opLoadBinStore: "load+bin+store",
-	opLoadIdx:      "gep+load",
-	opLoadOff:      "gepconst+load",
-	opAddI32:       "add.i32",
-	opSubI32:       "sub.i32",
-	opMulI32:       "mul.i32",
-	opAndI32:       "and.i32",
-	opOrI32:        "or.i32",
-	opXorI32:       "xor.i32",
-	opAddI64:       "add.i64",
-	opAddF32:       "add.f32",
-	opSubF32:       "sub.f32",
-	opMulF32:       "mul.f32",
-	opDivF32:       "div.f32",
-}
+// opcode enum in compile.go. The typed variants of one operation share
+// its name, so a profile counts operations, not the kinds they run at.
+var opNames = func() [numOps]string {
+	n := [numOps]string{
+		opAlloca:       "alloca",
+		opAllocaLocal:  "alloca.local",
+		opGEP:          "gep",
+		opGEPConst:     "gep.const",
+		opCmp:          "cmp",
+		opSelect:       "select",
+		opAtomic:       "atomic",
+		opBarrier:      "barrier",
+		opCall:         "call",
+		opWI:           "wi",
+		opMath:         "math",
+		opJump:         "jump",
+		opCondJump:     "condjump",
+		opRet:          "ret",
+		opTrap:         "trap",
+		opMove:         "move",
+		opCmpJump:      "cmp+jump",
+		opBinStore:     "bin+store",
+		opLoadBinStore: "load+bin+store",
+		opLoadIdx:      "gep+load",
+		opLoadOff:      "gepconst+load",
+		opAddI32:       "add.i32",
+		opSubI32:       "sub.i32",
+		opMulI32:       "mul.i32",
+		opAndI32:       "and.i32",
+		opOrI32:        "or.i32",
+		opXorI32:       "xor.i32",
+		opAddI64:       "add.i64",
+		opAddF32:       "add.f32",
+		opSubF32:       "sub.f32",
+		opMulF32:       "mul.f32",
+		opDivF32:       "div.f32",
+	}
+	for op := opLoadI1; op <= opFPTrunc; op++ {
+		switch {
+		case op <= opLoadPtr:
+			n[op] = "load"
+		case op <= opStorePtr:
+			n[op] = "store"
+		case op >= opBinI1 && op <= opBinF64:
+			n[op] = "bin"
+		case op >= opExt:
+			n[op] = "cast"
+		}
+	}
+	return n
+}()
 
 // defaultSampleEvery is the sampling period when ProfileOptions leaves
 // it zero: one work-group in 64 counts its landings, which keeps the
@@ -299,7 +311,12 @@ func (p *Profiler) Snapshot() []KernelProfileSnapshot {
 		}
 		s.Barriers = opcodes[opBarrier]
 		for op, n := range opcodes {
-			if n > 0 {
+			switch {
+			case n == 0:
+			case len(s.Opcodes) > 0 && s.Opcodes[len(s.Opcodes)-1].Name == opNames[op]:
+				// Another typed variant of the family just listed.
+				s.Opcodes[len(s.Opcodes)-1].Count += n
+			default:
 				s.Opcodes = append(s.Opcodes, OpcodeCount{Name: opNames[op], Count: n})
 			}
 		}

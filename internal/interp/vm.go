@@ -253,28 +253,6 @@ func delinearize(i int64, ng [3]int64) [3]int64 {
 	return [3]int64{i % ng[0], (i / ng[0]) % ng[1], i / (ng[0] * ng[1])}
 }
 
-// fastCmp is cmpOp over register pointers, returning the bare verdict.
-func fastCmp(p ir.CmpPred, x, y *Value) bool {
-	if !p.IsFloatPred() && x.K != ir.Pointer {
-		xi, yi := x.I, y.I
-		switch p {
-		case ir.IEQ:
-			return xi == yi
-		case ir.INE:
-			return xi != yi
-		case ir.ILT:
-			return xi < yi
-		case ir.ILE:
-			return xi <= yi
-		case ir.IGT:
-			return xi > yi
-		case ir.IGE:
-			return xi >= yi
-		}
-	}
-	return cmpOp(p, *x, *y).Bool()
-}
-
 // runGroupVM executes one work-group cooperatively: every live work-item
 // is resumed once per round and runs until its next barrier (or until it
 // returns); when the round ends, all live items have arrived, which IS
@@ -439,10 +417,30 @@ func (g *vmGroup) exec(wi *wiState) {
 				g.locals[in.a] = r
 			}
 			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
-		case opLoad:
-			m.load(&regs[in.dst], kindTypes[in.kind], regs[in.a].P)
-		case opStore:
-			m.store(kindTypes[in.kind], regs[in.a], regs[in.b].P)
+		case opLoadI1:
+			m.loadI1(&regs[in.dst], regs[in.a].P)
+		case opLoadI32:
+			m.loadI32(&regs[in.dst], regs[in.a].P)
+		case opLoadI64:
+			m.loadI64(&regs[in.dst], regs[in.a].P)
+		case opLoadF32:
+			m.loadF32(&regs[in.dst], regs[in.a].P)
+		case opLoadF64:
+			m.loadF64(&regs[in.dst], regs[in.a].P)
+		case opLoadPtr:
+			m.loadPtr(&regs[in.dst], regs[in.a].P)
+		case opStoreI1:
+			m.storeI1(&regs[in.a], regs[in.b].P)
+		case opStoreI32:
+			m.storeI32(&regs[in.a], regs[in.b].P)
+		case opStoreI64:
+			m.storeI64(&regs[in.a], regs[in.b].P)
+		case opStoreF32:
+			m.storeF32(&regs[in.a], regs[in.b].P)
+		case opStoreF64:
+			m.storeF64(&regs[in.a], regs[in.b].P)
+		case opStorePtr:
+			m.storePtr(&regs[in.a], regs[in.b].P)
 		case opGEP:
 			base := regs[in.a].P
 			checkGEP(base)
@@ -451,14 +449,14 @@ func (g *vmGroup) exec(wi *wiState) {
 			base := regs[in.a].P
 			checkGEP(base)
 			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
-		case opBin:
+		case opBinI1, opBinI32, opBinI64, opBinF32, opBinF64:
 			// Operands and result stay in the register file: binOp reads
 			// through x and y and writes through d, so no 40-byte Value is
 			// copied into or returned from the call.
-			binOp(&regs[in.dst], ir.BinKind(in.sub), in.kind, &regs[in.a], &regs[in.b])
+			binOp(&regs[in.dst], in.op, ir.BinKind(in.sub), &regs[in.a], &regs[in.b])
 		case opCmp:
-			regs[in.dst] = BoolV(fastCmp(ir.CmpPred(in.sub), &regs[in.a], &regs[in.b]))
-		case opMove:
+			regs[in.dst] = BoolV(cmpOp(in.sub, &regs[in.a], &regs[in.b]))
+		case opMove, opExt:
 			regs[in.dst] = regs[in.a]
 		case opAddI32:
 			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I + regs[in.b].I))}
@@ -483,7 +481,7 @@ func (g *vmGroup) exec(wi *wiState) {
 		case opDivF32:
 			regs[in.dst] = Value{K: ir.F32, F: float64(float32(regs[in.a].F / regs[in.b].F))}
 		case opCmpJump:
-			if fastCmp(ir.CmpPred(in.sub), &regs[in.a], &regs[in.b]) {
+			if cmpOp(in.sub, &regs[in.a], &regs[in.b]) {
 				pc = in.c
 			} else {
 				pc = int32(in.imm)
@@ -493,28 +491,27 @@ func (g *vmGroup) exec(wi *wiState) {
 			}
 		case opBinStore:
 			var v Value
-			binOp(&v, ir.BinKind(in.sub), in.kind, &regs[in.a], &regs[in.b])
-			m.store(kindTypes[in.kind], v, regs[in.c].P)
+			binOp(&v, opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub), &regs[in.a], &regs[in.b])
+			storeKind[in.kind](m, &v, regs[in.c].P)
 		case opLoadBinStore:
-			t := kindTypes[in.kind]
 			var v Value
-			m.load(&v, t, regs[in.a].P)
+			loadKind[in.kind](m, &v, regs[in.a].P)
 			x, y := &v, &regs[in.b]
 			if in.sub&lbsSwapped != 0 {
 				x, y = y, x
 			}
-			binOp(&v, ir.BinKind(in.sub&^lbsSwapped), in.kind, x, y)
-			m.store(t, v, regs[in.c].P)
+			binOp(&v, opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub&^lbsSwapped), x, y)
+			storeKind[in.kind](m, &v, regs[in.c].P)
 		case opLoadIdx:
 			base := regs[in.a].P
 			checkGEP(base)
-			m.load(&regs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm})
+			loadKind[in.kind](m, &regs[in.dst], Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm})
 		case opLoadOff:
 			base := regs[in.a].P
 			checkGEP(base)
-			m.load(&regs[in.dst], kindTypes[in.kind], Ptr{R: base.R, Off: base.Off + in.imm})
-		case opCast:
-			castOp(&regs[in.dst], ir.CastKind(in.sub), in.kind, &regs[in.a])
+			loadKind[in.kind](m, &regs[in.dst], Ptr{R: base.R, Off: base.Off + in.imm})
+		case opTruncI1, opTruncI32, opFPToI1, opFPToI32, opFPToI64, opSIToF32, opSIToF64, opFPTrunc:
+			castOp(&regs[in.dst], in.op, &regs[in.a])
 		case opSelect:
 			if regs[in.a].Bool() {
 				regs[in.dst] = regs[in.b]
@@ -522,7 +519,7 @@ func (g *vmGroup) exec(wi *wiState) {
 				regs[in.dst] = regs[in.c]
 			}
 		case opAtomic:
-			m.atomicRMW(&regs[in.dst], ir.AtomicKind(in.sub), kindTypes[in.kind], regs[in.a].P, &regs[in.b])
+			m.atomicRMW(&regs[in.dst], ir.AtomicKind(in.sub), in.kind, regs[in.a].P, &regs[in.b])
 		case opBarrier:
 			wi.frames[top].pc = pc
 			wi.status = wiBarrier

@@ -457,7 +457,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				}
 			case opCmpJump:
 				a, b := at(shared(uniform, uregs, in.a), lr, in.a), at(shared(uniform, uregs, in.b), lr, in.b)
-				if fastCmp(ir.CmpPred(in.sub), a, b) {
+				if cmpOp(in.sub, a, b) {
 					pc = in.c
 				} else {
 					pc = int32(in.imm)
@@ -471,7 +471,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				// instruction can read. Store and bin-store have no
 				// result; their dst is 0, a parameter register.
 				g.laneExec(in, lanes[:1], uregs)
-				if in.op != opStore && in.op != opBinStore {
+				if in.op < opStoreI1 || in.op > opStorePtr && in.op != opBinStore {
 					uregs[in.dst] = lr[in.dst]
 				}
 			}
@@ -495,10 +495,10 @@ func (g *vmGroup) warpExec(w *warp) {
 				}
 			case opCmpJump:
 				tpc, fpc = in.c, int32(in.imm)
-				p := ir.CmpPred(in.sub)
+				p := in.sub
 				a, b := shared(uniform, uregs, in.a), shared(uniform, uregs, in.b)
 				for _, wi := range lanes {
-					if fastCmp(p, at(a, wi.kregs, in.a), at(b, wi.kregs, in.b)) {
+					if cmpOp(p, at(a, wi.kregs, in.a), at(b, wi.kregs, in.b)) {
 						taken |= 1 << wi.lane
 					}
 				}
@@ -585,41 +585,41 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			wi.kregs[dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
 		}
-	case opLoad:
-		t := kindTypes[in.kind]
+	case opLoadI1, opLoadI32, opLoadI64, opLoadF32, opLoadF64, opLoadPtr:
+		load := loadKind[in.kind]
 		a := shared(uniform, uregs, ra)
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			m.load(&lr[dst], t, at(a, lr, ra).P)
+			load(m, &lr[dst], at(a, lr, ra).P)
 		}
 	case opLoadIdx:
-		t, scale := kindTypes[in.kind], in.imm
+		load, scale := loadKind[in.kind], in.imm
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
 			base := at(a, lr, ra).P
 			checkGEP(base)
-			m.load(&lr[dst], t, Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
+			load(m, &lr[dst], Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
 		}
 	case opLoadOff:
-		t, off := kindTypes[in.kind], in.imm
+		load, off := loadKind[in.kind], in.imm
 		a := shared(uniform, uregs, ra)
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
 			base := at(a, lr, ra).P
 			checkGEP(base)
-			m.load(&lr[dst], t, Ptr{R: base.R, Off: base.Off + off})
+			load(m, &lr[dst], Ptr{R: base.R, Off: base.Off + off})
 		}
-	case opStore:
-		t := kindTypes[in.kind]
+	case opStoreI1, opStoreI32, opStoreI64, opStoreF32, opStoreF64, opStorePtr:
+		store := storeKind[in.kind]
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			m.store(t, *at(a, lr, ra), at(b, lr, rb).P)
+			store(m, at(a, lr, ra), at(b, lr, rb).P)
 		}
 	case opGEP:
 		scale := in.imm
@@ -641,55 +641,56 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			checkGEP(base)
 			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + off}}
 		}
-	case opBin:
-		k, kind := ir.BinKind(in.sub), in.kind
+	case opBinI1, opBinI32, opBinI64, opBinF32, opBinF64:
+		op, k := in.op, ir.BinKind(in.sub)
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			binOp(&lr[dst], k, kind, at(a, lr, ra), at(b, lr, rb))
+			binOp(&lr[dst], op, k, at(a, lr, ra), at(b, lr, rb))
 		}
 	case opBinStore:
-		k, kind, t := ir.BinKind(in.sub), in.kind, kindTypes[in.kind]
+		op, k, store := opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub), storeKind[in.kind]
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
 		var v Value
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			binOp(&v, k, kind, at(a, lr, ra), at(b, lr, rb))
-			m.store(t, v, at(c, lr, rc).P)
+			binOp(&v, op, k, at(a, lr, ra), at(b, lr, rb))
+			store(m, &v, at(c, lr, rc).P)
 		}
 	case opLoadBinStore:
-		k, swapped, kind, t := ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0, in.kind, kindTypes[in.kind]
+		op, k, swapped := opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0
+		load, store := loadKind[in.kind], storeKind[in.kind]
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
 		var v Value
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			m.load(&v, t, at(a, lr, ra).P)
+			load(m, &v, at(a, lr, ra).P)
 			x, y := &v, at(b, lr, rb)
 			if swapped {
 				x, y = y, x
 			}
-			binOp(&v, k, kind, x, y)
-			m.store(t, v, at(c, lr, rc).P)
+			binOp(&v, op, k, x, y)
+			store(m, &v, at(c, lr, rc).P)
 		}
 	case opAtomic:
-		k, t := ir.AtomicKind(in.sub), kindTypes[in.kind]
+		k := ir.AtomicKind(in.sub)
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			m.atomicRMW(&lr[dst], k, t, at(a, lr, ra).P, at(b, lr, rb))
+			m.atomicRMW(&lr[dst], k, in.kind, at(a, lr, ra).P, at(b, lr, rb))
 		}
 	case opCmp:
-		p := ir.CmpPred(in.sub)
+		p := in.sub
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = BoolV(fastCmp(p, at(a, lr, ra), at(b, lr, rb)))
+			lr[dst] = BoolV(cmpOp(p, at(a, lr, ra), at(b, lr, rb)))
 		}
-	case opMove:
+	case opMove, opExt:
 		a := shared(uniform, uregs, ra)
 		for _, wi := range lanes {
 			lr := wi.kregs
@@ -761,20 +762,12 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			lr := wi.kregs
 			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F / at(b, lr, rb).F))}
 		}
-	case opCast:
-		k, kind := ir.CastKind(in.sub), in.kind
+	case opTruncI1, opTruncI32, opFPToI1, opFPToI32, opFPToI64, opSIToF32, opSIToF64, opFPTrunc:
+		op := in.op
 		a := shared(uniform, uregs, ra)
-		if k == ir.SExt || k == ir.ZExt {
-			// castOp's re-tag, without the call.
-			for _, wi := range lanes {
-				lr := wi.kregs
-				lr[dst] = Value{K: kind, I: at(a, lr, ra).I}
-			}
-			break
-		}
 		for _, wi := range lanes {
 			lr := wi.kregs
-			castOp(&lr[dst], k, kind, at(a, lr, ra))
+			castOp(&lr[dst], op, at(a, lr, ra))
 		}
 	case opSelect:
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)

@@ -171,7 +171,7 @@ func (cf *compiledFn) buildWarpTables(u *passes.Uniformity, nb *ir.Numbering, bl
 			if !ru(in.a) || !ru(in.b) {
 				m = diverge(pc)
 			}
-		case opStore:
+		case opStoreI1, opStoreI32, opStoreI64, opStoreF32, opStoreF64, opStorePtr:
 			// A store of a uniform value through a uniform pointer in a
 			// control-uniform block: every lane writes the same bytes to
 			// the same place, so one write is byte-equivalent.
