@@ -141,6 +141,9 @@ func cmpCode(p ir.CmpPred, kind ir.Kind) uint8 {
 	return uint8(p)
 }
 
+// binOpcode is the typed binop producing kind.
+func binOpcode(kind ir.Kind) vmOp { return opBinI1 + vmOp(kind-ir.Bool) }
+
 // castOpcode is the typed opcode of conversion k to kind to.
 func castOpcode(k ir.CastKind, to ir.Kind) vmOp {
 	switch {
@@ -218,16 +221,18 @@ type instr struct {
 }
 
 // compiledFn is the compiled form of one IR function: flat code over a
-// register file of nregs Values, of which [0, nparams) are the incoming
-// arguments and [constBase, constBase+len(consts)) are prefilled
-// constants (a scratch slot for phi-cycle breaking may follow).
+// register file of nregs one-word registers (Machine.word), of which
+// [0, nparams) are the incoming arguments and [constBase,
+// constBase+len(consts)) are prefilled constants, of constKinds (a
+// scratch slot for phi-cycle breaking may follow).
 type compiledFn struct {
-	fn        *ir.Function
-	code      []instr
-	nparams   int
-	constBase int
-	nregs     int
-	consts    []Value
+	fn         *ir.Function
+	code       []instr
+	nparams    int
+	constBase  int
+	nregs      int
+	consts     []uint64
+	constKinds []ir.Kind
 
 	// blockStarts/blockNames map bytecode pcs back to the source basic
 	// blocks for execution profiling: blockStarts is ascending (blocks
@@ -239,8 +244,8 @@ type compiledFn struct {
 	blockNames  []string
 
 	// regPool recycles register files across frames and launches; files
-	// are cleared on Get so stale values (and the regions they pin) do
-	// not leak between activations.
+	// are cleared on Get so stale values do not leak between
+	// activations.
 	regPool sync.Pool
 
 	// Warp execution tables (kernels compiled with WarpWidth > 0; nil
@@ -262,15 +267,15 @@ type compiledFn struct {
 // getRegs returns a cleared register file with the constant tail
 // prefilled. The pooled pointer travels with the frame and goes back
 // verbatim in putRegs, so frame push/pop allocates nothing.
-func (cf *compiledFn) getRegs() *[]Value {
-	p := cf.regPool.Get().(*[]Value)
+func (cf *compiledFn) getRegs() *[]uint64 {
+	p := cf.regPool.Get().(*[]uint64)
 	regs := *p
 	clear(regs)
 	copy(regs[cf.constBase:], cf.consts)
 	return p
 }
 
-func (cf *compiledFn) putRegs(p *[]Value) {
+func (cf *compiledFn) putRegs(p *[]uint64) {
 	cf.regPool.Put(p)
 }
 
@@ -497,8 +502,9 @@ type fnCompiler struct {
 	nb   *ir.Numbering
 	fuse bool
 
-	constRegs map[constKey]int32
-	consts    []Value
+	constRegs  map[constKey]int32
+	consts     []uint64
+	constKinds []ir.Kind
 
 	blockPC map[*ir.Block]int32
 	code    []instr
@@ -581,7 +587,7 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool) {
 	cf.code = c.code
 	cf.nparams = len(fn.Params)
 	cf.constBase = c.nb.NumValues()
-	cf.consts = c.consts
+	cf.consts, cf.constKinds = c.consts, c.constKinds
 	cf.nregs = cf.constBase + len(c.consts)
 	if c.needScratch {
 		// The scratch slot sits after the constant tail, whose size is
@@ -599,7 +605,7 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool) {
 	}
 	n := cf.nregs
 	cf.regPool.New = func() any {
-		s := make([]Value, n)
+		s := make([]uint64, n)
 		return &s
 	}
 	if c.uni != nil {
@@ -738,21 +744,22 @@ func (c *fnCompiler) tryFuse(instrs []*ir.Instr, i int) int {
 func (c *fnCompiler) reg(v ir.Value) (int32, bool) {
 	switch k := v.(type) {
 	case *ir.ConstInt:
-		return c.constReg(constKey{kind: k.Ty.Kind, i: k.V}, Value{K: k.Ty.Kind, I: k.V}), true
+		return c.constReg(constKey{kind: k.Ty.Kind, i: k.V}, uint64(k.V)), true
 	case *ir.ConstFloat:
-		return c.constReg(constKey{kind: k.Ty.Kind, f: k.V}, Value{K: k.Ty.Kind, F: k.V}), true
+		return c.constReg(constKey{kind: k.Ty.Kind, f: k.V}, fword(k.V)), true
 	case *ir.ConstNull:
-		return c.constReg(constKey{kind: ir.Pointer}, Value{K: ir.Pointer}), true
+		return c.constReg(constKey{kind: ir.Pointer}, 0), true
 	}
 	return c.nb.IndexOf(v)
 }
 
-func (c *fnCompiler) constReg(key constKey, v Value) int32 {
+func (c *fnCompiler) constReg(key constKey, w uint64) int32 {
 	if r, ok := c.constRegs[key]; ok {
 		return r
 	}
 	r := int32(c.nb.NumValues() + len(c.consts))
-	c.consts = append(c.consts, v)
+	c.consts = append(c.consts, w)
+	c.constKinds = append(c.constKinds, key.kind)
 	c.constRegs[key] = r
 	return r
 }
@@ -824,7 +831,7 @@ func (c *fnCompiler) emit(in *ir.Instr) {
 				return
 			}
 		}
-		c.code = append(c.code, instr{op: opBinI1 + vmOp(in.Ty.Kind-ir.Bool), dst: c.dst(in), a: ops[0], b: ops[1], sub: uint8(in.BinK), kind: in.Ty.Kind})
+		c.code = append(c.code, instr{op: binOpcode(in.Ty.Kind), dst: c.dst(in), a: ops[0], b: ops[1], sub: uint8(in.BinK), kind: in.Ty.Kind})
 	case ir.OpCmp:
 		c.code = append(c.code, instr{op: opCmp, dst: c.dst(in), a: ops[0], b: ops[1], sub: cmpCode(in.CmpK, in.Args[0].Type().Kind)})
 	case ir.OpCast:

@@ -40,14 +40,14 @@ func (p *Prog) DumpWarp(w io.Writer, kernel string) error {
 		case r < 0:
 			return "_"
 		case int(r) >= cf.constBase && int(r) < cf.constBase+len(cf.consts):
-			v := cf.consts[int(r)-cf.constBase]
-			switch {
-			case v.K == ir.Pointer:
+			w := cf.consts[int(r)-cf.constBase]
+			switch cf.constKinds[int(r)-cf.constBase] {
+			case ir.Pointer:
 				return "null"
-			case v.K == ir.F32 || v.K == ir.F64:
-				return fmt.Sprintf("%g", v.F)
+			case ir.F32, ir.F64:
+				return fmt.Sprintf("%g", flt(w))
 			}
-			return fmt.Sprintf("%d", v.I)
+			return fmt.Sprintf("%d", int64(w))
 		case cf.uniform[r]:
 			return fmt.Sprintf("u%d", r)
 		}

@@ -97,6 +97,7 @@ type launchCtx struct {
 	m      *Machine
 	fn     *ir.Function
 	args   []Value
+	argw   []uint64   // args as register words (VM engine; 0 for a placeholder)
 	locals []localArg // LocalArgV placeholders, materialized per group
 	nd     NDRange
 	ng     [3]int64
@@ -445,19 +446,17 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 		checkGEP(base.P)
 		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: base.P.R, Off: base.P.Off + idx*in.Ty.Elem.Size()}}
 	case ir.OpBin:
-		x, y := fr.eval(in.Args[0]), fr.eval(in.Args[1])
-		binOp(&d, opBinI1+vmOp(in.Ty.Kind-ir.Bool), in.BinK, &x, &y)
-		fr.env[in] = d
+		x, y := m.word(fr.eval(in.Args[0])), m.word(fr.eval(in.Args[1]))
+		fr.env[in] = m.value(in.Ty.Kind, binOp(binOpcode(in.Ty.Kind), in.BinK, x, y))
 	case ir.OpCmp:
-		x, y := fr.eval(in.Args[0]), fr.eval(in.Args[1])
-		fr.env[in] = BoolV(cmpOp(cmpCode(in.CmpK, in.Args[0].Type().Kind), &x, &y))
+		x, y := m.word(fr.eval(in.Args[0])), m.word(fr.eval(in.Args[1]))
+		fr.env[in] = BoolV(cmpOp(cmpCode(in.CmpK, in.Args[0].Type().Kind), x, y))
 	case ir.OpCast:
-		d = fr.eval(in.Args[0])
+		w := m.word(fr.eval(in.Args[0]))
 		if op := castOpcode(in.CastK, in.Ty.Kind); op != opExt {
-			castOp(&d, op, &d)
+			w = castOp(op, w)
 		}
-		d.K = in.Ty.Kind
-		fr.env[in] = d
+		fr.env[in] = m.value(in.Ty.Kind, w)
 	case ir.OpSelect:
 		if fr.eval(in.Args[0]).Bool() {
 			fr.env[in] = fr.eval(in.Args[1])
@@ -465,10 +464,8 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 			fr.env[in] = fr.eval(in.Args[2])
 		}
 	case ir.OpAtomic:
-		p := fr.eval(in.Args[0]).P
-		v := fr.eval(in.Args[1])
-		m.atomicRMW(&d, in.AtomK, in.Args[1].Type().Kind, p, &v)
-		fr.env[in] = d
+		p, v, kind := m.word(fr.eval(in.Args[0])), m.word(fr.eval(in.Args[1])), in.Args[1].Type().Kind
+		fr.env[in] = m.value(kind, m.atomicRMW(in.AtomK, kind, p, v))
 	case ir.OpBarrier:
 		fr.wi.wg.bar.await()
 	case ir.OpCall:
@@ -502,9 +499,11 @@ func (fr *frame) execBuiltin(name string, args []Value) Value {
 		if len(args) == 1 && args[0].K != ir.Pointer {
 			dim = args[0].I
 		}
-		var v Value
-		wi.wg.l.workItem(&v, sub, dim, &wi.wg.group, &wi.lid)
-		return v
+		k := ir.I64
+		if sub == wiWorkDim {
+			k = ir.I32
+		}
+		return Value{K: k, I: int64(wi.wg.l.workItem(sub, dim, &wi.wg.group, &wi.lid))}
 	}
 	if strings.HasPrefix(name, "__clc_") {
 		op, kind, errMsg := parseMathBuiltin(name)
@@ -524,23 +523,18 @@ func (fr *frame) execBuiltin(name string, args []Value) Value {
 // --- semantics shared by all three engines -------------------------
 //
 // The scalar VM loop (vm.go), the warp loops (warp.go) and the
-// tree-walker above share one spelling of each operation. A helper that
-// produces a register value writes it through a destination pointer d
-// instead of returning it: a 40-byte Value returned from a call is
-// spilled with 8-byte stores and reloaded with 16-byte ones, which the
-// CPU cannot forward, and that stall dominated the dispatch loops. Every
-// helper reads its operands before it writes *d, and writes all of *d,
-// so d may alias an operand.
+// tree-walker above share one spelling of each operation, over register
+// words (Machine.word): the VM's registers hold them, and the
+// tree-walker converts its Values at the helpers' boundary.
 
-// workItem writes work-item query sub (wiGlobalID, …) for dimension dim
-// of the item lid in group into d; every engine answers through it. A
+// workItem returns work-item query sub (wiGlobalID, …) for dimension dim
+// of the item lid in group; every engine answers through it. A
 // dimension outside 0..2 reads as OpenCL defines one past
 // get_work_dim(): 0 for an id or offset, 1 for a size or count. Launches
 // carry no global offset, so wiGlobalOffset is always 0.
-func (l *launchCtx) workItem(d *Value, sub uint8, dim int64, group, lid *[3]int64) {
+func (l *launchCtx) workItem(sub uint8, dim int64, group, lid *[3]int64) uint64 {
 	if sub == wiWorkDim {
-		*d = IntV(int64(l.nd.Dims))
-		return
+		return uint64(l.nd.Dims)
 	}
 	var v int64
 	if dim < 0 || dim > 2 {
@@ -564,45 +558,36 @@ func (l *launchCtx) workItem(d *Value, sub uint8, dim int64, group, lid *[3]int6
 			v = l.nd.Global[dim]
 		}
 	}
-	*d = LongV(v)
+	return uint64(v)
 }
 
-// atomicRMW performs an atomic read-modify-write on p and writes the
-// old value to d. A deferred unlock so a trapping access (out of
+// atomicRMW performs an atomic read-modify-write of kind on p and
+// returns the old value. A deferred unlock so a trapping access (out of
 // bounds, null) cannot leave the stripe locked: machines are pooled and
 // the stripes are shared, so a poisoned lock would outlive the faulting
 // launch.
-func (m *Machine) atomicRMW(d *Value, k ir.AtomicKind, kind ir.Kind, p Ptr, v *Value) {
-	mu := atomicLock(p)
+func (m *Machine) atomicRMW(k ir.AtomicKind, kind ir.Kind, p, v uint64) uint64 {
+	mu := atomicLock(Ptr{R: m.regions.get(p >> ptrOffBits)})
 	mu.Lock()
 	defer mu.Unlock()
-	var old Value
-	loadKind[kind](m, &old, p)
-	var next Value
+	old := loadKind[kind](m, p)
+	next := v
 	switch k {
 	case ir.AtomAdd:
-		next = Value{K: old.K, I: old.I + v.I}
+		next = old + v
 	case ir.AtomSub:
-		next = Value{K: old.K, I: old.I - v.I}
+		next = old - v
 	case ir.AtomMin:
-		next = old
-		if v.I < old.I {
-			next = *v
-		}
+		next = uint64(min(int64(old), int64(v)))
 	case ir.AtomMax:
-		next = old
-		if v.I > old.I {
-			next = *v
-		}
+		next = uint64(max(int64(old), int64(v)))
 	case ir.AtomAnd:
-		next = Value{K: old.K, I: old.I & v.I}
+		next = old & v
 	case ir.AtomOr:
-		next = Value{K: old.K, I: old.I | v.I}
-	case ir.AtomXchg:
-		next = *v
+		next = old | v
 	}
-	storeKind[kind](m, &next, p)
-	*d = old
+	storeKind[kind](m, p, next)
+	return old
 }
 
 // Math builtin codes, pre-parsed from "__clc_<op>_<type>" names by the
@@ -748,52 +733,50 @@ func floatOp(k ir.BinKind, x, y float64) float64 {
 	return x / y // FDiv
 }
 
+// Register words of floats and 32-bit integers.
+func flt(w uint64) float64     { return math.Float64frombits(w) }
+func fword(f float64) uint64   { return math.Float64bits(f) }
+func f32word(f float64) uint64 { return math.Float64bits(float64(float32(f))) }
+func i32word(x uint64) uint64  { return uint64(int64(int32(x))) }
+
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // binOp computes x k y at the kind of the typed opcode op (opBinI1 …
-// opBinF64) into d: F32 rounds, I32 wraps to 32 bits and Bool to the
-// low bit.
-func binOp(d *Value, op vmOp, k ir.BinKind, x, y *Value) {
+// opBinF64): F32 rounds, I32 wraps to 32 bits and Bool to the low bit.
+func binOp(op vmOp, k ir.BinKind, x, y uint64) uint64 {
 	switch op {
 	case opBinI1:
-		*d = Value{K: ir.Bool, I: intOp(k, x.I, y.I) & 1}
+		return uint64(intOp(k, int64(x), int64(y)) & 1)
 	case opBinI32:
-		*d = Value{K: ir.I32, I: int64(int32(intOp(k, x.I, y.I)))}
+		return i32word(uint64(intOp(k, int64(x), int64(y))))
 	case opBinI64:
-		*d = Value{K: ir.I64, I: intOp(k, x.I, y.I)}
+		return uint64(intOp(k, int64(x), int64(y)))
 	case opBinF32:
-		*d = Value{K: ir.F32, F: float64(float32(floatOp(k, x.F, y.F)))}
-	default:
-		*d = Value{K: ir.F64, F: floatOp(k, x.F, y.F)}
+		return f32word(floatOp(k, flt(x), flt(y)))
 	}
+	return fword(floatOp(k, flt(x), flt(y)))
 }
 
-// ptrOrd orders a pointer for relational comparison: region ID (order
-// of registration) then offset. Pointers into regions that were never
-// encoded to memory order as ID 0; cross-region pointer order is
-// unspecified, as on a real device.
-func ptrOrd(p Ptr) int64 {
-	if p.R == nil {
-		return 0
-	}
-	return int64(uint64(p.R.ID)<<ptrOffBits | uint64(p.Off))
-}
-
-// cmpOp evaluates the typed predicate c (cmpCode).
-func cmpOp(c uint8, x, y *Value) bool {
+// cmpOp evaluates the typed predicate c (cmpCode). Pointers are equal
+// when their words are; they order by offset within a region and by
+// region ID across regions, which is unspecified, as on a real device.
+func cmpOp(c uint8, x, y uint64) bool {
 	switch {
 	case c < cmpFEQ:
-		return icmp(c, x.I, y.I)
+		return icmp(c, int64(x), int64(y))
 	case c < cmpPEQ:
-		return fcmp(c, x.F, y.F)
-	case c == cmpPEQ:
-		return x.P == y.P
-	case c == cmpPEQ+1:
-		return x.P != y.P
+		return fcmp(c, flt(x), flt(y))
 	}
-	xi, yi := ptrOrd(x.P), ptrOrd(y.P)
-	if x.P.R == y.P.R {
-		xi, yi = x.P.Off, y.P.Off
+	xi, yi := int64(x>>ptrOffBits), int64(y>>ptrOffBits)
+	if xi == yi {
+		xi, yi = ptrOff(x), ptrOff(y)
 	}
-	return icmp(c-cmpPLT+cmpSLT, xi, yi)
+	return icmp(c-cmpPEQ, xi, yi)
 }
 
 // icmp is an integer predicate (IEQ…IGE) on sign-extended integers.
@@ -831,25 +814,24 @@ func fcmp(c uint8, x, y float64) bool {
 }
 
 // castOp converts x by the typed conversion op (opTruncI1 … opFPTrunc;
-// opExt keeps the register and is a move) into d. Trunc and FPToSI wrap
-// the integer as binOp does.
-func castOp(d *Value, op vmOp, x *Value) {
+// opExt keeps the register and is a move). Trunc and FPToSI wrap the
+// integer as binOp does.
+func castOp(op vmOp, x uint64) uint64 {
 	switch op {
 	case opTruncI1:
-		*d = Value{K: ir.Bool, I: x.I & 1}
+		return x & 1
 	case opTruncI32:
-		*d = Value{K: ir.I32, I: int64(int32(x.I))}
+		return i32word(x)
 	case opFPToI1:
-		*d = Value{K: ir.Bool, I: int64(x.F) & 1}
+		return uint64(int64(flt(x)) & 1)
 	case opFPToI32:
-		*d = Value{K: ir.I32, I: int64(int32(int64(x.F)))}
+		return i32word(uint64(int64(flt(x))))
 	case opFPToI64:
-		*d = Value{K: ir.I64, I: int64(x.F)}
+		return uint64(int64(flt(x)))
 	case opSIToF32:
-		*d = Value{K: ir.F32, F: float64(float32(float64(x.I)))}
+		return f32word(float64(int64(x)))
 	case opSIToF64:
-		*d = Value{K: ir.F64, F: float64(x.I)}
-	default: // opFPTrunc
-		*d = Value{K: ir.F32, F: float64(float32(x.F))}
+		return fword(float64(int64(x)))
 	}
+	return f32word(flt(x)) // opFPTrunc
 }

@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,45 +12,45 @@ import (
 	"repro/internal/ir"
 )
 
-// TestHelpersWriteWholeRegister holds the in-place helpers (load, binOp,
-// castOp, atomicRMW) to two rules the dispatch loops rely on: the
-// destination register is overwritten whole, so a stale pointer left in
-// it cannot pin a freed region or leak into a pointer compare, and the
-// destination may alias an operand. Every case runs twice: into a
-// register holding a stale pointer Value, and into the operand x itself.
+// TestHelpersWriteWholeRegister holds the typed opcodes, run through
+// the scalar dispatch loop's own arms (and the shared helpers they call:
+// the typed loads, binOp, castOp, atomicRMW), to two rules the loops
+// rely on: the destination register is overwritten whole, whatever
+// stale pointer word it held, and the destination may alias an operand.
+// Every case runs twice: into a register holding a stale pointer word,
+// and into the operand x itself. A binop with a specialized opcode
+// (add.i32, …) runs through both forms.
 func TestHelpersWriteWholeRegister(t *testing.T) {
 	m := NewMachine(nil)
 	word := m.NewRegion(8, ir.Global)
 	target := m.NewRegion(16, ir.Global)
 	wordP := Value{K: ir.Pointer, P: Ptr{R: word}}
-	stale := Value{K: ir.Pointer, I: 7, F: 2.5, P: Ptr{R: m.NewRegion(8, ir.Private), Off: 3}}
+	stale := m.word(Value{K: ir.Pointer, P: Ptr{R: m.NewRegion(8, ir.Private), Off: 3}})
 
-	load := func(k ir.Kind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { loadKind[k](m, d, x.P) }
+	// Each op is one typed instruction over x (register 0) and y
+	// (register 1).
+	load := func(k ir.Kind) []instr {
+		return []instr{{op: opLoadI1 + vmOp(k-ir.Bool), kind: k, a: 0}}
 	}
-	bin := func(k ir.BinKind, kind ir.Kind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { binOp(d, opBinI1+vmOp(kind-ir.Bool), k, x, y) }
-	}
-	cast := func(k ir.CastKind, to ir.Kind) func(d, x, y *Value) {
-		return func(d, x, y *Value) {
-			if op := castOpcode(k, to); op != opExt {
-				castOp(d, op, x)
-				return
-			}
-			v := *x
-			v.K = to
-			*d = v
+	bin := func(k ir.BinKind, kind ir.Kind) []instr {
+		ins := []instr{{op: binOpcode(kind), sub: uint8(k), kind: kind, a: 0, b: 1}}
+		if spec, ok := specBin[[2]uint8{uint8(k), uint8(kind)}]; ok {
+			ins = append(ins, instr{op: spec, a: 0, b: 1})
 		}
+		return ins
+	}
+	cast := func(k ir.CastKind, to ir.Kind) []instr {
+		return []instr{{op: castOpcode(k, to), sub: uint8(k), kind: to, a: 0}}
 	}
 	// x is the value operand (the one d aliases), y the pointer.
-	atomic := func(k ir.AtomicKind) func(d, x, y *Value) {
-		return func(d, x, y *Value) { m.atomicRMW(d, k, ir.I32, y.P, x) }
+	atomic := func(k ir.AtomicKind) []instr {
+		return []instr{{op: opAtomic, sub: uint8(k), kind: ir.I32, a: 1, b: 0}}
 	}
 
 	cases := []struct {
 		name string
 		init Value // stored to word before each run (K Void: none)
-		op   func(d, x, y *Value)
+		op   []instr
 		x, y Value
 		want Value
 		mem  Value  // word after the run (K Void: not checked)
@@ -119,33 +118,44 @@ func TestHelpersWriteWholeRegister(t *testing.T) {
 				name = c.name + "/aliased"
 			}
 			t.Run(name, func(t *testing.T) {
-				if c.init.K != ir.Void {
-					storeKind[c.init.K](m, &c.init, Ptr{R: word})
-				}
-				x, y, d := c.x, c.y, stale
-				dp := &d
-				if aliased {
-					dp = &x
-				}
-				if msg := trapOf(func() { c.op(dp, &x, &y) }); msg != c.trap {
-					t.Fatalf("trap %q, want %q", msg, c.trap)
-				}
-				if c.trap != "" {
-					return
-				}
-				if *dp != c.want {
-					t.Errorf("d = %+v, want %+v", *dp, c.want)
-				}
-				if c.mem.K != ir.Void {
-					var got Value
-					loadKind[c.mem.K](m, &got, Ptr{R: word})
-					if got != c.mem {
-						t.Errorf("memory = %+v, want %+v", got, c.mem)
+				for _, in := range c.op {
+					if c.init.K != ir.Void {
+						m.store(&ir.Type{Kind: c.init.K}, c.init, Ptr{R: word})
+					}
+					regs := []uint64{m.word(c.x), m.word(c.y), stale}
+					in.dst = 2
+					if aliased {
+						in.dst = 0
+					}
+					if msg := trapOf(func() { execOne(m, in, regs) }); msg != c.trap {
+						t.Fatalf("%s: trap %q, want %q", opNames[in.op], msg, c.trap)
+					}
+					if c.trap != "" {
+						continue
+					}
+					if got, want := regs[in.dst], m.word(c.want); got != want {
+						t.Errorf("%s: d = %#x, want %#x", opNames[in.op], got, want)
+					}
+					if c.mem.K != ir.Void {
+						var got Value
+						m.load(&got, &ir.Type{Kind: c.mem.K}, Ptr{R: word})
+						if got != c.mem {
+							t.Errorf("memory = %+v, want %+v", got, c.mem)
+						}
 					}
 				}
 			})
 		}
 	}
+}
+
+// execOne runs one instruction over regs through the scalar dispatch
+// loop of a one-item group.
+func execOne(m *Machine, in instr, regs []uint64) {
+	cf := &compiledFn{code: []instr{in, {op: opRet, a: -1}}}
+	l := &launchCtx{m: m, fn: &ir.Function{Name: "one"}, maxSteps: defaultMaxSteps}
+	g := &vmGroup{l: l, ar: &arena{tab: &m.regions}}
+	g.exec(&wiState{frames: []vmFrame{{cf: cf, regp: &regs}}})
 }
 
 // trapOf runs f and returns the message of the execution trap it
@@ -164,88 +174,43 @@ func trapOf(f func()) (msg string) {
 	return ""
 }
 
-// TestDispatchLoopsAssignNoValueCalls keeps the store-forwarding stall
-// out of the dispatch loops. A non-inlined call returning a 40-byte
-// Value hands it back in registers; the loop spills them with 8-byte
-// stores and copies the spill into the register file with 16-byte
-// loads, which the CPU cannot forward from those stores. Once it cost
-// 13 % of a Parboil run on one instruction. The loops must let the
-// helper write the register itself (load, binOp, castOp, atomicRMW take
-// a destination pointer); only the inlinable constructors below may
-// still be assigned.
+// TestDispatchLoopsAssignNoValueCalls keeps the 40-byte Value out of
+// the dispatch loops. Their registers are one word each (Machine.word);
+// when they were Values, a non-inlined helper returning one handed it
+// back in registers, and the loop spilled them with 8-byte stores and
+// copied the spill into the register file with 16-byte loads the CPU
+// could not forward from those stores, which once cost 13 % of a
+// Parboil run on one instruction. exec, warpExec and laneExec may not
+// mention Value at all.
 func TestDispatchLoopsAssignNoValueCalls(t *testing.T) {
-	inlinable := map[string]bool{"BoolV": true, "IntV": true, "LongV": true, "FloatV": true, "DoubleV": true, "PtrV": true}
 	loops := map[string]bool{"exec": true, "warpExec": true, "laneExec": true}
-
 	fset := token.NewFileSet()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decls []*ast.FuncDecl
+	found := map[string]bool{}
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := parser.ParseFile(fset, name, src, 0)
+		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				decls = append(decls, fd)
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !loops[fd.Name.Name] || !isVMGroupMethod(fd) {
+				continue
 			}
-		}
-	}
-	// Functions and methods of the package that return a Value, by name
-	// (the walk has no type information, so a method is known by its
-	// name alone).
-	returnsValue := map[string]bool{}
-	for _, fd := range decls {
-		if fd.Type.Results == nil {
-			continue
-		}
-		for _, r := range fd.Type.Results.List {
-			if id, ok := r.Type.(*ast.Ident); ok && id.Name == "Value" {
-				returnsValue[fd.Name.Name] = true
-			}
-		}
-	}
-	found := map[string]bool{}
-	for _, fd := range decls {
-		if !loops[fd.Name.Name] || !isVMGroupMethod(fd) {
-			continue
-		}
-		found[fd.Name.Name] = true
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			var rhs []ast.Expr
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				rhs = s.Rhs
-			case *ast.ValueSpec:
-				rhs = s.Values
-			default:
+			found[fd.Name.Name] = true
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "Value" {
+					t.Errorf("%s: %s mentions Value; the dispatch loops work on register words", fset.Position(id.Pos()), fd.Name.Name)
+				}
 				return true
-			}
-			for _, e := range rhs {
-				ast.Inspect(e, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					if name := calleeName(call); returnsValue[name] && !inlinable[name] {
-						t.Errorf("%s: %s assigns the Value returned by %s; pass the destination register instead",
-							fset.Position(call.Pos()), fd.Name.Name, name)
-					}
-					return true
-				})
-			}
-			return true
-		})
+			})
+		}
 	}
 	for name := range loops {
 		if !found[name] {
@@ -311,14 +276,4 @@ func isVMGroupMethod(fd *ast.FuncDecl) bool {
 	}
 	id, ok := star.X.(*ast.Ident)
 	return ok && id.Name == "vmGroup"
-}
-
-func calleeName(call *ast.CallExpr) string {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return f.Name
-	case *ast.SelectorExpr:
-		return f.Sel.Name
-	}
-	return ""
 }

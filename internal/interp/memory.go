@@ -21,16 +21,17 @@ import (
 	"repro/internal/ir"
 )
 
-// Region is a contiguous block of byte-addressable memory. Pointers are
-// (region, offset) pairs; storing a pointer to memory encodes the region's
-// registry ID.
+// Region is a contiguous block of byte-addressable memory. A region is
+// registered with its machine when it is created, and the ID it gets
+// there is what a pointer word names it by.
 type Region struct {
 	ID    int
 	Bytes []byte
 	Space ir.AddrSpace
 }
 
-// Ptr is a pointer value: a region plus a byte offset.
+// Ptr is a pointer value of the host API and the tree-walker: a region
+// plus a byte offset. The VM holds the same pointer as one word (ptrWord).
 type Ptr struct {
 	R   *Region
 	Off int64
@@ -39,7 +40,9 @@ type Ptr struct {
 // IsNull reports whether the pointer is null.
 func (p Ptr) IsNull() bool { return p.R == nil }
 
-// Value is a runtime value: one of the scalar kinds or a pointer.
+// Value is a runtime value of the host API and the tree-walker: one of
+// the scalar kinds or a pointer. The VM's registers hold the same value
+// as one word (Machine.word).
 type Value struct {
 	K ir.Kind
 	I int64
@@ -112,8 +115,7 @@ type Machine struct {
 	// Nil machines share a process-wide default pool.
 	Workers *WorkerPool
 
-	mu      sync.Mutex
-	regions []*Region
+	regions regionTable
 
 	// MaxSteps bounds the total instructions one Launch may execute
 	// across all its work-items and call frames. Zero means the default
@@ -201,7 +203,7 @@ const atomicStripes = 64
 
 var atomicMus [atomicStripes]sync.Mutex
 
-// atomicLock returns the stripe lock for the pointer's backing array.
+// atomicLock returns the stripe lock for the region's backing array.
 func atomicLock(p Ptr) *sync.Mutex {
 	var addr uintptr
 	if p.R != nil {
@@ -213,9 +215,8 @@ func atomicLock(p Ptr) *sync.Mutex {
 // NewMachine returns a machine for the module.
 func NewMachine(mod *ir.Module) *Machine {
 	m := &Machine{Mod: mod}
-	// Region ID 0 is reserved so that a zero word never decodes to a
-	// valid pointer.
-	m.regions = append(m.regions, nil)
+	// Region ID 0 is reserved so that the zero word is the null pointer.
+	m.regions.next = 1
 	return m
 }
 
@@ -231,21 +232,8 @@ func (m *Machine) NewRegion(size int64, space ir.AddrSpace) *Region {
 // memory in place.
 func (m *Machine) BindRegion(bytes []byte, space ir.AddrSpace) *Region {
 	r := &Region{Bytes: bytes, Space: space}
-	m.registerRegion(r)
+	m.regions.set(r, m.regions.reserve(1))
 	return r
-}
-
-// registerRegion assigns the region an ID in the machine's registry so
-// pointers into it can be encoded as memory words. Host-visible regions
-// register eagerly; the VM's arena-allocated allocas register lazily,
-// on the first encode — most never need an ID at all.
-func (m *Machine) registerRegion(r *Region) {
-	m.mu.Lock()
-	if r.ID == 0 {
-		r.ID = len(m.regions)
-		m.regions = append(m.regions, r)
-	}
-	m.mu.Unlock()
 }
 
 // Reset drops every region from the registry so a pooled machine can be
@@ -254,65 +242,159 @@ func (m *Machine) registerRegion(r *Region) {
 // reset become dangling, exactly as across separate machines.
 func (m *Machine) Reset() {
 	m.interrupt.Store(nil)
-	m.mu.Lock()
-	m.regions = m.regions[:1]
-	m.mu.Unlock()
+	m.regions.truncate(1)
 }
 
-// regionByID resolves an encoded region ID.
-func (m *Machine) regionByID(id int) *Region {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if id <= 0 || id >= len(m.regions) {
+// regionByID resolves a region ID.
+func (m *Machine) regionByID(id int) *Region { return m.regions.get(uint64(id)) }
+
+// regionTable is the registry pointer words name regions by. Decoding
+// takes no lock: pages never move once published, and the directory is
+// replaced, never mutated, when it grows. Registering takes the lock
+// once per block of IDs (reserve), not once per region.
+type regionTable struct {
+	mu   sync.Mutex
+	next int // IDs handed out, the reserved ID 0 included
+	dir  atomic.Pointer[[]*regionPage]
+}
+
+const regionPageBits = 8
+
+type regionPage [1 << regionPageBits]atomic.Pointer[Region]
+
+// reserve hands out n consecutive IDs and returns the first.
+func (t *regionTable) reserve(n int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	first := t.next
+	if first+n > 1<<(64-ptrOffBits) {
+		panic(trap{"too many regions for a pointer word"})
+	}
+	t.next += n
+	var dir []*regionPage
+	if d := t.dir.Load(); d != nil {
+		dir = *d
+	}
+	if need := (t.next-1)>>regionPageBits + 1; need > len(dir) {
+		grown := append(dir[:len(dir):len(dir)], make([]*regionPage, need-len(dir))...)
+		for i := len(dir); i < need; i++ {
+			grown[i] = new(regionPage)
+		}
+		t.dir.Store(&grown)
+	}
+	return first
+}
+
+// set gives r the reserved ID id.
+func (t *regionTable) set(r *Region, id int) {
+	r.ID = id
+	(*t.dir.Load())[id>>regionPageBits][id&(1<<regionPageBits-1)].Store(r)
+}
+
+// get returns the region with ID id: nil for 0 and for an ID that was
+// never handed out or has been dropped.
+func (t *regionTable) get(id uint64) *Region {
+	d := t.dir.Load()
+	if d == nil || id>>regionPageBits >= uint64(len(*d)) {
 		return nil
 	}
-	return m.regions[id]
+	return (*d)[id>>regionPageBits][id&(1<<regionPageBits-1)].Load()
 }
 
+// mark returns the first ID not yet handed out.
+func (t *regionTable) mark() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.next
+}
+
+// truncate drops every region with an ID at or above n.
+func (t *regionTable) truncate(n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if d := t.dir.Load(); d != nil {
+		for id := n; id < t.next; id++ {
+			(*d)[id>>regionPageBits][id&(1<<regionPageBits-1)].Store(nil)
+		}
+	}
+	t.next = n
+}
+
+// A pointer word is a region ID above ptrOffBits and a signed byte offset
+// below: the form of a pointer in a VM register and in memory. The null
+// pointer is the zero word, and no other word names region 0. Offset
+// arithmetic wraps within the offset field; only an access checks it.
 const ptrOffBits = 40
 
-// encodePtr packs a pointer into a 64-bit word for in-memory storage,
-// registering the target region on first encode.
+// ptrOff is the signed byte offset of pointer word w.
+func ptrOff(w uint64) int64 { return int64(w<<(64-ptrOffBits)) >> (64 - ptrOffBits) }
+
+// gep offsets pointer word p by delta bytes; a null base traps.
+func gep(p uint64, delta int64) uint64 {
+	if p == 0 {
+		panic(trap{"gep on null pointer"})
+	}
+	const mask = 1<<ptrOffBits - 1
+	return p&^mask | (p+uint64(delta))&mask
+}
+
+// encodePtr packs a pointer into its word, registering a region that
+// has no ID yet.
 func (m *Machine) encodePtr(p Ptr) uint64 {
 	if p.R == nil {
 		return 0
 	}
 	if p.R.ID == 0 {
-		m.registerRegion(p.R)
+		m.regions.set(p.R, m.regions.reserve(1))
 	}
-	if p.Off < 0 || p.Off >= 1<<ptrOffBits {
+	if p.Off < -1<<(ptrOffBits-1) || p.Off >= 1<<(ptrOffBits-1) {
 		panic(trap{fmt.Sprintf("pointer offset %d out of encodable range", p.Off)})
 	}
-	return uint64(p.R.ID)<<ptrOffBits | uint64(p.Off)
+	return uint64(p.R.ID)<<ptrOffBits | uint64(p.Off)&(1<<ptrOffBits-1)
 }
 
-// decodePtr unpacks a stored pointer word.
+// decodePtr unpacks a pointer word.
 func (m *Machine) decodePtr(w uint64) Ptr {
 	if w == 0 {
 		return Ptr{}
 	}
-	id := int(w >> ptrOffBits)
-	off := int64(w & (1<<ptrOffBits - 1))
-	r := m.regionByID(id)
+	r := m.regions.get(w >> ptrOffBits)
 	if r == nil {
 		panic(trap{fmt.Sprintf("load of dangling pointer word %#x", w)})
 	}
-	return Ptr{R: r, Off: off}
+	return Ptr{R: r, Off: ptrOff(w)}
+}
+
+// word is v's register word, the form every VM register and shared
+// helper holds a value in: an integer sign-extended (a bool 0 or 1), a
+// float as its float64 bits (an F32 is a float64 rounded to float32
+// precision), a pointer encoded. The tree-walker crosses into the shared
+// helpers through word and value.
+func (m *Machine) word(v Value) uint64 {
+	switch v.K {
+	case ir.F32, ir.F64:
+		return math.Float64bits(v.F)
+	case ir.Pointer:
+		return m.encodePtr(v.P)
+	}
+	return uint64(v.I)
+}
+
+// value is the Value of kind k that register word w holds.
+func (m *Machine) value(k ir.Kind, w uint64) Value {
+	switch k {
+	case ir.F32, ir.F64:
+		return Value{K: k, F: math.Float64frombits(w)}
+	case ir.Pointer:
+		return Value{K: k, P: m.decodePtr(w)}
+	}
+	return Value{K: k, I: int64(w)}
 }
 
 // trap is an execution fault (out-of-bounds access, division by zero, ...).
 type trap struct{ msg string }
 
 func (t trap) Error() string { return "interp: " + t.msg }
-
-func checkBounds(p Ptr, size int64) {
-	if p.IsNull() {
-		panic(trap{"null pointer dereference"})
-	}
-	if p.Off < 0 || p.Off+size > int64(len(p.R.Bytes)) {
-		panic(trap{fmt.Sprintf("out-of-bounds access: offset %d size %d in region of %d bytes", p.Off, size, len(p.R.Bytes))})
-	}
-}
 
 // checkGEP traps on a null GEP base: it has no region to offset into.
 func checkGEP(p Ptr) {
@@ -321,53 +403,58 @@ func checkGEP(p Ptr) {
 	}
 }
 
-// mem returns the size bytes at p, trapping on a null or out-of-bounds
-// access.
-func mem(p Ptr, size int64) []byte {
-	checkBounds(p, size)
-	return p.R.Bytes[p.Off : p.Off+size]
+// mem returns the size bytes pointer word p addresses, trapping on a
+// null, dangling or out-of-bounds access.
+func (m *Machine) mem(p uint64, size int64) []byte {
+	r := m.regions.get(p >> ptrOffBits)
+	if r == nil {
+		if p == 0 {
+			panic(trap{"null pointer dereference"})
+		}
+		panic(trap{fmt.Sprintf("access through dangling pointer word %#x", p)})
+	}
+	off := ptrOff(p)
+	if off < 0 || off+size > int64(len(r.Bytes)) {
+		panic(trap{fmt.Sprintf("out-of-bounds access: offset %d size %d in region of %d bytes", off, size, len(r.Bytes))})
+	}
+	return r.Bytes[off : off+size]
 }
 
-// The typed loads and stores: one per kind, the single spelling of how a
-// value of that kind sits in memory. The dispatch loops call them by
-// typed opcode; the fused opcodes and the tree-walker, which carry a
-// kind, go through loadKind and storeKind.
-func (m *Machine) loadI1(d *Value, p Ptr) { *d = Value{K: ir.Bool, I: int64(mem(p, 1)[0] & 1)} }
-func (m *Machine) loadI32(d *Value, p Ptr) {
-	*d = Value{K: ir.I32, I: int64(int32(binary.LittleEndian.Uint32(mem(p, 4))))}
+// The typed loads and stores over register words: one per memory form,
+// the single spelling of how a value of each kind sits in memory. The
+// dispatch loops call them by typed opcode; the fused opcodes and the
+// tree-walker, which carry a kind, go through loadKind and storeKind.
+func (m *Machine) loadI1(p uint64) uint64 { return uint64(m.mem(p, 1)[0] & 1) }
+func (m *Machine) loadI32(p uint64) uint64 {
+	return uint64(int64(int32(binary.LittleEndian.Uint32(m.mem(p, 4)))))
 }
-func (m *Machine) loadI64(d *Value, p Ptr) {
-	*d = Value{K: ir.I64, I: int64(binary.LittleEndian.Uint64(mem(p, 8)))}
+func (m *Machine) loadF32(p uint64) uint64 {
+	return math.Float64bits(float64(math.Float32frombits(binary.LittleEndian.Uint32(m.mem(p, 4)))))
 }
-func (m *Machine) loadF32(d *Value, p Ptr) {
-	*d = Value{K: ir.F32, F: float64(math.Float32frombits(binary.LittleEndian.Uint32(mem(p, 4))))}
+func (m *Machine) load64(p uint64) uint64 { return binary.LittleEndian.Uint64(m.mem(p, 8)) }
+
+// loadPtr loads a pointer word, trapping on one that names no region.
+func (m *Machine) loadPtr(p uint64) uint64 {
+	w := m.load64(p)
+	if w != 0 && m.regions.get(w>>ptrOffBits) == nil {
+		panic(trap{fmt.Sprintf("load of dangling pointer word %#x", w)})
+	}
+	return w
 }
-func (m *Machine) loadF64(d *Value, p Ptr) {
-	*d = Value{K: ir.F64, F: math.Float64frombits(binary.LittleEndian.Uint64(mem(p, 8)))}
+
+func (m *Machine) storeI1(p, v uint64)  { m.mem(p, 1)[0] = byte(v & 1) }
+func (m *Machine) storeI32(p, v uint64) { binary.LittleEndian.PutUint32(m.mem(p, 4), uint32(v)) }
+func (m *Machine) storeF32(p, v uint64) {
+	binary.LittleEndian.PutUint32(m.mem(p, 4), math.Float32bits(float32(math.Float64frombits(v))))
 }
-func (m *Machine) loadPtr(d *Value, p Ptr) {
-	*d = Value{K: ir.Pointer, P: m.decodePtr(binary.LittleEndian.Uint64(mem(p, 8)))}
-}
-func (m *Machine) storeI1(v *Value, p Ptr)  { mem(p, 1)[0] = byte(v.I & 1) }
-func (m *Machine) storeI32(v *Value, p Ptr) { binary.LittleEndian.PutUint32(mem(p, 4), uint32(v.I)) }
-func (m *Machine) storeI64(v *Value, p Ptr) { binary.LittleEndian.PutUint64(mem(p, 8), uint64(v.I)) }
-func (m *Machine) storeF32(v *Value, p Ptr) {
-	binary.LittleEndian.PutUint32(mem(p, 4), math.Float32bits(float32(v.F)))
-}
-func (m *Machine) storeF64(v *Value, p Ptr) {
-	binary.LittleEndian.PutUint64(mem(p, 8), math.Float64bits(v.F))
-}
-func (m *Machine) storePtr(v *Value, p Ptr) {
-	checkBounds(p, 8)
-	binary.LittleEndian.PutUint64(p.R.Bytes[p.Off:], m.encodePtr(v.P))
-}
+func (m *Machine) store64(p, v uint64) { binary.LittleEndian.PutUint64(m.mem(p, 8), v) }
 
 // loadKind and storeKind index the typed loads and stores by ir.Kind.
 var (
-	loadKind = [ir.Pointer + 1]func(*Machine, *Value, Ptr){ir.Bool: (*Machine).loadI1, ir.I32: (*Machine).loadI32,
-		ir.I64: (*Machine).loadI64, ir.F32: (*Machine).loadF32, ir.F64: (*Machine).loadF64, ir.Pointer: (*Machine).loadPtr}
-	storeKind = [ir.Pointer + 1]func(*Machine, *Value, Ptr){ir.Bool: (*Machine).storeI1, ir.I32: (*Machine).storeI32,
-		ir.I64: (*Machine).storeI64, ir.F32: (*Machine).storeF32, ir.F64: (*Machine).storeF64, ir.Pointer: (*Machine).storePtr}
+	loadKind = [ir.Pointer + 1]func(*Machine, uint64) uint64{ir.Bool: (*Machine).loadI1, ir.I32: (*Machine).loadI32,
+		ir.I64: (*Machine).load64, ir.F32: (*Machine).loadF32, ir.F64: (*Machine).load64, ir.Pointer: (*Machine).loadPtr}
+	storeKind = [ir.Pointer + 1]func(*Machine, uint64, uint64){ir.Bool: (*Machine).storeI1, ir.I32: (*Machine).storeI32,
+		ir.I64: (*Machine).store64, ir.F32: (*Machine).storeF32, ir.F64: (*Machine).store64, ir.Pointer: (*Machine).store64}
 )
 
 // load reads a value of type t from memory into d (the tree-walker's
@@ -376,7 +463,7 @@ func (m *Machine) load(d *Value, t *ir.Type, p Ptr) {
 	if t.Kind == ir.Void {
 		panic(trap{fmt.Sprintf("load of unsupported type %s", t)})
 	}
-	loadKind[t.Kind](m, d, p)
+	*d = m.value(t.Kind, loadKind[t.Kind](m, m.encodePtr(p)))
 }
 
 // store writes a value of type t to memory.
@@ -384,7 +471,7 @@ func (m *Machine) store(t *ir.Type, v Value, p Ptr) {
 	if t.Kind == ir.Void {
 		panic(trap{fmt.Sprintf("store of unsupported type %s", t)})
 	}
-	storeKind[t.Kind](m, &v, p)
+	storeKind[t.Kind](m, m.encodePtr(p), m.word(v))
 }
 
 // Buffer helpers for host code (the mini OpenCL runtime).

@@ -48,7 +48,7 @@ const (
 // (index 0), the work-item's window of the group's slab.
 type vmFrame struct {
 	cf   *compiledFn
-	regp *[]Value
+	regp *[]uint64
 	pc   int32
 	dst  int32 // caller register receiving the return value (-1: none)
 }
@@ -58,7 +58,7 @@ type vmFrame struct {
 // with the stack intact.
 type wiState struct {
 	frames []vmFrame
-	kregs  []Value // kernel-frame register file (frames[0].regp points here)
+	kregs  []uint64 // kernel-frame register file (frames[0].regp points here)
 	lid    [3]int64
 	status wiStatus
 	lane   uint8 // bit of this work-item in its warp's lane masks
@@ -66,18 +66,28 @@ type wiState struct {
 }
 
 // arena bump-allocates private and local regions for the groups one
-// worker runs. Regions are never recycled within a launch (a dangling
-// pointer into a dead frame's alloca reads exactly what the reference
-// engine would read), but the backing chunks amortize allocation and
-// arrive pre-zeroed.
+// worker runs and registers each under an ID from a block it reserves
+// from the launch's machine (use). Regions are never recycled within a
+// launch (a dangling pointer into a dead frame's alloca reads exactly
+// what the reference engine would read), but the backing chunks
+// amortize allocation and arrive pre-zeroed.
 type arena struct {
 	buf     []byte
 	regions []Region
+	tab     *regionTable
+	id, end int // the reserved IDs not yet given out
 }
 
-const arenaChunk = 64 << 10
+const (
+	arenaChunk   = 64 << 10
+	arenaIDBlock = 64
+)
 
-func (a *arena) alloc(size int64, space ir.AddrSpace) *Region {
+// use points the arena at the machine a launch runs on.
+func (a *arena) use(t *regionTable) { a.tab, a.id, a.end = t, 0, 0 }
+
+// alloc returns the pointer word of a fresh zeroed region.
+func (a *arena) alloc(size int64, space ir.AddrSpace) uint64 {
 	if size > int64(len(a.buf)) {
 		n := int64(arenaChunk)
 		if size > n {
@@ -93,7 +103,13 @@ func (a *arena) alloc(size int64, space ir.AddrSpace) *Region {
 	r := &a.regions[0]
 	a.regions = a.regions[1:]
 	*r = Region{Bytes: b, Space: space}
-	return r
+	if a.id == a.end {
+		a.id = a.tab.reserve(arenaIDBlock)
+		a.end = a.id + arenaIDBlock
+	}
+	a.tab.set(r, a.id)
+	a.id++
+	return uint64(r.ID) << ptrOffBits
 }
 
 // groupRunner is one worker's reusable scratch: work-item states, the
@@ -102,10 +118,10 @@ func (a *arena) alloc(size int64, space ir.AddrSpace) *Region {
 // across launches and machines.
 type groupRunner struct {
 	items  []wiState
-	slab   []Value
+	slab   []uint64
 	dirty  int // slab prefix written since the last scrub
 	warps  []warp
-	locals []*Region
+	locals []uint64
 	ar     arena
 }
 
@@ -119,7 +135,7 @@ var runnerPool = sync.Pool{New: func() any { return new(groupRunner) }}
 func (gr *groupRunner) kernelRegs(size, nregs int) {
 	need := size * nregs
 	if cap(gr.slab) < need {
-		gr.slab = make([]Value, need)
+		gr.slab = make([]uint64, need)
 		gr.dirty = 0
 	}
 	gr.dirty = max(gr.dirty, need)
@@ -130,19 +146,26 @@ func (gr *groupRunner) kernelRegs(size, nregs int) {
 }
 
 // scrub returns the runner to the pool with nothing of the finished
-// launch in it: a pooled runner serves any tenant next, and stale
-// register values would also pin the regions they point to.
+// launch in it: a pooled runner serves any tenant next.
 func (gr *groupRunner) scrub() {
 	clear(gr.slab[:gr.dirty])
 	gr.dirty = 0
+	gr.ar.tab = nil
 	runnerPool.Put(gr)
+}
+
+// getRunner takes a pooled runner for a launch on the machine m.
+func getRunner(m *Machine) *groupRunner {
+	gr := runnerPool.Get().(*groupRunner)
+	gr.ar.use(&m.regions)
+	return gr
 }
 
 // vmGroup is the execution context of one work-group.
 type vmGroup struct {
 	l      *launchCtx
 	group  [3]int64
-	locals []*Region
+	locals []uint64 // pointer words of the group's local regions, by slot (0: not yet)
 	ar     *arena
 
 	// prof is non-nil when this group was sampled for execution
@@ -172,6 +195,14 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		return fmt.Errorf("interp: kernel %q not compiled", fn.Name)
 	}
 	l := &launchCtx{m: m, fn: fn, args: args, locals: locals, nd: nd, ng: nd.NumGroups(), prog: prog, kcf: kcf, maxSteps: m.maxSteps()}
+	l.argw = make([]uint64, len(args))
+	for i, a := range args {
+		if _, local := localArgSize(a); !local {
+			l.argw[i] = m.word(a)
+		}
+	}
+	// The regions the launch's arenas register live as long as the launch.
+	defer m.regions.truncate(m.regions.mark())
 	total := l.ng[0] * l.ng[1] * l.ng[2]
 	if p := m.Profiler; p != nil {
 		l.prof = p
@@ -194,7 +225,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		workers = total
 	}
 	if workers <= 1 {
-		gr := runnerPool.Get().(*groupRunner)
+		gr := getRunner(m)
 		defer gr.scrub()
 		for i := int64(0); i < total; i++ {
 			if err := l.runGroupVM(gr, i); err != nil {
@@ -213,7 +244,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		wg      sync.WaitGroup
 	)
 	claim := func() {
-		gr := runnerPool.Get().(*groupRunner)
+		gr := getRunner(m)
 		defer gr.scrub()
 		for !abort.Load() {
 			i := next.Add(1) - 1
@@ -269,7 +300,7 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
 	gr.items = gr.items[:size]
 	nslots := len(l.prog.localSizes)
 	if cap(gr.locals) < nslots {
-		gr.locals = make([]*Region, nslots)
+		gr.locals = make([]uint64, nslots)
 	}
 	gr.locals = gr.locals[:nslots]
 	clear(gr.locals)
@@ -287,11 +318,10 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
 
 	// Materialize host-declared local arguments: one region per group,
 	// patched over the LocalArgV placeholder in every item's registers.
-	var largs [8]Value
+	var largs [8]uint64
 	argPatch := largs[:0]
 	for _, la := range l.locals {
-		r := g.ar.alloc(la.size, ir.Local)
-		argPatch = append(argPatch, Value{K: ir.Pointer, P: Ptr{R: r}})
+		argPatch = append(argPatch, g.ar.alloc(la.size, ir.Local))
 	}
 
 	gr.kernelRegs(size, l.kcf.nregs)
@@ -342,8 +372,8 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
 // fillKernelRegs prepares a kernel-frame register file for scalar
 // execution: arguments (host-declared local arguments patched to this
 // group's regions) at the front, the constant tail at the back.
-func (l *launchCtx) fillKernelRegs(regs []Value, argPatch []Value) {
-	copy(regs, l.args)
+func (l *launchCtx) fillKernelRegs(regs []uint64, argPatch []uint64) {
+	copy(regs, l.argw)
 	for pi, la := range l.locals {
 		regs[la.idx] = argPatch[pi]
 	}
@@ -364,6 +394,17 @@ func (g *vmGroup) release(gr *groupRunner) {
 		}
 		wi.frames = wi.frames[:0]
 	}
+}
+
+// local returns the pointer word of the group's local region in slot,
+// allocating the region on first use.
+func (g *vmGroup) local(slot int32, size int64) uint64 {
+	if p := g.locals[slot]; p != 0 {
+		return p
+	}
+	p := g.ar.alloc(size, ir.Local)
+	g.locals[slot] = p
+	return p
 }
 
 // resume runs a work-item until its next suspension point, converting
@@ -408,80 +449,61 @@ func (g *vmGroup) exec(wi *wiState) {
 		}
 		switch in.op {
 		case opAlloca:
-			r := g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
-			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+			regs[in.dst] = g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
 		case opAllocaLocal:
-			r := g.locals[in.a]
-			if r == nil {
-				r = g.ar.alloc(in.imm, ir.Local)
-				g.locals[in.a] = r
-			}
-			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+			regs[in.dst] = g.local(in.a, in.imm)
 		case opLoadI1:
-			m.loadI1(&regs[in.dst], regs[in.a].P)
+			regs[in.dst] = m.loadI1(regs[in.a])
 		case opLoadI32:
-			m.loadI32(&regs[in.dst], regs[in.a].P)
-		case opLoadI64:
-			m.loadI64(&regs[in.dst], regs[in.a].P)
+			regs[in.dst] = m.loadI32(regs[in.a])
 		case opLoadF32:
-			m.loadF32(&regs[in.dst], regs[in.a].P)
-		case opLoadF64:
-			m.loadF64(&regs[in.dst], regs[in.a].P)
+			regs[in.dst] = m.loadF32(regs[in.a])
+		case opLoadI64, opLoadF64:
+			regs[in.dst] = m.load64(regs[in.a])
 		case opLoadPtr:
-			m.loadPtr(&regs[in.dst], regs[in.a].P)
+			regs[in.dst] = m.loadPtr(regs[in.a])
 		case opStoreI1:
-			m.storeI1(&regs[in.a], regs[in.b].P)
+			m.storeI1(regs[in.b], regs[in.a])
 		case opStoreI32:
-			m.storeI32(&regs[in.a], regs[in.b].P)
-		case opStoreI64:
-			m.storeI64(&regs[in.a], regs[in.b].P)
+			m.storeI32(regs[in.b], regs[in.a])
 		case opStoreF32:
-			m.storeF32(&regs[in.a], regs[in.b].P)
-		case opStoreF64:
-			m.storeF64(&regs[in.a], regs[in.b].P)
-		case opStorePtr:
-			m.storePtr(&regs[in.a], regs[in.b].P)
+			m.storeF32(regs[in.b], regs[in.a])
+		case opStoreI64, opStoreF64, opStorePtr:
+			m.store64(regs[in.b], regs[in.a])
 		case opGEP:
-			base := regs[in.a].P
-			checkGEP(base)
-			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm}}
+			regs[in.dst] = gep(regs[in.a], int64(regs[in.b])*in.imm)
 		case opGEPConst:
-			base := regs[in.a].P
-			checkGEP(base)
-			regs[in.dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + in.imm}}
+			regs[in.dst] = gep(regs[in.a], in.imm)
 		case opBinI1, opBinI32, opBinI64, opBinF32, opBinF64:
-			// Operands and result stay in the register file: binOp reads
-			// through x and y and writes through d, so no 40-byte Value is
-			// copied into or returned from the call.
-			binOp(&regs[in.dst], in.op, ir.BinKind(in.sub), &regs[in.a], &regs[in.b])
+			regs[in.dst] = binOp(in.op, ir.BinKind(in.sub), regs[in.a], regs[in.b])
 		case opCmp:
-			regs[in.dst] = BoolV(cmpOp(in.sub, &regs[in.a], &regs[in.b]))
+			regs[in.dst] = boolWord(cmpOp(in.sub, regs[in.a], regs[in.b]))
 		case opMove, opExt:
 			regs[in.dst] = regs[in.a]
 		case opAddI32:
-			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I + regs[in.b].I))}
+			regs[in.dst] = i32word(regs[in.a] + regs[in.b])
 		case opSubI32:
-			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I - regs[in.b].I))}
+			regs[in.dst] = i32word(regs[in.a] - regs[in.b])
 		case opMulI32:
-			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I * regs[in.b].I))}
+			regs[in.dst] = i32word(regs[in.a] * regs[in.b])
 		case opAndI32:
-			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I & regs[in.b].I))}
+			regs[in.dst] = regs[in.a] & regs[in.b]
 		case opOrI32:
-			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I | regs[in.b].I))}
+			regs[in.dst] = regs[in.a] | regs[in.b]
 		case opXorI32:
-			regs[in.dst] = Value{K: ir.I32, I: int64(int32(regs[in.a].I ^ regs[in.b].I))}
+			regs[in.dst] = regs[in.a] ^ regs[in.b]
 		case opAddI64:
-			regs[in.dst] = Value{K: ir.I64, I: regs[in.a].I + regs[in.b].I}
+			regs[in.dst] = regs[in.a] + regs[in.b]
 		case opAddF32:
-			regs[in.dst] = Value{K: ir.F32, F: float64(float32(regs[in.a].F + regs[in.b].F))}
+			regs[in.dst] = f32word(flt(regs[in.a]) + flt(regs[in.b]))
 		case opSubF32:
-			regs[in.dst] = Value{K: ir.F32, F: float64(float32(regs[in.a].F - regs[in.b].F))}
+			regs[in.dst] = f32word(flt(regs[in.a]) - flt(regs[in.b]))
 		case opMulF32:
-			regs[in.dst] = Value{K: ir.F32, F: float64(float32(regs[in.a].F * regs[in.b].F))}
+			regs[in.dst] = f32word(flt(regs[in.a]) * flt(regs[in.b]))
 		case opDivF32:
-			regs[in.dst] = Value{K: ir.F32, F: float64(float32(regs[in.a].F / regs[in.b].F))}
+			regs[in.dst] = f32word(flt(regs[in.a]) / flt(regs[in.b]))
 		case opCmpJump:
-			if cmpOp(in.sub, &regs[in.a], &regs[in.b]) {
+			if cmpOp(in.sub, regs[in.a], regs[in.b]) {
 				pc = in.c
 			} else {
 				pc = int32(in.imm)
@@ -490,36 +512,27 @@ func (g *vmGroup) exec(wi *wiState) {
 				gp.land(cf, pc, 1)
 			}
 		case opBinStore:
-			var v Value
-			binOp(&v, opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub), &regs[in.a], &regs[in.b])
-			storeKind[in.kind](m, &v, regs[in.c].P)
+			storeKind[in.kind](m, regs[in.c], binOp(binOpcode(in.kind), ir.BinKind(in.sub), regs[in.a], regs[in.b]))
 		case opLoadBinStore:
-			var v Value
-			loadKind[in.kind](m, &v, regs[in.a].P)
-			x, y := &v, &regs[in.b]
+			x, y := loadKind[in.kind](m, regs[in.a]), regs[in.b]
 			if in.sub&lbsSwapped != 0 {
 				x, y = y, x
 			}
-			binOp(&v, opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub&^lbsSwapped), x, y)
-			storeKind[in.kind](m, &v, regs[in.c].P)
+			storeKind[in.kind](m, regs[in.c], binOp(binOpcode(in.kind), ir.BinKind(in.sub&^lbsSwapped), x, y))
 		case opLoadIdx:
-			base := regs[in.a].P
-			checkGEP(base)
-			loadKind[in.kind](m, &regs[in.dst], Ptr{R: base.R, Off: base.Off + regs[in.b].I*in.imm})
+			regs[in.dst] = loadKind[in.kind](m, gep(regs[in.a], int64(regs[in.b])*in.imm))
 		case opLoadOff:
-			base := regs[in.a].P
-			checkGEP(base)
-			loadKind[in.kind](m, &regs[in.dst], Ptr{R: base.R, Off: base.Off + in.imm})
+			regs[in.dst] = loadKind[in.kind](m, gep(regs[in.a], in.imm))
 		case opTruncI1, opTruncI32, opFPToI1, opFPToI32, opFPToI64, opSIToF32, opSIToF64, opFPTrunc:
-			castOp(&regs[in.dst], in.op, &regs[in.a])
+			regs[in.dst] = castOp(in.op, regs[in.a])
 		case opSelect:
-			if regs[in.a].Bool() {
+			if regs[in.a] != 0 {
 				regs[in.dst] = regs[in.b]
 			} else {
 				regs[in.dst] = regs[in.c]
 			}
 		case opAtomic:
-			m.atomicRMW(&regs[in.dst], ir.AtomicKind(in.sub), in.kind, regs[in.a].P, &regs[in.b])
+			regs[in.dst] = m.atomicRMW(ir.AtomicKind(in.sub), in.kind, regs[in.a], regs[in.b])
 		case opBarrier:
 			wi.frames[top].pc = pc
 			wi.status = wiBarrier
@@ -545,23 +558,22 @@ func (g *vmGroup) exec(wi *wiState) {
 		case opWI:
 			dim := in.imm
 			if in.a >= 0 {
-				dim = regs[in.a].I
+				dim = int64(regs[in.a])
 			}
-			l.workItem(&regs[in.dst], in.sub, dim, &g.group, &wi.lid)
+			regs[in.dst] = l.workItem(in.sub, dim, &g.group, &wi.lid)
 		case opMath:
-			x := regs[in.a].F
-			var y float64
+			var y uint64
 			if in.b >= 0 {
-				y = regs[in.b].F
+				y = regs[in.b]
 			}
-			regs[in.dst] = Value{K: in.kind, F: evalMath(in.sub, in.kind, x, y)}
+			regs[in.dst] = fword(evalMath(in.sub, in.kind, flt(regs[in.a]), flt(y)))
 		case opJump:
 			pc = int32(in.imm)
 			if gp != nil {
 				gp.land(cf, pc, 1)
 			}
 		case opCondJump:
-			if regs[in.a].Bool() {
+			if regs[in.a] != 0 {
 				pc = in.b
 			} else {
 				pc = in.c
@@ -578,7 +590,7 @@ func (g *vmGroup) exec(wi *wiState) {
 				wi.steps = steps
 				return
 			}
-			var rv Value
+			var rv uint64
 			if in.a >= 0 {
 				rv = regs[in.a]
 			}

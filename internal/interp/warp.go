@@ -111,7 +111,7 @@ type pendingLanes struct {
 type warp struct {
 	lanes  []*wiState
 	live   uint64
-	uregp  *[]Value
+	uregp  *[]uint64
 	steps  int64
 	vector bool
 
@@ -172,7 +172,7 @@ func (w *warp) resumePending() bool {
 // loop: the group's items are partitioned into warps, and each round
 // every warp advances to its next barrier — in vector dispatch, or on
 // the scalar per-item path after a spill.
-func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, argPatch []Value) error {
+func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, argPatch []uint64) error {
 	kcf := l.kcf
 	nw := (size + width - 1) / width
 	if cap(gr.warps) < nw {
@@ -192,7 +192,7 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 		w.live = ^uint64(0) >> (64 - n)
 		w.uregp = kcf.getRegs()
 		uregs := *w.uregp
-		copy(uregs, l.args)
+		copy(uregs, l.argw)
 		for pi, la := range l.locals {
 			uregs[la.idx] = argPatch[pi]
 		}
@@ -371,7 +371,7 @@ func (l *launchCtx) suspend(w *warp, steps, diverges int64, keep bool) {
 // instruction: its slot in the warp's shared file if the register is
 // uniform, nil if it is divergent and every lane reads its own file
 // (at).
-func shared(uniform []bool, uregs []Value, r int32) *Value {
+func shared(uniform []bool, uregs []uint64, r int32) *uint64 {
 	if uniform[r] {
 		return &uregs[r]
 	}
@@ -380,7 +380,7 @@ func shared(uniform []bool, uregs []Value, r int32) *Value {
 
 // at is one lane's operand: the resolved shared slot, or register r of
 // the lane file lr.
-func at(s *Value, lr []Value, r int32) *Value {
+func at(s *uint64, lr []uint64, r int32) *uint64 {
 	if s != nil {
 		return s
 	}
@@ -447,7 +447,7 @@ func (g *vmGroup) warpExec(w *warp) {
 					gp.land(cf, pc, n)
 				}
 			case opCondJump:
-				if at(shared(uniform, uregs, in.a), lr, in.a).Bool() {
+				if *at(shared(uniform, uregs, in.a), lr, in.a) != 0 {
 					pc = in.b
 				} else {
 					pc = in.c
@@ -457,7 +457,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				}
 			case opCmpJump:
 				a, b := at(shared(uniform, uregs, in.a), lr, in.a), at(shared(uniform, uregs, in.b), lr, in.b)
-				if cmpOp(in.sub, a, b) {
+				if cmpOp(in.sub, *a, *b) {
 					pc = in.c
 				} else {
 					pc = int32(in.imm)
@@ -471,7 +471,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				// instruction can read. Store and bin-store have no
 				// result; their dst is 0, a parameter register.
 				g.laneExec(in, lanes[:1], uregs)
-				if in.op < opStoreI1 || in.op > opStorePtr && in.op != opBinStore {
+				if !(in.op >= opStoreI1 && in.op <= opStorePtr || in.op == opBinStore) {
 					uregs[in.dst] = lr[in.dst]
 				}
 			}
@@ -489,7 +489,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				tpc, fpc = in.b, in.c
 				a := shared(uniform, uregs, in.a)
 				for _, wi := range lanes {
-					if at(a, wi.kregs, in.a).Bool() {
+					if *at(a, wi.kregs, in.a) != 0 {
 						taken |= 1 << wi.lane
 					}
 				}
@@ -498,7 +498,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				p := in.sub
 				a, b := shared(uniform, uregs, in.a), shared(uniform, uregs, in.b)
 				for _, wi := range lanes {
-					if cmpOp(p, at(a, wi.kregs, in.a), at(b, wi.kregs, in.b)) {
+					if cmpOp(p, *at(a, wi.kregs, in.a), *at(b, wi.kregs, in.b)) {
 						taken |= 1 << wi.lane
 					}
 				}
@@ -564,7 +564,7 @@ func (g *vmGroup) warpExec(w *warp) {
 // data (an out-of-bounds load, store or atomic, a GEP on a null pointer,
 // an integer division by zero): there each lane records itself before
 // it runs, as the scalar engine's item order would.
-func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
+func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []uint64) {
 	l := g.l
 	m := l.m
 	uniform := l.kcf.uniform
@@ -573,17 +573,12 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 	switch in.op {
 	case opAlloca:
 		for _, wi := range lanes {
-			r := g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
-			wi.kregs[dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+			wi.kregs[dst] = g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
 		}
 	case opAllocaLocal:
-		r := g.locals[ra]
-		if r == nil {
-			r = g.ar.alloc(in.imm, ir.Local)
-			g.locals[ra] = r
-		}
+		p := g.local(ra, in.imm)
 		for _, wi := range lanes {
-			wi.kregs[dst] = Value{K: ir.Pointer, P: Ptr{R: r}}
+			wi.kregs[dst] = p
 		}
 	case opLoadI1, opLoadI32, opLoadI64, opLoadF32, opLoadF64, opLoadPtr:
 		load := loadKind[in.kind]
@@ -591,7 +586,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			load(m, &lr[dst], at(a, lr, ra).P)
+			lr[dst] = load(m, *at(a, lr, ra))
 		}
 	case opLoadIdx:
 		load, scale := loadKind[in.kind], in.imm
@@ -599,9 +594,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			base := at(a, lr, ra).P
-			checkGEP(base)
-			load(m, &lr[dst], Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale})
+			lr[dst] = load(m, gep(*at(a, lr, ra), int64(*at(b, lr, rb))*scale))
 		}
 	case opLoadOff:
 		load, off := loadKind[in.kind], in.imm
@@ -609,9 +602,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			base := at(a, lr, ra).P
-			checkGEP(base)
-			load(m, &lr[dst], Ptr{R: base.R, Off: base.Off + off})
+			lr[dst] = load(m, gep(*at(a, lr, ra), off))
 		}
 	case opStoreI1, opStoreI32, opStoreI64, opStoreF32, opStoreF64, opStorePtr:
 		store := storeKind[in.kind]
@@ -619,7 +610,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			store(m, at(a, lr, ra), at(b, lr, rb).P)
+			store(m, *at(b, lr, rb), *at(a, lr, ra))
 		}
 	case opGEP:
 		scale := in.imm
@@ -627,9 +618,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			base := at(a, lr, ra).P
-			checkGEP(base)
-			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + at(b, lr, rb).I*scale}}
+			lr[dst] = gep(*at(a, lr, ra), int64(*at(b, lr, rb))*scale)
 		}
 	case opGEPConst:
 		off := in.imm
@@ -637,9 +626,7 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			base := at(a, lr, ra).P
-			checkGEP(base)
-			lr[dst] = Value{K: ir.Pointer, P: Ptr{R: base.R, Off: base.Off + off}}
+			lr[dst] = gep(*at(a, lr, ra), off)
 		}
 	case opBinI1, opBinI32, opBinI64, opBinF32, opBinF64:
 		op, k := in.op, ir.BinKind(in.sub)
@@ -647,33 +634,28 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			binOp(&lr[dst], op, k, at(a, lr, ra), at(b, lr, rb))
+			lr[dst] = binOp(op, k, *at(a, lr, ra), *at(b, lr, rb))
 		}
 	case opBinStore:
-		op, k, store := opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub), storeKind[in.kind]
+		op, k, store := binOpcode(in.kind), ir.BinKind(in.sub), storeKind[in.kind]
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
-		var v Value
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			binOp(&v, op, k, at(a, lr, ra), at(b, lr, rb))
-			store(m, &v, at(c, lr, rc).P)
+			store(m, *at(c, lr, rc), binOp(op, k, *at(a, lr, ra), *at(b, lr, rb)))
 		}
 	case opLoadBinStore:
-		op, k, swapped := opBinI1+vmOp(in.kind-ir.Bool), ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0
+		op, k, swapped := binOpcode(in.kind), ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0
 		load, store := loadKind[in.kind], storeKind[in.kind]
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
-		var v Value
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			load(m, &v, at(a, lr, ra).P)
-			x, y := &v, at(b, lr, rb)
+			x, y := load(m, *at(a, lr, ra)), *at(b, lr, rb)
 			if swapped {
 				x, y = y, x
 			}
-			binOp(&v, op, k, x, y)
-			store(m, &v, at(c, lr, rc).P)
+			store(m, *at(c, lr, rc), binOp(op, k, x, y))
 		}
 	case opAtomic:
 		k := ir.AtomicKind(in.sub)
@@ -681,14 +663,14 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		for _, wi := range lanes {
 			g.faultWI = wi
 			lr := wi.kregs
-			m.atomicRMW(&lr[dst], k, in.kind, at(a, lr, ra).P, at(b, lr, rb))
+			lr[dst] = m.atomicRMW(k, in.kind, *at(a, lr, ra), *at(b, lr, rb))
 		}
 	case opCmp:
 		p := in.sub
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = BoolV(cmpOp(p, at(a, lr, ra), at(b, lr, rb)))
+			lr[dst] = boolWord(cmpOp(p, *at(a, lr, ra), *at(b, lr, rb)))
 		}
 	case opMove, opExt:
 		a := shared(uniform, uregs, ra)
@@ -700,87 +682,87 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I + at(b, lr, rb).I))}
+			lr[dst] = i32word(*at(a, lr, ra) + *at(b, lr, rb))
 		}
 	case opSubI32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I - at(b, lr, rb).I))}
+			lr[dst] = i32word(*at(a, lr, ra) - *at(b, lr, rb))
 		}
 	case opMulI32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I * at(b, lr, rb).I))}
+			lr[dst] = i32word(*at(a, lr, ra) * *at(b, lr, rb))
 		}
 	case opAndI32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I & at(b, lr, rb).I))}
+			lr[dst] = *at(a, lr, ra) & *at(b, lr, rb)
 		}
 	case opOrI32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I | at(b, lr, rb).I))}
+			lr[dst] = *at(a, lr, ra) | *at(b, lr, rb)
 		}
 	case opXorI32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I32, I: int64(int32(at(a, lr, ra).I ^ at(b, lr, rb).I))}
+			lr[dst] = *at(a, lr, ra) ^ *at(b, lr, rb)
 		}
 	case opAddI64:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.I64, I: at(a, lr, ra).I + at(b, lr, rb).I}
+			lr[dst] = *at(a, lr, ra) + *at(b, lr, rb)
 		}
 	case opAddF32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F + at(b, lr, rb).F))}
+			lr[dst] = f32word(flt(*at(a, lr, ra)) + flt(*at(b, lr, rb)))
 		}
 	case opSubF32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F - at(b, lr, rb).F))}
+			lr[dst] = f32word(flt(*at(a, lr, ra)) - flt(*at(b, lr, rb)))
 		}
 	case opMulF32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F * at(b, lr, rb).F))}
+			lr[dst] = f32word(flt(*at(a, lr, ra)) * flt(*at(b, lr, rb)))
 		}
 	case opDivF32:
 		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			lr[dst] = Value{K: ir.F32, F: float64(float32(at(a, lr, ra).F / at(b, lr, rb).F))}
+			lr[dst] = f32word(flt(*at(a, lr, ra)) / flt(*at(b, lr, rb)))
 		}
 	case opTruncI1, opTruncI32, opFPToI1, opFPToI32, opFPToI64, opSIToF32, opSIToF64, opFPTrunc:
 		op := in.op
 		a := shared(uniform, uregs, ra)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			castOp(&lr[dst], op, at(a, lr, ra))
+			lr[dst] = castOp(op, *at(a, lr, ra))
 		}
 	case opSelect:
 		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
 		for _, wi := range lanes {
 			lr := wi.kregs
-			if at(a, lr, ra).Bool() {
+			if *at(a, lr, ra) != 0 {
 				lr[dst] = *at(b, lr, rb)
 			} else {
 				lr[dst] = *at(c, lr, rc)
 			}
 		}
 	case opWI:
-		var a *Value
+		var a *uint64
 		if ra >= 0 {
 			a = shared(uniform, uregs, ra)
 		}
@@ -788,25 +770,24 @@ func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []Value) {
 			lr := wi.kregs
 			dim := in.imm
 			if ra >= 0 {
-				dim = at(a, lr, ra).I
+				dim = int64(*at(a, lr, ra))
 			}
-			l.workItem(&lr[dst], in.sub, dim, &g.group, &wi.lid)
+			lr[dst] = l.workItem(in.sub, dim, &g.group, &wi.lid)
 		}
 	case opMath:
 		op, kind := in.sub, in.kind
 		a := shared(uniform, uregs, ra)
-		var b *Value
+		var b *uint64
 		if rb >= 0 {
 			b = shared(uniform, uregs, rb)
 		}
 		for _, wi := range lanes {
 			lr := wi.kregs
-			x := at(a, lr, ra).F
-			var y float64
+			var y uint64
 			if rb >= 0 {
-				y = at(b, lr, rb).F
+				y = *at(b, lr, rb)
 			}
-			lr[dst] = Value{K: kind, F: evalMath(op, kind, x, y)}
+			lr[dst] = fword(evalMath(op, kind, flt(*at(a, lr, ra)), flt(y)))
 		}
 	default:
 		panic(trap{"warp: lane-mode dispatch of unexpected opcode"})
