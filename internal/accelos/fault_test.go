@@ -12,16 +12,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runawaySrc is the runaway kernel for the watchdog tests: long enough to
-// blow any reasonable wall-clock deadline, small enough to stay under
-// the launch-global instruction budget (64 items x 300k iterations).
+// runawaySrc is the runaway kernel for the watchdog tests: every item
+// spins until its own output word, which the host never sets, turns
+// non-zero, so only the watchdog or the launch-global instruction budget
+// can end it. The budget does after about 1 s on a 2-vCPU box, 20 times
+// the tests' 50 ms deadline, however fast the VM runs a loop trip.
 const runawaySrc = `
 kernel void spin(global int* out, int n)
 {
     int i = (int)get_global_id(0);
     int acc = 0;
     int t;
-    for (t = 0; t < 300000; ++t) acc += (i + t) & 7;
+    for (t = 0; out[i] == 0; ++t) acc += (i + t) & 7;
     if (i < n) out[i] = acc;
 }
 `

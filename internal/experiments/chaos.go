@@ -306,16 +306,18 @@ func RunChaosRuntime(seed int64, w io.Writer) (*ChaosReport, error) {
 	return rep, nil
 }
 
-// chaosSpinSrc is a runaway kernel: under the instruction budget, but
-// far over RunChaosWatchdog's 10 ms deadline (it runs 75–150 ms on a
-// 2-vCPU x86 box).
+// chaosSpinSrc is a runaway kernel: every item spins until its own
+// output word, which the host never sets, turns non-zero, so only
+// RunChaosWatchdog's 10 ms deadline or the launch-global instruction
+// budget can end it. The budget does after about 1 s on a 2-vCPU x86
+// box, a hundred times the deadline.
 const chaosSpinSrc = `
 kernel void spin(global int* out, int n)
 {
     int i = (int)get_global_id(0);
     int acc = 0;
     int t;
-    for (t = 0; t < 300000; ++t) acc += (i + t) & 7;
+    for (t = 0; out[i] == 0; ++t) acc += (i + t) & 7;
     if (i < n) out[i] = acc;
 }
 `

@@ -441,10 +441,8 @@ func (fr *frame) exec(in *ir.Instr, depth int) {
 		p := fr.eval(in.Args[1]).P
 		m.store(in.Args[0].Type(), v, p)
 	case ir.OpGEP:
-		base := fr.eval(in.Args[0])
-		idx := fr.eval(in.Args[1]).I
-		checkGEP(base.P)
-		fr.env[in] = Value{K: ir.Pointer, P: Ptr{R: base.P.R, Off: base.P.Off + idx*in.Ty.Elem.Size()}}
+		base, idx := m.word(fr.eval(in.Args[0])), fr.eval(in.Args[1]).I
+		fr.env[in] = m.value(ir.Pointer, gep(base, idx*in.Ty.Elem.Size()))
 	case ir.OpBin:
 		x, y := m.word(fr.eval(in.Args[0])), m.word(fr.eval(in.Args[1]))
 		fr.env[in] = m.value(in.Ty.Kind, binOp(binOpcode(in.Ty.Kind), in.BinK, x, y))
@@ -768,20 +766,20 @@ func binOp(op vmOp, k ir.BinKind, x, y uint64) uint64 {
 func cmpOp(c uint8, x, y uint64) bool {
 	switch {
 	case c < cmpFEQ:
-		return icmp(c, int64(x), int64(y))
+		return order(c, int64(x), int64(y))
 	case c < cmpPEQ:
-		return fcmp(c, flt(x), flt(y))
+		return order(c-cmpFEQ, flt(x), flt(y))
 	}
 	xi, yi := int64(x>>ptrOffBits), int64(y>>ptrOffBits)
 	if xi == yi {
 		xi, yi = ptrOff(x), ptrOff(y)
 	}
-	return icmp(c-cmpPEQ, xi, yi)
+	return order(c-cmpPEQ, xi, yi)
 }
 
-// icmp is an integer predicate (IEQ…IGE) on sign-extended integers.
-func icmp(c uint8, x, y int64) bool {
-	switch ir.CmpPred(c) {
+// order is the integer predicate p (IEQ…IGE) over integers or floats.
+func order[T int64 | float64](p uint8, x, y T) bool {
+	switch ir.CmpPred(p) {
 	case ir.IEQ:
 		return x == y
 	case ir.INE:
@@ -791,23 +789,6 @@ func icmp(c uint8, x, y int64) bool {
 	case ir.ILE:
 		return x <= y
 	case ir.IGT:
-		return x > y
-	}
-	return x >= y
-}
-
-// fcmp is a float predicate (FEQ…FGE).
-func fcmp(c uint8, x, y float64) bool {
-	switch ir.CmpPred(c) {
-	case ir.FEQ:
-		return x == y
-	case ir.FNE:
-		return x != y
-	case ir.FLT:
-		return x < y
-	case ir.FLE:
-		return x <= y
-	case ir.FGT:
 		return x > y
 	}
 	return x >= y

@@ -329,7 +329,8 @@ const ptrOffBits = 40
 // ptrOff is the signed byte offset of pointer word w.
 func ptrOff(w uint64) int64 { return int64(w<<(64-ptrOffBits)) >> (64 - ptrOffBits) }
 
-// gep offsets pointer word p by delta bytes; a null base traps.
+// gep offsets pointer word p by delta bytes; a null base traps: it has
+// no region to offset into.
 func gep(p uint64, delta int64) uint64 {
 	if p == 0 {
 		panic(trap{"gep on null pointer"})
@@ -395,13 +396,6 @@ func (m *Machine) value(k ir.Kind, w uint64) Value {
 type trap struct{ msg string }
 
 func (t trap) Error() string { return "interp: " + t.msg }
-
-// checkGEP traps on a null GEP base: it has no region to offset into.
-func checkGEP(p Ptr) {
-	if p.IsNull() {
-		panic(trap{"gep on null pointer"})
-	}
-}
 
 // mem returns the size bytes pointer word p addresses, trapping on a
 // null, dangling or out-of-bounds access.
