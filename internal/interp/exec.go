@@ -75,8 +75,10 @@ const (
 	// cooperative work-items (vm.go).
 	EngineVM Engine = iota
 	// EngineTreeWalk is the original tree-walking interpreter — one
-	// goroutine per work-item, sequential groups. It is kept as the
-	// semantic reference for the differential parity suite.
+	// goroutine per work-item, sequential groups, values as Value. It
+	// is kept as the semantic reference for the differential parity
+	// suite, and shares only the helpers that spell each operation's
+	// numeric semantics (below) with the VM.
 	EngineTreeWalk
 )
 

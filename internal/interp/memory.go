@@ -2,7 +2,10 @@
 // native kernel code: an NDRange of work-groups, work-items running
 // concurrently within a group (one goroutine each), work-group barriers,
 // atomics, and byte-addressed memory split into regions (buffers, local
-// scratchpads, private allocas).
+// scratchpads, private allocas). Every region is registered with its
+// machine when it is created; a pointer is one word, the region's ID
+// above a signed byte offset, in a VM register and in memory alike, and
+// decodes through a registry that takes no lock.
 //
 // The interpreter is the functional half of the device substitute: the
 // timing half lives in internal/sim. It is used to verify that the accelOS
@@ -262,7 +265,8 @@ const regionPageBits = 8
 
 type regionPage [1 << regionPageBits]atomic.Pointer[Region]
 
-// reserve hands out n consecutive IDs and returns the first.
+// reserve hands out n consecutive IDs and returns the first (with n 0,
+// the first ID not yet handed out).
 func (t *regionTable) reserve(n int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -299,13 +303,6 @@ func (t *regionTable) get(id uint64) *Region {
 		return nil
 	}
 	return (*d)[id>>regionPageBits][id&(1<<regionPageBits-1)].Load()
-}
-
-// mark returns the first ID not yet handed out.
-func (t *regionTable) mark() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.next
 }
 
 // truncate drops every region with an ID at or above n.

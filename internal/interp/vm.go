@@ -10,7 +10,9 @@ import (
 
 // This file is the bytecode VM and its execution engine:
 //
-//   - work-items execute over flat register files with an explicit frame
+//   - work-items execute over flat register files of one-word registers
+//     (an integer sign-extended, a float as float64 bits, a pointer as
+//     the word memory stores; Machine.word) with an explicit frame
 //     stack, so a work-item suspends at a barrier at ANY call depth by
 //     saving (pc, frames) — no goroutine per work-item;
 //   - the work-items of one group run cooperatively in local-id order,
@@ -28,11 +30,13 @@ import (
 //     (kernel and callee entry, every jump target) and profile.go
 //     derives instruction, opcode, barrier and block counts from that.
 //
-// Semantics are shared with the warp loops (warp.go) and the reference
-// tree-walker (exec.go) through one set of helpers (exec.go, load and
-// store in memory.go); load, binOp, castOp and atomicRMW write their
-// result in place through a destination register pointer. The Parboil
-// differential parity suite holds the engines byte-identical.
+// The compiler types every value-producing opcode (compile.go), so an
+// arm never asks what kind its operands are. Semantics are shared with
+// the warp loops (warp.go) and the reference tree-walker (exec.go)
+// through one set of helpers over register words (exec.go; the typed
+// loads and stores in memory.go), which the tree-walker reaches by
+// converting its Values at their boundary. The Parboil differential
+// parity suite holds the engines byte-identical.
 
 type wiStatus uint8
 
@@ -202,7 +206,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		}
 	}
 	// The regions the launch's arenas register live as long as the launch.
-	defer m.regions.truncate(m.regions.mark())
+	defer m.regions.truncate(m.regions.reserve(0))
 	total := l.ng[0] * l.ng[1] * l.ng[2]
 	if p := m.Profiler; p != nil {
 		l.prof = p

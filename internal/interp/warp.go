@@ -471,7 +471,7 @@ func (g *vmGroup) warpExec(w *warp) {
 				// instruction can read. Store and bin-store have no
 				// result; their dst is 0, a parameter register.
 				g.laneExec(in, lanes[:1], uregs)
-				if !(in.op >= opStoreI1 && in.op <= opStorePtr || in.op == opBinStore) {
+				if op := in.op; op != opBinStore && (op < opStoreI1 || op > opStorePtr) {
 					uregs[in.dst] = lr[in.dst]
 				}
 			}
