@@ -100,6 +100,7 @@ type launchCtx struct {
 	fn     *ir.Function
 	args   []Value
 	argw   []uint64   // args as register words (VM engine; 0 for a placeholder)
+	argBuf [8]uint64  // argw's backing for up to 8 arguments
 	locals []localArg // LocalArgV placeholders, materialized per group
 	nd     NDRange
 	ng     [3]int64

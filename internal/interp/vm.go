@@ -199,11 +199,13 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 		return fmt.Errorf("interp: kernel %q not compiled", fn.Name)
 	}
 	l := &launchCtx{m: m, fn: fn, args: args, locals: locals, nd: nd, ng: nd.NumGroups(), prog: prog, kcf: kcf, maxSteps: m.maxSteps()}
-	l.argw = make([]uint64, len(args))
-	for i, a := range args {
+	l.argw = l.argBuf[:0]
+	for _, a := range args {
+		w := uint64(0)
 		if _, local := localArgSize(a); !local {
-			l.argw[i] = m.word(a)
+			w = m.word(a)
 		}
+		l.argw = append(l.argw, w)
 	}
 	// The regions the launch's arenas register live as long as the launch.
 	defer m.regions.truncate(m.regions.reserve(0))
