@@ -124,13 +124,13 @@ func dumpWarp(trans *ir.Module) error {
 // profileKernels executes every kernel in the module once on the
 // bytecode VM with synthesized arguments — global/constant pointers get
 // a zeroed 1 MB buffer, local pointers a 4 KB per-group region, ints 64
-// and floats 1.0 — under an unsampled profiler, then dumps the
+// and floats 1.0 — under a profiler, then dumps the
 // per-opcode/per-block profile. Kernels that fault on the synthetic
 // input (e.g. divide by a zeroed buffer element) are reported, not
 // fatal: the profile still covers the instructions executed up to the
 // fault.
 func profileKernels(mod *ir.Module) error {
-	prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
+	prof := interp.NewProfiler()
 	for _, f := range mod.Kernels() {
 		m := interp.NewMachine(mod)
 		m.Profiler = prof

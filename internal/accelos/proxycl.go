@@ -158,7 +158,7 @@ func (a *App) NewControlledEvent() (*opencl.Event, error) {
 		return nil, err
 	}
 	defer a.end()
-	ev := opencl.NewControlledEvent()
+	ev := opencl.NewUserEvent()
 	a.track(ev)
 	return ev, nil
 }
@@ -412,7 +412,7 @@ func (a *App) EnqueueKernelAsync(k *KernelHandle, nd opencl.NDRange, waits ...*o
 			return nil, fmt.Errorf("accelos: kernel %q: %w", snap.Name, err)
 		}
 	}
-	ev := opencl.NewControlledEvent()
+	ev := opencl.NewUserEvent()
 	ev.OnComplete(func(*opencl.Event) {
 		for _, b := range bufs {
 			b.Unpin()

@@ -110,14 +110,9 @@ type launchCtx struct {
 	prog *Prog
 	kcf  *compiledFn
 
-	// Execution profiling (VM engine only): the machine's profiler and
-	// this kernel's aggregate, resolved once per launch. profBase is the
-	// launch's first slot in the kernel's group stream and profRot the
-	// rotation mapping groups onto its slots (see launchVM).
-	prof     *Profiler
-	kp       *KernelProfile
-	profBase int64
-	profRot  int64
+	// Execution profiling (VM engine only): this kernel's aggregate in
+	// the machine's profiler, resolved once per launch.
+	kp *KernelProfile
 
 	// Warp execution stats (VM engine with WarpWidth > 0): warps formed,
 	// lanes across them (occupancy numerator), lane-mask splits at

@@ -130,7 +130,7 @@ type Machine struct {
 	// (the pool hands them out exclusively), so no lock is needed.
 	prog *Prog
 
-	// Profiler, when set, collects sampled execution profiles for VM
+	// Profiler, when set, collects the execution profiles of VM
 	// launches on this machine (see NewProfiler; the tree-walking engine
 	// ignores it). Like prog, the field is unlocked because a machine is
 	// owned by one launch at a time; the profiler itself is safe to share

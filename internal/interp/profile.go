@@ -10,7 +10,7 @@ import (
 
 // This file is the VM execution-profile collector: per-opcode and
 // per-block dynamic frequencies plus per-kernel instruction, barrier and
-// fault totals. Nothing is counted per instruction. A sampled work-group
+// fault totals. Nothing is counted per instruction. A work-group
 // counts only where control LANDS — frame entry and the target of every
 // jump — in a table indexed by pc (the dispatch loops carry one
 // `if gp != nil` hook per control transfer; jump threading lands
@@ -19,9 +19,8 @@ import (
 // rest is derived: flush adds hits × run length to the instruction
 // total, Snapshot walks each run for opcode counts and bins landings into
 // blocks. Calls and barriers are walked through: the callee's entry is a
-// landing of its own and the resume continues the run. Sampling is at
-// work-group granularity, so the overhead scales with 1/SampleEvery.
-// Faults are counted on every group, sampled or not.
+// landing of its own and the resume continues the run. Every group of
+// a profiled launch records its landings.
 
 // numOps sizes per-opcode count tables (opDivF32 is the last opcode).
 const numOps = int(opDivF32) + 1
@@ -79,37 +78,17 @@ var opNames = func() [numOps]string {
 	return n
 }()
 
-// defaultSampleEvery is the sampling period when ProfileOptions leaves
-// it zero: one work-group in 64 counts its landings, which keeps the
-// overhead on dispatch-bound benchmarks well under the 3% CI budget.
-const defaultSampleEvery = 64
-
-// ProfileOptions configures a Profiler.
-type ProfileOptions struct {
-	// SampleEvery profiles one work-group in N (0: defaultSampleEvery;
-	// 1: every group — exact counts, a landing hook at every control
-	// transfer of the launch).
-	SampleEvery int64
-}
-
 // Profiler collects VM execution profiles for the launches of the
-// machines it is installed on (Machine.Profiler; the opencl.MachinePool
-// seeds it across a platform's pooled machines). Only the bytecode VM
+// machines it is installed on (Machine.Profiler). Only the bytecode VM
 // engine is profiled; the tree-walking reference engine ignores it.
 type Profiler struct {
-	every int64
-
 	mu      sync.Mutex
 	kernels map[string]*KernelProfile
 }
 
-// NewProfiler returns a profiler with the given options.
-func NewProfiler(opts ProfileOptions) *Profiler {
-	every := opts.SampleEvery
-	if every <= 0 {
-		every = defaultSampleEvery
-	}
-	return &Profiler{every: every, kernels: make(map[string]*KernelProfile)}
+// NewProfiler returns an empty profiler.
+func NewProfiler() *Profiler {
+	return &Profiler{kernels: make(map[string]*KernelProfile)}
 }
 
 // kernel returns (creating on first use) the per-kernel aggregate.
@@ -124,35 +103,32 @@ func (p *Profiler) kernel(name string) *KernelProfile {
 	return kp
 }
 
-// KernelProfile aggregates the sampled groups of one kernel. Group,
-// launch and fault counters are atomic (every launch touches them); the
-// sampled aggregates are flushed under the mutex once per sampled group.
+// KernelProfile aggregates the groups of one kernel. The fault and warp
+// counters are atomic; the landing aggregates are flushed under the
+// mutex once per group.
 type KernelProfile struct {
-	name       string
-	groupsSeen atomic.Int64 // slots of the group stream launches took (see launchVM)
-	launches   atomic.Int64 // seeds the per-launch sampling rotation
-	faults     atomic.Int64
+	name   string
+	faults atomic.Int64
 
-	// Warp execution stats, aggregated per retired launch (every launch,
-	// not only sampled groups): warps formed, lanes across them,
-	// lane-mask splits, spills to the scalar path and barrier
-	// re-formations.
+	// Warp execution stats, aggregated per retired launch: warps
+	// formed, lanes across them, lane-mask splits, spills to the scalar
+	// path and barrier re-formations.
 	warps        atomic.Int64
 	warpLanes    atomic.Int64
 	warpDiverges atomic.Int64
 	warpSpills   atomic.Int64
 	warpReforms  atomic.Int64
 
-	mu            sync.Mutex
-	groupsSampled int64
-	instrs        int64
-	lands         groupProfile
+	mu     sync.Mutex
+	groups int64
+	instrs int64
+	lands  groupProfile
 }
 
-// groupProfile is the per-sampled-group scratch the dispatch loops count
-// into: landings per pc of each function the group entered. Plain
-// non-atomic tables owned by one worker, merged into the KernelProfile
-// when the group retires; nil for an unsampled group.
+// groupProfile is the per-group scratch the dispatch loops count into:
+// landings per pc of each function the group entered. Plain non-atomic
+// tables owned by one worker, merged into the KernelProfile when the
+// group retires; nil when the machine has no profiler.
 type groupProfile map[*compiledFn][]int64
 
 // land records n work-items arriving at pc of cf by a control transfer
@@ -180,14 +156,14 @@ func (cf *compiledFn) runEnd(pc int) int {
 	}
 }
 
-// flush merges one retired sampled group into the kernel aggregate and
-// adds its instructions, hits × run length per landing, so
-// KernelInstrEstimate stays a field read. A faulting group's last run is
-// attributed to its end: an over-count of less than one run length.
+// flush merges one retired group into the kernel aggregate and adds its
+// instructions, hits × run length per landing. A faulting group's last
+// run is attributed to its end: an over-count of less than one run
+// length.
 func (kp *KernelProfile) flush(gp groupProfile) {
 	kp.mu.Lock()
 	defer kp.mu.Unlock()
-	kp.groupsSampled++
+	kp.groups++
 	if kp.lands == nil {
 		kp.lands = make(groupProfile, len(gp))
 	}
@@ -207,13 +183,13 @@ func (kp *KernelProfile) flush(gp groupProfile) {
 	}
 }
 
-// OpcodeCount is one opcode's sampled dynamic frequency.
+// OpcodeCount is one opcode's dynamic frequency.
 type OpcodeCount struct {
 	Name  string
 	Count int64
 }
 
-// BlockCount is one basic block's sampled entry count.
+// BlockCount is one basic block's entry count.
 type BlockCount struct {
 	Fn    string
 	Block string
@@ -223,12 +199,10 @@ type BlockCount struct {
 // KernelProfileSnapshot is the exported view of one kernel's profile.
 type KernelProfileSnapshot struct {
 	Kernel       string
-	SampleEvery  int64
-	Groups       int64         // work-groups launched (sampled or not)
-	Sampled      int64         // work-groups that counted their landings
-	Instrs       int64         // instructions in sampled groups
-	Barriers     int64         // barrier suspensions in sampled groups
-	Faults       int64         // faulting groups (counted unsampled)
+	Groups       int64         // work-groups run (faulting ones included)
+	Instrs       int64         // instructions executed
+	Barriers     int64         // barrier suspensions
+	Faults       int64         // faulting groups
 	Warps        int64         // warps formed (all groups, warp mode only)
 	WarpLanes    int64         // lanes across formed warps (occupancy numerator)
 	WarpDiverges int64         // lane-mask splits at divergent branches (stayed in vector dispatch)
@@ -236,25 +210,6 @@ type KernelProfileSnapshot struct {
 	WarpReforms  int64         // barrier re-formations back into vector dispatch
 	Opcodes      []OpcodeCount // nonzero counts, descending
 	Blocks       []BlockCount  // nonzero entry counts, descending
-}
-
-// KernelInstrEstimate returns the estimated total dynamic instruction
-// count for one kernel (sampled count scaled by the sampling period),
-// without building a full snapshot.
-func (p *Profiler) KernelInstrEstimate(name string) int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	kp := p.kernels[name]
-	p.mu.Unlock()
-	if kp == nil {
-		return 0
-	}
-	kp.mu.Lock()
-	n := kp.instrs
-	kp.mu.Unlock()
-	return n * p.every
 }
 
 // Snapshot returns the per-kernel profiles, sorted by kernel name.
@@ -274,8 +229,6 @@ func (p *Profiler) Snapshot() []KernelProfileSnapshot {
 	for _, kp := range kps {
 		s := KernelProfileSnapshot{
 			Kernel:       kp.name,
-			SampleEvery:  p.every,
-			Groups:       kp.groupsSeen.Load(),
 			Faults:       kp.faults.Load(),
 			Warps:        kp.warps.Load(),
 			WarpLanes:    kp.warpLanes.Load(),
@@ -284,7 +237,7 @@ func (p *Profiler) Snapshot() []KernelProfileSnapshot {
 			WarpReforms:  kp.warpReforms.Load(),
 		}
 		kp.mu.Lock()
-		s.Sampled = kp.groupsSampled
+		s.Groups = kp.groups
 		s.Instrs = kp.instrs
 		var opcodes [numOps]int64
 		for cf, hits := range kp.lands {
@@ -344,8 +297,8 @@ func (p *Profiler) Dump(w io.Writer) {
 		return
 	}
 	for _, s := range snaps {
-		fmt.Fprintf(w, "kernel %s: groups %d (sampled %d, 1 in %d), instrs %d, barriers %d, faults %d\n",
-			s.Kernel, s.Groups, s.Sampled, s.SampleEvery, s.Instrs, s.Barriers, s.Faults)
+		fmt.Fprintf(w, "kernel %s: groups %d, instrs %d, barriers %d, faults %d\n",
+			s.Kernel, s.Groups, s.Instrs, s.Barriers, s.Faults)
 		if s.Warps > 0 {
 			fmt.Fprintf(w, "  warps: %d (avg %.1f lanes), masked divergences %d, divergence fallbacks %d, re-forms %d\n",
 				s.Warps, float64(s.WarpLanes)/float64(s.Warps), s.WarpDiverges, s.WarpSpills, s.WarpReforms)

@@ -50,11 +50,10 @@ func runProf(t *testing.T, prof *Profiler) []int32 {
 }
 
 // TestProfiledExecutionParity holds profiled execution byte-identical to
-// unprofiled (SampleEvery=1 makes every group record its landings) and
-// checks the derived counts are plausible and complete.
+// unprofiled and checks the derived counts are plausible and complete.
 func TestProfiledExecutionParity(t *testing.T) {
 	ref := runProf(t, nil)
-	prof := NewProfiler(ProfileOptions{SampleEvery: 1})
+	prof := NewProfiler()
 	got := runProf(t, prof)
 	for i := range ref {
 		if got[i] != ref[i] {
@@ -68,8 +67,8 @@ func TestProfiledExecutionParity(t *testing.T) {
 	}
 	s := snaps[0]
 	const groups = 256 / 32
-	if s.Groups != groups || s.Sampled != groups {
-		t.Fatalf("groups %d sampled %d, want %d at SampleEvery=1", s.Groups, s.Sampled, groups)
+	if s.Groups != groups {
+		t.Fatalf("groups %d, want %d", s.Groups, groups)
 	}
 	if s.Instrs == 0 {
 		t.Fatal("no instructions counted")
@@ -112,116 +111,29 @@ func TestProfiledExecutionParity(t *testing.T) {
 	}
 }
 
-// TestProfilerSampling checks the 1-in-N group sampling: 64 groups at
-// SampleEvery=16 sample exactly 4, 8 groups sample none, and the launch
-// path's instruction estimate is the sampled total scaled by the period.
-func TestProfilerSampling(t *testing.T) {
-	prof := NewProfiler(ProfileOptions{SampleEvery: 16})
-	runProf(t, prof) // 8 groups: not enough for a sample yet
-	s := prof.Snapshot()[0]
-	if s.Groups != 8 || s.Sampled != 0 {
-		t.Fatalf("groups %d sampled %d, want 8/0", s.Groups, s.Sampled)
-	}
-	for i := 0; i < 7; i++ {
-		runProf(t, prof)
-	}
-	s = prof.Snapshot()[0]
-	if s.Groups != 64 || s.Sampled != 4 {
-		t.Fatalf("groups %d sampled %d, want 64/4", s.Groups, s.Sampled)
-	}
-	if s.Instrs == 0 {
-		t.Fatal("sampled groups counted no instructions")
-	}
-	if est := prof.KernelInstrEstimate("prof"); est != s.Instrs*16 {
-		t.Fatalf("KernelInstrEstimate = %d, want Instrs %d x SampleEvery 16", est, s.Instrs)
-	}
-}
-
-// TestProfilerSamplingAnyGroupCount: a stream of T-group launches
-// samples one group in every, whatever T is — the one- and two-group
-// slices the runtime starts included — and for T > 1 the sampled group
-// moves across the grid: group 0, whose items alone enter the if-arm,
-// is sampled sometimes but not always.
-func TestProfilerSamplingAnyGroupCount(t *testing.T) {
-	mod := compileOrDie(t, `
-kernel void samp(global int* out)
-{
-    if (get_group_id(0) == 0)
-        out[0] = 1;
-}
-`)
-	for _, every := range []int64{2, 16, 64} {
-		for _, T := range []int64{1, 2, 3, 4, 8, 64} {
-			prof := NewProfiler(ProfileOptions{SampleEvery: every})
-			m := NewMachine(mod)
-			m.Profiler = prof
-			out := m.NewRegion(4, ir.Global)
-			args := []Value{{K: ir.Pointer, P: Ptr{R: out}}}
-			launches := (256*every + T - 1) / T
-			for i := int64(0); i < launches; i++ {
-				if err := m.Launch("samp", args, ND1(T, 1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s := prof.Snapshot()[0]
-			groups := launches * T
-			if want := groups / every; s.Groups != groups || s.Sampled < want-1 || s.Sampled > want+1 {
-				t.Errorf("T=%d every=%d: %d groups, %d sampled; want %d groups, %d±1 sampled",
-					T, every, s.Groups, s.Sampled, groups, want)
-				continue
-			}
-			var group0 int64
-			for _, bc := range s.Blocks {
-				if strings.HasPrefix(bc.Block, "if.then") {
-					group0 += bc.Hits
-				}
-			}
-			if T == 1 && group0 != s.Sampled {
-				t.Errorf("T=1 every=%d: group 0 sampled %d times of %d samples", every, group0, s.Sampled)
-			}
-			if T > 1 && (group0 == 0 || group0 == s.Sampled) {
-				t.Errorf("T=%d every=%d: group 0 sampled %d times of %d samples: the sampled group does not move",
-					T, every, group0, s.Sampled)
-			}
-		}
-	}
-}
-
-// TestProfilerFaultCounting checks faults are recorded even for
-// unsampled groups, and that a sampled faulting group still flushes a
-// self-consistent profile.
+// TestProfilerFaultCounting checks a faulting group is counted and
+// still flushes a self-consistent profile.
 func TestProfilerFaultCounting(t *testing.T) {
 	const src = `
 kernel void oops(global int* out) { out[get_global_id(0)] = out[0] / (int)get_global_id(0); }
 `
-	for _, tc := range []struct {
-		every   int64
-		sampled int64
-	}{
-		{1 << 20, 0}, // never samples
-		{1, 1},
-	} {
-		m := compile(t, src)
-		prof := NewProfiler(ProfileOptions{SampleEvery: tc.every})
-		m.Profiler = prof
-		out := m.NewRegion(64*4, ir.Global)
-		err := m.Launch("oops", []Value{{K: ir.Pointer, P: Ptr{R: out}}}, ND1(64, 64))
-		if err == nil {
-			t.Fatal("expected division-by-zero fault")
-		}
-		s := prof.Snapshot()[0]
-		if s.Faults != 1 {
-			t.Fatalf("SampleEvery %d: faults = %d, want 1", tc.every, s.Faults)
-		}
-		if s.Sampled != tc.sampled {
-			t.Fatalf("SampleEvery %d: sampled = %d, want %d", tc.every, s.Sampled, tc.sampled)
-		}
-		var opTotal int64
-		for _, oc := range s.Opcodes {
-			opTotal += oc.Count
-		}
-		if opTotal != s.Instrs || (s.Instrs > 0) != (tc.sampled > 0) {
-			t.Fatalf("SampleEvery %d: opcode counts sum to %d, instrs %d", tc.every, opTotal, s.Instrs)
-		}
+	m := compile(t, src)
+	prof := NewProfiler()
+	m.Profiler = prof
+	out := m.NewRegion(64*4, ir.Global)
+	err := m.Launch("oops", []Value{{K: ir.Pointer, P: Ptr{R: out}}}, ND1(64, 64))
+	if err == nil {
+		t.Fatal("expected division-by-zero fault")
+	}
+	s := prof.Snapshot()[0]
+	if s.Faults != 1 || s.Groups != 1 {
+		t.Fatalf("faults = %d, groups = %d, want 1 and 1", s.Faults, s.Groups)
+	}
+	var opTotal int64
+	for _, oc := range s.Opcodes {
+		opTotal += oc.Count
+	}
+	if opTotal != s.Instrs || s.Instrs == 0 {
+		t.Fatalf("opcode counts sum to %d, instrs %d", opTotal, s.Instrs)
 	}
 }

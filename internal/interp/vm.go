@@ -26,7 +26,7 @@ import (
 //     allocas come from pools and bump arenas, so repeated sliced
 //     launches on pooled machines stop allocating per slice;
 //   - there is one scalar dispatch loop (exec). Execution profiling does
-//     not duplicate it: a sampled group records where control lands
+//     not duplicate it: a profiled group records where control lands
 //     (kernel and callee entry, every jump target) and profile.go
 //     derives instruction, opcode, barrier and block counts from that.
 //
@@ -172,8 +172,8 @@ type vmGroup struct {
 	locals []uint64 // pointer words of the group's local regions, by slot (0: not yet)
 	ar     *arena
 
-	// prof is non-nil when this group was sampled for execution
-	// profiling: the dispatch loops record where control lands.
+	// prof is non-nil when the machine has a profiler: the dispatch
+	// loops record where control lands.
 	prof groupProfile
 
 	// faultWI is the work-item a fault is attributed to (groupFault).
@@ -211,19 +211,7 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 	defer m.regions.truncate(m.regions.reserve(0))
 	total := l.ng[0] * l.ng[1] * l.ng[2]
 	if p := m.Profiler; p != nil {
-		l.prof = p
 		l.kp = p.kernel(fn.Name)
-		// A kernel's groups form one stream across its launches and
-		// every every-th slot of the stream is sampled, so launches of
-		// any group count T sample ⌊groups/every⌋ of them. This launch
-		// takes the next total slots; its groups map onto them rotated
-		// by a hash of the launch ordinal (Fibonacci hashing, so
-		// launches that sample land on unrelated rotations whatever the
-		// period), and the sampled group walks across the grid over
-		// repeats instead of staying at one place.
-		l.profBase = l.kp.groupsSeen.Add(total) - total
-		c := uint64(l.kp.launches.Add(1) - 1)
-		l.profRot = int64((c*0x9E3779B97F4A7C15)>>33) % total
 	}
 	defer l.flushWarpStats()
 	workers := int64(Lanes())
@@ -311,15 +299,10 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
 	gr.locals = gr.locals[:nslots]
 	clear(gr.locals)
 	g := &vmGroup{l: l, group: group, locals: gr.locals, ar: &gr.ar}
-	if p := l.prof; p != nil {
-		// Sample the group whose slot of the kernel's group stream is a
-		// multiple of the period (see launchVM).
-		total := l.ng[0] * l.ng[1] * l.ng[2]
-		if (l.profBase+(lin+l.profRot)%total+1)%p.every == 0 {
-			// Every work-item enters the kernel frame once.
-			g.prof = groupProfile{}
-			g.prof.land(l.kcf, 0, int64(size))
-		}
+	if l.kp != nil {
+		// Every work-item enters the kernel frame once.
+		g.prof = groupProfile{}
+		g.prof.land(l.kcf, 0, int64(size))
 	}
 
 	// Materialize host-declared local arguments: one region per group,
@@ -431,7 +414,7 @@ func (g *vmGroup) resume(wi *wiState) (err error) {
 
 // exec is the scalar dispatch loop, the only one. It caches the top
 // frame in locals and only touches the frame stack on call, return and
-// barrier. A sampled group (gp != nil) records where control lands — the
+// barrier. A profiled group (gp != nil) records where control lands — the
 // target of every jump and the callee's entry — one nil check per control
 // transfer, nothing per instruction; profile.go derives the rest.
 func (g *vmGroup) exec(wi *wiState) {

@@ -395,7 +395,7 @@ func at(s *uint64, lr []uint64, r int32) *uint64 {
 // That lane's copy of a uniform register is never read in vector mode,
 // and warpSpill overwrites it before the scalar path could. Instruction
 // cost is charged per active lane (n steps per dispatch), so the launch
-// instruction budget is engine-invariant; so is the sampled execution
+// instruction budget is engine-invariant; so is the execution
 // profile, which lands every active lane at each control transfer.
 func (g *vmGroup) warpExec(w *warp) {
 	l := g.l

@@ -91,7 +91,7 @@ func warpStats(t *testing.T, src string) (KernelProfileSnapshot, WarpLaunchStats
 	}
 	m := NewMachine(mod)
 	m.UseProgram(CompileModuleOpts(mod, DefaultCompileOpts))
-	m.Profiler = NewProfiler(ProfileOptions{SampleEvery: 1})
+	m.Profiler = NewProfiler()
 	var sunk []WarpLaunchStats
 	m.WarpStats = warpSinkFunc(func(st WarpLaunchStats) { sunk = append(sunk, st) })
 
@@ -208,7 +208,7 @@ kernel void k(global int* out, global const int* in, int n)
 	}
 	m := NewMachine(mod)
 	m.UseProgram(CompileModuleOpts(mod, DefaultCompileOpts))
-	m.Profiler = NewProfiler(ProfileOptions{SampleEvery: 1})
+	m.Profiler = NewProfiler()
 	const n = 20 // two groups of 10: partial warps at width 64
 	in := m.NewRegion(n*4, ir.Global)
 	out := m.NewRegion(n*4, ir.Global)
@@ -333,7 +333,7 @@ kernel void k(global int* out, global const int* in, int n)
 
 	m := NewMachine(mod)
 	m.UseProgram(CompileModuleOpts(mod, scalarO1))
-	m.Profiler = NewProfiler(ProfileOptions{SampleEvery: 1})
+	m.Profiler = NewProfiler()
 	in := m.NewRegion(64*4, ir.Global)
 	out := m.NewRegion(64*4, ir.Global)
 	args := []Value{

@@ -61,20 +61,38 @@ type Event struct {
 	mu     sync.Mutex
 	status EventStatus
 	err    error
-	done   chan struct{}
-	cbs    []func(*Event)
-	rel    []func(*Event) // wait-list dependants (WhenAll); run before cbs
+	// done is made by the first blocking wait that finds the event
+	// incomplete, and closed by finish; most events are observed only
+	// through callbacks and never need one.
+	done chan struct{}
+	cbs  []func(*Event)
+	rel  []func(*Event) // wait-list dependants (WhenAll); run before cbs
 
-	// times stamps each status transition (indexed by EventStatus;
-	// terminal statuses share the EventComplete slot). The
-	// clGetEventProfilingInfo analogue — see ProfilingInfo.
-	times [4]time.Time
+	// times stamps each status transition as an offset from epoch
+	// (indexed by EventStatus; terminal statuses share the EventComplete
+	// slot; 0 marks a skipped state). The clGetEventProfilingInfo
+	// analogue — see ProfilingInfo.
+	times [4]time.Duration
 }
+
+// epoch anchors event timestamps: an offset from it keeps the monotonic
+// reading in a third of a time.Time's bytes.
+var epoch = time.Now()
+
+// stamp is the current offset from epoch, never 0.
+func stamp() time.Duration { return max(time.Since(epoch), 1) }
+
+// closedCh is what a wait on a terminal event receives from.
+var closedCh = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // newEvent returns a queued event.
 func newEvent() *Event {
-	e := &Event{done: make(chan struct{})}
-	e.times[EventQueued] = time.Now()
+	e := &Event{}
+	e.times[EventQueued] = stamp()
 	return e
 }
 
@@ -82,12 +100,6 @@ func newEvent() *Event {
 // command (clCreateUserEvent): pass it in wait lists to gate commands on
 // host-side conditions, then call Complete or Fail exactly once.
 func NewUserEvent() *Event { return newEvent() }
-
-// NewControlledEvent returns an event that a runtime layer (e.g. the
-// accelOS daemon) completes itself. It is the producer-side constructor
-// of the interposition boundary; applications use queue Enqueue* calls
-// instead.
-func NewControlledEvent() *Event { return newEvent() }
 
 // compactWaits drops nil entries (callers may pass optional events).
 func compactWaits(waits []*Event) []*Event {
@@ -114,9 +126,22 @@ func (e *Event) Err() error {
 	return e.err
 }
 
+// doneCh returns a channel that is closed once the event is terminal.
+func (e *Event) doneCh() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.status.Terminal() {
+		return closedCh
+	}
+	if e.done == nil {
+		e.done = make(chan struct{})
+	}
+	return e.done
+}
+
 // Wait blocks until the event completes and returns its error.
 func (e *Event) Wait() error {
-	<-e.done
+	<-e.doneCh()
 	return e.Err()
 }
 
@@ -130,7 +155,7 @@ func (e *Event) Wait() error {
 // events are guaranteed to complete.
 func (e *Event) WaitContext(ctx context.Context) error {
 	select {
-	case <-e.done:
+	case <-e.doneCh():
 		return e.Err()
 	case <-ctx.Done():
 		return ctx.Err()
@@ -178,7 +203,7 @@ func (e *Event) transition(s EventStatus) {
 	e.mu.Lock()
 	if !e.status.Terminal() && s > e.status && s < EventComplete {
 		e.status = s
-		e.times[s] = time.Now()
+		e.times[s] = stamp()
 	}
 	e.mu.Unlock()
 }
@@ -240,11 +265,17 @@ func (e *Event) ProfilingInfo() (EventProfile, error) {
 	if !e.status.Terminal() {
 		return EventProfile{}, ErrProfilingNotAvailable
 	}
+	at := func(d time.Duration) time.Time {
+		if d == 0 {
+			return time.Time{}
+		}
+		return epoch.Add(d)
+	}
 	return EventProfile{
-		Queued:    e.times[EventQueued],
-		Submitted: e.times[EventSubmitted],
-		Running:   e.times[EventRunning],
-		Complete:  e.times[EventComplete],
+		Queued:    at(e.times[EventQueued]),
+		Submitted: at(e.times[EventSubmitted]),
+		Running:   at(e.times[EventRunning]),
+		Complete:  at(e.times[EventComplete]),
 	}, nil
 }
 
@@ -273,11 +304,13 @@ func (e *Event) finish(err error) {
 	} else {
 		e.status = EventComplete
 	}
-	e.times[EventComplete] = time.Now()
-	rel, cbs := e.rel, e.cbs
+	e.times[EventComplete] = stamp()
+	rel, cbs, done := e.rel, e.cbs, e.done
 	e.rel, e.cbs = nil, nil
 	e.mu.Unlock()
-	close(e.done)
+	if done != nil {
+		close(done)
+	}
 	for _, fn := range rel {
 		fn(e)
 	}

@@ -93,17 +93,18 @@ func (q *CommandQueue) enqueue(what, op string, nbytes int, bufs []*Buffer, wait
 		}
 	}
 	ev := newEvent()
-	if !q.outOfOrder {
-		q.chain = ev
-	}
-	q.group.Add(ev)
-	q.mu.Unlock()
-
+	// Registered before the queue's group hears of the completion, so
+	// Finish returns with the command's buffers unpinned.
 	ev.OnComplete(func(*Event) {
 		for _, b := range bufs {
 			b.Unpin()
 		}
 	})
+	if !q.outOfOrder {
+		q.chain = ev
+	}
+	q.group.Add(ev)
+	q.mu.Unlock()
 
 	if tr, reg := q.Ctx.telemetrySinks(); tr != nil || reg != nil {
 		label := q.Label()

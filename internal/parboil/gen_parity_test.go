@@ -309,7 +309,7 @@ func TestGeneratedKernelParity(t *testing.T) {
 		// What the warp engine did with it, natively.
 		mod, _ := clc.Compile(src, "k")
 		mach := interp.NewMachine(mod)
-		mach.Profiler = interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1 << 30})
+		mach.Profiler = interp.NewProfiler()
 		args, _, err := bindSpecArgs(mach, genSpec())
 		if err != nil {
 			t.Fatal(err)

@@ -53,11 +53,11 @@ kernel void uniform(global int* out, int n)
 	},
 }
 
-// profileGoldenLines condenses one kernel's exact (SampleEvery 1)
-// profiles, a line per configuration. A profile accumulates the native
-// verification launch plus the same launch through the accelOS
-// transformation on three physical groups (the scheduling wrapper is
-// where the unoptimized lowering makes calls); its line holds the instruction and barrier
+// profileGoldenLines condenses one kernel's profiles, a line per
+// configuration. A profile accumulates the native verification launch
+// plus the same launch through the accelOS transformation on three
+// physical groups (the scheduling wrapper is where the unoptimized
+// lowering makes calls); its line holds the instruction and barrier
 // totals and a hash of the snapshot's sorted opcode and block lines.
 func profileGoldenLines(k *Kernel) ([]string, error) {
 	orig, err := clc.Compile(k.Source, k.Name)
@@ -71,7 +71,7 @@ func profileGoldenLines(k *Kernel) ([]string, error) {
 	}
 	var lines []string
 	for _, cfg := range profileGoldenConfigs {
-		prof := interp.NewProfiler(interp.ProfileOptions{SampleEvery: 1})
+		prof := interp.NewProfiler()
 		for _, mod := range []*ir.Module{orig, tm} {
 			mach := interp.NewMachine(mod)
 			mach.Profiler = prof

@@ -76,7 +76,7 @@ func Dial(path, tenant, token string) (*Client, error) {
 		nc.Close()
 		return nil, err
 	}
-	br := bufio.NewReaderSize(nc, frameReadBuf)
+	br := getReader(nc)
 	f, err := wire.ReadFrame(br)
 	if err != nil {
 		nc.Close()
@@ -172,6 +172,7 @@ func (c *Client) waitEvent(ev *opencl.Event) error {
 }
 
 func (c *Client) readLoop() {
+	defer putReader(c.br)
 	for {
 		f, err := wire.ReadFrame(c.br)
 		if err != nil {
@@ -200,7 +201,7 @@ func (c *Client) readLoop() {
 			}
 			// Forget the mirror's daemon id only once it is terminal: a
 			// concurrent waitIDs must find the event either known (the
-			// daemon keeps the id and orders against it) or terminal
+			// daemon resolves the id, in flight or finished) or terminal
 			// (nothing left to order), never neither.
 			c.mu.Lock()
 			delete(c.evIDs, pe.ev)
@@ -466,7 +467,7 @@ func (c *Client) enqueueEvent(onDone func()) (uint64, *opencl.Event, error) {
 	}
 	c.nextReq++
 	req := c.nextReq
-	ev := opencl.NewControlledEvent()
+	ev := opencl.NewUserEvent()
 	c.events[req] = &pendingEvent{ev: ev, onDone: onDone}
 	c.evIDs[ev] = req
 	c.group.Add(ev)

@@ -148,12 +148,12 @@ func (s *Server) serve(ln net.Listener) {
 		c := &conn{
 			s:      s,
 			nc:     nc,
-			br:     bufio.NewReaderSize(nc, frameReadBuf),
+			br:     getReader(nc),
 			progs:  make(map[uint64]*accelos.Program),
 			kerns:  make(map[uint64]*accelos.KernelHandle),
 			bufs:   make(map[uint64]*accelos.BufferHandle),
-			events: make(map[uint64]*opencl.Event),
-			manual: make(map[uint64]*opencl.Event),
+			reqs:   make(map[uint64]enqueued),
+			failed: make(map[uint64]error),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -247,18 +247,27 @@ func (b *bucket) take(rate, burst float64) bool {
 	return true
 }
 
-func (s *Server) counter(name, tenant string, extra ...telemetry.Label) *telemetry.Counter {
-	if s.opts.Metrics == nil {
-		return nil
-	}
-	labels := append([]telemetry.Label{telemetry.L("tenant", tenant)}, extra...)
-	return s.opts.Metrics.Counter(name, labels...)
-}
-
 // frameReadBuf sizes the per-connection read buffer on both ends: small
 // control frames (the steady state) fit whole; a larger body bypasses
 // the buffer and is read straight into the frame.
 const frameReadBuf = 4096
+
+// readers recycles the per-connection read buffers: a session that
+// dials, makes a few calls and closes would otherwise leave two of
+// them to the collector.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, frameReadBuf) }}
+
+func getReader(nc net.Conn) *bufio.Reader {
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(nc)
+	return br
+}
+
+// putReader returns a reader whose connection nothing reads any more.
+func putReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readers.Put(br)
+}
 
 // conn is one client connection = one tenant App.
 type conn struct {
@@ -276,23 +285,30 @@ type conn struct {
 	mu       sync.Mutex
 	torndown bool
 	nextObj  uint64
-	inflight int
 	progs    map[uint64]*accelos.Program
 	kerns    map[uint64]*accelos.KernelHandle
 	bufs     map[uint64]*accelos.BufferHandle
-	// events holds every enqueue's event keyed by its request id, so
-	// later enqueues can wait on it. Entries live for the connection:
-	// clients prune terminal waits locally, so steady-state wait lists
-	// only name live events.
-	events map[uint64]*opencl.Event
-	// manual holds write-transfer events the CLIENT completes (via
-	// MsgCopyDone once its bytes landed in the mapping). Teardown must
-	// fail these — a dead client will never signal them.
-	manual map[uint64]*opencl.Event
+	// reqs holds each enqueue while it is in flight, keyed by its
+	// request id, so its size is the MaxInflight window. Only the read
+	// loop inserts; the callback that sends MsgEventDone removes.
+	reqs map[uint64]enqueued
+	// failed keeps the cause of each failed or refused enqueue, for
+	// later waits that name it: the one per-request state that grows
+	// with the connection. lastReq is the highest enqueue id seen.
+	failed  map[uint64]error
+	lastReq uint64
+}
+
+// enqueued is one enqueue awaiting its terminal state. clientDone marks
+// a write copy, which only the client's MsgCopyDone completes.
+type enqueued struct {
+	ev         *opencl.Event
+	clientDone bool
 }
 
 func (c *conn) serve() {
 	defer c.teardown()
+	defer putReader(c.br)
 	if !c.handshake() {
 		return
 	}
@@ -303,7 +319,7 @@ func (c *conn) serve() {
 		}
 		if err := c.dispatch(f); err != nil {
 			// Protocol violation: drop the connection.
-			c.countEviction("protocol")
+			c.inc("service_evictions_total", telemetry.L("reason", "protocol"))
 			return
 		}
 	}
@@ -317,7 +333,7 @@ func (c *conn) handshake() bool {
 	c.nc.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
 	f, err := wire.ReadFrame(c.br)
 	if err != nil {
-		c.countEviction("handshake-timeout")
+		c.inc("service_evictions_total", telemetry.L("reason", "handshake-timeout"))
 		return false
 	}
 	var hello wire.Hello
@@ -340,19 +356,14 @@ func (c *conn) handshake() bool {
 	c.nc.SetReadDeadline(time.Time{})
 	c.tenant = hello.Tenant
 	c.app = s.rt.Connect(hello.Tenant)
-	if ctr := s.counter("service_connections_total", c.tenant); ctr != nil {
-		ctr.Inc()
-	}
+	c.inc("service_connections_total")
 	w := wire.Welcome{Code: wire.CodeOK, Version: wire.Version}
 	return c.writeFrame(wire.MsgWelcome, f.Req, w.Encode()) == nil
 }
 
 // reject answers a failed handshake and counts it.
 func (c *conn) reject(req uint64, code wire.Code, msg string) {
-	if ctr := c.s.counter("service_rejections_total", c.tenant,
-		telemetry.L("reason", code.String())); ctr != nil {
-		ctr.Inc()
-	}
+	c.inc("service_rejections_total", telemetry.L("reason", code.String()))
 	w := wire.Welcome{Code: code, Msg: msg, Version: wire.Version}
 	c.writeFrame(wire.MsgWelcome, req, w.Encode())
 }
@@ -369,23 +380,22 @@ func (c *conn) teardown() {
 		return
 	}
 	c.torndown = true
-	manual := make([]*opencl.Event, 0, len(c.manual))
-	for _, ev := range c.manual {
-		manual = append(manual, ev)
+	var writes []*opencl.Event
+	for _, r := range c.reqs {
+		if r.clientDone {
+			writes = append(writes, r.ev)
+		}
 	}
-	c.manual = nil
 	c.mu.Unlock()
 
 	c.nc.Close()
-	for _, ev := range manual {
+	for _, ev := range writes {
 		ev.Fail(fmt.Errorf("service: client disconnected before completing transfer: %w", accelos.ErrAppClosed))
 	}
 	if c.app != nil {
 		c.app.Close()
 		c.app.Finish()
-		if ctr := c.s.counter("service_disconnects_total", c.tenant); ctr != nil {
-			ctr.Inc()
-		}
+		c.inc("service_disconnects_total")
 	}
 	c.s.dropConn(c)
 }
@@ -399,24 +409,17 @@ func (c *conn) writeFrame(t wire.MsgType, req uint64, body []byte) error {
 	err := wire.WriteFrame(c.nc, t, req, body)
 	if err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			c.countEviction("write-timeout")
+			c.inc("service_evictions_total", telemetry.L("reason", "write-timeout"))
 		}
 		c.nc.Close() // read loop unblocks; teardown runs there
 	}
 	return err
 }
 
-func (c *conn) countEviction(reason string) {
-	if ctr := c.s.counter("service_evictions_total", c.tenant,
-		telemetry.L("reason", reason)); ctr != nil {
-		ctr.Inc()
-	}
-}
-
-func (c *conn) countRequest(op string) {
-	if ctr := c.s.counter("service_requests_total", c.tenant,
-		telemetry.L("op", op)); ctr != nil {
-		ctr.Inc()
+// inc adds one to a per-tenant counter when the server has metrics.
+func (c *conn) inc(name string, labels ...telemetry.Label) {
+	if m := c.s.opts.Metrics; m != nil {
+		m.Counter(name, append([]telemetry.Label{telemetry.L("tenant", c.tenant)}, labels...)...).Inc()
 	}
 }
 
@@ -476,14 +479,18 @@ func (c *conn) dispatch(f wire.Frame) error {
 		if err := m.Decode(f.Body); err != nil {
 			return err
 		}
-		c.handleEnqueueKernel(f.Req, m)
+		c.enqueue(f.Req, "enqueue-kernel", false, func() (*opencl.Event, error) { return c.launch(m) })
 		return nil
 	case wire.MsgEnqueueCopy:
 		var m wire.EnqueueCopy
 		if err := m.Decode(f.Body); err != nil {
 			return err
 		}
-		c.handleEnqueueCopy(f.Req, m)
+		op := "enqueue-write"
+		if m.Dir == wire.CopyRead {
+			op = "enqueue-read"
+		}
+		c.enqueue(f.Req, op, m.Dir == wire.CopyWrite, func() (*opencl.Event, error) { return c.copyEvent(op, m) })
 		return nil
 	case wire.MsgCopyDone:
 		var st wire.Status
@@ -497,7 +504,7 @@ func (c *conn) dispatch(f wire.Frame) error {
 }
 
 func (c *conn) handleProgramCreate(req uint64, src string) {
-	c.countRequest("program-create")
+	c.inc("service_requests_total", telemetry.L("op", "program-create"))
 	p, err := c.app.CreateProgram(src)
 	if err != nil {
 		c.replyErr(req, err)
@@ -517,7 +524,7 @@ func (c *conn) handleProgramCreate(req uint64, src string) {
 }
 
 func (c *conn) handleBufferCreate(req uint64, size int64) {
-	c.countRequest("buffer-create")
+	c.inc("service_requests_total", telemetry.L("op", "buffer-create"))
 	shm, err := wire.CreateShm(c.s.opts.ShmDir, size)
 	if err != nil {
 		c.replyErr(req, err)
@@ -550,7 +557,7 @@ func (c *conn) handleBufferCreate(req uint64, size int64) {
 }
 
 func (c *conn) handleKernelCreate(req uint64, m wire.KernelCreate) {
-	c.countRequest("kernel-create")
+	c.inc("service_requests_total", telemetry.L("op", "kernel-create"))
 	c.mu.Lock()
 	p := c.progs[m.Prog]
 	c.mu.Unlock()
@@ -574,7 +581,7 @@ func (c *conn) handleKernelCreate(req uint64, m wire.KernelCreate) {
 }
 
 func (c *conn) handleBufferRelease(req uint64, m wire.BufferRelease) {
-	c.countRequest("buffer-release")
+	c.inc("service_requests_total", telemetry.L("op", "buffer-release"))
 	c.mu.Lock()
 	b := c.bufs[m.Buffer]
 	c.mu.Unlock()
@@ -586,41 +593,66 @@ func (c *conn) handleBufferRelease(req uint64, m wire.BufferRelease) {
 	c.writeFrame(wire.MsgAck, req, nil)
 }
 
-// admitEnqueue applies the per-connection backpressure window and the
-// per-tenant rate limit, reserving an in-flight slot on success.
-func (c *conn) admitEnqueue(req uint64) bool {
+// enqueue is every enqueue's one path: count it, admit it, build its
+// event and keep it in reqs until the event is terminal — or refuse it,
+// keeping the cause in failed. Either way one MsgEventDone answers req.
+func (c *conn) enqueue(req uint64, op string, clientDone bool, build func() (*opencl.Event, error)) {
+	start := time.Now()
+	c.inc("service_requests_total", telemetry.L("op", op))
+	ev, err := c.admit(req, build)
 	c.mu.Lock()
-	if c.inflight >= c.s.opts.MaxInflight {
+	c.lastReq = max(c.lastReq, req)
+	if err != nil {
+		c.failed[req] = err
 		c.mu.Unlock()
-		c.countRejection(wire.ErrBackpressure)
-		c.eventDone(req, fmt.Errorf("%w (window %d)", wire.ErrBackpressure, c.s.opts.MaxInflight))
-		return false
+		c.eventDone(req, err)
+		return
 	}
-	c.inflight++
+	c.reqs[req] = enqueued{ev: ev, clientDone: clientDone}
 	c.mu.Unlock()
-	if !c.s.allow(c.tenant) {
-		c.releaseSlot()
-		c.countRejection(wire.ErrRateLimited)
-		c.eventDone(req, fmt.Errorf("%w (%.3g/s)", wire.ErrRateLimited, c.s.opts.RatePerSec))
-		return false
-	}
-	return true
+	ev.OnComplete(func(e *opencl.Event) {
+		err := e.Err()
+		c.mu.Lock()
+		delete(c.reqs, req)
+		if err != nil {
+			c.failed[req] = err
+		}
+		c.mu.Unlock()
+		if m := c.s.opts.Metrics; m != nil {
+			m.Histogram("service_request_ns", telemetry.L("tenant", c.tenant),
+				telemetry.L("op", op)).Observe(time.Since(start).Nanoseconds())
+		}
+		c.eventDone(req, err)
+	})
 }
 
-func (c *conn) releaseSlot() {
+// admit applies the in-flight window and the tenant's rate limit, then
+// builds the enqueue's event. Only the read loop inserts into reqs, so
+// the window cannot fill between this check and enqueue's insert.
+func (c *conn) admit(req uint64, build func() (*opencl.Event, error)) (*opencl.Event, error) {
 	c.mu.Lock()
-	c.inflight--
+	_, dup := c.reqs[req]
+	full := len(c.reqs) >= c.s.opts.MaxInflight
 	c.mu.Unlock()
-}
-
-func (c *conn) countRejection(sentinel error) {
-	if ctr := c.s.counter("service_rejections_total", c.tenant,
-		telemetry.L("reason", wire.CodeOf(sentinel).String())); ctr != nil {
-		ctr.Inc()
+	switch {
+	case dup:
+		return nil, fmt.Errorf("%w: request %d is already in flight", wire.ErrBadRequest, req)
+	case full:
+		c.inc("service_rejections_total", telemetry.L("reason", wire.CodeBackpressure.String()))
+		return nil, fmt.Errorf("%w (window %d)", wire.ErrBackpressure, c.s.opts.MaxInflight)
+	case !c.s.allow(c.tenant):
+		c.inc("service_rejections_total", telemetry.L("reason", wire.CodeRateLimited.String()))
+		return nil, fmt.Errorf("%w (%.3g/s)", wire.ErrRateLimited, c.s.opts.RatePerSec)
 	}
+	return build()
 }
 
-// resolveWaits maps client wait ids to server-side events.
+// resolveWaits maps client wait ids to the events they order after. An
+// id in flight resolves to its event. A failed or refused one fails the
+// dependent as the runtime fails a command whose dependency failed, the
+// cause wrapped so its wire code survives. Any other id up to the
+// highest enqueue seen completed successfully and drops out; the
+// client may name one whose MsgEventDone is still on its way back.
 func (c *conn) resolveWaits(ids []uint64) ([]*opencl.Event, error) {
 	if len(ids) == 0 {
 		return nil, nil
@@ -629,63 +661,34 @@ func (c *conn) resolveWaits(ids []uint64) ([]*opencl.Event, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, id := range ids {
-		ev := c.events[id]
-		if ev == nil {
+		if r, ok := c.reqs[id]; ok {
+			waits = append(waits, r.ev)
+		} else if err := c.failed[id]; err != nil {
+			return nil, fmt.Errorf("wait event %d: wait-list dependency failed: %w", id, err)
+		} else if id > c.lastReq {
 			return nil, fmt.Errorf("wait event %d: %w", id, wire.ErrNotFound)
 		}
-		waits = append(waits, ev)
 	}
 	return waits, nil
 }
 
-// registerEvent files an enqueue's event under its request id and
-// arranges the MsgEventDone reply (and the in-flight slot release) on
-// completion.
-func (c *conn) registerEvent(req uint64, ev *opencl.Event, op string, start time.Time) {
-	c.mu.Lock()
-	c.events[req] = ev
-	c.mu.Unlock()
-	ev.OnComplete(func(e *opencl.Event) {
-		c.releaseSlot()
-		if m := c.s.opts.Metrics; m != nil {
-			m.Histogram("service_request_ns", telemetry.L("tenant", c.tenant),
-				telemetry.L("op", op)).Observe(time.Since(start).Nanoseconds())
-		}
-		c.eventDone(req, e.Err())
-	})
-}
-
-func (c *conn) handleEnqueueKernel(req uint64, m wire.EnqueueKernel) {
-	start := time.Now()
-	c.countRequest("enqueue-kernel")
-	if !c.admitEnqueue(req) {
-		return
-	}
+// launch builds a kernel enqueue's event.
+func (c *conn) launch(m wire.EnqueueKernel) (*opencl.Event, error) {
 	c.mu.Lock()
 	k := c.kerns[m.Kernel]
 	c.mu.Unlock()
 	if k == nil {
-		c.releaseSlot()
-		c.eventDone(req, fmt.Errorf("kernel %d: %w", m.Kernel, wire.ErrNotFound))
-		return
+		return nil, fmt.Errorf("kernel %d: %w", m.Kernel, wire.ErrNotFound)
 	}
 	waits, err := c.resolveWaits(m.Waits)
 	if err == nil {
 		err = c.bindArgs(k, m.Args)
 	}
 	if err != nil {
-		c.releaseSlot()
-		c.eventDone(req, err)
-		return
+		return nil, err
 	}
 	nd := opencl.NDRange{Dims: int(m.Dims), Global: m.Global, Local: m.Local}
-	ev, err := c.app.EnqueueKernelAsync(k, nd, waits...)
-	if err != nil {
-		c.releaseSlot()
-		c.eventDone(req, err)
-		return
-	}
-	c.registerEvent(req, ev, "enqueue-kernel", start)
+	return c.app.EnqueueKernelAsync(k, nd, waits...)
 }
 
 // bindArgs applies a launch's argument bindings to the kernel handle.
@@ -721,33 +724,19 @@ func (c *conn) bindArgs(k *accelos.KernelHandle, args []wire.KernelArg) error {
 	return nil
 }
 
-func (c *conn) handleEnqueueCopy(req uint64, m wire.EnqueueCopy) {
-	start := time.Now()
-	op := "enqueue-write"
-	if m.Dir == wire.CopyRead {
-		op = "enqueue-read"
-	}
-	c.countRequest(op)
-	if !c.admitEnqueue(req) {
-		return
-	}
+// copyEvent builds a transfer enqueue's event.
+func (c *conn) copyEvent(op string, m wire.EnqueueCopy) (*opencl.Event, error) {
 	c.mu.Lock()
 	b := c.bufs[m.Buffer]
 	c.mu.Unlock()
 	switch {
 	case b == nil:
-		c.releaseSlot()
-		c.eventDone(req, fmt.Errorf("buffer %d: %w", m.Buffer, wire.ErrNotFound))
-		return
+		return nil, fmt.Errorf("buffer %d: %w", m.Buffer, wire.ErrNotFound)
 	case b.Released():
-		c.releaseSlot()
-		c.eventDone(req, fmt.Errorf("buffer %d: %w", m.Buffer, opencl.ErrBufferReleased))
-		return
+		return nil, fmt.Errorf("buffer %d: %w", m.Buffer, opencl.ErrBufferReleased)
 	case m.Off < 0 || m.N < 0 || m.Off+m.N > b.Size:
-		c.releaseSlot()
-		c.eventDone(req, fmt.Errorf("%w: copy [%d,%d) outside buffer of %d bytes",
-			wire.ErrBadRequest, m.Off, m.Off+m.N, b.Size))
-		return
+		return nil, fmt.Errorf("%w: copy [%d,%d) outside buffer of %d bytes",
+			wire.ErrBadRequest, m.Off, m.Off+m.N, b.Size)
 	}
 	if mtr := c.s.opts.Metrics; mtr != nil {
 		mtr.Counter("service_shm_bytes_total", telemetry.L("tenant", c.tenant),
@@ -759,33 +748,19 @@ func (c *conn) handleEnqueueCopy(req uint64, m wire.EnqueueCopy) {
 		// dependencies resolve, then signals MsgCopyDone; nothing to
 		// order server-side. The event exists so later enqueues can
 		// wait on the transfer.
-		ev, err := c.app.NewControlledEvent()
-		if err != nil {
-			c.releaseSlot()
-			c.eventDone(req, err)
-			return
-		}
-		c.mu.Lock()
-		c.manual[req] = ev
-		c.mu.Unlock()
-		c.registerEvent(req, ev, op, start)
+		return c.app.NewControlledEvent()
 	case wire.CopyRead:
 		// The event completes when the server-side dependencies (the
 		// kernels producing the data) do; the client copies out of the
 		// mapping when MsgEventDone lands.
 		waits, err := c.resolveWaits(m.Waits)
 		if err != nil {
-			c.releaseSlot()
-			c.eventDone(req, err)
-			return
+			return nil, err
 		}
 		ev, err := c.app.NewControlledEvent()
 		if err != nil {
-			c.releaseSlot()
-			c.eventDone(req, err)
-			return
+			return nil, err
 		}
-		c.registerEvent(req, ev, op, start)
 		opencl.WhenAll(waits, func(err error) {
 			if err != nil {
 				ev.Fail(err)
@@ -793,23 +768,24 @@ func (c *conn) handleEnqueueCopy(req uint64, m wire.EnqueueCopy) {
 			}
 			ev.Complete()
 		})
-	default:
-		c.releaseSlot()
-		c.eventDone(req, fmt.Errorf("%w: unknown copy direction %d", wire.ErrBadRequest, m.Dir))
+		return ev, nil
 	}
+	return nil, fmt.Errorf("%w: unknown copy direction %d", wire.ErrBadRequest, m.Dir)
 }
 
+// handleCopyDone completes a write copy in flight. Any other id — a
+// kernel's, a read's, one already terminal — is ignored: its
+// MsgEventDone comes from the daemon's own event.
 func (c *conn) handleCopyDone(req uint64, st wire.Status) {
 	c.mu.Lock()
-	ev := c.manual[req]
-	delete(c.manual, req)
+	r := c.reqs[req]
 	c.mu.Unlock()
-	if ev == nil {
-		return // unknown or already torn down; EventDone already went out
+	if !r.clientDone {
+		return
 	}
 	if st.Code == wire.CodeOK {
-		ev.Complete()
+		r.ev.Complete()
 	} else {
-		ev.Fail(st.Code.Err(st.Msg))
+		r.ev.Fail(st.Code.Err(st.Msg))
 	}
 }

@@ -59,9 +59,11 @@ func runTestDaemon(sock string) {
 		fmt.Printf("ERR %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println("READY")
+	// The handler goes in before READY: a SIGTERM sent as soon as the
+	// parent reads it must not meet the default action.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM)
+	fmt.Println("READY")
 	eof := make(chan struct{})
 	go func() {
 		io.Copy(io.Discard, os.Stdin)

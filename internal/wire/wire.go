@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/fault"
 )
@@ -120,14 +121,28 @@ func WriteFrame(w io.Writer, t MsgType, req uint64, body []byte) error {
 	if n > MaxFrame {
 		return fmt.Errorf("wire: frame too large (%d bytes)", n)
 	}
-	buf := make([]byte, 4+n)
+	bp := frames.Get().(*[]byte)
+	if cap(*bp) < 4+n {
+		*bp = make([]byte, 4+n)
+	}
+	buf := (*bp)[:4+n]
 	binary.LittleEndian.PutUint32(buf[0:], uint32(n))
 	buf[4] = byte(t)
 	binary.LittleEndian.PutUint64(buf[5:], req)
 	copy(buf[13:], body)
 	_, err := w.Write(buf)
+	if cap(buf) <= maxPooledFrame {
+		frames.Put(bp)
+	}
 	return err
 }
+
+// frames recycles WriteFrame's buffers: a Write does not keep its
+// argument, so the buffer is free again once the call returns. Frames
+// above maxPooledFrame (program sources) are left to the collector.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 4096
 
 // ReadFrame reads one frame, rejecting lengths above MaxFrame.
 func ReadFrame(r io.Reader) (Frame, error) {
@@ -234,6 +249,18 @@ func (d *Dec) Str() string {
 		return ""
 	}
 	return string(d.take(n))
+}
+
+// count reads an element count and bounds it by the bytes left, each
+// element taking size encoded bytes: a hostile count fails the decode
+// instead of reserving room for elements the body cannot hold.
+func (d *Dec) count(size int) int {
+	n := int(d.U32())
+	if d.bad || n > (len(d.b)-d.off)/size {
+		d.bad = true
+		return 0
+	}
+	return n
 }
 
 // Err reports whether any field ran past the body.
@@ -440,6 +467,9 @@ const (
 	ArgLocal  uint8 = 5
 )
 
+// argSize is a KernelArg's encoded size: kind, buffer, value, float.
+const argSize = 1 + 8 + 8 + 4
+
 // KernelArg is one argument binding for a launch. Exactly one field
 // besides Kind is meaningful, selected by Kind.
 type KernelArg struct {
@@ -463,7 +493,7 @@ type EnqueueKernel struct {
 }
 
 func (m *EnqueueKernel) Encode() []byte {
-	var e Enc
+	e := Enc{b: make([]byte, 0, 8+1+6*8+4+argSize*len(m.Args)+4+8*len(m.Waits))}
 	e.U64(m.Kernel)
 	e.U8(m.Dims)
 	for _, v := range m.Global {
@@ -496,10 +526,7 @@ func (m *EnqueueKernel) Decode(b []byte) error {
 	for i := range m.Local {
 		m.Local[i] = d.I64()
 	}
-	na := int(d.U32())
-	if na > len(b) { // arity bounded by body size: each arg takes >1 byte
-		return fmt.Errorf("wire: absurd arg count %d", na)
-	}
+	na := d.count(argSize)
 	m.Args = make([]KernelArg, 0, na)
 	for i := 0; i < na; i++ {
 		m.Args = append(m.Args, KernelArg{
@@ -509,10 +536,7 @@ func (m *EnqueueKernel) Decode(b []byte) error {
 			F32:    d.F32(),
 		})
 	}
-	nw := int(d.U32())
-	if nw > len(b) {
-		return fmt.Errorf("wire: absurd wait count %d", nw)
-	}
+	nw := d.count(8)
 	m.Waits = make([]uint64, 0, nw)
 	for i := 0; i < nw; i++ {
 		m.Waits = append(m.Waits, d.U64())
@@ -544,7 +568,7 @@ type EnqueueCopy struct {
 }
 
 func (m *EnqueueCopy) Encode() []byte {
-	var e Enc
+	e := Enc{b: make([]byte, 0, 1+3*8+4+8*len(m.Waits))}
 	e.U8(m.Dir)
 	e.U64(m.Buffer)
 	e.I64(m.Off)
@@ -562,10 +586,7 @@ func (m *EnqueueCopy) Decode(b []byte) error {
 	m.Buffer = d.U64()
 	m.Off = d.I64()
 	m.N = d.I64()
-	nw := int(d.U32())
-	if nw > len(b) {
-		return fmt.Errorf("wire: absurd wait count %d", nw)
-	}
+	nw := d.count(8)
 	m.Waits = make([]uint64, 0, nw)
 	for i := 0; i < nw; i++ {
 		m.Waits = append(m.Waits, d.U64())
@@ -582,7 +603,7 @@ type Status struct {
 }
 
 func (m *Status) Encode() []byte {
-	var e Enc
+	e := Enc{b: make([]byte, 0, 2+4+len(m.Msg))}
 	e.U16(uint16(m.Code))
 	e.Str(m.Msg)
 	return e.Bytes()

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/accelos"
@@ -35,21 +38,117 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsHostileLengths: a length or count the bytes cannot
+// back fails before anything of that size is allocated.
 func TestFrameRejectsHostileLengths(t *testing.T) {
-	// A length field above MaxFrame must be rejected before any
-	// allocation of that size.
-	hostile := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bytes.NewReader(hostile)); err == nil {
-		t.Fatal("oversized frame length accepted")
+	// claims returns a body of the largest frame whose u32 count at off
+	// claims as many elements as the body has bytes.
+	claims := func(off int) []byte {
+		b := make([]byte, MaxFrame-9)
+		binary.LittleEndian.PutUint32(b[off:], uint32(len(b)))
+		return b
 	}
-	// Undersized: length can't even hold type + request id.
-	tiny := []byte{3, 0, 0, 0, 1, 2, 3}
-	if _, err := ReadFrame(bytes.NewReader(tiny)); err == nil {
-		t.Fatal("undersized frame length accepted")
+	const kernelHead = 8 + 1 + 6*8 // kernel, dims, global, local
+	args, kernelWaits := claims(kernelHead), claims(kernelHead+4)
+	copyWaits := claims(1 + 3*8) // dir, buffer, off, n
+	oversized := make([]byte, MaxFrame)
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"frame length above MaxFrame", func() error {
+			_, err := ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}))
+			return err
+		}},
+		{"frame length below type and request id", func() error {
+			_, err := ReadFrame(bytes.NewReader([]byte{3, 0, 0, 0, 1, 2, 3}))
+			return err
+		}},
+		{"oversized write", func() error { return WriteFrame(io.Discard, MsgHello, 0, oversized) }},
+		{"kernel argument count past the body", func() error { return new(EnqueueKernel).Decode(args) }},
+		{"kernel wait count past the body", func() error { return new(EnqueueKernel).Decode(kernelWaits) }},
+		{"copy wait count past the body", func() error { return new(EnqueueCopy).Decode(copyWaits) }},
 	}
-	if err := WriteFrame(&bytes.Buffer{}, MsgHello, 0, make([]byte, MaxFrame)); err == nil {
-		t.Fatal("oversized write accepted")
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.run()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: allocated %d bytes before refusing", c.name, n)
+		}
 	}
+}
+
+// message is what every frame body implements.
+type message interface {
+	Encode() []byte
+	Decode([]byte) error
+}
+
+// FuzzFrame reads arbitrary bytes as a frame and decodes its body as
+// every message: each step returns an error or a value, never panics,
+// and a body that decodes re-encodes to the same message.
+func FuzzFrame(f *testing.F) {
+	seeds := []struct {
+		t MsgType
+		m message
+	}{
+		{MsgHello, &Hello{Version: Version, Tenant: "t", Token: "k"}},
+		{MsgProgramCreate, &ProgramCreate{Source: "kernel void k() {}"}},
+		{MsgKernelCreate, &KernelCreate{Prog: 1, Name: "k"}},
+		{MsgBufferCreate, &BufferCreate{Size: 4096}},
+		{MsgBufferRelease, &BufferRelease{Buffer: 2}},
+		{MsgEnqueueKernel, &EnqueueKernel{Kernel: 3, Dims: 1, Global: [3]int64{64, 1, 1}, Local: [3]int64{16, 1, 1},
+			Args: []KernelArg{{Kind: ArgBuffer, Buffer: 2}, {Kind: ArgF32, F32: 1.5}}, Waits: []uint64{4, 5}}},
+		{MsgEnqueueCopy, &EnqueueCopy{Dir: CopyRead, Buffer: 2, Off: 8, N: 64, Waits: []uint64{6}}},
+		{MsgCopyDone, &Status{Code: CodeBufferReleased, Msg: "gone"}},
+		{MsgWelcome, &Welcome{Code: CodeOK, Version: Version}},
+		{MsgProgramInfo, &ProgramInfo{Prog: 1}},
+		{MsgKernelInfo, &KernelInfo{Kernel: 3, NumArgs: 2}},
+		{MsgBufferInfo, &BufferInfo{Buffer: 2, Path: "/dev/shm/x", Size: 4096}},
+		{MsgAck, nil},
+		{MsgEventDone, &Status{}},
+		{MsgError, &Status{Code: CodeNotFound, Msg: "kernel 9"}},
+	}
+	for _, s := range seeds {
+		var body []byte
+		if s.m != nil {
+			body = s.m.Encode()
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, s.t, 7, body); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	decoders := []func() message{
+		func() message { return new(Hello) }, func() message { return new(Welcome) },
+		func() message { return new(ProgramCreate) }, func() message { return new(ProgramInfo) },
+		func() message { return new(KernelCreate) }, func() message { return new(KernelInfo) },
+		func() message { return new(BufferCreate) }, func() message { return new(BufferInfo) },
+		func() message { return new(BufferRelease) }, func() message { return new(EnqueueKernel) },
+		func() message { return new(EnqueueCopy) }, func() message { return new(Status) },
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := ReadFrame(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		for _, mk := range decoders {
+			m := mk()
+			if m.Decode(fr.Body) != nil {
+				continue
+			}
+			again := mk()
+			if err := again.Decode(m.Encode()); err != nil || fmt.Sprint(again) != fmt.Sprint(m) {
+				t.Fatalf("%T: %+v re-encodes to %+v (err %v)", m, m, again, err)
+			}
+		}
+	})
 }
 
 func TestMessageRoundTrips(t *testing.T) {
