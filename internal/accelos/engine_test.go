@@ -17,7 +17,11 @@ import (
 // The spin loop keeps the kernel long-running relative to the O1
 // bytecode VM (the tests below need its slices to still be in flight
 // while a peer arrives); `acc & 0` contributes nothing to the output
-// but keeps the loop live through mem2reg + DCE.
+// but keeps the loop live through mem2reg + DCE. Its trip count is a
+// margin over the VM's speed: at 300 trips the register-major warp
+// engine finished the kernel before TestBoundedClusterAdmission's
+// queued tenant arrived in 22 of 200 runs at GOMAXPROCS=1 (0 of 200
+// on the engine before it).
 const churnSrc = `
 kernel void churn(global int* out, int n)
 {
@@ -28,7 +32,7 @@ kernel void churn(global int* out, int n)
     int i = (int)get_global_id(0);
     int acc = 0;
     int t;
-    for (t = 0; t < 300; ++t) acc += (i + t) & 7;
+    for (t = 0; t < 1200; ++t) acc += (i + t) & 7;
     if (i < n) out[i] = out[i] + scratch[l] + 1 + (acc & 0);
 }
 `

@@ -558,15 +558,19 @@ func (l *launchCtx) workItem(sub uint8, dim int64, group, lid *[3]int64) uint64 
 }
 
 // atomicRMW performs an atomic read-modify-write of kind on p and
-// returns the old value. A deferred unlock so a trapping access (out of
-// bounds, null) cannot leave the stripe locked: machines are pooled and
-// the stripes are shared, so a poisoned lock would outlive the faulting
-// launch.
+// returns the old value.
 func (m *Machine) atomicRMW(k ir.AtomicKind, kind ir.Kind, p, v uint64) uint64 {
-	mu := atomicLock(Ptr{R: m.regions.get(p >> ptrOffBits)})
+	r := m.region(p)
+	return rmw(k, kind, atomicLock(Ptr{R: r}), r.at(p, kindSize[kind]), v)
+}
+
+// rmw is the read-modify-write of kind on b, bytes of a region whose
+// stripe lock is mu. Nothing under the lock can trap (the access was
+// checked before), so a faulting launch never leaves a pooled machine's
+// shared stripe locked.
+func rmw(k ir.AtomicKind, kind ir.Kind, mu *sync.Mutex, b []byte, v uint64) uint64 {
 	mu.Lock()
-	defer mu.Unlock()
-	old := loadKind[kind](m, p)
+	old := get(kind, b)
 	next := v
 	switch k {
 	case ir.AtomAdd:
@@ -582,7 +586,8 @@ func (m *Machine) atomicRMW(k ir.AtomicKind, kind ir.Kind, p, v uint64) uint64 {
 	case ir.AtomOr:
 		next = old | v
 	}
-	storeKind[kind](m, p, next)
+	put(kind, b, next)
+	mu.Unlock()
 	return old
 }
 

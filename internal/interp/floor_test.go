@@ -10,18 +10,21 @@ import (
 // TestDispatchFloors holds the dispatch speedups the VM is built
 // around, each as an in-run ratio between a slow and a fast compile of
 // the same kernel: the O1 pipeline plus fusion over the unoptimized
-// lowering on one work-item spinning a tight loop, warp over scalar
-// dispatch on a group whose loop is warp-uniform, and warp over scalar
-// on a group whose loop control is uniform but whose accumulator is
-// divergent, so every arithmetic instruction runs in lane mode. The
-// sides alternate and each keeps its fastest of three rounds, so a
-// burst of load on one side cannot fail the row. The floors sit below
-// what the engine measures (4.8–9× against 3×, 25–36× against 2×,
-// 2.2–3.8× against 1.5× on a 2-vCPU box), so only a real regression
+// lowering on one work-item spinning a tight loop; warp over scalar
+// dispatch on a group whose loop is warp-uniform; warp over scalar on a
+// group whose loop control is uniform but whose accumulator is
+// divergent, so every arithmetic instruction runs in lane mode; and
+// warp over scalar on sgemm's inner-loop shape, a uniform loop of
+// divergent loads through a uniform base. The sides alternate and each
+// keeps its fastest of three rounds, so a burst of load on one side
+// cannot fail the row. The floors sit below what the engine measures
+// (4.8–9× against 3×, 25–36× against 2×, 2.2–3.8× against 1.5× and
+// 2.8–3.8× against 1.5× on a 2-vCPU box), so only a real regression
 // trips them; the lane row read 0.9–1.8× while a lane-mode instruction
-// re-decoded its opcode and operands for every lane. Overhead bounds of
-// a few percent are not timed here: one side alone moves more than that
-// between runs.
+// re-decoded its opcode and operands for every lane, and the memory row
+// 2.2–2.3× while every lane's load looked up its region. Overhead
+// bounds of a few percent are not timed here: one side alone moves more
+// than that between runs.
 func TestDispatchFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing under the race detector measures its instrumentation")
@@ -57,15 +60,26 @@ kernel void k(global int* out)
     out[lid] = acc;
 }
 `
+	const mem = `
+kernel void k(global int* out, global const float* in)
+{
+    int lid = (int)get_local_id(0);
+    float acc = 0;
+    int i;
+    for (i = 0; i < 4000; ++i) acc += in[(i & 63) * 64 + lid];
+    out[lid] = (int)acc;
+}
+`
 	rows := []struct {
 		name, src, kernel string
-		items             int64
+		items, in         int64 // in: words of a second, input buffer
 		slow, fast        CompileOpts
 		floor             float64
 	}{
-		{"o1-over-o0", spin, "spin", 1, CompileOpts{Disable: []string{"fuse"}}, DefaultCompileOpts, 3},
-		{"warp-over-scalar", uniform, "k", 64, scalarO1, DefaultCompileOpts, 2},
-		{"lane-over-scalar", lane, "k", 64, scalarO1, DefaultCompileOpts, 1.5},
+		{"o1-over-o0", spin, "spin", 1, 0, CompileOpts{Disable: []string{"fuse"}}, DefaultCompileOpts, 3},
+		{"warp-over-scalar", uniform, "k", 64, 0, scalarO1, DefaultCompileOpts, 2},
+		{"lane-over-scalar", lane, "k", 64, 0, scalarO1, DefaultCompileOpts, 1.5},
+		{"mem-lane", mem, "k", 64, 64 * 64, scalarO1, DefaultCompileOpts, 1.5},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -77,6 +91,9 @@ kernel void k(global int* out)
 				m := NewMachine(mod)
 				m.UseProgram(CompileModuleOpts(mod, opts))
 				args := []Value{{K: ir.Pointer, P: Ptr{R: m.NewRegion(r.items*4, ir.Global)}}}
+				if r.in > 0 {
+					args = append(args, Value{K: ir.Pointer, P: Ptr{R: m.NewRegion(r.in*4, ir.Global)}})
+				}
 				nd := ND1(r.items, r.items)
 				return func(b *testing.B) {
 					for i := 0; i < b.N; i++ {

@@ -394,9 +394,9 @@ type trap struct{ msg string }
 
 func (t trap) Error() string { return "interp: " + t.msg }
 
-// mem returns the size bytes pointer word p addresses, trapping on a
-// null, dangling or out-of-bounds access.
-func (m *Machine) mem(p uint64, size int64) []byte {
+// region is the region pointer word p names, trapping on a null or
+// dangling word.
+func (m *Machine) region(p uint64) *Region {
 	r := m.regions.get(p >> ptrOffBits)
 	if r == nil {
 		if p == 0 {
@@ -404,41 +404,85 @@ func (m *Machine) mem(p uint64, size int64) []byte {
 		}
 		panic(trap{fmt.Sprintf("access through dangling pointer word %#x", p)})
 	}
-	off := ptrOff(p)
-	if off < 0 || off+size > int64(len(r.Bytes)) {
-		panic(trap{fmt.Sprintf("out-of-bounds access: offset %d size %d in region of %d bytes", off, size, len(r.Bytes))})
-	}
-	return r.Bytes[off : off+size]
+	return r
 }
 
-// The typed loads and stores over register words: one per memory form,
-// the single spelling of how a value of each kind sits in memory. The
-// dispatch loops call them by typed opcode; the fused opcodes and the
+// span is the one bounds check of a memory access: the size bytes at
+// offset off of b, or false when they do not all lie inside b.
+func span(b []byte, off, size int64) ([]byte, bool) {
+	if off < 0 || off > int64(len(b))-size {
+		return nil, false
+	}
+	return b[off : off+size], true
+}
+
+// mem returns the size bytes pointer word p addresses, trapping on a
+// null, dangling or out-of-bounds access.
+func (m *Machine) mem(p uint64, size int64) []byte { return m.region(p).at(p, size) }
+
+// at returns the size bytes at pointer word p's offset in r, trapping
+// when they do not all lie inside it.
+func (r *Region) at(p uint64, size int64) []byte {
+	b, ok := span(r.Bytes, ptrOff(p), size)
+	if !ok {
+		panic(trap{fmt.Sprintf("out-of-bounds access: offset %d size %d in region of %d bytes", ptrOff(p), size, len(r.Bytes))})
+	}
+	return b
+}
+
+// kindSize is the number of bytes a value of each kind occupies in memory.
+var kindSize = [ir.Pointer + 1]int64{ir.Bool: 1, ir.I32: 4, ir.I64: 8, ir.F32: 4, ir.F64: 8, ir.Pointer: 8}
+
+// get and put are the single spelling of how a register word of each
+// kind sits in its bytes b. With a constant kind they fold to one form.
+func get(kind ir.Kind, b []byte) uint64 {
+	switch kind {
+	case ir.Bool:
+		return uint64(b[0] & 1)
+	case ir.I32:
+		return uint64(int64(int32(binary.LittleEndian.Uint32(b))))
+	case ir.F32:
+		return math.Float64bits(float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+func put(kind ir.Kind, b []byte, v uint64) {
+	switch kind {
+	case ir.Bool:
+		b[0] = byte(v & 1)
+	case ir.I32:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case ir.F32:
+		binary.LittleEndian.PutUint32(b, math.Float32bits(float32(math.Float64frombits(v))))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
+// The typed loads and stores over pointer words, one per memory form.
+// The dispatch loops call them by typed opcode; the fused opcodes and the
 // tree-walker, which carry a kind, go through loadKind and storeKind.
-func (m *Machine) loadI1(p uint64) uint64 { return uint64(m.mem(p, 1)[0] & 1) }
-func (m *Machine) loadI32(p uint64) uint64 {
-	return uint64(int64(int32(binary.LittleEndian.Uint32(m.mem(p, 4)))))
-}
-func (m *Machine) loadF32(p uint64) uint64 {
-	return math.Float64bits(float64(math.Float32frombits(binary.LittleEndian.Uint32(m.mem(p, 4)))))
-}
-func (m *Machine) load64(p uint64) uint64 { return binary.LittleEndian.Uint64(m.mem(p, 8)) }
+func (m *Machine) loadI1(p uint64) uint64  { return get(ir.Bool, m.mem(p, 1)) }
+func (m *Machine) loadI32(p uint64) uint64 { return get(ir.I32, m.mem(p, 4)) }
+func (m *Machine) loadF32(p uint64) uint64 { return get(ir.F32, m.mem(p, 4)) }
+func (m *Machine) load64(p uint64) uint64  { return get(ir.I64, m.mem(p, 8)) }
 
 // loadPtr loads a pointer word, trapping on one that names no region.
-func (m *Machine) loadPtr(p uint64) uint64 {
-	w := m.load64(p)
+func (m *Machine) loadPtr(p uint64) uint64 { return m.live(m.load64(p)) }
+
+// live returns the loaded pointer word w, trapping if it names no region.
+func (m *Machine) live(w uint64) uint64 {
 	if w != 0 && m.regions.get(w>>ptrOffBits) == nil {
 		panic(trap{fmt.Sprintf("load of dangling pointer word %#x", w)})
 	}
 	return w
 }
 
-func (m *Machine) storeI1(p, v uint64)  { m.mem(p, 1)[0] = byte(v & 1) }
-func (m *Machine) storeI32(p, v uint64) { binary.LittleEndian.PutUint32(m.mem(p, 4), uint32(v)) }
-func (m *Machine) storeF32(p, v uint64) {
-	binary.LittleEndian.PutUint32(m.mem(p, 4), math.Float32bits(float32(math.Float64frombits(v))))
-}
-func (m *Machine) store64(p, v uint64) { binary.LittleEndian.PutUint64(m.mem(p, 8), v) }
+func (m *Machine) storeI1(p, v uint64)  { put(ir.Bool, m.mem(p, 1), v) }
+func (m *Machine) storeI32(p, v uint64) { put(ir.I32, m.mem(p, 4), v) }
+func (m *Machine) storeF32(p, v uint64) { put(ir.F32, m.mem(p, 4), v) }
+func (m *Machine) store64(p, v uint64)  { put(ir.I64, m.mem(p, 8), v) }
 
 // loadKind and storeKind index the typed loads and stores by ir.Kind.
 var (

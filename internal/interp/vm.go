@@ -21,7 +21,8 @@ import (
 //   - work-groups are independent by construction and run in parallel on
 //     a bounded worker pool, cutting goroutine count per launch from
 //     Global work-items to O(NumCPU);
-//   - kernel-frame register files are windows of one slab per group,
+//   - kernel-frame register files are windows of one slab per group
+//     runner (per item on the scalar path, per warp in warp mode),
 //     callee frames, per-group local regions and per-item private
 //     allocas come from pools and bump arenas, so repeated sliced
 //     launches on pooled machines stop allocating per slice;
@@ -62,10 +63,9 @@ type vmFrame struct {
 // with the stack intact.
 type wiState struct {
 	frames []vmFrame
-	kregs  []uint64 // kernel-frame register file (frames[0].regp points here)
+	kregs  []uint64 // kernel-frame register file on the scalar path (frames[0].regp points here)
 	lid    [3]int64
 	status wiStatus
-	lane   uint8 // bit of this work-item in its warp's lane masks
 	steps  int64 // batched instruction count not yet flushed to the launch budget
 }
 
@@ -117,9 +117,9 @@ func (a *arena) alloc(size int64, space ir.AddrSpace) uint64 {
 }
 
 // groupRunner is one worker's reusable scratch: work-item states, the
-// slab their kernel-frame register files are cut from, the warps, the
-// per-group local-region table and the alloca arena. Runners are pooled
-// across launches and machines.
+// slab the kernel-frame register files (per item, or per warp) are cut
+// from, the warps, the per-group local-region table and the alloca
+// arena. Runners are pooled across launches and machines.
 type groupRunner struct {
 	items  []wiState
 	slab   []uint64
@@ -138,15 +138,21 @@ var runnerPool = sync.Pool{New: func() any { return new(groupRunner) }}
 // group leaves behind belongs to the same launch.
 func (gr *groupRunner) kernelRegs(size, nregs int) {
 	need := size * nregs
+	slab := gr.grow(need)
+	gr.dirty = max(gr.dirty, need)
+	for i := range gr.items {
+		gr.items[i].kregs = slab[i*nregs : (i+1)*nregs : (i+1)*nregs]
+	}
+}
+
+// grow returns the slab's first need words; the caller marks what it
+// writes dirty.
+func (gr *groupRunner) grow(need int) []uint64 {
 	if cap(gr.slab) < need {
 		gr.slab = make([]uint64, need)
 		gr.dirty = 0
 	}
-	gr.dirty = max(gr.dirty, need)
-	slab := gr.slab[:need]
-	for i := range gr.items {
-		gr.items[i].kregs = slab[i*nregs : (i+1)*nregs : (i+1)*nregs]
-	}
+	return gr.slab[:need]
 }
 
 // scrub returns the runner to the pool with nothing of the finished
@@ -176,8 +182,10 @@ type vmGroup struct {
 	// loops record where control lands.
 	prof groupProfile
 
-	// faultWI is the work-item a fault is attributed to (groupFault).
+	// faultWI is the work-item a fault is attributed to (groupFault);
+	// vector dispatch records the faulting lane's index in lane.
 	faultWI *wiState
+	lane    uint8
 }
 
 // stepBatch is how many instructions a work-item executes between
@@ -313,7 +321,6 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
 		argPatch = append(argPatch, g.ar.alloc(la.size, ir.Local))
 	}
 
-	gr.kernelRegs(size, l.kcf.nregs)
 	i := 0
 	for lz := int64(0); lz < nd.Local[2]; lz++ {
 		for ly := int64(0); ly < nd.Local[1]; ly++ {
@@ -332,6 +339,7 @@ func (l *launchCtx) runGroupVM(gr *groupRunner, lin int64) error {
 		return l.runGroupWarp(gr, g, size, ww, argPatch)
 	}
 
+	gr.kernelRegs(size, l.kcf.nregs)
 	for i := range gr.items {
 		l.fillKernelRegs(gr.items[i].kregs, argPatch)
 	}
@@ -399,17 +407,21 @@ func (g *vmGroup) local(slot int32, size int64) uint64 {
 // resume runs a work-item until its next suspension point, converting
 // execution faults (traps) into errors.
 func (g *vmGroup) resume(wi *wiState) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if t, ok := r.(trap); ok {
-				err = t
-				return
-			}
-			err = fmt.Errorf("interp: panic: %v", r)
-		}
-	}()
+	defer catch(&err)
 	g.exec(wi)
 	return nil
+}
+
+// catch, deferred, turns a dispatch loop's panic into *err: a trap as
+// itself, anything else wrapped.
+func catch(err *error) {
+	if r := recover(); r != nil {
+		if t, ok := r.(trap); ok {
+			*err = t
+			return
+		}
+		*err = fmt.Errorf("interp: panic: %v", r)
+	}
 }
 
 // exec is the scalar dispatch loop, the only one. It caches the top

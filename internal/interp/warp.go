@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/ir"
@@ -12,12 +13,12 @@ import (
 // per warp. Register homes are split by the uniformity analysis
 // (warp_compile.go): uniform registers — the same for every lane that
 // executes them together — live in a single shared file per warp and
-// their instructions execute once per warp (wmOnce);
-// divergent registers live in each lane's own file and their
-// instructions (wmLane) are decoded once as well, then loop over the
-// active lanes inside the opcode's arm (laneExec). Each opcode is
-// spelled once: a once-mode instruction other than a jump is laneExec
-// over the first active lane, its result stored into the shared file.
+// their instructions execute once per warp (wmOnce); divergent
+// registers live in the warp's register-major file, one contiguous
+// column of lanes per register, and their instructions (wmLane) are
+// decoded once as well, then loop over the active lanes inside the
+// opcode's arm (laneExec). Each opcode is spelled once: a once-mode
+// instruction other than a jump is laneExec over the first active lane.
 //
 // A branch on a divergent condition (wmDiverge) splits the warp's
 // active-lane mask instead of leaving vector dispatch: one side runs
@@ -27,10 +28,11 @@ import (
 // that pass; lanes that leave a loop early wait, lanes that return
 // early retire, and the rest carry on. Only what the stream cannot
 // express SPILLS (wmSpill: a call, a barrier inside a divergent region,
-// a trap): the shared registers are broadcast into every lane file and
-// the lanes continue on the unmodified per-item scalar path (vm.go),
-// re-forming the warp at the next barrier when every surviving lane
-// arrives at the same resume pc with a single frame.
+// a trap): each lane's registers are transposed out into a per-item
+// file and the lanes continue on the unmodified per-item scalar path
+// (vm.go), re-forming the warp (and transposing back) at the next
+// barrier when every surviving lane arrives at the same resume pc with
+// a single frame.
 //
 // Equivalence with the cooperative scalar engine relies on the same
 // contract the scalar engine itself shares with the fully concurrent
@@ -103,30 +105,59 @@ type pendingLanes struct {
 }
 
 // warp is one lane batch of a work-group. lanes holds its work-items in
-// local-id order, bit i of every mask being lanes[i]; live are those
-// that have not returned. In vector mode the lanes of mask execute at
-// pc until they reach rpc, with active listing them for the dispatch
-// loop and stack holding the lanes that wait; uregp is the shared file
-// the uniform registers live in.
+// local-id order, bit j of every mask being lanes[j]; live are those
+// that have not returned. The divergent registers live in file, one
+// column of MaxWarpWidth words per register (lane j's register r is
+// file[r*MaxWarpWidth+j]), the uniform ones and the constant tail in
+// the shared file uregs. In vector mode the lanes of mask execute at pc
+// until they reach rpc, with sel listing their indices for the dispatch
+// loops and stack holding the lanes that wait. spill holds the per-item
+// kernel files the lanes take on the scalar path; tmp is a lane loop's
+// scratch column.
 type warp struct {
-	lanes  []*wiState
-	live   uint64
-	uregp  *[]uint64
-	steps  int64
-	vector bool
+	lanes   []*wiState
+	live    uint64
+	file    []uint64
+	spill   []uint64
+	uniform []bool
+	uregs   []uint64
+	steps   int64
+	vector  bool
 
 	pc, rpc int32
 	mask    uint64
-	active  []*wiState
+	sel     []uint8
 	stack   []pendingLanes
+	tmp     [MaxWarpWidth]uint64
 }
+
+// col is one operand of a lane loop, resolved once per instruction:
+// register r's column of the warp file, or for a uniform register its
+// one slot in the shared file. Lane j reads c[j&(len(c)-1)]: all of a
+// column is MaxWarpWidth, a power of two, long; all lanes read a slot.
+type col []uint64
+
+func (c col) at(j uint8) uint64     { return c[int(j)&(len(c)-1)] }
+func (c col) set(j uint8, v uint64) { c[int(j)&(len(c)-1)] = v }
+
+// reg resolves register r's home for a lane loop.
+func (w *warp) reg(r int32) col {
+	if w.uniform[r] {
+		return col(w.uregs[r : r+1])
+	}
+	return col(w.file[int(r)*MaxWarpWidth : int(r+1)*MaxWarpWidth])
+}
+
+// one and zero are constant operands: the unit index of a constant-offset
+// GEP, and the absent second argument of a unary math builtin.
+var one, zero = col{1}, col{0}
 
 // run makes the lanes of mask the active ones, at pc until rpc.
 func (w *warp) run(pc, rpc int32, mask uint64) {
 	w.pc, w.rpc, w.mask = pc, rpc, mask
-	w.active = w.active[:0]
+	w.sel = w.sel[:0]
 	for m := mask; m != 0; m &= m - 1 {
-		w.active = append(w.active, w.lanes[bits.TrailingZeros64(m)])
+		w.sel = append(w.sel, uint8(bits.TrailingZeros64(m)))
 	}
 }
 
@@ -171,7 +202,8 @@ func (w *warp) resumePending() bool {
 // runGroupWarp is the warp-mode replacement for runGroupVM's round
 // loop: the group's items are partitioned into warps, and each round
 // every warp advances to its next barrier — in vector dispatch, or on
-// the scalar per-item path after a spill.
+// the scalar per-item path after a spill. The warps' register and spill
+// files are cut from the runner's slab; a spill marks the latter dirty.
 func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, argPatch []uint64) error {
 	kcf := l.kcf
 	nw := (size + width - 1) / width
@@ -179,6 +211,10 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 		gr.warps = make([]warp, nw)
 	}
 	warps := gr.warps[:nw]
+	nregs := kcf.nregs
+	words := (MaxWarpWidth + 1) * nregs
+	slab := gr.grow(2 * nw * words)
+	gr.dirty = max(gr.dirty, nw*words)
 	for i := range warps {
 		w := &warps[i]
 		base := i * width
@@ -186,27 +222,19 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 		w.lanes = w.lanes[:0]
 		for j := 0; j < n; j++ {
 			wi := &gr.items[base+j]
-			wi.lane = uint8(j)
+			wi.kregs = nil
 			w.lanes = append(w.lanes, wi)
 		}
 		w.live = ^uint64(0) >> (64 - n)
-		w.uregp = kcf.getRegs()
-		uregs := *w.uregp
-		copy(uregs, l.argw)
-		for pi, la := range l.locals {
-			uregs[la.idx] = argPatch[pi]
-		}
+		w.file, w.uregs = slab[i*words:(i+1)*words-nregs], slab[(i+1)*words-nregs:(i+1)*words]
+		w.spill = slab[(nw+i)*words : (nw+i+1)*words]
+		w.uniform = kcf.uniform
+		l.fillKernelRegs(w.uregs, argPatch)
 		w.steps, w.vector, w.stack = 0, true, w.stack[:0]
 		w.run(0, noReconv, w.live)
 		l.warps.Add(1)
 		l.warpLanes.Add(int64(n))
 	}
-	defer func() {
-		for i := range warps {
-			kcf.putRegs(warps[i].uregp)
-			warps[i].uregp = nil
-		}
-	}()
 	live := size
 	for live > 0 {
 		for i := range warps {
@@ -220,20 +248,23 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 			}
 			if w.vector {
 				if err := g.warpResume(w); err != nil {
+					g.faultWI = w.lanes[g.lane]
 					return l.groupFault(gr, g, err)
 				}
 			}
 			if !w.vector {
 				// Spilled (just now, and the lanes still owe this round
 				// their run to the next barrier, or in an earlier round).
+				gr.dirty = len(slab)
 				for m := w.live; m != 0; m &= m - 1 {
-					wi := w.lanes[bits.TrailingZeros64(m)]
+					j := bits.TrailingZeros64(m)
+					wi := w.lanes[j]
 					if err := g.resume(wi); err != nil {
 						g.faultWI = wi
 						return l.groupFault(gr, g, err)
 					}
 					if wi.status == wiDone {
-						w.live &^= 1 << wi.lane
+						w.live &^= 1 << j
 					}
 				}
 			}
@@ -272,11 +303,12 @@ func (l *launchCtx) groupFault(gr *groupRunner, g *vmGroup, err error) error {
 
 // tryReform re-enters vector dispatch after a spill: legal when every
 // surviving lane is suspended at the same barrier-resume pc with a
-// single frame. The shared file is re-gathered from the first surviving
-// lane. A uniform value defined in a divergent region is never live
-// outside it (temporal rule, passes.Uniformity), so a control-uniform
-// barrier sees only warp-invariant uniform registers: all lane copies
-// of one that can still be read agree.
+// single frame. Each lane's divergent registers go back into its column
+// of the warp file, and the shared file is re-gathered from the first
+// surviving lane. A uniform value defined in a divergent region is never
+// live outside it (temporal rule, passes.Uniformity), so a
+// control-uniform barrier sees only warp-invariant uniform registers:
+// all lane copies of one that can still be read agree.
 func (g *vmGroup) tryReform(w *warp) bool {
 	cf := g.l.kcf
 	pc := int32(-1)
@@ -295,10 +327,17 @@ func (g *vmGroup) tryReform(w *warp) bool {
 	if pc < 0 || !cf.reformPC[pc] {
 		return false
 	}
-	uregs := *w.uregp
+	for m := w.live; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		for r, u := range w.uniform {
+			if !u {
+				w.file[r*MaxWarpWidth+j] = w.lanes[j].kregs[r]
+			}
+		}
+	}
 	l0 := w.lanes[bits.TrailingZeros64(w.live)].kregs
 	for _, r := range cf.uniformRegs {
-		uregs[r] = l0[r]
+		w.uregs[r] = l0[r]
 	}
 	w.vector = true
 	w.run(pc, noReconv, w.live)
@@ -307,31 +346,23 @@ func (g *vmGroup) tryReform(w *warp) bool {
 
 // warpResume runs a warp's vector dispatch until its next suspension
 // point (barrier, wholesale return, or spill), converting traps into
-// errors. The faulting lane is left in g.faultWI.
+// errors; the faulting lane is left in g.lane.
 func (g *vmGroup) warpResume(w *warp) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if t, ok := r.(trap); ok {
-				err = t
-				return
-			}
-			err = fmt.Errorf("interp: panic: %v", r)
-		}
-	}()
+	defer catch(&err)
 	g.warpExec(w)
 	return nil
 }
 
 // warpSpill hands every live lane to the scalar path: the active lanes
 // re-execute pc, a waiting lane resumes where the topmost stack entry
-// holding it would have resumed it, and each lane file receives the
-// shared registers and the constant tail it did not need until now.
+// holding it would have resumed it, and each lane takes a per-item file
+// from the warp's spill area: the shared file (its uniform registers and
+// constant tail) with the lane's column of every divergent register.
 func (g *vmGroup) warpSpill(w *warp, pc int32) {
-	cf := g.l.kcf
-	uregs := *w.uregp
+	nregs := g.l.kcf.nregs
 	placed := w.mask
-	for _, wi := range w.active {
-		wi.frames[0].pc = pc
+	for _, j := range w.sel {
+		w.lanes[j].frames[0].pc = pc
 	}
 	for i := len(w.stack) - 1; i >= 0; i-- {
 		e := w.stack[i]
@@ -341,11 +372,15 @@ func (g *vmGroup) warpSpill(w *warp, pc int32) {
 		placed |= e.mask
 	}
 	for m := w.live; m != 0; m &= m - 1 {
-		wi := w.lanes[bits.TrailingZeros64(m)]
-		for _, r := range cf.uniformRegs {
-			wi.kregs[r] = uregs[r]
+		j := bits.TrailingZeros64(m)
+		wi := w.lanes[j]
+		wi.kregs = w.spill[j*nregs : (j+1)*nregs : (j+1)*nregs]
+		copy(wi.kregs, w.uregs)
+		for r, u := range w.uniform {
+			if !u {
+				wi.kregs[r] = w.file[r*MaxWarpWidth+j]
+			}
 		}
-		copy(wi.kregs[cf.constBase:], cf.consts)
 		wi.status = wiRunning
 	}
 	w.stack = w.stack[:0]
@@ -367,50 +402,27 @@ func (l *launchCtx) suspend(w *warp, steps, diverges int64, keep bool) {
 	}
 }
 
-// shared resolves a lane-mode operand register's home once per
-// instruction: its slot in the warp's shared file if the register is
-// uniform, nil if it is divergent and every lane reads its own file
-// (at).
-func shared(uniform []bool, uregs []uint64, r int32) *uint64 {
-	if uniform[r] {
-		return &uregs[r]
-	}
-	return nil
-}
-
-// at is one lane's operand: the resolved shared slot, or register r of
-// the lane file lr.
-func at(s *uint64, lr []uint64, r int32) *uint64 {
-	if s != nil {
-		return s
-	}
-	return &lr[r]
-}
-
 // warpExec is the vector dispatch loop: one fetch/decode per
 // instruction per warp. A lane-mode instruction goes to laneExec, which
 // loops the active lanes inside its arm. A once-mode one is a jump,
 // taken here, or a data instruction, which laneExec runs for the first
-// active lane alone; its result is then copied into the shared file.
-// That lane's copy of a uniform register is never read in vector mode,
-// and warpSpill overwrites it before the scalar path could. Instruction
-// cost is charged per active lane (n steps per dispatch), so the launch
-// instruction budget is engine-invariant; so is the execution
-// profile, which lands every active lane at each control transfer.
+// active lane alone: its destination is uniform, so the result lands in
+// the shared file. Instruction cost is charged per active lane (n steps
+// per dispatch), so the launch instruction budget is engine-invariant;
+// so is the execution profile, which lands every active lane at each
+// control transfer.
 func (g *vmGroup) warpExec(w *warp) {
 	l := g.l
 	cf := l.kcf
 	code := cf.code
 	wmode := cf.wmode
-	uniform := cf.uniform
-	uregs := *w.uregp
-	lanes := w.active
-	n := int64(len(lanes))
+	sel := w.sel
+	n := int64(len(sel))
 	pc, rpc := w.pc, w.rpc
 	steps := w.steps
 	gp := g.prof
 	var diverges int64
-	g.faultWI = lanes[0]
+	g.lane = sel[0]
 
 	for {
 		if pc == rpc {
@@ -420,7 +432,7 @@ func (g *vmGroup) warpExec(w *warp) {
 			if !w.resumePending() {
 				panic(trap{"warp: reconvergence stack underflow"})
 			}
-			lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
+			sel, n, pc, rpc = w.sel, int64(len(w.sel)), w.pc, w.rpc
 			continue
 		}
 		in := &code[pc]
@@ -433,51 +445,40 @@ func (g *vmGroup) warpExec(w *warp) {
 		pc++
 		steps += n
 		if steps >= stepBatch {
+			g.lane = sel[0]
 			l.addSteps(steps)
 			steps = 0
 		}
 		switch mode {
 		case wmOnce:
-			g.faultWI = lanes[0]
-			lr := lanes[0].kregs
+			// A once-mode jump reads uniform operands, or the first
+			// active lane's column (the phi-cycle scratch).
+			j := sel[0]
 			switch in.op {
 			case opJump:
 				pc = int32(in.imm)
-				if gp != nil {
-					gp.land(cf, pc, n)
-				}
 			case opCondJump:
-				if *at(shared(uniform, uregs, in.a), lr, in.a) != 0 {
+				if w.reg(in.a).at(j) != 0 {
 					pc = in.b
 				} else {
 					pc = in.c
 				}
-				if gp != nil {
-					gp.land(cf, pc, n)
-				}
 			case opCmpJump:
-				a, b := at(shared(uniform, uregs, in.a), lr, in.a), at(shared(uniform, uregs, in.b), lr, in.b)
-				if cmpOp(in.sub, *a, *b) {
+				if cmpOp(in.sub, w.reg(in.a).at(j), w.reg(in.b).at(j)) {
 					pc = in.c
 				} else {
 					pc = int32(in.imm)
 				}
-				if gp != nil {
-					gp.land(cf, pc, n)
-				}
 			default:
-				// The first active lane's file also holds the phi-cycle
-				// scratch, the one divergent-homed operand a once-mode
-				// instruction can read. Store and bin-store have no
-				// result; their dst is 0, a parameter register.
-				g.laneExec(in, lanes[:1], uregs)
-				if op := in.op; op != opBinStore && (op < opStoreI1 || op > opStorePtr) {
-					uregs[in.dst] = lr[in.dst]
-				}
+				g.laneExec(in, w, sel[:1])
+				continue
+			}
+			if gp != nil {
+				gp.land(cf, pc, n)
 			}
 
 		case wmLane:
-			g.laneExec(in, lanes, uregs)
+			g.laneExec(in, w, sel)
 
 		case wmDiverge:
 			// Every active lane evaluates the branch; taken collects the
@@ -487,19 +488,18 @@ func (g *vmGroup) warpExec(w *warp) {
 			switch in.op {
 			case opCondJump:
 				tpc, fpc = in.b, in.c
-				a := shared(uniform, uregs, in.a)
-				for _, wi := range lanes {
-					if *at(a, wi.kregs, in.a) != 0 {
-						taken |= 1 << wi.lane
+				a := w.reg(in.a)
+				for _, j := range sel {
+					if a.at(j) != 0 {
+						taken |= 1 << j
 					}
 				}
 			case opCmpJump:
 				tpc, fpc = in.c, int32(in.imm)
-				p := in.sub
-				a, b := shared(uniform, uregs, in.a), shared(uniform, uregs, in.b)
-				for _, wi := range lanes {
-					if cmpOp(p, *at(a, wi.kregs, in.a), *at(b, wi.kregs, in.b)) {
-						taken |= 1 << wi.lane
+				p, a, b := in.sub, w.reg(in.a), w.reg(in.b)
+				for _, j := range sel {
+					if cmpOp(p, a.at(j), b.at(j)) {
+						taken |= 1 << j
 					}
 				}
 			default:
@@ -519,7 +519,7 @@ func (g *vmGroup) warpExec(w *warp) {
 			default:
 				diverges++
 				w.split(cf.reconv[pc-1], tpc, taken, fpc)
-				lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
+				sel, n, pc, rpc = w.sel, int64(len(w.sel)), w.pc, w.rpc
 			}
 
 		case wmBarrier:
@@ -531,7 +531,8 @@ func (g *vmGroup) warpExec(w *warp) {
 				g.warpSpill(w, pc-1)
 				return
 			}
-			for _, wi := range lanes {
+			for _, j := range sel {
+				wi := w.lanes[j]
 				wi.frames[0].pc = pc
 				wi.status = wiBarrier
 			}
@@ -540,7 +541,8 @@ func (g *vmGroup) warpExec(w *warp) {
 			return
 
 		case wmRet:
-			for _, wi := range lanes {
+			for _, j := range sel {
+				wi := w.lanes[j]
 				wi.frames[0] = vmFrame{}
 				wi.frames = wi.frames[:0]
 				wi.status = wiDone
@@ -550,246 +552,283 @@ func (g *vmGroup) warpExec(w *warp) {
 				l.suspend(w, steps, diverges, false)
 				return
 			}
-			lanes, n, pc, rpc = w.active, int64(len(w.active)), w.pc, w.rpc
+			sel, n, pc, rpc = w.sel, int64(len(w.sel)), w.pc, w.rpc
 		}
 	}
 }
 
-// laneExec executes one data instruction for lanes: the active lanes of
-// a lane-mode instruction, or the first active lane alone of a
-// once-mode one (warpExec copies its result into the shared file). It
-// decodes the instruction and resolves each operand's home once, then
-// loops the lanes inside the opcode's arm. A fault is attributed to the
-// first active lane, except in the arms that can trap on one lane's own
-// data (an out-of-bounds load, store or atomic, a GEP on a null pointer,
-// an integer division by zero): there each lane records itself before
-// it runs, as the scalar engine's item order would.
-func (g *vmGroup) laneExec(in *instr, lanes []*wiState, uregs []uint64) {
-	l := g.l
-	m := l.m
-	uniform := l.kcf.uniform
+// laneExec executes one data instruction for the lanes sel (the active
+// ones, or the first alone in once mode): it resolves each operand's
+// column once, then loops the lanes inside the opcode's arm, in column
+// order (a full mask's sel is 0, 1, …). A fault is the first active
+// lane's, except where one lane's own data traps (a GEP on null, an
+// integer division by zero, a bad access): the trap path records it.
+func (g *vmGroup) laneExec(in *instr, w *warp, sel []uint8) {
 	dst, ra, rb, rc := in.dst, in.a, in.b, in.c
-	g.faultWI = lanes[0]
+	g.lane = sel[0]
 	switch in.op {
 	case opAlloca:
-		for _, wi := range lanes {
-			wi.kregs[dst] = g.ar.alloc(in.imm, ir.AddrSpace(in.sub))
+		d, sp := w.reg(dst), ir.AddrSpace(in.sub)
+		for _, j := range sel {
+			d.set(j, g.ar.alloc(in.imm, sp))
 		}
 	case opAllocaLocal:
-		p := g.local(ra, in.imm)
-		for _, wi := range lanes {
-			wi.kregs[dst] = p
+		d, p := w.reg(dst), g.local(ra, in.imm)
+		for _, j := range sel {
+			d.set(j, p)
 		}
 	case opLoadI1, opLoadI32, opLoadI64, opLoadF32, opLoadF64, opLoadPtr:
-		load := loadKind[in.kind]
-		a := shared(uniform, uregs, ra)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = load(m, *at(a, lr, ra))
+		g.loadLanes(in.kind, sel, w.reg(ra), w.reg(dst))
+	case opGEP, opGEPConst, opLoadIdx, opLoadOff:
+		// A constant offset scales the unit index; a fused load puts its
+		// addresses in the scratch column.
+		load := in.op == opLoadIdx || in.op == opLoadOff
+		a, b, d := w.reg(ra), one, w.reg(dst)
+		if in.op == opGEP || in.op == opLoadIdx {
+			b = w.reg(rb)
 		}
-	case opLoadIdx:
-		load, scale := loadKind[in.kind], in.imm
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = load(m, gep(*at(a, lr, ra), int64(*at(b, lr, rb))*scale))
+		if load {
+			d = w.tmp[:]
 		}
-	case opLoadOff:
-		load, off := loadKind[in.kind], in.imm
-		a := shared(uniform, uregs, ra)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = load(m, gep(*at(a, lr, ra), off))
+		scale := in.imm
+		for _, j := range sel {
+			x := a.at(j)
+			if x == 0 {
+				g.lane = j // gep's one trap
+			}
+			d.set(j, gep(x, int64(b.at(j))*scale))
+		}
+		if load {
+			g.loadLanes(in.kind, sel, d, w.reg(dst))
 		}
 	case opStoreI1, opStoreI32, opStoreI64, opStoreF32, opStoreF64, opStorePtr:
-		store := storeKind[in.kind]
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			store(m, *at(b, lr, rb), *at(a, lr, ra))
-		}
-	case opGEP:
-		scale := in.imm
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = gep(*at(a, lr, ra), int64(*at(b, lr, rb))*scale)
-		}
-	case opGEPConst:
-		off := in.imm
-		a := shared(uniform, uregs, ra)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = gep(*at(a, lr, ra), off)
-		}
+		g.storeLanes(in.kind, sel, w.reg(rb), w.reg(ra))
 	case opBinI1, opBinI32, opBinI64, opBinF32, opBinF64:
-		op, k := in.op, ir.BinKind(in.sub)
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = binOp(op, k, *at(a, lr, ra), *at(b, lr, rb))
-		}
+		g.binLanes(in.op, ir.BinKind(in.sub), sel, w.reg(dst), w.reg(ra), w.reg(rb))
 	case opBinStore:
-		op, k, store := binOpcode(in.kind), ir.BinKind(in.sub), storeKind[in.kind]
-		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			store(m, *at(c, lr, rc), binOp(op, k, *at(a, lr, ra), *at(b, lr, rb)))
-		}
+		t := col(w.tmp[:])
+		g.binLanes(binOpcode(in.kind), ir.BinKind(in.sub), sel, t, w.reg(ra), w.reg(rb))
+		g.storeLanes(in.kind, sel, w.reg(rc), t)
 	case opLoadBinStore:
-		op, k, swapped := binOpcode(in.kind), ir.BinKind(in.sub&^lbsSwapped), in.sub&lbsSwapped != 0
-		load, store := loadKind[in.kind], storeKind[in.kind]
-		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			x, y := load(m, *at(a, lr, ra)), *at(b, lr, rb)
-			if swapped {
-				x, y = y, x
-			}
-			store(m, *at(c, lr, rc), binOp(op, k, x, y))
+		t := col(w.tmp[:])
+		g.loadLanes(in.kind, sel, w.reg(ra), t)
+		x, y := t, w.reg(rb)
+		if in.sub&lbsSwapped != 0 {
+			x, y = y, x
 		}
+		g.binLanes(binOpcode(in.kind), ir.BinKind(in.sub&^lbsSwapped), sel, t, x, y)
+		g.storeLanes(in.kind, sel, w.reg(rc), t)
 	case opAtomic:
-		k := ir.AtomicKind(in.sub)
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			g.faultWI = wi
-			lr := wi.kregs
-			lr[dst] = m.atomicRMW(k, in.kind, *at(a, lr, ra), *at(b, lr, rb))
-		}
+		g.atomicLanes(ir.AtomicKind(in.sub), in.kind, sel, w.reg(dst), w.reg(ra), w.reg(rb))
 	case opCmp:
-		p := in.sub
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = boolWord(cmpOp(p, *at(a, lr, ra), *at(b, lr, rb)))
+		p, d, a, b := in.sub, w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, boolWord(cmpOp(p, a.at(j), b.at(j))))
 		}
 	case opMove, opExt:
-		a := shared(uniform, uregs, ra)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = *at(a, lr, ra)
+		d, a := w.reg(dst), w.reg(ra)
+		for _, j := range sel {
+			d.set(j, a.at(j))
 		}
 	case opAddI32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = i32word(*at(a, lr, ra) + *at(b, lr, rb))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, i32word(a.at(j)+b.at(j)))
 		}
 	case opSubI32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = i32word(*at(a, lr, ra) - *at(b, lr, rb))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, i32word(a.at(j)-b.at(j)))
 		}
 	case opMulI32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = i32word(*at(a, lr, ra) * *at(b, lr, rb))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, i32word(a.at(j)*b.at(j)))
 		}
 	case opAndI32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = *at(a, lr, ra) & *at(b, lr, rb)
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, a.at(j)&b.at(j))
 		}
 	case opOrI32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = *at(a, lr, ra) | *at(b, lr, rb)
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, a.at(j)|b.at(j))
 		}
 	case opXorI32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = *at(a, lr, ra) ^ *at(b, lr, rb)
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, a.at(j)^b.at(j))
 		}
 	case opAddI64:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = *at(a, lr, ra) + *at(b, lr, rb)
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, a.at(j)+b.at(j))
 		}
 	case opAddF32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = f32word(flt(*at(a, lr, ra)) + flt(*at(b, lr, rb)))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, f32word(flt(a.at(j))+flt(b.at(j))))
 		}
 	case opSubF32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = f32word(flt(*at(a, lr, ra)) - flt(*at(b, lr, rb)))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, f32word(flt(a.at(j))-flt(b.at(j))))
 		}
 	case opMulF32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = f32word(flt(*at(a, lr, ra)) * flt(*at(b, lr, rb)))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, f32word(flt(a.at(j))*flt(b.at(j))))
 		}
 	case opDivF32:
-		a, b := shared(uniform, uregs, ra), shared(uniform, uregs, rb)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = f32word(flt(*at(a, lr, ra)) / flt(*at(b, lr, rb)))
+		d, a, b := w.reg(dst), w.reg(ra), w.reg(rb)
+		for _, j := range sel {
+			d.set(j, f32word(flt(a.at(j))/flt(b.at(j))))
 		}
 	case opTruncI1, opTruncI32, opFPToI1, opFPToI32, opFPToI64, opSIToF32, opSIToF64, opFPTrunc:
-		op := in.op
-		a := shared(uniform, uregs, ra)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			lr[dst] = castOp(op, *at(a, lr, ra))
+		op, d, a := in.op, w.reg(dst), w.reg(ra)
+		for _, j := range sel {
+			d.set(j, castOp(op, a.at(j)))
 		}
 	case opSelect:
-		a, b, c := shared(uniform, uregs, ra), shared(uniform, uregs, rb), shared(uniform, uregs, rc)
-		for _, wi := range lanes {
-			lr := wi.kregs
-			if *at(a, lr, ra) != 0 {
-				lr[dst] = *at(b, lr, rb)
+		d, a, b, c := w.reg(dst), w.reg(ra), w.reg(rb), w.reg(rc)
+		for _, j := range sel {
+			if a.at(j) != 0 {
+				d.set(j, b.at(j))
 			} else {
-				lr[dst] = *at(c, lr, rc)
+				d.set(j, c.at(j))
 			}
 		}
 	case opWI:
-		var a *uint64
+		d, a, dim := w.reg(dst), zero, in.imm
 		if ra >= 0 {
-			a = shared(uniform, uregs, ra)
+			a, dim = w.reg(ra), 0
 		}
-		for _, wi := range lanes {
-			lr := wi.kregs
-			dim := in.imm
-			if ra >= 0 {
-				dim = int64(*at(a, lr, ra))
-			}
-			lr[dst] = l.workItem(in.sub, dim, &g.group, &wi.lid)
+		for _, j := range sel {
+			d.set(j, g.l.workItem(in.sub, dim+int64(a.at(j)), &g.group, &w.lanes[j].lid))
 		}
 	case opMath:
-		op, kind := in.sub, in.kind
-		a := shared(uniform, uregs, ra)
-		var b *uint64
+		op, kind, d, a, b := in.sub, in.kind, w.reg(dst), w.reg(ra), zero
 		if rb >= 0 {
-			b = shared(uniform, uregs, rb)
+			b = w.reg(rb)
 		}
-		for _, wi := range lanes {
-			lr := wi.kregs
-			var y uint64
-			if rb >= 0 {
-				y = *at(b, lr, rb)
-			}
-			lr[dst] = fword(evalMath(op, kind, flt(*at(a, lr, ra)), flt(y)))
+		for _, j := range sel {
+			d.set(j, fword(evalMath(op, kind, flt(a.at(j)), flt(b.at(j)))))
 		}
 	default:
 		panic(trap{"warp: lane-mode dispatch of unexpected opcode"})
+	}
+}
+
+// binLanes is d = a op b for the lanes sel. An integer division by zero
+// is the one trap, so a zero divisor records its lane.
+func (g *vmGroup) binLanes(op vmOp, k ir.BinKind, sel []uint8, d, a, b col) {
+	for _, j := range sel {
+		y := b.at(j)
+		if y == 0 {
+			g.lane = j
+		}
+		d.set(j, binOp(op, k, a.at(j), y))
+	}
+}
+
+// The memory arms resolve the first active lane's region once per
+// instruction (a null or dangling word traps there, on that lane) and
+// check once that every lane's access lies inside it (inRegion); a hot
+// kind's lane loop then indexes the region's bytes. Otherwise, and for
+// bool and pointer kinds, each lane goes through Machine.mem, recorded
+// first as the lane its trap is attributed to.
+
+// inRegion reports whether every lane's pointer word in a names r and
+// its access of size bytes lies inside r: one bounds check from the
+// lowest to the highest offset.
+func inRegion(r *Region, sel []uint8, a col, size int64) bool {
+	id, lo, hi := uint64(r.ID), int64(math.MaxInt64), int64(math.MinInt64)
+	for _, j := range sel {
+		p := a.at(j)
+		if p>>ptrOffBits != id {
+			return false
+		}
+		lo, hi = min(lo, ptrOff(p)), max(hi, ptrOff(p))
+	}
+	_, ok := span(r.Bytes, lo, hi-lo+size)
+	return ok
+}
+
+// loadLanes is d = load of kind through the pointer words a.
+func (g *vmGroup) loadLanes(kind ir.Kind, sel []uint8, a, d col) {
+	m := g.l.m
+	r := m.region(a.at(sel[0]))
+	b, fast := r.Bytes, inRegion(r, sel, a, kindSize[kind])
+	switch {
+	case fast && kind == ir.I32:
+		for _, j := range sel {
+			off := ptrOff(a.at(j))
+			d.set(j, get(ir.I32, b[off:off+4]))
+		}
+	case fast && kind == ir.F32:
+		for _, j := range sel {
+			off := ptrOff(a.at(j))
+			d.set(j, get(ir.F32, b[off:off+4]))
+		}
+	case fast && (kind == ir.I64 || kind == ir.F64):
+		for _, j := range sel {
+			off := ptrOff(a.at(j))
+			d.set(j, get(ir.I64, b[off:off+8]))
+		}
+	default:
+		for _, j := range sel {
+			g.lane = j
+			d.set(j, loadKind[kind](m, a.at(j)))
+		}
+	}
+}
+
+// storeLanes stores the words v of kind through the pointer words a.
+func (g *vmGroup) storeLanes(kind ir.Kind, sel []uint8, a, v col) {
+	m := g.l.m
+	r := m.region(a.at(sel[0]))
+	b, fast := r.Bytes, inRegion(r, sel, a, kindSize[kind])
+	switch {
+	case fast && kind == ir.I32:
+		for _, j := range sel {
+			off := ptrOff(a.at(j))
+			put(ir.I32, b[off:off+4], v.at(j))
+		}
+	case fast && kind == ir.F32:
+		for _, j := range sel {
+			off := ptrOff(a.at(j))
+			put(ir.F32, b[off:off+4], v.at(j))
+		}
+	case fast && kind != ir.Bool:
+		for _, j := range sel {
+			off := ptrOff(a.at(j))
+			put(ir.I64, b[off:off+8], v.at(j))
+		}
+	default:
+		for _, j := range sel {
+			g.lane = j
+			storeKind[kind](m, a.at(j), v.at(j))
+		}
+	}
+}
+
+// atomicLanes is d = the atomic k of kind through the pointer words a
+// with the operands b, lane by lane.
+func (g *vmGroup) atomicLanes(k ir.AtomicKind, kind ir.Kind, sel []uint8, d, a, b col) {
+	m := g.l.m
+	r := m.region(a.at(sel[0]))
+	size := kindSize[kind]
+	if !inRegion(r, sel, a, size) {
+		for _, j := range sel {
+			g.lane = j
+			d.set(j, m.atomicRMW(k, kind, a.at(j), b.at(j)))
+		}
+		return
+	}
+	mu := atomicLock(Ptr{R: r})
+	for _, j := range sel {
+		off := ptrOff(a.at(j))
+		d.set(j, rmw(k, kind, mu, r.Bytes[off:off+size], b.at(j)))
 	}
 }

@@ -22,7 +22,7 @@ const (
 	// wmOnce executes the instruction once for the warp's active lanes:
 	// a jump in warpExec, any other opcode as laneExec over the first
 	// active lane alone. Its destination (if any) is a uniform register
-	// homed in the warp's shared file, where the result is copied, and
+	// homed in the warp's shared file, where the result lands, and
 	// uniform operands read from there (the rare divergent-homed
 	// operand — the phi-cycle scratch — reads the first active lane,
 	// whose value every active lane shares whenever the analysis proved
@@ -33,7 +33,7 @@ const (
 	wmOnce
 	// wmLane executes the instruction once per active lane, reading
 	// uniform operands from the shared file and divergent ones from
-	// the lane's own register file.
+	// the lane's column of the warp's register-major lane file.
 	wmLane
 	// wmDiverge is a branch on a divergent condition: each active lane
 	// evaluates it, and when the lanes disagree the warp's lane mask

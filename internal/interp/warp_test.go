@@ -348,3 +348,87 @@ kernel void k(global int* out, global const int* in, int n)
 		t.Errorf("scalar program formed %d warps, want 0", s.Warps)
 	}
 }
+
+// TestWarpMixedRegionLanes holds the warp engine's memory arms, which
+// resolve the first active lane's region once per instruction, to the
+// tree-walker and the scalar engine when one instruction's lanes name
+// two buffers (a select on lid parity) or one lane of a uniform base
+// runs out of bounds. Each kernel runs as two groups of 64 over out, a
+// (1000+i), b (2000+i) and c (zero). The mixed cases must leave every
+// buffer byte-identical across the engines; the fault cases must fail
+// at global id 101, lane 37 of the second group, on every engine.
+func TestWarpMixedRegionLanes(t *testing.T) {
+	const head = `
+kernel void k(global int* out, global int* a, global int* b, global int* c)
+{
+    int i = (int)get_global_id(0);
+    int l = (int)get_local_id(0);
+    global int* p = (l & 1) ? a : b;
+`
+	cases := []struct{ name, body, fault string }{
+		{"load", "out[i] = p[i] + p[(i + 5) & 127];", ""},
+		{"store", "p[i] = i * 3; out[i] = a[i] - b[i];", ""},
+		{"load-bin-store", "p[i] += i;", ""},
+		{"atomic", "out[i] = atomic_add(((l & 2) ? a : c) + (i & 3), l) >= 0; atomic_max(p + (i & 7), i);", ""},
+		{"load out of bounds", "out[i] = a[i == 101 ? 100000 : i];", "out-of-bounds access: offset 400000 size 4 in region of 512 bytes"},
+		{"store out of bounds", "a[i == 101 ? -1 : i] = l;", "out-of-bounds access: offset -4 size 4 in region of 512 bytes"},
+		{"atomic out of bounds", "atomic_add(c + (i == 101 ? 128 : l), 1);", "out-of-bounds access: offset 512 size 4 in region of 512 bytes"},
+	}
+	engines := []struct {
+		name string
+		opts *CompileOpts // nil: the tree-walker
+	}{
+		{"treewalk", nil},
+		{"scalar-o1", &scalarO1},
+		{"warp-64", &DefaultCompileOpts},
+		{"warp-24", &CompileOpts{Opt: true, WarpWidth: 24}},
+	}
+	const n = 128
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			mod, err := clc.Compile(head+"    "+c.body+"\n}\n", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref []byte
+			for _, e := range engines {
+				m := NewMachine(mod)
+				if e.opts == nil {
+					m.Engine = EngineTreeWalk
+				} else {
+					m.UseProgram(CompileModuleOpts(mod, *e.opts))
+				}
+				var bufs []*Region
+				var args []Value
+				for k := 0; k < 4; k++ {
+					r := m.NewRegion(n*4, ir.Global)
+					for i := 0; i < n && (k == 1 || k == 2); i++ {
+						r.WriteInt32s(int64(i)*4, []int32{int32(k*1000 + i)})
+					}
+					bufs = append(bufs, r)
+					args = append(args, Value{K: ir.Pointer, P: Ptr{R: r}})
+				}
+				err := m.Launch("k", args, ND1(n, 64))
+				if c.fault != "" {
+					want := "work-item global id (101,0,0): interp: " + c.fault
+					if err == nil || !strings.HasSuffix(err.Error(), want) {
+						t.Errorf("%s: err = %v, want ...%s", e.name, err, want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", e.name, err)
+				}
+				var all []byte
+				for _, r := range bufs {
+					all = append(all, r.Bytes...)
+				}
+				if ref == nil {
+					ref = all
+				} else if !bytes.Equal(ref, all) {
+					t.Fatalf("%s: buffers differ from the tree-walker's", e.name)
+				}
+			}
+		})
+	}
+}

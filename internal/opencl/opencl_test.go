@@ -50,8 +50,13 @@ func TestBufferLifecycle(t *testing.T) {
 	}
 }
 
+// TestOutOfMemory models a 1 MB device: the test asks for half the
+// device twice, and half of the platform's 5 GB device twice drove the
+// race-enabled test binary to several GB of resident memory.
 func TestOutOfMemory(t *testing.T) {
-	ctx := GetPlatforms()[0].CreateContext()
+	dev := *GetPlatforms()[0].Dev
+	dev.GlobalMemMB = 1
+	ctx := (&Platform{Dev: &dev}).CreateContext()
 	half := ctx.GlobalMemBytes()/2 + 1
 	a, err := ctx.CreateBuffer(half)
 	if err != nil {
