@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -26,9 +27,9 @@ import (
 //     edges (parallel-copy semantics, cycles broken through a per-frame
 //     scratch register), so promoted locals never touch memory;
 //   - superinstruction fusion collapses the dominant adjacent pairs and
-//     triples — cmp+condbr, load+binop+store, binop+store and
-//     index-compute+load — into single dispatches when the intermediate
-//     value has no other use.
+//     triples — cmp+condbr, load+binop+store, binop+store, index+load —
+//     into single dispatches when the intermediate value has no other
+//     use, and a block's sin and cos of one value into one math.Sincos.
 //
 // Both layers are on by default and controlled per-pass by CompileOpts.
 
@@ -93,7 +94,7 @@ const (
 	opBarrier      // work-group barrier: suspend the work-item
 	opCall         // dst = call fn(regs[args...])
 	opWI           // dst = work-item builtin sub; dim = a<0 ? imm : regs[a].I
-	opMath         // dst = math builtin sub(regs[a][, regs[b]]) at kind
+	opMath         // dst = math builtin sub(regs[a][, regs[b]]) at kind; c >= 0: a sin/cos pair, c = the other (sinCosPartner)
 	opJump         // pc = imm
 	opCondJump     // pc = regs[a] ? b : c
 	opRet          // return regs[a] (a < 0: void)
@@ -510,7 +511,9 @@ type fnCompiler struct {
 	code    []instr
 	fixups  []fixup
 	stubs   []edgeStub
-	uses    map[ir.Value]int // operand occurrence count, for fusion legality
+	uses    map[ir.Value]int   // operand occurrence count, for fusion legality
+	blk     []*ir.Instr        // the block being lowered
+	second  map[*ir.Instr]bool // sin/cos calls whose pair's first computes them
 
 	// uni is the uniformity analysis of a kernel compiled for warp
 	// execution (nil otherwise), computed once and shared by the branch
@@ -530,6 +533,7 @@ func (p *Prog) compileFn(cf *compiledFn, fuse bool) {
 		constRegs: make(map[constKey]int32),
 		blockPC:   make(map[*ir.Block]int32),
 		uses:      make(map[ir.Value]int),
+		second:    make(map[*ir.Instr]bool),
 	}
 	if p.warpWidth > 0 && fn.Kernel {
 		// The warp stream drives only kernel top frames, so only kernels
@@ -622,6 +626,7 @@ func (c *fnCompiler) emitBlock(b *ir.Block) {
 	instrs := b.Instrs
 	pos := make(map[*ir.Instr]int)
 	i := len(b.Phis())
+	c.blk = instrs
 	for i < len(instrs) {
 		in := instrs[i]
 		if in.IsTerminator() {
@@ -931,7 +936,8 @@ func (c *fnCompiler) edgePairs(from, to *ir.Block) (pairs []movePair, traps []in
 // coalescePairs eliminates copies on an UNCONDITIONAL edge by
 // retargeting the source's producer to write the phi register directly.
 // Legal when the producer sits in this block (its write becomes the
-// copy, just earlier), its result has no other use, and the phi
+// copy, just earlier) as its dst (never a sin/cos pair's second, written
+// through the first's c), its result has no other use, and the phi
 // register is neither read nor written by anything after the producer —
 // including the other pending copies of this edge, whose parallel reads
 // must still see the old value. Conditional edges never coalesce: the
@@ -951,7 +957,7 @@ func (c *fnCompiler) coalescePairs(pairs []movePair, pos map[*ir.Instr]int) []mo
 		}
 		hazard := false
 		for j := k + 1; j < len(c.code); j++ {
-			if readsReg(&c.code[j], p.dst) || c.code[j].dst == p.dst {
+			if in := &c.code[j]; readsReg(in, p.dst) || in.dst == p.dst || in.op == opMath && in.c == p.dst {
 				hazard = true
 				break
 			}
@@ -974,7 +980,7 @@ func (c *fnCompiler) coalescePairs(pairs []movePair, pos map[*ir.Instr]int) []mo
 }
 
 // readsReg reports whether the instruction reads register r (jump
-// targets and local-slot indices are not register reads).
+// targets, local-slot indices and a sin/cos pair's c are not reads).
 func readsReg(in *instr, r int32) bool {
 	switch in.op {
 	case opAlloca, opAllocaLocal, opBarrier, opJump, opTrap:
@@ -1137,12 +1143,36 @@ func (c *fnCompiler) emitCall(in *ir.Instr, ops []int32) {
 			c.code = append(c.code, instr{op: opTrap, msg: err})
 			return
 		}
-		ins := instr{op: opMath, dst: c.dst(in), sub: op, kind: kind, a: ops[0], b: -1}
+		ins := instr{op: opMath, dst: c.dst(in), sub: op, kind: kind, a: ops[0], b: -1, c: -1}
 		if len(ops) > 1 {
 			ins.b = ops[1]
+		}
+		if c.second[in] {
+			ins.dst, ins.a = -1, -1
+		} else if p := c.sinCosPartner(in, op, kind); p != nil {
+			ins.c, c.second[p] = c.dst(p), true
 		}
 		c.code = append(c.code, ins)
 		return
 	}
 	c.code = append(c.code, instr{op: opTrap, msg: fmt.Sprintf("unknown builtin %q", name)})
+}
+
+// sinCosPartner returns the block's next unpaired call of the other of
+// sin and cos on in's value and kind (nil: none, or no fusion). The pair
+// lowers to one opMath at in writing both results (the partner's into c);
+// the partner to a math with no operands or destination: pcs stay put.
+func (c *fnCompiler) sinCosPartner(in *ir.Instr, op uint8, kind ir.Kind) *ir.Instr {
+	if !c.fuse || op != mathSin && op != mathCos {
+		return nil
+	}
+	for _, p := range c.blk[slices.Index(c.blk, in)+1:] {
+		if p.Op == ir.OpCall && len(p.Args) == 1 && p.Args[0] == in.Args[0] && !c.second[p] && strings.HasPrefix(p.Callee, "__clc_") {
+			f := c.prog.src.Lookup(p.Callee)
+			if pop, pkind, _ := parseMathBuiltin(p.Callee); pop == mathSin+mathCos-op && pkind == kind && f != nil && f.IsDecl() {
+				return p
+			}
+		}
+	}
+	return nil
 }

@@ -116,6 +116,9 @@ func (in *instr) disasm(reg func(int32) string) string {
 		}
 		return fmt.Sprintf("%s = %s %s(%s)", reg(in.dst), name, wiNames[in.sub], dim)
 	case opMath:
+		if in.c >= 0 {
+			return fmt.Sprintf("%s, %s = %s #%d %s %s", reg(in.dst), reg(in.c), name, in.sub, kindName(in.kind), reg(in.a))
+		}
 		if in.b >= 0 {
 			return fmt.Sprintf("%s = %s #%d %s %s, %s", reg(in.dst), name, in.sub, kindName(in.kind), reg(in.a), reg(in.b))
 		}

@@ -689,6 +689,23 @@ func evalMath(op uint8, kind ir.Kind, x, y float64) float64 {
 	return r
 }
 
+// sincos is a sin/cos pair of x at kind, op's result first: math.Sincos,
+// whose bits are math.Sin's and math.Cos's but for the sine of a NaN,
+// which math.Sin returns as it is (TestSincosMatchesSinCos).
+func sincos(op uint8, kind ir.Kind, x float64) (uint64, uint64) {
+	s, c := math.Sincos(x)
+	if x != x {
+		s = x
+	}
+	if op == mathCos {
+		s, c = c, s
+	}
+	if kind == ir.F32 {
+		return f32word(s), f32word(c)
+	}
+	return fword(s), fword(c)
+}
+
 // intOp computes x k y on integers; the typed opcode wraps the result
 // to its kind.
 func intOp(k ir.BinKind, x, y int64) int64 {

@@ -13,18 +13,25 @@ import (
 // lowering on one work-item spinning a tight loop; warp over scalar
 // dispatch on a group whose loop is warp-uniform; warp over scalar on a
 // group whose loop control is uniform but whose accumulator is
-// divergent, so every arithmetic instruction runs in lane mode; and
-// warp over scalar on sgemm's inner-loop shape, a uniform loop of
-// divergent loads through a uniform base. The sides alternate and each
-// keeps its fastest of three rounds, so a burst of load on one side
-// cannot fail the row. The floors sit below what the engine measures
-// (4.8–9× against 3×, 25–36× against 2×, 2.2–3.8× against 1.5× and
-// 2.8–3.8× against 1.5× on a 2-vCPU box), so only a real regression
-// trips them; the lane row read 0.9–1.8× while a lane-mode instruction
-// re-decoded its opcode and operands for every lane, and the memory row
-// 2.2–2.3× while every lane's load looked up its region. Overhead
-// bounds of a few percent are not timed here: one side alone moves more
-// than that between runs.
+// divergent, so every arithmetic instruction runs in lane mode; warp
+// over scalar on sgemm's inner-loop shape, a uniform loop of
+// divergent loads through a uniform base; and fusion over none on
+// mri-q's inner loop, a uniform loop whose divergent phase takes
+// qr += cos(p); qi += sin(p), which fusion computes with one
+// math.Sincos. The sides alternate and each keeps its fastest of three
+// rounds, so a burst of load on one side cannot fail the row. The floors
+// sit at about half of what the engine measures, so only a real
+// regression trips them. On a 2-vCPU box shared with other work, two
+// runs each read, with slice columns and separate sin and cos calls,
+// 8.4/4.3× (o1-over-o0), 23.5/21.9× (warp), 4.6/4.6× (lane),
+// 3.2/3.4× (mem-lane) and 1.28/1.21× (sincos); with fixed-width
+// columns and sin/cos pairs, 4.9/5.9×, 18.1/20.3×, 4.3/5.7×,
+// 4.4/2.9× and 2.08/2.24×, the sincos row's fast side falling from
+// 2.9–3.1 to 1.7–1.9 ms. Earlier, the lane row read 0.9–1.8× while a
+// lane-mode instruction re-decoded its opcode and operands for every
+// lane, and the memory row 2.2–2.3× while every lane's load looked up
+// its region. Overhead bounds of a few percent are not timed here: one
+// side alone moves more than that between runs.
 func TestDispatchFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing under the race detector measures its instrumentation")
@@ -70,6 +77,22 @@ kernel void k(global int* out, global const float* in)
     out[lid] = (int)acc;
 }
 `
+	const sincos = `
+kernel void k(global int* out)
+{
+    int lid = (int)get_local_id(0);
+    float x = (float)lid * 0.015625f - 0.5f;
+    float qr = 0.0f;
+    float qi = 0.0f;
+    int i;
+    for (i = 0; i < 1000; ++i) {
+        float p = 6.2831853f * (float)(i & 63) * x;
+        qr += cos(p);
+        qi += sin(p);
+    }
+    out[lid] = (int)(qr * 1000.0f + qi);
+}
+`
 	rows := []struct {
 		name, src, kernel string
 		items, in         int64 // in: words of a second, input buffer
@@ -80,6 +103,7 @@ kernel void k(global int* out, global const float* in)
 		{"warp-over-scalar", uniform, "k", 64, 0, scalarO1, DefaultCompileOpts, 2},
 		{"lane-over-scalar", lane, "k", 64, 0, scalarO1, DefaultCompileOpts, 1.5},
 		{"mem-lane", mem, "k", 64, 64 * 64, scalarO1, DefaultCompileOpts, 1.5},
+		{"sincos", sincos, "k", 64, 0, CompileOpts{Opt: true, WarpWidth: DefaultWarpWidth, Disable: []string{"fuse"}}, DefaultCompileOpts, 1.05},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

@@ -16,8 +16,7 @@ import (
 //     stack, so a work-item suspends at a barrier at ANY call depth by
 //     saving (pc, frames) — no goroutine per work-item;
 //   - the work-items of one group run cooperatively in local-id order,
-//     yielding only at barriers (one "round" between barriers replaces
-//     the old cyclic-barrier rendezvous);
+//     yielding only at barriers (one "round" between barriers);
 //   - work-groups are independent by construction and run in parallel on
 //     a bounded worker pool, cutting goroutine count per launch from
 //     Global work-items to O(NumCPU);
@@ -563,11 +562,15 @@ func (g *vmGroup) exec(wi *wiState) {
 			}
 			regs[in.dst] = l.workItem(in.sub, dim, &g.group, &wi.lid)
 		case opMath:
-			var y uint64
-			if in.b >= 0 {
-				y = regs[in.b]
+			if in.c >= 0 {
+				regs[in.dst], regs[in.c] = sincos(in.sub, in.kind, flt(regs[in.a]))
+			} else if in.dst >= 0 { // not a pair's second, which its first computed
+				var y uint64
+				if in.b >= 0 {
+					y = regs[in.b]
+				}
+				regs[in.dst] = fword(evalMath(in.sub, in.kind, flt(regs[in.a]), flt(y)))
 			}
-			regs[in.dst] = fword(evalMath(in.sub, in.kind, flt(regs[in.a]), flt(y)))
 		case opJump:
 			pc = int32(in.imm)
 			if gp != nil {

@@ -12,13 +12,12 @@ import (
 // in fixed-width batches ("warps") with ONE fetch/decode per instruction
 // per warp. Register homes are split by the uniformity analysis
 // (warp_compile.go): uniform registers — the same for every lane that
-// executes them together — live in a single shared file per warp and
-// their instructions execute once per warp (wmOnce); divergent
-// registers live in the warp's register-major file, one contiguous
-// column of lanes per register, and their instructions (wmLane) are
-// decoded once as well, then loop over the active lanes inside the
-// opcode's arm (laneExec). Each opcode is spelled once: a once-mode
-// instruction other than a jump is laneExec over the first active lane.
+// executes them together — live in a shared file per warp and their
+// instructions execute once per warp (wmOnce); divergent registers live
+// in the register-major file after it, one MaxWarpWidth-word column per
+// register, and their instructions (wmLane) are decoded once as well,
+// then loop over the active lanes inside the opcode's arm (laneExec),
+// which indexes each operand's col without a bounds check.
 //
 // A branch on a divergent condition (wmDiverge) splits the warp's
 // active-lane mask instead of leaving vector dispatch: one side runs
@@ -106,14 +105,13 @@ type pendingLanes struct {
 
 // warp is one lane batch of a work-group. lanes holds its work-items in
 // local-id order, bit j of every mask being lanes[j]; live are those
-// that have not returned. The divergent registers live in file, one
-// column of MaxWarpWidth words per register (lane j's register r is
-// file[r*MaxWarpWidth+j]), the uniform ones and the constant tail in
-// the shared file uregs. In vector mode the lanes of mask execute at pc
-// until they reach rpc, with sel listing their indices for the dispatch
-// loops and stack holding the lanes that wait. spill holds the per-item
-// kernel files the lanes take on the scalar path; tmp is a lane loop's
-// scratch column.
+// that have not returned. Uniform registers and the constant tail live
+// in the shared file uregs, divergent ones in file after it (lane j's
+// register r is file[r*MaxWarpWidth+j]). In vector mode the lanes of
+// mask execute at pc until they reach rpc, with sel (in idx for a
+// partial mask) listing their indices and stack holding the lanes that
+// wait. spill holds the per-item kernel files the lanes take on the
+// scalar path; tmp is a lane loop's scratch column.
 type warp struct {
 	lanes   []*wiState
 	live    uint64
@@ -127,37 +125,54 @@ type warp struct {
 	pc, rpc int32
 	mask    uint64
 	sel     []uint8
+	idx     [MaxWarpWidth]uint8
 	stack   []pendingLanes
 	tmp     [MaxWarpWidth]uint64
 }
 
-// col is one operand of a lane loop, resolved once per instruction:
-// register r's column of the warp file, or for a uniform register its
-// one slot in the shared file. Lane j reads c[j&(len(c)-1)]: all of a
-// column is MaxWarpWidth, a power of two, long; all lanes read a slot.
-type col []uint64
+// col is one operand of a lane loop, resolved once per instruction: a
+// divergent register's column of the warp file, mask MaxWarpWidth-1, or a
+// uniform register's slot in the shared file, mask 0, whose array spans
+// the words after it. Lane j reads p[j&m&(MaxWarpWidth-1)]: no check.
+type col struct {
+	p *[MaxWarpWidth]uint64
+	m uint8
+}
 
-func (c col) at(j uint8) uint64     { return c[int(j)&(len(c)-1)] }
-func (c col) set(j uint8, v uint64) { c[int(j)&(len(c)-1)] = v }
+func (c col) at(j uint8) uint64     { return c.p[j&c.m&(MaxWarpWidth-1)] }
+func (c col) set(j uint8, v uint64) { c.p[j&c.m&(MaxWarpWidth-1)] = v }
 
 // reg resolves register r's home for a lane loop.
 func (w *warp) reg(r int32) col {
 	if w.uniform[r] {
-		return col(w.uregs[r : r+1])
+		return col{p: (*[MaxWarpWidth]uint64)(w.uregs[r : r+MaxWarpWidth])}
 	}
-	return col(w.file[int(r)*MaxWarpWidth : int(r+1)*MaxWarpWidth])
+	return col{(*[MaxWarpWidth]uint64)(w.file[int(r)*MaxWarpWidth:]), MaxWarpWidth - 1}
 }
 
 // one and zero are constant operands: the unit index of a constant-offset
 // GEP, and the absent second argument of a unary math builtin.
-var one, zero = col{1}, col{0}
+var one, zero = col{p: &[MaxWarpWidth]uint64{1}}, col{p: new([MaxWarpWidth]uint64)}
 
-// run makes the lanes of mask the active ones, at pc until rpc.
+// laneIDs is every full mask's active-lane list, 0…n−1.
+var laneIDs = [MaxWarpWidth]uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+	22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43,
+	44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63}
+
+// run makes the lanes of mask the active ones, at pc until rpc. The
+// lane list is a function of the mask, so it is rebuilt only when the
+// mask changes, and a full mask takes the prebuilt one.
 func (w *warp) run(pc, rpc int32, mask uint64) {
-	w.pc, w.rpc, w.mask = pc, rpc, mask
-	w.sel = w.sel[:0]
-	for m := mask; m != 0; m &= m - 1 {
-		w.sel = append(w.sel, uint8(bits.TrailingZeros64(m)))
+	w.pc, w.rpc = pc, rpc
+	switch {
+	case mask == w.mask:
+	case mask&(mask+1) == 0:
+		w.mask, w.sel = mask, laneIDs[:bits.Len64(mask)]
+	default:
+		w.mask, w.sel = mask, w.idx[:0]
+		for m := mask; m != 0; m &= m - 1 {
+			w.sel = append(w.sel, uint8(bits.TrailingZeros64(m)))
+		}
 	}
 }
 
@@ -226,7 +241,7 @@ func (l *launchCtx) runGroupWarp(gr *groupRunner, g *vmGroup, size, width int, a
 			w.lanes = append(w.lanes, wi)
 		}
 		w.live = ^uint64(0) >> (64 - n)
-		w.file, w.uregs = slab[i*words:(i+1)*words-nregs], slab[(i+1)*words-nregs:(i+1)*words]
+		w.uregs, w.file = slab[i*words:i*words+nregs], slab[i*words+nregs:(i+1)*words]
 		w.spill = slab[(nw+i)*words : (nw+i+1)*words]
 		w.uniform = kcf.uniform
 		l.fillKernelRegs(w.uregs, argPatch)
@@ -588,7 +603,7 @@ func (g *vmGroup) laneExec(in *instr, w *warp, sel []uint8) {
 			b = w.reg(rb)
 		}
 		if load {
-			d = w.tmp[:]
+			d = col{&w.tmp, MaxWarpWidth - 1}
 		}
 		scale := in.imm
 		for _, j := range sel {
@@ -606,11 +621,11 @@ func (g *vmGroup) laneExec(in *instr, w *warp, sel []uint8) {
 	case opBinI1, opBinI32, opBinI64, opBinF32, opBinF64:
 		g.binLanes(in.op, ir.BinKind(in.sub), sel, w.reg(dst), w.reg(ra), w.reg(rb))
 	case opBinStore:
-		t := col(w.tmp[:])
+		t := col{&w.tmp, MaxWarpWidth - 1}
 		g.binLanes(binOpcode(in.kind), ir.BinKind(in.sub), sel, t, w.reg(ra), w.reg(rb))
 		g.storeLanes(in.kind, sel, w.reg(rc), t)
 	case opLoadBinStore:
-		t := col(w.tmp[:])
+		t := col{&w.tmp, MaxWarpWidth - 1}
 		g.loadLanes(in.kind, sel, w.reg(ra), t)
 		x, y := t, w.reg(rb)
 		if in.sub&lbsSwapped != 0 {
@@ -708,7 +723,19 @@ func (g *vmGroup) laneExec(in *instr, w *warp, sel []uint8) {
 			d.set(j, g.l.workItem(in.sub, dim+int64(a.at(j)), &g.group, &w.lanes[j].lid))
 		}
 	case opMath:
+		if dst < 0 {
+			break // a sin/cos pair's second, which its first computed
+		}
 		op, kind, d, a, b := in.sub, in.kind, w.reg(dst), w.reg(ra), zero
+		if rc >= 0 {
+			e := w.reg(rc)
+			for _, j := range sel {
+				x, y := sincos(op, kind, flt(a.at(j)))
+				d.set(j, x)
+				e.set(j, y)
+			}
+			break
+		}
 		if rb >= 0 {
 			b = w.reg(rb)
 		}

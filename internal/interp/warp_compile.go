@@ -188,10 +188,10 @@ func (cf *compiledFn) buildWarpTables(u *passes.Uniformity, nb *ir.Numbering, bl
 			// The loaded/old value is per-lane by definition.
 			m = wmLane
 		default:
-			// Value-producing instructions follow their destination's
-			// home: uniform results compute once on the shared file.
+			// Value-producing instructions follow their destinations'
+			// homes (a pair's c is one): uniform results compute once.
 			m = wmLane
-			if ru(in.dst) {
+			if ru(in.dst) && (in.op != opMath || in.c < 0 || ru(in.c)) {
 				m = wmOnce
 			}
 		}
