@@ -67,6 +67,7 @@ func (rt *Runtime) Connect(name string) *App {
 	// The queue reports telemetry (DMA spans and byte counts) under the
 	// tenant's name.
 	q.SetLabel(name)
+	rt.openApps.Add(1)
 	return &App{rt: rt, ID: id, Name: name, q: q}
 }
 
@@ -129,6 +130,7 @@ func (a *App) Close() {
 		return
 	}
 	a.closed = true
+	a.rt.openApps.Add(-1)
 	if a.cond == nil {
 		a.cond = sync.NewCond(&a.mu)
 	}

@@ -46,6 +46,8 @@ type Runtime struct {
 	nextApp     int
 	sliceRounds int64
 
+	openApps atomic.Int32 // Apps connected, not closed: one lets launches linger (drive)
+
 	// launchMu guards the launch registry — every execution from
 	// interception to its terminal event, keyed by its pool request —
 	// the handle, resume point and started flag on each record, and the
@@ -268,6 +270,24 @@ func (w warpTelemetry) ObserveWarpLaunch(st interp.WarpLaunchStats) {
 	}
 	w.reg.Counter("masked_divergences_total", telemetry.L("kernel", st.Kernel)).Add(st.Diverges)
 	w.reg.Counter("divergence_fallbacks_total", telemetry.L("kernel", st.Kernel)).Add(st.Spills)
+}
+
+// laneTelemetry is a launch's stats sink: warpTelemetry, plus its
+// lanes' stats (interp.LaneStatsSink) by tenant.
+type laneTelemetry struct {
+	warpTelemetry
+	tenant telemetry.Label
+}
+
+func (l laneTelemetry) ObserveLinger(ns int64) {
+	l.reg.Counter("lane_linger_ns_total", l.tenant).Add(ns)
+}
+
+func (l laneTelemetry) ObserveLaneStart(ns int64, handoff bool) {
+	l.reg.Histogram("lane_start_ns", l.tenant).Observe(ns)
+	if handoff {
+		l.reg.Counter("lane_linger_handoffs_total", l.tenant).Inc()
+	}
 }
 
 // Shutdown stops the VM worker goroutines of every platform the
@@ -610,6 +630,9 @@ func (rt *Runtime) startLaunch(rec *launchRec) {
 		h.ResumeAt(resumeAt)
 	}
 	rt.armWatchdog(rec)
+	if rt.reg != nil {
+		h.SetStatsSink(laneTelemetry{warpTelemetry{rt.reg}, telemetry.L("tenant", rec.app)})
+	}
 
 	rt.statsMu.Lock()
 	rt.stats.KernelsLaunched++
@@ -642,7 +665,8 @@ func (rt *Runtime) drive(rec *launchRec, h *opencl.LaunchHandle) {
 		}
 		planned, _ := h.Plan()
 		start := time.Now()
-		done, serr := h.Step()
+		// Lanes linger for a lone tenant only: with two, lingering would pick their split.
+		done, serr := h.StepLinger(rt.openApps.Load() == 1)
 		// Slice wall time approximates the kernel's isolated machine
 		// share: it accumulates into "alone" for the live scorecard.
 		d := time.Since(start)

@@ -183,6 +183,12 @@ func (wi *wiCtx) gid() [3]int64 {
 // the original tree-walking reference engine runs groups sequentially
 // with one goroutine per work-item.
 func (m *Machine) Launch(kernel string, args []Value, nd NDRange) error {
+	return m.LaunchLinger(kernel, args, nd, false)
+}
+
+// LaunchLinger is Launch; linger asks this launch's helper lanes to
+// wait awake for the next launch before they park (WorkerPool).
+func (m *Machine) LaunchLinger(kernel string, args []Value, nd NDRange, linger bool) error {
 	fn := m.Mod.Lookup(kernel)
 	if fn == nil {
 		return fmt.Errorf("interp: kernel %q not found", kernel)
@@ -216,7 +222,7 @@ func (m *Machine) Launch(kernel string, args []Value, nd NDRange) error {
 	if m.Engine == EngineTreeWalk {
 		return m.launchTreeWalk(fn, args, locals, nd)
 	}
-	return m.launchVM(fn, args, locals, nd)
+	return m.launchVM(fn, args, locals, nd, linger)
 }
 
 func (m *Machine) maxSteps() int64 {

@@ -313,7 +313,7 @@ func TestWorkerPool(t *testing.T) {
 	// moment to reach its receive, so retry briefly.
 	submit := func(f func()) bool {
 		for i := 0; i < 1000; i++ {
-			if p.TrySubmit(f) {
+			if submitFunc(p, f) {
 				return true
 			}
 			time.Sleep(time.Millisecond)
@@ -326,14 +326,14 @@ func TestWorkerPool(t *testing.T) {
 	if !submit(func() { <-block; done <- 2 }) {
 		t.Fatal("second worker rejected a task")
 	}
-	if p.TrySubmit(func() {}) {
+	if submitFunc(p, func() {}) {
 		t.Error("fully busy pool accepted a task (it would queue, not run)")
 	}
 	close(block)
 	<-done
 	<-done
 	p.Close()
-	if p.TrySubmit(func() {}) {
+	if submitFunc(p, func() {}) {
 		t.Error("closed pool accepted a task")
 	}
 	p.Close() // idempotent

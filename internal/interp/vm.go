@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/ir"
 )
@@ -199,7 +200,7 @@ const stepBatch = 4096
 // pooled machines used to pay GOMAXPROCS spawns each). The first
 // faulting group (in linear order) wins error reporting, as under the
 // old sequential group loop.
-func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd NDRange) error {
+func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd NDRange, linger bool) error {
 	prog := m.Program()
 	kcf := prog.fns[fn.Name]
 	if kcf == nil {
@@ -266,18 +267,32 @@ func (m *Machine) launchVM(fn *ir.Function, args []Value, locals []localArg, nd 
 	if pool == nil {
 		pool = defaultWorkers()
 	}
+	sink, _ := m.WarpStats.(LaneStatsSink)
+	var lane2 time.Duration // submit → the second lane's first claim
+	t0, handoff := time.Now(), false
 	for w := int64(1); w < workers; w++ {
 		wg.Add(1)
-		if !pool.TrySubmit(func() { defer wg.Done(); claim() }) {
+		ok, lingered := pool.trySubmit(&task{run: func() {
+			if w == 1 {
+				lane2 = time.Since(t0)
+			}
+			defer wg.Done()
+			claim()
+		}, linger: linger, sink: sink})
+		if !ok {
 			// Every worker is busy with other launches; their claim
 			// loops drain those first, so run this launch here instead
 			// of queueing behind them.
 			wg.Done()
 			break
 		}
+		handoff = handoff || w == 1 && lingered
 	}
 	claim()
 	wg.Wait()
+	if sink != nil && lane2 > 0 {
+		sink.ObserveLaneStart(int64(lane2), handoff)
+	}
 	return bestErr
 }
 

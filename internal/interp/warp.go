@@ -65,6 +65,14 @@ type WarpStatsSink interface {
 	ObserveWarpLaunch(WarpLaunchStats)
 }
 
+// LaneStatsSink, when a machine's WarpStats implements it, hears each
+// multi-lane launch's second-lane start delay (ns) and whether a
+// lingering worker took it, and each linger's polling time (ns).
+type LaneStatsSink interface {
+	ObserveLaneStart(ns int64, handoff bool)
+	ObserveLinger(ns int64)
+}
+
 // flushWarpStats publishes the launch's warp counters into the kernel
 // profile and the machine's stats sink once the launch retires.
 func (l *launchCtx) flushWarpStats() {

@@ -309,6 +309,18 @@ func (h *LaunchHandle) SetSliceRounds(n int64) {
 	h.mu.Unlock()
 }
 
+// SetStatsSink replaces, for this execution, the stats sink the pool
+// gave the handle's machine (interp.Machine.WarpStats): the accelOS
+// runtime installs one that knows the launch's tenant. No-op once the
+// execution finished.
+func (h *LaunchHandle) SetStatsSink(s interp.WarpStatsSink) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.done {
+		h.mach.WarpStats = s
+	}
+}
+
 // MachineName names the pooled interpreter machine serving (or, after
 // completion, having served) this execution — the trace "thread" slice
 // spans land on. Empty for machines constructed outside a pool.
@@ -423,7 +435,12 @@ func (h *LaunchHandle) ResumeAt(consumed int64) {
 // kernel's work-groups atomically dequeue chunks until the horizon is
 // reached, then terminate, returning control to the host. Step reports
 // whether the execution is complete.
-func (h *LaunchHandle) Step() (done bool, err error) {
+func (h *LaunchHandle) Step() (done bool, err error) { return h.StepLinger(false) }
+
+// StepLinger is Step, passing linger to the slice's VM launch
+// (interp.Machine.LaunchLinger): the workers that ran its helper lanes
+// wait awake for the next launch instead of parking.
+func (h *LaunchHandle) StepLinger(linger bool) (done bool, err error) {
 	h.mu.Lock()
 	if h.done {
 		defer h.mu.Unlock()
@@ -472,7 +489,7 @@ func (h *LaunchHandle) Step() (done bool, err error) {
 		Global: [3]int64{phys * h.nd.Local[0], h.nd.Local[1], h.nd.Local[2]},
 		Local:  h.nd.Local,
 	}
-	lerr := h.mach.Launch(h.name, h.args, physND)
+	lerr := h.mach.LaunchLinger(h.name, h.args, physND, linger)
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
