@@ -6,14 +6,18 @@
 // plans every launch against the currently active set (shares grow as
 // tenants leave), and the memory manager pauses tenants whose
 // allocations would oversubscribe device memory until peers release
-// theirs.
+// theirs. A pause that no release can end fails with
+// opencl.ErrOutOfMemory (OpenCL's CL_MEM_OBJECT_ALLOCATION_FAILURE);
+// the tenant then releases what it holds and tries again.
 package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/accelos"
 	"repro/internal/metrics"
@@ -44,7 +48,36 @@ var sources = []string{
 
 var kernelNames = []string{"scale", "offset", "squareish"}
 
-func tenant(rt *accelos.Runtime, id int, wg *sync.WaitGroup, report chan<- string) {
+// allocate creates the tenant's buffers. When the memory manager fails
+// an allocation with opencl.ErrOutOfMemory, the tenant releases the
+// buffers it holds and starts over, as an OpenCL application does on
+// CL_MEM_OBJECT_ALLOCATION_FAILURE. It reports whether it had to retry.
+func allocate(app *accelos.App, sizes ...int64) ([]*accelos.BufferHandle, bool) {
+	retried := false
+	for {
+		var bufs []*accelos.BufferHandle
+		var err error
+		for _, size := range sizes {
+			var b *accelos.BufferHandle
+			if b, err = app.CreateBuffer(size); err != nil {
+				break
+			}
+			bufs = append(bufs, b)
+		}
+		if err == nil {
+			return bufs, retried
+		}
+		if !errors.Is(err, opencl.ErrOutOfMemory) {
+			log.Fatalf("%s: %v", app.Name, err)
+		}
+		for _, b := range bufs {
+			b.Release()
+		}
+		retried = true
+	}
+}
+
+func tenant(rt *accelos.Runtime, id int, wg *sync.WaitGroup, report chan<- string, retries *atomic.Int32) {
 	defer wg.Done()
 	app := rt.Connect(fmt.Sprintf("tenant-%d", id))
 	defer app.Close()
@@ -57,17 +90,14 @@ func tenant(rt *accelos.Runtime, id int, wg *sync.WaitGroup, report chan<- strin
 	// Each tenant allocates a sizeable buffer; combined they exceed
 	// device memory, so some tenants get paused until others finish.
 	big := rt.Ctx.GlobalMemBytes() / (tenants/2 + 1)
-	ballast, err := app.CreateBuffer(big)
-	if err != nil {
-		log.Fatalf("tenant %d: ballast: %v", id, err)
+	bufs, retried := allocate(app, big, n*4)
+	if retried {
+		retries.Add(1)
 	}
-	defer ballast.Release()
-
-	data, err := app.CreateBuffer(n * 4)
-	if err != nil {
-		log.Fatalf("tenant %d: %v", id, err)
+	for _, b := range bufs {
+		defer b.Release()
 	}
-	defer data.Release()
+	data := bufs[1]
 	host := make([]byte, n*4)
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint32(host[i*4:], uint32(i+id))
@@ -124,9 +154,10 @@ func main() {
 
 	report := make(chan string, tenants)
 	var wg sync.WaitGroup
+	var retries atomic.Int32
 	for id := 0; id < tenants; id++ {
 		wg.Add(1)
-		go tenant(rt, id, &wg, report)
+		go tenant(rt, id, &wg, report, &retries)
 	}
 	wg.Wait()
 	close(report)
@@ -139,6 +170,8 @@ func main() {
 		st.ProgramsJITed, st.KernelsLaunched)
 	fmt.Printf("memory manager: %d tenant pauses while the device was oversubscribed\n",
 		rt.Memory().TotalPauses())
+	fmt.Printf("  %d tenants released their buffers and retried after ErrOutOfMemory\n",
+		retries.Load())
 
 	// The sliced engine re-plans every launch on each arrival and
 	// completion; the live scorecard below shows what the contention cost

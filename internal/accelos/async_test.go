@@ -69,7 +69,7 @@ func TestAsyncPipelineEndToEnd(t *testing.T) {
 		}
 	}
 	app.Finish() // everything already terminal; must not hang
-	if got := app.Outstanding(); got != 0 {
+	if got := app.group.Pending(); got != 0 {
 		t.Fatalf("outstanding after Finish = %d", got)
 	}
 }
@@ -394,7 +394,7 @@ func TestAppFinishDrainsPipelines(t *testing.T) {
 		chs = append(chs, chain{c: c, out: out})
 	}
 	app.Finish()
-	if got := app.Outstanding(); got != 0 {
+	if got := app.group.Pending(); got != 0 {
 		t.Fatalf("outstanding after Finish = %d", got)
 	}
 	for ci, ch := range chs {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/opencl"
 )
@@ -49,12 +50,10 @@ type App struct {
 	// other goroutines (a daemon connection dropping mid-launch), so
 	// every entry point holds an op ticket while it registers work, and
 	// Close waits for tickets to drain before tearing down.
-	mu      sync.Mutex
-	cond    *sync.Cond
-	closed  bool
-	ops     int
-	bufs    []*BufferHandle
-	bufHigh int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	closed bool
+	ops    int
 }
 
 // Connect registers an application with the daemon.
@@ -85,6 +84,12 @@ func (a *App) begin() error {
 	return nil
 }
 
+func (a *App) isClosed() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.closed
+}
+
 func (a *App) end() {
 	a.mu.Lock()
 	a.ops--
@@ -94,31 +99,11 @@ func (a *App) end() {
 	a.mu.Unlock()
 }
 
-// addBuf records a buffer handle so Close can release whatever the
-// application still holds. Released handles are compacted out once the
-// list doubles past its last high-water mark, so long-lived apps that
-// cycle buffers don't grow it without bound.
-func (a *App) addBuf(h *BufferHandle) {
-	a.mu.Lock()
-	if len(a.bufs) >= 2*a.bufHigh+16 {
-		live := a.bufs[:0]
-		for _, b := range a.bufs {
-			if !b.Released() {
-				live = append(live, b)
-			}
-		}
-		a.bufs = live
-		a.bufHigh = len(live)
-	}
-	a.bufs = append(a.bufs, h)
-	a.mu.Unlock()
-}
-
 // Close releases everything the application holds. It is safe against
-// concurrent in-flight work: new entry points fail with ErrAppClosed,
-// registrations already underway are waited out before teardown, and
-// the app's remaining buffers are released — cancelling in-flight
-// launches at their next slice boundary. Close does not block on the
+// concurrent in-flight work: new entry points fail with ErrAppClosed, a
+// paused CreateBuffer returns it, registrations already underway are
+// waited out before teardown, and the app's remaining buffers are
+// released — cancelling in-flight launches at their next slice boundary. Close does not block on the
 // outstanding events themselves (they fail or complete asynchronously,
 // exactly as a released buffer behaves); callers that need the drain
 // call Finish, which remains valid after Close. A second Close is a
@@ -131,16 +116,17 @@ func (a *App) Close() {
 	}
 	a.closed = true
 	a.rt.openApps.Add(-1)
+	a.mu.Unlock()
+	a.rt.mem.wake() // a paused CreateBuffer of this app returns ErrAppClosed
+	a.mu.Lock()
 	if a.cond == nil {
 		a.cond = sync.NewCond(&a.mu)
 	}
 	for a.ops > 0 {
 		a.cond.Wait()
 	}
-	bufs := a.bufs
-	a.bufs = nil
 	a.mu.Unlock()
-	for _, h := range bufs {
+	for _, h := range a.rt.mem.holding(a) {
 		h.Release()
 	}
 }
@@ -170,11 +156,6 @@ func (a *App) NewControlledEvent() (*opencl.Event, error) {
 // reported on the commands' own events.
 func (a *App) Finish() {
 	a.group.Wait()
-}
-
-// Outstanding reports how many of the app's events are incomplete.
-func (a *App) Outstanding() int {
-	return a.group.Pending()
 }
 
 // Program is the application's handle to a built OpenCL program. The
@@ -221,17 +202,23 @@ type BufferHandle struct {
 	Size int64
 	buf  *opencl.Buffer
 
-	// onFree, when set, runs after the memory-manager accounting is
-	// returned (i.e. once the last pin is gone and the backing is dead).
-	// The service layer hangs shared-memory segment teardown here.
+	// onFree, when set, runs once the context has freed the buffer
+	// (i.e. once the last pin is gone and the backing is dead). The
+	// service layer hangs shared-memory segment teardown here.
 	onFree func()
+
+	// released makes Release run once, so the memory manager counts
+	// each release's pending free exactly once.
+	released atomic.Bool
 }
 
 // Released reports whether the buffer has been released.
 func (h *BufferHandle) Released() bool { return h.buf.Released() }
 
 // CreateBuffer allocates device memory. The accelOS memory manager may
-// pause the application (block) until peers release memory (§5).
+// pause the application (block) until peers release memory (§5); a
+// pause that cannot end fails with opencl.ErrOutOfMemory, and Close
+// ends it with ErrAppClosed.
 func (a *App) CreateBuffer(size int64) (*BufferHandle, error) {
 	return a.createBuffer(size, func() (*opencl.Buffer, error) {
 		return a.rt.Ctx.CreateBuffer(size)
@@ -254,43 +241,31 @@ func (a *App) createBuffer(size int64, mk func() (*opencl.Buffer, error), onFree
 	if err := a.begin(); err != nil {
 		return nil, err
 	}
-	// Don't hold the op ticket across the allocation: the memory
-	// manager may pause the application indefinitely, and Close — which
-	// waits for tickets to drain — may be the very thing whose buffer
-	// releases would resume it.
-	a.end()
-	// Pausing happens in the application's own goroutine, so other
-	// tenants are never held up by it.
-	if err := a.rt.mem.Alloc(a.ID, size); err != nil {
-		return nil, err
-	}
-	if err := a.begin(); err != nil {
-		// Closed while paused: return the bytes the Alloc just took.
-		a.rt.mem.Free(a.ID, size)
-		return nil, err
-	}
 	defer a.end()
-	b, err := mk()
-	if err != nil {
-		a.rt.mem.Free(a.ID, size)
+	// Pausing happens in the application's own goroutine, so other
+	// tenants are never held up by it. The op ticket stays held: Close
+	// ends the pause before it waits for tickets to drain.
+	h := &BufferHandle{app: a, Size: size, onFree: onFree}
+	if err := a.rt.mem.alloc(h, mk); err != nil {
 		return nil, err
 	}
-	h := &BufferHandle{app: a, Size: size, buf: b, onFree: onFree}
-	a.addBuf(h)
 	return h, nil
 }
 
 // Release frees the buffer. The release is refcount-aware: with
-// commands in flight the memory-manager accounting is returned only
-// when the last command unpins the buffer, queued commands fail with a
-// clear error instead of racing on the bytes, and a double Release is a
-// no-op.
+// commands in flight the device memory is freed only when the last
+// command unpins the buffer, queued commands fail with a clear error
+// instead of racing on the bytes, and a double Release is a no-op.
 func (h *BufferHandle) Release() {
-	app, size, onFree := h.app, h.Size, h.onFree
+	if h.released.Swap(true) {
+		return
+	}
+	mem := h.app.rt.mem
+	mem.draining.Add(1)
 	h.buf.ReleaseFunc(func() {
-		app.rt.mem.Free(app.ID, size)
-		if onFree != nil {
-			onFree()
+		mem.freed(h)
+		if h.onFree != nil {
+			h.onFree()
 		}
 	})
 }

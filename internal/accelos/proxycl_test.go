@@ -129,7 +129,7 @@ func TestEnqueueKernelAsyncArguments(t *testing.T) {
 		if !strings.Contains(err.Error(), "argument 3") {
 			t.Fatalf("error %q does not name argument 3", err)
 		}
-		if got := app.Outstanding(); got != 0 {
+		if got := app.group.Pending(); got != 0 {
 			t.Fatalf("outstanding after a refused enqueue = %d, want 0", got)
 		}
 	})

@@ -209,7 +209,7 @@ func NewClusterRuntime(plats []*opencl.Platform, pol cluster.Policy, maxResident
 	}
 	rt.pool.SetObserver(rt.onPoolEvent)
 	rt.stats.DeviceLaunches = make([]int, len(plats))
-	rt.mem = NewMemoryManager(rt.Ctx.GlobalMemBytes())
+	rt.mem = newMemoryManager(rt.Ctx)
 	return rt
 }
 

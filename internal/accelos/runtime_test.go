@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/opencl"
@@ -160,60 +159,6 @@ func TestRuntimeConcurrentApps(t *testing.T) {
 	}
 	if got := rt.Stats().KernelsLaunched; got != apps*3 {
 		t.Errorf("KernelsLaunched = %d, want %d", got, apps*3)
-	}
-}
-
-func TestMemoryManagerPausesApps(t *testing.T) {
-	m := NewMemoryManager(1000)
-	if err := m.Alloc(1, 800); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- m.Alloc(2, 500) }() // must pause
-
-	time.Sleep(20 * time.Millisecond)
-	if m.Paused() != 1 {
-		t.Fatalf("Paused = %d, want 1", m.Paused())
-	}
-	m.Free(1, 800)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("paused application never resumed")
-	}
-	if m.Used() != 500 {
-		t.Errorf("Used = %d, want 500", m.Used())
-	}
-	if m.TotalPauses() != 1 {
-		t.Errorf("TotalPauses = %d, want 1", m.TotalPauses())
-	}
-	if err := m.Alloc(3, 5000); err == nil {
-		t.Error("allocation beyond capacity should fail outright")
-	}
-}
-
-func TestMemoryManagerOversubscription(t *testing.T) {
-	m := NewMemoryManager(100)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				if err := m.Alloc(id, 40); err != nil {
-					t.Error(err)
-					return
-				}
-				m.Free(id, 40)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if m.Used() != 0 {
-		t.Errorf("Used = %d after all frees", m.Used())
 	}
 }
 

@@ -34,17 +34,6 @@ func PlanShares(dev *device.Platform, execs []*sim.KernelExec, naive bool) []*si
 	return planFractions(dev, execs, func(int) float64 { return 1 / k }, naive)
 }
 
-func min3(a, b, c int64) int64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	return m
-}
-
 // PlanSingle plans an isolated kernel execution under accelOS (used for
 // the overhead study of §8.5): with K=1 the allocation is the occupancy
 // limit, so the transformed kernel spans the whole device.
@@ -104,7 +93,7 @@ func planFractions(dev *device.Platform, execs []*sim.KernelExec, frac func(i in
 		if fp.Regs > 0 {
 			z = int64(f * float64(dev.TotalRegs()) / float64(fp.Regs))
 		}
-		n := min3(x, y, z)
+		n := min(x, y, z)
 		if n < 1 {
 			n = 1
 		}

@@ -342,7 +342,7 @@ func TestPlanSharesIsTheUnitWeightPlan(t *testing.T) {
 		perTenant := PlanTenantShares(dev, execs, tenants, nil, naive)
 		for i, ke := range execs {
 			fp := ke.TransFootprint()
-			seed := min3(dev.TotalThreads()/(int64(k)*dev.RoundWarp(fp.Threads)),
+			seed := min(dev.TotalThreads()/(int64(k)*dev.RoundWarp(fp.Threads)),
 				dev.TotalLocalMem()/(int64(k)*fp.LocalBytes),
 				dev.TotalRegs()/(int64(k)*fp.Regs))
 			seed = max(1, min(seed, ke.NumWGs, dev.MaxConcurrentWGs(fp)))

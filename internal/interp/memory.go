@@ -74,11 +74,6 @@ func FloatV(v float64) Value { return Value{K: ir.F32, F: v} }
 // DoubleV returns a double value.
 func DoubleV(v float64) Value { return Value{K: ir.F64, F: v} }
 
-// PtrV returns a pointer value.
-func PtrV(p Ptr, space ir.AddrSpace) Value {
-	return Value{K: ir.Pointer, P: p}
-}
-
 // localArgMagic tags a Value produced by LocalArgV. The sentinel never
 // reaches kernel code: Launch replaces it with a fresh per-work-group
 // local region before any work-item runs.

@@ -223,19 +223,20 @@ kernel void churn(global int* out, int n)
 }
 `
 
-// svcHoldSrc burns enough per-item work (tens of ms for the full
-// grid) that the admission test's first launch reliably still holds
-// its device slot while the test races two more enqueues against it —
-// sized to stay under the launch-global instruction budget even at
-// unoptimized, unfused step counts: 8192 items x 1500 iters x ~8 steps.
+// svcHoldSrc holds its device slot until the host lets it go: item 0
+// spins until the word after the grid, out[n], turns non-zero, and the
+// launch stays resident until it ends. The admission test writes that
+// word through the buffer's shared mapping once the launches it races
+// against the hold are queued. One spinning item keeps the launch-global
+// instruction budget for seconds; a spinning grid spends it in 0.1 s.
 const svcHoldSrc = `
 kernel void hold(global int* out, int n)
 {
     int i = (int)get_global_id(0);
-    int acc = 0;
     int t;
-    for (t = 0; t < 1500; ++t) acc += (i + t) & 7;
-    if (i < n) out[i] = out[i] + 1 + (acc & 0);
+    if (i == 0)
+        for (t = 0; out[n] == 0; ++t) ;
+    if (i < n) out[i] = out[i] + 1;
 }
 `
 
@@ -708,6 +709,74 @@ func TestServiceDisconnectMidLaunch(t *testing.T) {
 	waitFor(t, "buffer reclamation", func() bool { return rt.Memory().Used() == 0 })
 }
 
+// smallDeviceRuntime is a runtime over a 1 MB copy of the first
+// platform's device, so a few buffers oversubscribe it.
+func smallDeviceRuntime() *accelos.Runtime {
+	dev := *opencl.GetPlatforms()[0].Dev
+	dev.GlobalMemMB = 1
+	return accelos.NewRuntime(&opencl.Platform{Dev: &dev})
+}
+
+// TestServiceOversizedBufferIsOutOfMemory: a buffer larger than the
+// device fails at once, and the client sees opencl.ErrOutOfMemory
+// (wire.CodeOutOfMemory), not an internal error.
+func TestServiceOversizedBufferIsOutOfMemory(t *testing.T) {
+	rt := smallDeviceRuntime()
+	_, sock := startService(t, rt, Options{ShmDir: t.TempDir()})
+	c, err := Dial(sock, "oversized", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.CreateBuffer(2 << 20)
+	if !errors.Is(err, opencl.ErrOutOfMemory) {
+		t.Fatalf("oversized buffer: err = %v, want ErrOutOfMemory", err)
+	}
+	if code := wire.CodeOf(err); code != wire.CodeOutOfMemory {
+		t.Fatalf("oversized buffer: code %v, want %v", code, wire.CodeOutOfMemory)
+	}
+	if got := rt.Memory().Paused(); got != 0 {
+		t.Fatalf("an oversized allocation paused: Paused = %d", got)
+	}
+}
+
+// TestServiceDisconnectEndsPausedBuffer: a client whose buffer creation
+// is paused behind a peer's memory disconnects; the daemon closes its
+// App, which ends the pause, and the request's segment is removed.
+func TestServiceDisconnectEndsPausedBuffer(t *testing.T) {
+	rt := smallDeviceRuntime()
+	shmDir := t.TempDir()
+	srv, sock := startService(t, rt, Options{ShmDir: shmDir})
+	holder, err := Dial(sock, "holder", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if _, err := holder.CreateBuffer(800 << 10); err != nil {
+		t.Fatal(err)
+	}
+	waiter, err := Dial(sock, "waiter", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := waiter.CreateBuffer(500 << 10)
+		done <- err
+	}()
+	waitFor(t, "the waiter's allocation to pause", func() bool { return rt.Memory().Paused() == 1 })
+	waiter.Close()
+	if err := <-done; err == nil {
+		t.Fatal("CreateBuffer on a closed client succeeded")
+	}
+	waitFor(t, "connection teardown", func() bool { return srv.NumConns() == 1 })
+	waitFor(t, "the pause to end", func() bool { return rt.Memory().Paused() == 0 })
+	waitFor(t, "the waiter's segment to go", func() bool {
+		ents, err := os.ReadDir(shmDir)
+		return err == nil && len(ents) == 1 // the holder's buffer
+	})
+}
+
 // TestServiceSlowClientEviction covers both deadline defenses: a
 // connection that never completes the handshake, and an admitted
 // client that floods requests while refusing to read its replies.
@@ -1017,7 +1086,7 @@ func TestServiceAdmissionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	const longN, shortN = 256 * 32, 32 * 32
-	bufL, err := c.CreateBuffer(longN * 4)
+	bufL, err := c.CreateBuffer((longN + 1) * 4) // the grid, then the hold's release word
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1046,42 +1115,38 @@ func TestServiceAdmissionRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The hold kernel occupies the device for tens of milliseconds, but
-	// a fast machine could still drain it and the second launch before
-	// the third enqueue lands; re-arm the resident+queued state and try
-	// again rather than betting on one timing window.
-	queued := false
-	for attempt := 0; attempt < 5 && !queued; attempt++ {
-		base := rt.Stats()
-		evL, err := c.EnqueueKernelAsync(kL, opencl.ND1(longN, 32))
-		if err != nil {
+	// The hold kernel keeps the one resident slot until the test writes
+	// its release word, so both later launches must queue behind it.
+	base := rt.Stats()
+	evL, err := c.EnqueueKernelAsync(kL, opencl.ND1(longN, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "long kernel to hold the device", func() bool {
+		return rt.Stats().KernelsLaunched > base.KernelsLaunched
+	})
+	evQ, err := c.EnqueueKernelAsync(kS[0], opencl.ND1(shortN, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "second kernel to queue", func() bool {
+		return rt.Stats().QueuedAdmissions > base.QueuedAdmissions
+	})
+	evR, err := c.EnqueueKernelAsync(kS[1], opencl.ND1(shortN, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "third kernel to queue", func() bool {
+		return rt.Stats().QueuedAdmissions-base.QueuedAdmissions == 2
+	})
+	binary.LittleEndian.PutUint32(bufL.Bytes()[longN*4:], 1)
+	for _, ev := range []*opencl.Event{evL, evQ, evR} {
+		if err := ev.Wait(); err != nil {
 			t.Fatal(err)
-		}
-		waitFor(t, "long kernel to hold the device", func() bool {
-			return rt.Stats().KernelsLaunched > base.KernelsLaunched
-		})
-		evQ, err := c.EnqueueKernelAsync(kS[0], opencl.ND1(shortN, 32))
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "second kernel to queue", func() bool {
-			return rt.Stats().QueuedAdmissions > base.QueuedAdmissions
-		})
-		evR, err := c.EnqueueKernelAsync(kS[1], opencl.ND1(shortN, 32))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range []*opencl.Event{evL, evQ, evR} {
-			if err := ev.Wait(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if queued = rt.Stats().QueuedAdmissions-base.QueuedAdmissions == 2; !queued {
-			t.Logf("attempt %d: device drained before the third enqueue, retrying", attempt)
 		}
 	}
-	if !queued {
-		t.Fatal("the third launch never queued across 5 resident+queued windows")
+	if got := rt.Stats().QueuedAdmissions - base.QueuedAdmissions; got != 2 {
+		t.Fatalf("queued admissions = %d, want 2", got)
 	}
 	out := make([]byte, shortN*4)
 	if err := bufS[1].Read(0, out); err != nil {
