@@ -72,7 +72,7 @@ func TestLingerGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbuf, err := rt.Ctx.CreateBufferBytes(make([]byte, n*4))
+	nbuf, err := rt.Ctx.CreateBuffer(n * 4)
 	if err != nil {
 		t.Fatal(err)
 	}

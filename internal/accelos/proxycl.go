@@ -225,15 +225,15 @@ func (a *App) CreateBuffer(size int64) (*BufferHandle, error) {
 	}, nil)
 }
 
-// CreateBufferBacked allocates a buffer whose device backing is the
-// caller-provided byte slice — the zero-copy hook for the out-of-process
+// CreateBufferBacked allocates a buffer of size bytes whose device
+// backing back makes — the zero-copy hook for the out-of-process
 // service, which backs buffers with shared-memory segments mapped by
-// both the daemon and the client. onFree (optional) runs once the
-// backing is truly dead: after release, once the last in-flight command
-// unpinned the buffer. On error the caller keeps ownership of bytes.
-func (a *App) CreateBufferBacked(bytes []byte, onFree func()) (*BufferHandle, error) {
-	return a.createBuffer(int64(len(bytes)), func() (*opencl.Buffer, error) {
-		return a.rt.Ctx.CreateBufferBytes(bytes)
+// both the daemon and the client. back runs once the device has room,
+// after any pause. onFree (optional) runs once the backing is truly
+// dead: after release, once the last in-flight command unpinned it.
+func (a *App) CreateBufferBacked(size int64, back func() ([]byte, error), onFree func()) (*BufferHandle, error) {
+	return a.createBuffer(size, func() (*opencl.Buffer, error) {
+		return a.rt.Ctx.CreateBufferBacked(size, back)
 	}, onFree)
 }
 

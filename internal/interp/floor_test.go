@@ -2,6 +2,7 @@ package interp
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/clc"
 	"repro/internal/ir"
@@ -18,8 +19,10 @@ import (
 // divergent loads through a uniform base; and fusion over none on
 // mri-q's inner loop, a uniform loop whose divergent phase takes
 // qr += cos(p); qi += sin(p), which fusion computes with one
-// math.Sincos. The sides alternate and each keeps its fastest of three
-// rounds, so a burst of load on one side cannot fail the row. The floors
+// math.Sincos. A short calibration run gives each side the launch count
+// that takes about floorLoop; then the sides alternate three timed loops
+// of that many launches and each keeps its fastest, so a burst of load on
+// one side cannot fail the row. The floors
 // sit at about half of what the engine measures, so only a real
 // regression trips them. On a 2-vCPU box shared with other work, two
 // runs each read, with slice columns and separate sin and cos calls,
@@ -111,7 +114,8 @@ kernel void k(global int* out)
 			if err != nil {
 				t.Fatal(err)
 			}
-			launches := func(opts CompileOpts) func(*testing.B) {
+			// launches returns a side: the time n launches take.
+			launches := func(opts CompileOpts) func(n int) time.Duration {
 				m := NewMachine(mod)
 				m.UseProgram(CompileModuleOpts(mod, opts))
 				args := []Value{{K: ir.Pointer, P: Ptr{R: m.NewRegion(r.items*4, ir.Global)}}}
@@ -119,23 +123,34 @@ kernel void k(global int* out)
 					args = append(args, Value{K: ir.Pointer, P: Ptr{R: m.NewRegion(r.in*4, ir.Global)}})
 				}
 				nd := ND1(r.items, r.items)
-				return func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
+				return func(n int) time.Duration {
+					t0 := time.Now()
+					for i := 0; i < n; i++ {
 						if err := m.Launch(r.kernel, args, nd); err != nil {
-							b.Fatal(err)
+							t.Fatal(err)
 						}
 					}
+					return time.Since(t0)
 				}
 			}
-			sides := []func(*testing.B){launches(r.slow), launches(r.fast)}
-			var best [2]int64
+			sides := []func(int) time.Duration{launches(r.slow), launches(r.fast)}
+			// A short calibration run sets each side's launch count, so
+			// one timed loop takes about floorLoop.
+			var n [2]int
+			for i, side := range sides {
+				k := 1
+				for d := side(k); ; d = side(k) {
+					if d >= floorLoop/8 {
+						n[i] = max(1, int(int64(k)*int64(floorLoop)/int64(d)))
+						break
+					}
+					k *= 2
+				}
+			}
+			var best [2]int64 // ns per launch
 			for round := 0; round < 3; round++ {
 				for i, side := range sides {
-					res := testing.Benchmark(side)
-					if res.N == 0 {
-						t.Fatal("launch failed inside the benchmark")
-					}
-					if ns := res.NsPerOp(); best[i] == 0 || ns < best[i] {
+					if ns := int64(side(n[i])) / int64(n[i]); best[i] == 0 || ns < best[i] {
 						best[i] = ns
 					}
 				}
@@ -148,3 +163,6 @@ kernel void k(global int* out)
 		})
 	}
 }
+
+// floorLoop is how long one timed loop of a TestDispatchFloors side runs.
+const floorLoop = 250 * time.Millisecond

@@ -121,26 +121,17 @@ type Buffer struct {
 
 // CreateBuffer allocates device memory.
 func (c *Context) CreateBuffer(size int64) (*Buffer, error) {
-	if size <= 0 {
-		return nil, fmt.Errorf("opencl: invalid buffer size %d", size)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.allocated+size > c.GlobalMemBytes() {
-		return nil, ErrOutOfMemory
-	}
-	c.allocated += size
-	return &Buffer{ctx: c, Size: size, Bytes: make([]byte, size)}, nil
+	return c.CreateBufferBacked(size, func() ([]byte, error) { return make([]byte, size), nil })
 }
 
-// CreateBufferBytes allocates a buffer whose device backing is the
-// caller-provided slice (clCreateBuffer with CL_MEM_USE_HOST_PTR). The
-// accelOS service layer uses it to back buffers with shared-memory
-// segments mapped into both the daemon and its client, so kernel
-// launches bind the client's own pages and transfers never copy. The
-// caller must keep the slice valid until the buffer is freed.
-func (c *Context) CreateBufferBytes(bytes []byte) (*Buffer, error) {
-	size := int64(len(bytes))
+// CreateBufferBacked allocates a buffer of size bytes whose device
+// backing back makes once the ledger has room for them (clCreateBuffer
+// with CL_MEM_USE_HOST_PTR). The accelOS service layer backs buffers
+// with shared-memory segments mapped into both the daemon and its
+// client, so kernel launches bind the client's own pages and transfers
+// never copy; a refused allocation makes no segment. The backing must
+// stay valid until the buffer is freed.
+func (c *Context) CreateBufferBacked(size int64, back func() ([]byte, error)) (*Buffer, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("opencl: invalid buffer size %d", size)
 	}
@@ -149,8 +140,12 @@ func (c *Context) CreateBufferBytes(bytes []byte) (*Buffer, error) {
 	if c.allocated+size > c.GlobalMemBytes() {
 		return nil, ErrOutOfMemory
 	}
+	b, err := back()
+	if err != nil {
+		return nil, err
+	}
 	c.allocated += size
-	return &Buffer{ctx: c, Size: size, Bytes: bytes}, nil
+	return &Buffer{ctx: c, Size: size, Bytes: b}, nil
 }
 
 // ErrOutOfMemory mirrors CL_MEM_OBJECT_ALLOCATION_FAILURE.

@@ -525,17 +525,20 @@ func (c *conn) handleProgramCreate(req uint64, src string) {
 
 func (c *conn) handleBufferCreate(req uint64, size int64) {
 	c.inc("service_requests_total", telemetry.L("op", "buffer-create"))
-	shm, err := wire.CreateShm(c.s.opts.ShmDir, size)
+	// The segment's mapping IS the buffer's device backing. It is made
+	// only once the runtime admitted the size, and unmapped and unlinked
+	// only once the buffer is truly dead (after release, once the last
+	// in-flight command unpinned it).
+	var shm *wire.Shm
+	h, err := c.app.CreateBufferBacked(size, func() ([]byte, error) {
+		s, err := wire.CreateShm(c.s.opts.ShmDir, size)
+		if err != nil {
+			return nil, err
+		}
+		shm = s
+		return s.Bytes, nil
+	}, func() { shm.Close() })
 	if err != nil {
-		c.replyErr(req, err)
-		return
-	}
-	// The segment's mapping IS the buffer's device backing; it is
-	// unmapped and unlinked only once the buffer is truly dead (after
-	// release, once the last in-flight command unpinned it).
-	h, err := c.app.CreateBufferBacked(shm.Bytes, func() { shm.Close() })
-	if err != nil {
-		shm.Close()
 		c.replyErr(req, err)
 		return
 	}

@@ -722,7 +722,8 @@ func smallDeviceRuntime() *accelos.Runtime {
 // (wire.CodeOutOfMemory), not an internal error.
 func TestServiceOversizedBufferIsOutOfMemory(t *testing.T) {
 	rt := smallDeviceRuntime()
-	_, sock := startService(t, rt, Options{ShmDir: t.TempDir()})
+	shmDir := t.TempDir()
+	_, sock := startService(t, rt, Options{ShmDir: shmDir})
 	c, err := Dial(sock, "oversized", "")
 	if err != nil {
 		t.Fatal(err)
@@ -738,11 +739,25 @@ func TestServiceOversizedBufferIsOutOfMemory(t *testing.T) {
 	if got := rt.Memory().Paused(); got != 0 {
 		t.Fatalf("an oversized allocation paused: Paused = %d", got)
 	}
+	if n := shmSegments(t, shmDir); n != 0 {
+		t.Fatalf("a refused allocation left %d segments", n)
+	}
+}
+
+// shmSegments counts the files in a daemon's -shm-dir.
+func shmSegments(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ents)
 }
 
 // TestServiceDisconnectEndsPausedBuffer: a client whose buffer creation
 // is paused behind a peer's memory disconnects; the daemon closes its
-// App, which ends the pause, and the request's segment is removed.
+// App, which ends the pause. The paused request never had a segment, and
+// the holder's goes with its buffer.
 func TestServiceDisconnectEndsPausedBuffer(t *testing.T) {
 	rt := smallDeviceRuntime()
 	shmDir := t.TempDir()
@@ -765,16 +780,20 @@ func TestServiceDisconnectEndsPausedBuffer(t *testing.T) {
 		done <- err
 	}()
 	waitFor(t, "the waiter's allocation to pause", func() bool { return rt.Memory().Paused() == 1 })
+	if n := shmSegments(t, shmDir); n != 1 {
+		t.Fatalf("%d segments while the waiter is paused, want the holder's only", n)
+	}
 	waiter.Close()
 	if err := <-done; err == nil {
 		t.Fatal("CreateBuffer on a closed client succeeded")
 	}
 	waitFor(t, "connection teardown", func() bool { return srv.NumConns() == 1 })
 	waitFor(t, "the pause to end", func() bool { return rt.Memory().Paused() == 0 })
-	waitFor(t, "the waiter's segment to go", func() bool {
-		ents, err := os.ReadDir(shmDir)
-		return err == nil && len(ents) == 1 // the holder's buffer
-	})
+	if n := shmSegments(t, shmDir); n != 1 {
+		t.Fatalf("%d segments after the waiter left, want the holder's only", n)
+	}
+	holder.Close()
+	waitFor(t, "the holder's segment to go", func() bool { return shmSegments(t, shmDir) == 0 })
 }
 
 // TestServiceSlowClientEviction covers both deadline defenses: a
