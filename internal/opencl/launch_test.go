@@ -2,6 +2,7 @@ package opencl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -22,20 +23,29 @@ kernel void mark(global int* out, int n)
 }
 `
 
-// buildTransformed compiles and JIT-transforms markSrc, returning the
-// original-signature kernel (with bound args) and the transformed
-// module, the way the accelOS scheduler hands them to the launch path.
-func buildTransformed(t testing.TB, buf *Buffer, n int64) (*Kernel, *ir.Module) {
-	t.Helper()
+// markModules is markSrc compiled and JIT-transformed, once.
+var markModules = sync.OnceValues(func() ([2]*ir.Module, error) {
 	orig, err := clc.Compile(markSrc, "mark_prog")
 	if err != nil {
-		t.Fatal(err)
+		return [2]*ir.Module{}, err
 	}
 	res, err := accelpass.Transform(ir.CloneModule(orig))
 	if err != nil {
+		return [2]*ir.Module{}, err
+	}
+	return [2]*ir.Module{orig, res.Module}, nil
+})
+
+// buildTransformed returns the mark kernel's original-signature kernel
+// (with bound args) and the transformed module, the way the accelOS
+// scheduler hands them to the launch path.
+func buildTransformed(t testing.TB, buf *Buffer, n int64) (*Kernel, *ir.Module) {
+	t.Helper()
+	mods, err := markModules()
+	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Program{Module: orig}
+	p := &Program{Module: mods[0]}
 	k, err := p.CreateKernel("mark")
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +56,7 @@ func buildTransformed(t testing.TB, buf *Buffer, n int64) (*Kernel, *ir.Module) 
 	if err := k.SetArgInt32(1, int32(n)); err != nil {
 		t.Fatal(err)
 	}
-	return k, res.Module
+	return k, mods[1]
 }
 
 // TestLaunchHandleSlicesAndReplans drives a transformed kernel slice by
@@ -250,27 +260,67 @@ kernel void fill(global int* out, int base, int n)
 }
 
 // runMarkSliced drives the mark kernel over total virtual groups to
-// completion under the given plan, returning LastSlice of every slice.
-// It fails the test unless every virtual group ran exactly once and no
-// slice started a physical group beyond the lanes or the dequeues its
-// budget held.
+// completion under one plan and slice round; see runMarkSchedule.
 func runMarkSliced(t *testing.T, phys, chunk, kchunk, total, rounds int64) [][3]int64 {
+	t.Helper()
+	return runMarkSchedule(t, kchunk, total, sliceSchedule{phys: phys, chunk: chunk, rounds: []int64{rounds}})
+}
+
+// sliceSchedule is one way to slice an execution: the plan, the slice
+// rounds of each step (cycled), and a device fault before step faultAt
+// (0: none) after which a fresh handle resumes from the consumed prefix,
+// on the same device or, if relaunch, on the other.
+type sliceSchedule struct {
+	phys, chunk int64
+	rounds      []int64
+	faultAt     int
+	relaunch    bool
+}
+
+var errFault = errors.New("injected device fault")
+
+// runMarkSchedule drives the mark kernel over total virtual groups to
+// completion under s, returning LastSlice of every slice. It fails the
+// test unless every virtual group ran exactly once and every slice
+// started at least one physical group and none beyond the lanes or the
+// dequeues its budget held.
+func runMarkSchedule(t *testing.T, kchunk, total int64, s sliceSchedule) [][3]int64 {
 	t.Helper()
 	const local = 8
 	n := total * local
 	buf := &Buffer{Size: n * 4, Bytes: make([]byte, n*4)}
 	k, trans := buildTransformed(t, buf, n)
 	nd := NDRange{Dims: 1, Global: [3]int64{n, 1, 1}, Local: [3]int64{local, 1, 1}}
-	h, err := NewLaunchHandle(GetPlatforms()[0], trans, k, nd, rtlib.BuildRT(1, nd.NumGroups(), nd.Local, int(kchunk)), phys, chunk)
+	rt := rtlib.BuildRT(1, nd.NumGroups(), nd.Local, int(kchunk))
+	plats := GetPlatforms()
+	h, err := NewLaunchHandle(plats[0], trans, k, nd, rt, s.phys, s.chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SetSliceRounds(rounds)
 	lanes := int64(interp.Lanes())
 	var slices [][3]int64
-	for done := false; !done; {
+	for step, done := 0, false; !done; step++ {
+		if step > 0 && step == s.faultAt {
+			// The device fails between two slices: the cancellation lands
+			// at the boundary, the consumed prefix stays done, and a new
+			// handle resumes the rest, as the runtime's relaunch does.
+			h.Cancel(errFault)
+			if _, err := h.Step(); !errors.Is(err, errFault) {
+				t.Fatalf("step %d: a cancelled handle stepped with %v", step, err)
+			}
+			consumed, _ := h.Progress()
+			plat := plats[0]
+			if s.relaunch {
+				plat = plats[1]
+			}
+			if h, err = NewLaunchHandle(plat, trans, k, nd, rt, s.phys, s.chunk); err != nil {
+				t.Fatal(err)
+			}
+			h.ResumeAt(consumed)
+		}
+		h.SetSliceRounds(s.rounds[step%len(s.rounds)])
 		if done, err = h.Step(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("step %d: %v", step, err)
 		}
 		p, c, b := h.LastSlice()
 		slices = append(slices, [3]int64{p, c, b})
@@ -281,10 +331,48 @@ func runMarkSliced(t *testing.T, phys, chunk, kchunk, total, rounds int64) [][3]
 	}
 	for i := int64(0); i < n; i++ {
 		if got := int32(binary.LittleEndian.Uint32(buf.Bytes[i*4:])); got != int32(i+1) {
-			t.Fatalf("out[%d] = %d, want %d (virtual group ran zero or multiple times)", i, got, i+1)
+			t.Fatalf("%+v: out[%d] = %d, want %d (virtual group ran zero or multiple times)", s, i, got, i+1)
 		}
 	}
 	return slices
+}
+
+// FuzzSliceSchedule drives the mark kernel over total virtual groups
+// (its own chunk kchunk) under fuzzed plans, slice rounds and a device
+// fault with resume or relaunch; runMarkSchedule's oracles must hold.
+// internal/parboil's FuzzSliceScheduleParity slices a Parboil kernel the
+// same way against its native bytes. A failing input lands in
+// testdata/fuzz/FuzzSliceSchedule and is kept.
+func FuzzSliceSchedule(f *testing.F) {
+	f.Add(uint8(4), uint8(1), uint8(4), uint16(40), []byte{8}, uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(2), uint8(1), uint16(97), []byte{1, 3}, uint8(2), uint8(1))
+	f.Add(uint8(1), uint8(4), uint8(2), uint16(64), []byte{1}, uint8(3), uint8(2))
+	f.Add(uint8(13), uint8(1), uint8(1), uint16(5), []byte{8}, uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, phys, chunk, kchunk uint8, total uint16, rounds []byte, faultAt, recovery uint8) {
+		runMarkSchedule(t, 1+int64(kchunk%16), 1+int64(total%512), fuzzedSchedule(phys, chunk, rounds, faultAt, recovery))
+	})
+}
+
+// fuzzedSchedule maps fuzzer bytes onto a sliceSchedule: up to 16
+// physical groups and chunk 16, up to 8 rounds of up to 8, a fault
+// before one of the first 7 steps.
+func fuzzedSchedule(phys, chunk uint8, rounds []byte, faultAt, recovery uint8) sliceSchedule {
+	s := sliceSchedule{
+		phys:     1 + int64(phys%16),
+		chunk:    1 + int64(chunk%16),
+		faultAt:  int(faultAt % 8),
+		relaunch: recovery%2 == 1,
+	}
+	for i, r := range rounds {
+		if i == 8 {
+			break
+		}
+		s.rounds = append(s.rounds, 1+int64(r%8))
+	}
+	if len(s.rounds) == 0 {
+		s.rounds = []int64{DefaultSliceRounds}
+	}
+	return s
 }
 
 // TestStepStartsOnlyUsableGroups pins the rule Step applies to the plan:

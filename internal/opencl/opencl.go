@@ -11,6 +11,7 @@ package opencl
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clc"
 	"repro/internal/device"
@@ -50,36 +51,29 @@ func GetPlatforms() []*Platform {
 type Context struct {
 	Plat *Platform
 
+	// mu serialises buffer creation: the ledger check, the backing and
+	// the charge. Frees and readers use allocated without it, and the
+	// enqueue path never takes it.
 	mu        sync.Mutex
-	allocated int64
-	tracer    *telemetry.Tracer
-	metrics   *telemetry.Registry
+	allocated atomic.Int64
+	tracer    atomic.Pointer[telemetry.Tracer]
+	metrics   atomic.Pointer[telemetry.Registry]
 }
 
 // SetTracer installs a trace-span sink on the context: every command
 // its queues complete then emits a span from the event's profiling
 // stamps. Nil removes it; with no tracer the hot path pays one mutex
-// peek per enqueue. Install before enqueuing work.
-func (c *Context) SetTracer(t *telemetry.Tracer) {
-	c.mu.Lock()
-	c.tracer = t
-	c.mu.Unlock()
-}
+// load per enqueue. Install before enqueuing work.
+func (c *Context) SetTracer(t *telemetry.Tracer) { c.tracer.Store(t) }
 
 // SetMetrics installs a metrics registry on the context: transfer
 // commands then count DMA bytes and wall time per queue label. Nil
 // removes it. Install before enqueuing work.
-func (c *Context) SetMetrics(r *telemetry.Registry) {
-	c.mu.Lock()
-	c.metrics = r
-	c.mu.Unlock()
-}
+func (c *Context) SetMetrics(r *telemetry.Registry) { c.metrics.Store(r) }
 
 // telemetrySinks snapshots the installed sinks for one enqueue.
 func (c *Context) telemetrySinks() (*telemetry.Tracer, *telemetry.Registry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tracer, c.metrics
+	return c.tracer.Load(), c.metrics.Load()
 }
 
 // CreateContext returns a context on the platform.
@@ -93,11 +87,7 @@ func (c *Context) GlobalMemBytes() int64 {
 }
 
 // AllocatedBytes returns the current device memory usage.
-func (c *Context) AllocatedBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.allocated
-}
+func (c *Context) AllocatedBytes() int64 { return c.allocated.Load() }
 
 // Buffer is a device memory allocation. Under the asynchronous API a
 // buffer may have commands in flight at any moment, so its lifetime is
@@ -135,16 +125,18 @@ func (c *Context) CreateBufferBacked(size int64, back func() ([]byte, error)) (*
 	if size <= 0 {
 		return nil, fmt.Errorf("opencl: invalid buffer size %d", size)
 	}
+	// A free racing this create only lowers allocated, so the check
+	// stays safe while back runs.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.allocated+size > c.GlobalMemBytes() {
+	if c.allocated.Load()+size > c.GlobalMemBytes() {
 		return nil, ErrOutOfMemory
 	}
 	b, err := back()
 	if err != nil {
 		return nil, err
 	}
-	c.allocated += size
+	c.allocated.Add(size)
 	return &Buffer{ctx: c, Size: size, Bytes: b}, nil
 }
 
@@ -231,9 +223,7 @@ func (b *Buffer) ReleaseFunc(onFree func()) {
 // release hook. Called exactly once, guarded by b.freed.
 func (b *Buffer) free() {
 	if b.ctx != nil {
-		b.ctx.mu.Lock()
-		b.ctx.allocated -= b.Size
-		b.ctx.mu.Unlock()
+		b.ctx.allocated.Add(-b.Size)
 	}
 	b.mu.Lock()
 	hook := b.onFree

@@ -2,7 +2,6 @@ package parboil
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -14,72 +13,6 @@ import (
 	"repro/internal/opencl"
 	"repro/internal/rtlib"
 )
-
-// markSrc adds each work-item's id plus one to its word, so a virtual
-// group that runs twice or never shows in the output.
-const markSrc = `
-kernel void mark(global int* out, int n)
-{
-    int i = (int)get_global_id(0);
-    if (i < n) out[i] = out[i] + i + 1;
-}
-`
-
-// schedule is one fuzzed way to slice an execution: the plan, the slice
-// rounds of each step (cycled), and a device fault before step faultAt
-// (0: none) after which the execution resumes from its consumed prefix
-// on a fresh handle, on the same device or, if relaunch, on the other.
-type schedule struct {
-	phys, chunk int64
-	rounds      []int64
-	faultAt     int
-	relaunch    bool
-}
-
-var (
-	fuzzPlats = opencl.GetPlatforms() // two devices; built once, so their lanes are too
-	errFault  = errors.New("injected device fault")
-)
-
-// runScheduled steps the transformed kernel over nd to completion under
-// s and checks every slice's start rule: at least one physical group,
-// at most the lanes and the dequeues its budget holds.
-func runScheduled(t *testing.T, tm *ir.Module, cl *opencl.Kernel, nd interp.NDRange, rtWords []int64, s schedule) {
-	t.Helper()
-	plat := fuzzPlats[0]
-	h, err := opencl.NewLaunchHandle(plat, tm, cl, nd, rtWords, s.phys, s.chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanes := int64(interp.Lanes())
-	for step, done := 0, false; !done; step++ {
-		if step > 0 && step == s.faultAt {
-			// The device fails between two slices: the cancellation lands
-			// at the boundary, the consumed prefix stays done, and a new
-			// handle resumes the rest, as the runtime's relaunch does.
-			h.Cancel(errFault)
-			if _, err := h.Step(); !errors.Is(err, errFault) {
-				t.Fatalf("step %d: a cancelled handle stepped with %v", step, err)
-			}
-			consumed, _ := h.Progress()
-			if s.relaunch {
-				plat = fuzzPlats[1]
-			}
-			if h, err = opencl.NewLaunchHandle(plat, tm, cl, nd, rtWords, s.phys, s.chunk); err != nil {
-				t.Fatal(err)
-			}
-			h.ResumeAt(consumed)
-		}
-		h.SetSliceRounds(s.rounds[step%len(s.rounds)])
-		if done, err = h.Step(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		p, c, b := h.LastSlice()
-		if dequeues := (b + c - 1) / c; p < 1 || p > lanes || p > dequeues {
-			t.Fatalf("step %d started %d groups for %d dequeues (budget %d, chunk %d) on %d lanes", step, p, dequeues, b, c, lanes)
-		}
-	}
-}
 
 // fuzzKernel is a Parboil kernel compiled and transformed once, with its
 // native output.
@@ -113,79 +46,61 @@ func loadFuzzKernel(t *testing.T, k *Kernel) *fuzzKernel {
 	return v.(*fuzzKernel)
 }
 
-// FuzzSliceSchedule drives sliced executions under fuzzed plans, slice
-// rounds and a device fault with resume or relaunch. Two oracles: the
-// mark kernel over total virtual groups (its own chunk kchunk) must run
-// every virtual group exactly once, and one Parboil kernel per input,
-// sliced the same way, must leave the native launch's bytes. A failing
-// input lands in testdata/fuzz/FuzzSliceSchedule and is kept.
-func FuzzSliceSchedule(f *testing.F) {
-	f.Add(uint8(4), uint8(1), uint8(4), uint16(40), []byte{8}, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(3), uint8(2), uint8(1), uint16(97), []byte{1, 3}, uint8(2), uint8(1), uint8(7))
-	f.Add(uint8(1), uint8(4), uint8(2), uint16(64), []byte{1}, uint8(3), uint8(2), uint8(20))
-	f.Add(uint8(13), uint8(1), uint8(1), uint16(5), []byte{8}, uint8(1), uint8(1), uint8(12))
-	f.Fuzz(func(t *testing.T, phys, chunk, kchunk uint8, total uint16, rounds []byte, faultAt, recovery, kernel uint8) {
-		s := schedule{
-			phys:     1 + int64(phys%16),
-			chunk:    1 + int64(chunk%16),
-			faultAt:  int(faultAt % 8),
-			relaunch: recovery%2 == 1,
-		}
-		for i, r := range rounds {
-			if i == 8 {
-				break
-			}
-			s.rounds = append(s.rounds, 1+int64(r%8))
-		}
-		if len(s.rounds) == 0 {
-			s.rounds = []int64{opencl.DefaultSliceRounds}
-		}
+var errFault = errors.New("injected device fault")
 
-		// The mark kernel: exactly once.
-		const local = 8
-		n := (1 + int64(total%512)) * local
-		out := make([]byte, n*4)
-		mark, err := clc.Compile(markSrc, "mark_prog")
-		if err != nil {
-			t.Fatal(err)
+// FuzzSliceScheduleParity slices one Parboil kernel per input under a
+// fuzzed plan (phys, chunk), slice rounds per step (cycled) and a device
+// fault before step faultAt (0: none), after which a fresh handle
+// resumes the consumed prefix on the same device or, for an odd
+// recovery, on the other; the kernel must leave the native launch's
+// bytes. internal/opencl's FuzzSliceSchedule checks the same schedules'
+// exactly-once and start rules on its mark kernel. A failing input
+// lands in testdata/fuzz/FuzzSliceScheduleParity and is kept.
+func FuzzSliceScheduleParity(f *testing.F) {
+	f.Add(uint8(4), uint8(1), []byte{8}, uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(2), []byte{1, 3}, uint8(2), uint8(1), uint8(7))
+	f.Add(uint8(1), uint8(4), []byte{1}, uint8(3), uint8(2), uint8(20))
+	f.Add(uint8(13), uint8(1), []byte{8}, uint8(1), uint8(1), uint8(12))
+	plats := opencl.GetPlatforms() // built once, so their lanes are too
+	f.Fuzz(func(t *testing.T, phys, chunk uint8, rounds []byte, faultAt, recovery, kernel uint8) {
+		if len(rounds) == 0 {
+			rounds = []byte{opencl.DefaultSliceRounds - 1}
 		}
-		res, err := accelpass.Transform(ir.CloneModule(mark))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := &opencl.Program{Module: mark}
-		cl, err := p.CreateKernel("mark")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SetArgBuffer(0, &opencl.Buffer{Size: n * 4, Bytes: out}); err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.SetArgInt32(1, int32(n)); err != nil {
-			t.Fatal(err)
-		}
-		nd := interp.NDRange{Dims: 1, Global: [3]int64{n, 1, 1}, Local: [3]int64{local, 1, 1}}
-		runScheduled(t, res.Module, cl, nd, rtlib.BuildRT(1, nd.NumGroups(), nd.Local, 1+int(kchunk%16)), s)
-		for i := int64(0); i < n; i++ {
-			if got := int32(binary.LittleEndian.Uint32(out[i*4:])); got != int32(i+1) {
-				t.Fatalf("%+v: out[%d] = %d, want %d (a virtual group ran zero or multiple times)", s, i, got, i+1)
-			}
-		}
-
-		// One Parboil kernel: byte-identical with native.
 		ks := Kernels()
 		k := ks[int(kernel)%len(ks)]
 		fk := loadFuzzKernel(t, k)
 		spec := k.Setup()
-		pcl, bufs, err := clKernelFromSpec(fk.orig, k.Name, spec)
+		cl, bufs, err := clKernelFromSpec(fk.orig, k.Name, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pnd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
-		runScheduled(t, fk.tm, pcl, pnd, rtlib.BuildRT(pnd.Dims, pnd.NumGroups(), pnd.Local, fk.info.Chunk), s)
+		nd := interp.NDRange{Dims: spec.Dims, Global: spec.Global, Local: spec.Local}
+		rt := rtlib.BuildRT(nd.Dims, nd.NumGroups(), nd.Local, fk.info.Chunk)
+		p, c := 1+int64(phys%16), 1+int64(chunk%16)
+		h, err := opencl.NewLaunchHandle(plats[0], fk.tm, cl, nd, rt, p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step, done := 0, false; !done; step++ {
+			if step > 0 && step == int(faultAt%8) {
+				h.Cancel(errFault)
+				if _, err := h.Step(); !errors.Is(err, errFault) {
+					t.Fatalf("step %d: a cancelled handle stepped with %v", step, err)
+				}
+				consumed, _ := h.Progress()
+				if h, err = opencl.NewLaunchHandle(plats[recovery%2], fk.tm, cl, nd, rt, p, c); err != nil {
+					t.Fatal(err)
+				}
+				h.ResumeAt(consumed)
+			}
+			h.SetSliceRounds(1 + int64(rounds[step%min(len(rounds), 8)]%8))
+			if done, err = h.Step(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
 		for i := range fk.native {
 			if !bytes.Equal(fk.native[i], bufs[i]) {
-				t.Fatalf("%+v: %s buffer %d (%s) differs from the native launch", s, k.FullName(), i, spec.Args[i].Name)
+				t.Fatalf("%s buffer %d (%s) differs from the native launch", k.FullName(), i, spec.Args[i].Name)
 			}
 		}
 	})
