@@ -62,7 +62,7 @@ type Context struct {
 
 // SetTracer installs a trace-span sink on the context: every command
 // its queues complete then emits a span from the event's profiling
-// stamps. Nil removes it; with no tracer the hot path pays one mutex
+// stamps. Nil removes it; with no tracer the hot path pays one atomic
 // load per enqueue. Install before enqueuing work.
 func (c *Context) SetTracer(t *telemetry.Tracer) { c.tracer.Store(t) }
 
