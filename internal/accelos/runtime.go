@@ -318,10 +318,9 @@ func (rt *Runtime) Memory() *MemoryManager { return rt.mem }
 // reaches the daemon other tenants share.
 var ErrBuildFailed = errors.New("accelos: program build failed")
 
-// maxBuilds bounds the build cache. A victim is arbitrary, like the
-// interpreter's program cache: an evicted source compiles again when it
-// is next created, and the Programs already built from it keep their
-// modules.
+// maxBuilds bounds the build cache. A victim is arbitrary: an evicted
+// source compiles again when it is next created, and the Programs
+// already built from it keep their modules.
 const maxBuilds = 64
 
 type buildKey [sha256.Size]byte
@@ -410,8 +409,8 @@ func (rt *Runtime) runBuild(b *build, key buildKey, tenant string, compile func(
 // keep both modules; then lower the transformed one for the VM exactly
 // as a native program is lowered — interp.CompileModule's O1 pipeline,
 // fusion and warp tables over a private clone, falling back to the
-// memory-form module should the pipeline fail — and install it in the
-// shared program cache, so the first launch finds it compiled.
+// memory-form module should the pipeline fail — and leave it on the
+// transformed module, so the first launch finds it compiled.
 func (b *build) compile(src, name string) error {
 	orig, err := clc.Compile(src, name)
 	if err != nil {

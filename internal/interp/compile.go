@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -313,9 +314,9 @@ const DefaultWarpWidth = 64
 // lanes are one uint64 mask.
 const MaxWarpWidth = 64
 
-// DefaultCompileOpts is what CompileModule (and therefore SharedProgram
-// and every host-layer cache) compiles with: the full O1 pipeline plus
-// fusion and warp-batched dispatch.
+// DefaultCompileOpts is what CompileModule (and therefore SharedProgram)
+// compiles with: the full O1 pipeline plus fusion and warp-batched
+// dispatch.
 var DefaultCompileOpts = CompileOpts{Opt: true, WarpWidth: DefaultWarpWidth}
 
 func (o CompileOpts) disabled(name string) bool {
@@ -327,13 +328,12 @@ func (o CompileOpts) disabled(name string) bool {
 	return false
 }
 
-// Prog is a compiled module: the unit the VM executes and the unit the
-// host layers cache (opencl.Program keeps one per built program; pooled
-// machines resolve theirs through SharedProgram).
+// Prog is a compiled module: the unit the VM executes. A module keeps
+// its shared one in its Compiled slot (see SharedProgram).
 type Prog struct {
-	// Mod is the module the program was compiled FROM — the identity the
-	// caches and machine pools key by. The executed code may come from
-	// an optimized private clone (src).
+	// Mod is the module the program was compiled FROM — the identity a
+	// machine checks before it runs the program. The executed code may
+	// come from an optimized private clone (src).
 	Mod *ir.Module
 
 	src *ir.Module
@@ -393,82 +393,58 @@ func CompileModuleOpts(mod *ir.Module, opts CompileOpts) *Prog {
 	return p
 }
 
-// SharedProgram returns the compiled form of mod from a bounded global
-// cache, compiling on first use. The bound mirrors the machine pool's
-// module cap: a long-lived daemon JITs a module per application program,
-// and an unbounded cache would pin every retired module forever.
-const maxCachedProgs = 64
+// cacheMetrics receives SharedProgram hit/miss events; the accelOS
+// runtime adapts it onto its telemetry registry so cold compiles are
+// observable.
+var cacheMetrics atomic.Pointer[CacheMetrics]
 
-var (
-	progMu    sync.Mutex
-	progCache = make(map[*ir.Module]*Prog)
-	// cacheMetrics (guarded by progMu) receives SharedProgram hit/miss
-	// events; the accelOS runtime adapts it onto its telemetry registry
-	// so cold compiles are observable.
-	cacheMetrics CacheMetrics
-)
-
-// CacheMetrics receives shared-program-cache events; implementations
-// must be safe for concurrent use (calls arrive under the cache lock,
-// so they must not call back into the program cache).
+// CacheMetrics receives shared-program events; implementations must be
+// safe for concurrent use.
 type CacheMetrics interface {
 	ProgramCacheHit()
 	ProgramCacheMiss()
 }
 
 // SetCacheMetrics installs (or, with nil, removes) the process-wide
-// shared-program-cache metrics sink.
+// shared-program metrics sink.
 func SetCacheMetrics(m CacheMetrics) {
-	progMu.Lock()
-	cacheMetrics = m
-	progMu.Unlock()
+	if m == nil {
+		cacheMetrics.Store(nil)
+		return
+	}
+	cacheMetrics.Store(&m)
 }
 
+// SharedProgram returns the compiled form of mod, kept on the module
+// itself (mod.Compiled), compiling on first use: a live module is
+// compiled once, and its bytecode is collected with it. Racing first
+// uses of one module both compile; the first store wins, and the loser
+// reads as the hit it would have been had it waited.
 func SharedProgram(mod *ir.Module) *Prog {
-	progMu.Lock()
-	p, miss := progCache[mod], false
+	p, _ := mod.Compiled.Load().(*Prog)
+	miss := false
 	if p == nil {
-		// Compile with the lock released: every launch resolves its
-		// program through progMu, and a whole compile is too long to hold
-		// them all for. Racing misses of one module both compile; the
-		// first insert wins, and the loser reads as the hit it would have
-		// been had it waited.
-		progMu.Unlock()
-		fresh := CompileModule(mod)
-		progMu.Lock()
-		if p = progCache[mod]; p == nil {
+		if fresh := CompileModule(mod); mod.Compiled.CompareAndSwap(nil, fresh) {
 			p, miss = fresh, true
-			cacheProgramLocked(p)
-		}
-	}
-	if cacheMetrics != nil {
-		if miss {
-			cacheMetrics.ProgramCacheMiss()
 		} else {
-			cacheMetrics.ProgramCacheHit()
+			p = mod.Compiled.Load().(*Prog)
 		}
 	}
-	progMu.Unlock()
+	if m := cacheMetrics.Load(); m != nil {
+		if miss {
+			(*m).ProgramCacheMiss()
+		} else {
+			(*m).ProgramCacheHit()
+		}
+	}
 	return p
 }
 
-// ShareProgram installs an already-compiled program in the shared cache
-// under its module identity, so every later launch of p.Mod resolves to
-// it instead of compiling with the default options.
+// ShareProgram installs an already-compiled program on its module, so
+// every later launch of p.Mod resolves to it instead of compiling with
+// the default options.
 func ShareProgram(p *Prog) {
-	progMu.Lock()
-	defer progMu.Unlock()
-	cacheProgramLocked(p)
-}
-
-func cacheProgramLocked(p *Prog) {
-	if len(progCache) >= maxCachedProgs {
-		for k := range progCache {
-			delete(progCache, k)
-			break
-		}
-	}
-	progCache[p.Mod] = p
+	p.Mod.Compiled.Store(p)
 }
 
 // constKey dedups constants by kind and bits.

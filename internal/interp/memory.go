@@ -102,6 +102,8 @@ func (v Value) Bool() bool { return v.I != 0 }
 // Machine owns the memory registry and executes kernel launches over a
 // module.
 type Machine struct {
+	// Mod is the module the machine launches. A pooled machine is
+	// pointed at each launch's module after Reset.
 	Mod *ir.Module
 
 	// Engine selects the execution engine: the bytecode VM (default) or
@@ -120,8 +122,8 @@ type Machine struct {
 	// budget (defaultMaxSteps).
 	MaxSteps int64
 
-	// prog is the compiled bytecode of Mod, resolved lazily through the
-	// shared program cache. Machines are owned by one launch at a time
+	// prog is the compiled bytecode of Mod, resolved lazily from the
+	// module (SharedProgram). Machines are owned by one launch at a time
 	// (the pool hands them out exclusively), so no lock is needed.
 	prog *Prog
 
@@ -171,9 +173,9 @@ func (m *Machine) checkInterrupt() {
 	}
 }
 
-// Program returns the machine's compiled bytecode, compiling the module
-// through the shared cache on first use. Pooled machines keep it across
-// Reset, so sliced launches and re-plans reuse the compiled form.
+// Program returns the machine's compiled bytecode, resolving the
+// module's shared program on first use; sliced launches and re-plans
+// reuse it until Reset.
 func (m *Machine) Program() *Prog {
 	if m.prog == nil {
 		m.prog = SharedProgram(m.Mod)
@@ -181,9 +183,9 @@ func (m *Machine) Program() *Prog {
 	return m.prog
 }
 
-// UseProgram seeds the machine with an already-compiled program (the
-// opencl layer caches one per built Program). Programs for a different
-// module are ignored.
+// UseProgram seeds the machine with an already-compiled program (a
+// compile variant, or one resolved ahead of the launch). Programs for a
+// different module are ignored.
 func (m *Machine) UseProgram(p *Prog) {
 	if p != nil && p.Mod == m.Mod {
 		m.prog = p
@@ -234,11 +236,13 @@ func (m *Machine) BindRegion(bytes []byte, space ir.AddrSpace) *Region {
 	return r
 }
 
-// Reset drops every region from the registry so a pooled machine can be
-// reused without accumulating dead regions (and without keeping bound
-// buffer bytes alive). Pointers stored into surviving memory before the
-// reset become dangling, exactly as across separate machines.
+// Reset drops the machine's program and every region, so a pooled
+// machine can be pointed at any module next (by setting Mod) without
+// running a stale program or keeping bound buffer bytes alive. Pointers
+// stored into surviving memory before the reset become dangling,
+// exactly as across separate machines.
 func (m *Machine) Reset() {
+	m.prog = nil
 	m.interrupt.Store(nil)
 	m.regions.truncate(1)
 }

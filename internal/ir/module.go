@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Block is a basic block: a straight-line instruction sequence ending in a
 // terminator.
@@ -132,6 +135,11 @@ func (f *Function) NumInstrs() int {
 type Module struct {
 	Name  string
 	Funcs []*Function
+
+	// Compiled holds the module's executable form for whichever backend
+	// fills it (interp keeps its bytecode here); ir never reads it, and
+	// the compiled code is collected with the module.
+	Compiled atomic.Value
 
 	index map[string]*Function
 }

@@ -29,13 +29,13 @@ func SetFaultInjector(in *fault.Injector) {
 }
 
 // MachinePool keeps interpreter machines alive across launches so the
-// hot path stops paying per-launch machine construction, keyed by module
-// (a machine executes exactly one module). Released machines are reset
-// (their region registry dropped) before reuse so bound buffer bytes are
-// not kept alive between launches.
+// hot path stops paying per-launch machine construction. An idle machine
+// holds no module, program or region (Release resets it), so any launch
+// can take it; idle machines number at most the launches ever in flight
+// on the platform at once.
 type MachinePool struct {
 	mu   sync.Mutex
-	free map[*ir.Module][]*interp.Machine
+	free []*interp.Machine
 	// warp, when set, receives per-launch warp execution stats from
 	// every machine the pool hands out (see interp.WarpStatsSink).
 	// nextMach names machines "mach-N" in construction order for trace
@@ -43,36 +43,16 @@ type MachinePool struct {
 	warp     interp.WarpStatsSink
 	nextMach int
 
-	workers *interp.WorkerPool // started on first use, stopped by Close
+	// workers is the pool's persistent worker set: a long-lived group of
+	// goroutines that all VM launches on this pool's machines borrow
+	// parallel group runners from, instead of spawning up to GOMAXPROCS
+	// goroutines per launch. Started on first use, stopped by Close.
+	workers *interp.WorkerPool
 }
-
-// maxPooledMachines bounds the idle machines retained per module; bursts
-// beyond it allocate and discard. maxPooledModules bounds how many
-// distinct modules keep idle machines at all: a long-lived daemon JITs a
-// fresh module per application program, and without the cap every
-// retired program would pin its module (and up to maxPooledMachines
-// machines) in the pool forever.
-const (
-	maxPooledMachines = 8
-	maxPooledModules  = 32
-)
 
 // NewMachinePool returns an empty pool.
 func NewMachinePool() *MachinePool {
-	return &MachinePool{free: make(map[*ir.Module][]*interp.Machine)}
-}
-
-// Workers returns the pool's persistent worker set (started on first
-// use): a long-lived group of goroutines that all VM launches on this
-// pool's machines borrow parallel group runners from, instead of
-// spawning up to GOMAXPROCS goroutines per launch.
-func (p *MachinePool) Workers() *interp.WorkerPool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.workers == nil {
-		p.workers = interp.NewWorkerPool(0)
-	}
-	return p.workers
+	return &MachinePool{}
 }
 
 // Close stops the pool's worker goroutines and returns once they have
@@ -100,46 +80,39 @@ func (p *MachinePool) SetWarpStats(s interp.WarpStatsSink) {
 	p.mu.Unlock()
 }
 
-// Acquire returns a machine for the module, reusing an idle one when
-// available. Machines are seeded with the pool's persistent worker set.
+// Acquire returns a machine for the module: an idle one pointed at mod
+// when there is one, else a new one. Machines are seeded with the
+// pool's persistent worker set.
 func (p *MachinePool) Acquire(mod *ir.Module) *interp.Machine {
-	w := p.Workers()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ms := p.free[mod]
-	if n := len(ms); n > 0 {
-		m := ms[n-1]
-		if n == 1 {
-			// Drop emptied keys so dead modules do not accumulate.
-			delete(p.free, mod)
-		} else {
-			p.free[mod] = ms[:n-1]
-		}
-		m.Workers = w
-		m.WarpStats = p.warp
-		return m
+	var m *interp.Machine
+	if n := len(p.free); n > 0 {
+		m = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		m.Mod = mod
+	} else {
+		m = interp.NewMachine(mod)
+		m.Name = fmt.Sprintf("mach-%d", p.nextMach)
+		p.nextMach++
 	}
-	m := interp.NewMachine(mod)
-	m.Workers = w
+	if p.workers == nil {
+		p.workers = interp.NewWorkerPool(0)
+	}
+	m.Workers = p.workers
 	m.WarpStats = p.warp
-	m.Name = fmt.Sprintf("mach-%d", p.nextMach)
-	p.nextMach++
 	return m
 }
 
-// Release resets the machine and returns it to the pool. Machines for
-// modules beyond the retention caps are discarded instead of parked.
+// Release resets the machine, drops its module and parks it for any
+// later launch.
 func (p *MachinePool) Release(m *interp.Machine) {
 	m.Reset()
+	m.Mod = nil
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	ms, known := p.free[m.Mod]
-	if !known && len(p.free) >= maxPooledModules {
-		return
-	}
-	if len(ms) < maxPooledMachines {
-		p.free[m.Mod] = append(ms, m)
-	}
+	p.free = append(p.free, m)
+	p.mu.Unlock()
 }
 
 // Idle reports how many machines are parked in the pool (tests and
@@ -147,11 +120,7 @@ func (p *MachinePool) Release(m *interp.Machine) {
 func (p *MachinePool) Idle() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := 0
-	for _, ms := range p.free {
-		n += len(ms)
-	}
-	return n
+	return len(p.free)
 }
 
 // DefaultSliceRounds is how many dequeue rounds each planned physical
@@ -235,9 +204,9 @@ func NewLaunchHandle(plat *Platform, mod *ir.Module, k *Kernel, nd NDRange, rtWo
 	pool := plat.Machines()
 	mach := pool.Acquire(mod)
 	// The handle's machine executes mod (usually the JIT-transformed
-	// module, not k's build product); resolve its bytecode through the
-	// shared cache so every slice — and every pooled machine that later
-	// serves this module — runs the same compiled form.
+	// module, not k's build product); resolve the bytecode the module
+	// keeps, so every slice — and every later launch of mod — runs the
+	// same compiled form.
 	mach.UseProgram(interp.SharedProgram(mod))
 	args, err := bind(mach, k.Name, k.args, 1)
 	if err != nil {

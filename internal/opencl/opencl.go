@@ -234,15 +234,12 @@ func (b *Buffer) free() {
 	}
 }
 
-// Program is kernel source plus its build products: the IR module and,
-// once a kernel has launched, the interpreter's compiled bytecode.
+// Program is kernel source plus its build product, the IR module (which
+// keeps the interpreter's compiled bytecode once a kernel has launched).
 type Program struct {
 	Ctx    *Context
 	Source string
 	Module *ir.Module
-
-	compMu   sync.Mutex
-	compiled *interp.Prog
 }
 
 // CreateProgramWithSource registers kernel source.
@@ -264,19 +261,13 @@ func (p *Program) Build() error {
 	return nil
 }
 
-// Compiled returns the program's bytecode, compiled on first use and
-// cached for the program's lifetime so every launch — including fresh
-// machines past the pool caps — reuses the compiled form.
+// Compiled returns the program's bytecode: the module's shared program,
+// compiled on first use (interp.SharedProgram).
 func (p *Program) Compiled() *interp.Prog {
 	if p.Module == nil {
 		return nil
 	}
-	p.compMu.Lock()
-	defer p.compMu.Unlock()
-	if p.compiled == nil {
-		p.compiled = interp.SharedProgram(p.Module)
-	}
-	return p.compiled
+	return interp.SharedProgram(p.Module)
 }
 
 // Kernel is a program entry point with bound arguments.
